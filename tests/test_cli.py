@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -84,6 +85,33 @@ class TestSimulate:
         for name in ("trajectory.csv", "measured.csv", "noise.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+
+class TestGoldenBytes:
+    """sha256 of the CLI outputs for fixed scenarios; a refactor of the step
+    kernel, the trajectory storage or the noise draw must keep these bytes."""
+
+    DIGESTS = {
+        ("sir", "trajectory.csv"):
+            "22e63bdfaf66862a0e93fc1d575ac6258f77cf0c3a805d001f825b98633b2613",
+        ("seir", "trajectory.csv"):
+            "8631efb41675f4cee4377ae566c8286fc6b6da7d20d6d533329793739714e82d",
+        ("seir", "measured.csv"):
+            "f496e69aca7a5bbf6a9c6e745ffbe9bae985bf572b3997a35cd30f7658758061",
+    }
+
+    @pytest.mark.parametrize("model", ["sir", "seir"])
+    def test_output_digests(self, tmp_path, model):
+        noise = {"start_k": 14, "seed": 3} if model == "seir" else None
+        sc = write_scenario(tmp_path, model=model, steps=30, noise=noise)
+        out = tmp_path / "out"
+        assert run("simulate", "--scenario", sc, "--out", out) == 0
+        if model == "seir":
+            assert run("perturb", "--scenario", sc, "--out", out,
+                       "--trajectory", out / "trajectory.csv") == 0
+        for (kind, name), digest in self.DIGESTS.items():
+            if kind == model:
+                assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
 class TestDiagnose:
