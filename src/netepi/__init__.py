@@ -3,10 +3,8 @@ diagnostics, and least-squares recovery of spread parameters."""
 
 from .graph import Network, load_network, save_network, neighbors, is_irreducible
 from .dynamics import (SirParams, SeirParams, EpidemicState, Trajectory,
-                       check_assumption_sir, check_assumption_seir,
-                       sir_step, sir_step_matrix, seir_step,
-                       seir_step_multilayer, seir_step_matrix, simulate,
-                       trajectory_to_csv, trajectory_from_csv)
+                       check_assumption_sir, check_assumption_seir, step,
+                       simulate, trajectory_to_csv, trajectory_from_csv)
 from .spectral import (SpreadingMatrix, ConvergenceReport,
                        build_spreading_matrix, dominant_eigenvalue,
                        convergence_diagnostics)

@@ -29,6 +29,7 @@ lists.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -133,9 +134,8 @@ def cmd_simulate(args) -> int:
     sc = load_scenario(args.scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    check = (dynamics.check_assumption_sir(sc["params"], sc["net"])
-             if sc["model"] == "sir"
-             else dynamics.check_assumption_seir(sc["params"], sc["net"]))
+    check = (dynamics.check_assumption_sir if sc["model"] == "sir"
+             else dynamics.check_assumption_seir)(sc["params"], sc["net"])
     if not check.ok:
         for v in check.violations:
             print(f"assumption violation: {v}", file=sys.stderr)
@@ -175,11 +175,7 @@ def cmd_perturb(args) -> int:
         return EXIT_ERROR
     noise = sc["noise"]
     if args.seed is not None:
-        noise = estimation.NoiseModel(
-            e_slope=noise.e_slope, e_floor=noise.e_floor,
-            x_slope=noise.x_slope, x_floor=noise.x_floor,
-            seed=args.seed, start_k=noise.start_k,
-            param_is_std=noise.param_is_std)
+        noise = dataclasses.replace(noise, seed=args.seed)
     traj = dynamics.trajectory_from_csv(Path(args.trajectory).read_text(),
                                         h=sc["params"].h)
     measured = estimation.apply_noise(traj, noise)
@@ -223,16 +219,18 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, with_traj=False):
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override RNG seed")
-        strict = p.add_mutually_exclusive_group()
-        strict.add_argument("--strict", dest="strict", action="store_true", default=True)
-        strict.add_argument("--no-strict", dest="strict", action="store_false")
         if with_traj:
             p.add_argument("--trajectory", required=True, help="trajectory CSV input")
 
-    common(sub.add_parser("simulate", help="run a scenario and write the trajectory"))
+    sim = sub.add_parser("simulate", help="run a scenario and write the trajectory")
+    common(sim)
+    strict = sim.add_mutually_exclusive_group()
+    strict.add_argument("--strict", dest="strict", action="store_true", default=True)
+    strict.add_argument("--no-strict", dest="strict", action="store_false")
     common(sub.add_parser("diagnose", help="eigenvalue/convergence diagnostics"), with_traj=True)
-    common(sub.add_parser("perturb", help="inject measurement noise"), with_traj=True)
+    perturb = sub.add_parser("perturb", help="inject measurement noise")
+    common(perturb, with_traj=True)
+    perturb.add_argument("--seed", type=int, default=None, help="override the noise seed")
     est = sub.add_parser("estimate", help="recover spread parameters")
     common(est, with_traj=True)
     est.add_argument("--node", type=int, default=None,

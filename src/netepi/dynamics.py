@@ -6,14 +6,16 @@ Per-node updates (SIR), with pressure(i) = beta_i * sum_j a_ij * p_j:
     p' = p + h*(s*pressure - gamma*p)
     r' = r + h*gamma*p
 
-SEIR adds an exposed compartment fed by pressure from both e and p. All
-compartments stay in [0, 1] and sum to 1 per node as long as the
-well-posedness inequalities hold (see check_assumption_*).
+SEIR adds an exposed compartment fed by pressure from both e and p, summed
+over the base network and any transport layers. All compartments stay in
+[0, 1] and sum to 1 per node as long as the well-posedness inequalities hold
+(see check_assumption_*).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Iterable
 
 import numpy as np
@@ -31,11 +33,7 @@ __all__ = [
     "StateInvariantError",
     "check_assumption_sir",
     "check_assumption_seir",
-    "sir_step",
-    "sir_step_matrix",
-    "seir_step",
-    "seir_step_multilayer",
-    "seir_step_matrix",
+    "step",
     "simulate",
     "trajectory_to_csv",
     "trajectory_from_csv",
@@ -71,6 +69,11 @@ class SirParams:
         return SirParams(_as_vector(self.beta, n, "beta"),
                          _as_vector(self.gamma, n, "gamma"), float(self.h))
 
+    @property
+    def rates(self) -> tuple:
+        """Infection-operator rates: the base network only, acting on p."""
+        return ((self.beta,),)
+
 
 @dataclass(frozen=True)
 class SeirParams:
@@ -83,6 +86,8 @@ class SeirParams:
     layer_beta: tuple = ()
 
     def resolved(self, n: int) -> "SeirParams":
+        if len(self.layer_beta_e) != len(self.layer_beta):
+            raise ValueError("layer_beta_e and layer_beta must have matching length")
         return SeirParams(
             _as_vector(self.beta_e, n, "beta_e"),
             _as_vector(self.beta, n, "beta"),
@@ -92,6 +97,21 @@ class SeirParams:
             tuple(_as_vector(v, n, "layer_beta_e") for v in self.layer_beta_e),
             tuple(_as_vector(v, n, "layer_beta") for v in self.layer_beta),
         )
+
+    @property
+    def rates(self) -> tuple:
+        """Infection-operator rates: (beta_e, beta) per network, acting on (e, p)."""
+        return ((self.beta_e, self.beta),) + tuple(zip(self.layer_beta_e, self.layer_beta))
+
+
+def _validate(s, p, r, e, tol: float) -> None:
+    """Simplex check on compartment arrays of any one shape."""
+    parts = [s, p, r] + ([e] if e is not None else [])
+    for v in parts:
+        if np.any(v < -tol) or np.any(v > 1 + tol):
+            raise StateInvariantError("compartment level outside [0, 1]")
+    if np.any(np.abs(sum(parts) - 1.0) > tol):
+        raise StateInvariantError("per-node compartments do not sum to 1")
 
 
 @dataclass(frozen=True)
@@ -106,15 +126,9 @@ class EpidemicState:
     def __post_init__(self):
         for name in ("s", "p", "r", "e"):
             v = getattr(self, name)
-            if v is None:
-                continue
-            v = np.asarray(v, dtype=float)
-            object.__setattr__(self, name, v)
-        n = self.s.shape[0]
-        for name in ("p", "r"):
-            if getattr(self, name).shape != (n,):
-                raise ValueError("compartment vectors must share one length")
-        if self.e is not None and self.e.shape != (n,):
+            if v is not None:
+                object.__setattr__(self, name, np.asarray(v, dtype=float))
+        if any(v is not None and v.shape != (self.n,) for v in (self.p, self.r, self.e)):
             raise ValueError("compartment vectors must share one length")
 
     @property
@@ -126,36 +140,54 @@ class EpidemicState:
         return "sir" if self.e is None else "seir"
 
     def validate(self, tol: float = SUM_TOL) -> None:
-        parts = [self.s, self.p, self.r] + ([self.e] if self.e is not None else [])
-        for v in parts:
-            if np.any(v < -tol) or np.any(v > 1 + tol):
-                raise StateInvariantError("compartment level outside [0, 1]")
-        total = sum(parts)
-        if np.any(np.abs(total - 1.0) > tol):
-            raise StateInvariantError("per-node compartments do not sum to 1")
+        _validate(self.s, self.p, self.r, self.e, tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Trajectory:
-    kind: str  # "sir" or "seir"
-    states: tuple[EpidemicState, ...]
+    """Compartment levels over steps 0..T, one read-only (T+1, n) array per
+    compartment (row k is step k); ``e`` is None for SIR."""
+
+    s: np.ndarray
+    p: np.ndarray
+    r: np.ndarray
+    e: np.ndarray | None = None
     h: float
 
     def __post_init__(self):
-        if not self.states:
+        if np.ndim(self.s) != 2 or len(self.s) == 0:
             raise ValueError("trajectory must contain at least one state")
-        object.__setattr__(self, "states", tuple(self.states))
+        for name in ("s", "p", "r", "e"):
+            v = getattr(self, name)
+            if v is not None:
+                v = np.array(v, dtype=float)
+                v.setflags(write=False)
+                object.__setattr__(self, name, v)
+        if any(v is not None and v.shape != self.s.shape for v in (self.p, self.r, self.e)):
+            raise ValueError("compartment arrays must share one (T+1, n) shape")
+        object.__setattr__(self, "h", float(self.h))
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self.s.shape[0]
 
     @property
     def n(self) -> int:
-        return self.states[0].n
+        return self.s.shape[1]
+
+    @property
+    def kind(self) -> str:
+        return "sir" if self.e is None else "seir"
 
     @property
     def transitions(self) -> int:
-        return len(self.states) - 1
+        return len(self) - 1
+
+    @cached_property
+    def states(self) -> tuple[EpidemicState, ...]:
+        """Per-step states whose vectors are row views of the arrays."""
+        return tuple(EpidemicState(s=self.s[k], p=self.p[k], r=self.r[k],
+                                   e=None if self.e is None else self.e[k])
+                     for k in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -183,184 +215,110 @@ class AssumptionReport:
             raise AssumptionError(f"well-posedness violated: {msgs}")
 
 
+# ---------------------------------------------------------------------------
+# The infection operator: the one place that reads ``net.layers``.
+
+def _operator(net: Network, rates: tuple) -> tuple:
+    """Pairs (A_l, rates_l) over the base network (l = 0) and each transport
+    layer, defining the infection pressure on the nodes
+
+        pressure(x) = sum_l sum_c rates_l[c] * (A_l @ x_c)
+
+    for compartment levels x = (x_c). ``rates`` must cover every layer, so a
+    model without layer rates is refused on a layered network."""
+    mats = (net.adjacency,) + net.layers
+    if len(rates) != len(mats):
+        raise ValueError(f"rates are given for {len(rates) - 1} transport layers, "
+                         f"the network has {len(mats) - 1}")
+    return tuple(zip(mats, rates))
+
+
+def _pressure(op: tuple, xs: tuple) -> np.ndarray:
+    """pressure(x) for the operator ``op``. Each x_c is a length-n vector, or
+    a (T, n, 1) stack of column vectors when the rates are scalars. The rates
+    multiply after the product, in layer-then-compartment order."""
+    return reduce(np.add, (rate * (a @ x) for a, rates in op for rate, x in zip(rates, xs)))
+
+
+def _pressure_jacobian(op: tuple, c: int) -> np.ndarray:
+    """d pressure / d x_c = sum_l diag(rates_l[c]) A_l."""
+    return reduce(np.add, (rates[c][:, None] * a for a, rates in op))
+
+
+def _report(checks: list) -> AssumptionReport:
+    """Violations node by node, in the order of ``checks``: (label, values, ok mask, bound)."""
+    return AssumptionReport(tuple(
+        AssumptionViolation(i, label, values[i], bound)
+        for i in range(len(checks[0][1])) for label, values, ok, bound in checks if not ok[i]))
+
+
 def check_assumption_sir(params: SirParams, net: Network) -> AssumptionReport:
     """Every node needs 0 < h*gamma < 1 and h*beta*(row sum of A) < 1."""
     pr = params.resolved(net.n)
-    h = pr.h
-    rowsum = net.adjacency.sum(axis=1)
-    out = []
-    for i in range(net.n):
-        hg = h * pr.gamma[i]
-        if not (0 < hg < 1):
-            out.append(AssumptionViolation(i, "h*gamma", hg, "not in (0, 1)"))
-        hb = h * pr.beta[i] * rowsum[i]
-        if not (hb < 1):
-            out.append(AssumptionViolation(i, "h*beta*row_sum", hb, "not < 1"))
-        if pr.beta[i] < 0:
-            out.append(AssumptionViolation(i, "beta", pr.beta[i], "negative"))
-    return AssumptionReport(tuple(out))
+    hg = pr.h * pr.gamma
+    hb = pr.h * _pressure(_operator(net, pr.rates), (np.ones(net.n),))
+    return _report([("h*gamma", hg, (0 < hg) & (hg < 1), "not in (0, 1)"),
+                    ("h*beta*row_sum", hb, hb < 1, "not < 1"),
+                    ("beta", pr.beta, ~(pr.beta < 0), "negative")])
 
 
-def check_assumption_seir(params: SeirParams, net: Network,
-                          include_layers: bool = True) -> AssumptionReport:
+def check_assumption_seir(params: SeirParams, net: Network) -> AssumptionReport:
     """SEIR well-posedness: 0 < h*gamma < 1, 0 < h*sigma <= 1, and
-    h*(beta_e + beta)*(row sum) < 1, extended over any extra layers."""
+    h*(beta_e + beta)*(row sum) < 1, summed over the transport layers."""
     pr = params.resolved(net.n)
+    hg = pr.h * pr.gamma
+    hs = pr.h * pr.sigma
+    ones = np.ones(net.n)
+    hb = pr.h * _pressure(_operator(net, pr.rates), (ones, ones))
+    low = np.minimum(pr.beta_e, pr.beta)
+    return _report([("h*gamma", hg, (0 < hg) & (hg < 1), "not in (0, 1)"),
+                    ("h*sigma", hs, (0 < hs) & (hs <= 1), "not in (0, 1]"),
+                    ("beta_e/beta", low, ~(low < 0), "negative"),
+                    ("h*(beta_e+beta)*row_sum", hb, (0 <= hb) & (hb < 1), "not in [0, 1)")])
+
+
+def _check_assumption(pr, net: Network) -> AssumptionReport:
+    check = check_assumption_sir if isinstance(pr, SirParams) else check_assumption_seir
+    return check(pr, net)
+
+
+def _prepare(params, state: EpidemicState, net: Network) -> tuple:
+    """Check ``params`` against ``state`` and ``net``; resolve them and build their operator."""
+    if not isinstance(params, (SirParams, SeirParams)):
+        raise TypeError("params must be SirParams or SeirParams")
+    kind = "sir" if isinstance(params, SirParams) else "seir"
+    if state.kind != kind:
+        raise ValueError(f"{type(params).__name__} require an {kind.upper()} state")
+    if state.n != net.n:
+        raise ValueError("state/network dimension mismatch")
+    pr = params.resolved(net.n)
+    return pr, _operator(net, pr.rates)
+
+
+def _kernel(pr, op: tuple, s, p, r, e) -> tuple:
+    """The update equations on resolved parameters; returns (s, p, r, e), e None for SIR."""
     h = pr.h
-    rowsum = net.adjacency.sum(axis=1)
-    out = []
-    for i in range(net.n):
-        hg = h * pr.gamma[i]
-        if not (0 < hg < 1):
-            out.append(AssumptionViolation(i, "h*gamma", hg, "not in (0, 1)"))
-        hs = h * pr.sigma[i]
-        if not (0 < hs <= 1):
-            out.append(AssumptionViolation(i, "h*sigma", hs, "not in (0, 1]"))
-        if pr.beta_e[i] < 0 or pr.beta[i] < 0:
-            out.append(AssumptionViolation(i, "beta_e/beta", min(pr.beta_e[i], pr.beta[i]), "negative"))
-        hb = h * (pr.beta_e[i] + pr.beta[i]) * rowsum[i]
-        if include_layers:
-            for lidx, layer in enumerate(net.layers):
-                if lidx < len(pr.layer_beta_e):
-                    hb += h * (pr.layer_beta_e[lidx][i] + pr.layer_beta[lidx][i]) * layer[i].sum()
-        if not (0 <= hb < 1):
-            out.append(AssumptionViolation(i, "h*(beta_e+beta)*row_sum", hb, "not in [0, 1)"))
-    return AssumptionReport(tuple(out))
+    if e is None:
+        pressure = _pressure(op, (p,))
+        return (s - h * s * pressure, p + h * (s * pressure - pr.gamma * p),
+                r + h * pr.gamma * p, None)
+    iota = _pressure(op, (e, p))
+    return (s - h * s * iota, p + h * (pr.sigma * e - pr.gamma * p),
+            r + h * pr.gamma * p, e + h * s * iota - h * pr.sigma * e)
 
 
-def _gate_sir(state: EpidemicState, params: SirParams, net: Network,
-              strict: bool, check_params: bool) -> SirParams:
-    if state.kind != "sir":
-        raise ValueError("SIR step requires a state without an exposed compartment")
-    if state.n != net.n:
-        raise ValueError("state/network dimension mismatch")
-    pr = params.resolved(net.n)
-    if check_params:
-        check_assumption_sir(pr, net).raise_if_violated()
+def step(state: EpidemicState, params, net: Network,
+         strict: bool = True) -> EpidemicState:
+    """One SIR or SEIR step (the model follows the type of ``params``) through
+    the kernel ``simulate`` runs. The parameters are always checked against the
+    well-posedness bounds; ``strict`` also validates ``state`` against the
+    simplex (turn it off for noisy measured data)."""
+    pr, op = _prepare(params, state, net)
+    _check_assumption(pr, net).raise_if_violated()
     if strict:
         state.validate()
-    return pr
-
-
-def _gate_seir(state: EpidemicState, params: SeirParams, net: Network,
-               strict: bool, check_params: bool, layers: bool) -> SeirParams:
-    if state.kind != "seir":
-        raise ValueError("SEIR step requires a state with an exposed compartment")
-    if state.n != net.n:
-        raise ValueError("state/network dimension mismatch")
-    pr = params.resolved(net.n)
-    if layers and len(pr.layer_beta_e) != len(net.layers):
-        raise ValueError("layer rate count does not match network layer count")
-    if len(pr.layer_beta_e) != len(pr.layer_beta):
-        raise ValueError("layer_beta_e and layer_beta must have matching length")
-    if check_params:
-        check_assumption_seir(pr, net, include_layers=layers).raise_if_violated()
-    if strict:
-        state.validate()
-    return pr
-
-
-def sir_step(state: EpidemicState, params: SirParams, net: Network,
-             strict: bool = True, check_params: bool = True) -> EpidemicState:
-    """One SIR step, written as explicit per-node sums."""
-    pr = _gate_sir(state, params, net, strict, check_params)
-    n, h, a = net.n, pr.h, net.adjacency
-    s, p, r = state.s, state.p, state.r
-    s2 = np.empty(n)
-    p2 = np.empty(n)
-    r2 = np.empty(n)
-    for i in range(n):
-        pressure = pr.beta[i] * sum(a[i, j] * p[j] for j in range(n) if a[i, j] != 0.0)
-        s2[i] = s[i] - h * s[i] * pressure
-        p2[i] = p[i] + h * (s[i] * pressure - pr.gamma[i] * p[i])
-        r2[i] = r[i] + h * pr.gamma[i] * p[i]
-    return EpidemicState(s=s2, p=p2, r=r2)
-
-
-def sir_step_matrix(state: EpidemicState, params: SirParams, net: Network,
-                    strict: bool = True, check_params: bool = True) -> EpidemicState:
-    """One SIR step via the matrix form p' = p + h((I - P - R)BA - gamma)p."""
-    pr = _gate_sir(state, params, net, strict, check_params)
-    h, a = pr.h, net.adjacency
-    p, r = state.p, state.r
-    s_diag = 1.0 - p - r
-    p2 = p + h * (s_diag * (pr.beta * (a @ p)) - pr.gamma * p)
-    r2 = r + h * pr.gamma * p
-    s2 = 1.0 - p2 - r2
-    return EpidemicState(s=s2, p=p2, r=r2)
-
-
-def _seir_step_core(state: EpidemicState, pr: SeirParams, net: Network,
-                    use_layers: bool) -> EpidemicState:
-    n, h, a = net.n, pr.h, net.adjacency
-    s, e, p, r = state.s, state.e, state.p, state.r
-    s2 = np.empty(n)
-    e2 = np.empty(n)
-    p2 = np.empty(n)
-    r2 = np.empty(n)
-    for i in range(n):
-        iota = (pr.beta_e[i] * sum(a[i, j] * e[j] for j in range(n) if a[i, j] != 0.0)
-                + pr.beta[i] * sum(a[i, j] * p[j] for j in range(n) if a[i, j] != 0.0))
-        if use_layers:
-            for lidx, al in enumerate(net.layers):
-                iota += (pr.layer_beta_e[lidx][i]
-                         * sum(al[i, j] * e[j] for j in range(n) if al[i, j] != 0.0)
-                         + pr.layer_beta[lidx][i]
-                         * sum(al[i, j] * p[j] for j in range(n) if al[i, j] != 0.0))
-        s2[i] = s[i] - h * s[i] * iota
-        e2[i] = e[i] + h * s[i] * iota - h * pr.sigma[i] * e[i]
-        p2[i] = p[i] + h * (pr.sigma[i] * e[i] - pr.gamma[i] * p[i])
-        r2[i] = r[i] + h * pr.gamma[i] * p[i]
-    return EpidemicState(s=s2, e=e2, p=p2, r=r2)
-
-
-def seir_step(state: EpidemicState, params: SeirParams, net: Network,
-              strict: bool = True, check_params: bool = True) -> EpidemicState:
-    """One SEIR step on the base network only, explicit per-node sums."""
-    pr = _gate_seir(state, params, net, strict, check_params, layers=False)
-    return _seir_step_core(state, pr, net, use_layers=False)
-
-
-def seir_step_multilayer(state: EpidemicState, params: SeirParams, net: Network,
-                         strict: bool = True, check_params: bool = True) -> EpidemicState:
-    """One SEIR step including transportation-layer infection pressure."""
-    pr = _gate_seir(state, params, net, strict, check_params, layers=True)
-    return _seir_step_core(state, pr, net, use_layers=True)
-
-
-def seir_step_matrix(state: EpidemicState, params: SeirParams, net: Network,
-                     strict: bool = True, check_params: bool = True) -> EpidemicState:
-    """One SEIR step via the matrix form (base network only)."""
-    pr = _gate_seir(state, params, net, strict, check_params, layers=False)
-    h, a = pr.h, net.adjacency
-    s, e, p, r = state.s, state.e, state.p, state.r
-    e2 = e + h * (s * (pr.beta_e * (a @ e) + pr.beta * (a @ p)) - pr.sigma * e)
-    p2 = p + h * (pr.sigma * e - pr.gamma * p)
-    r2 = r + h * pr.gamma * p
-    s2 = 1.0 - e2 - p2 - r2
-    return EpidemicState(s=s2, e=e2, p=p2, r=r2)
-
-
-def _fast_step(state: EpidemicState, pr, net: Network, kind: str) -> EpidemicState:
-    """Vectorized step on the already-resolved parameters, no re-validation."""
-    h, a = pr.h, net.adjacency
-    if kind == "sir":
-        s, p, r = state.s, state.p, state.r
-        pressure = pr.beta * (a @ p)
-        s2 = s - h * s * pressure
-        p2 = p + h * (s * pressure - pr.gamma * p)
-        r2 = r + h * pr.gamma * p
-        return EpidemicState(s=s2, p=p2, r=r2)
-    s, e, p, r = state.s, state.e, state.p, state.r
-    iota = pr.beta_e * (a @ e) + pr.beta * (a @ p)
-    for lidx, al in enumerate(net.layers):
-        if lidx < len(pr.layer_beta_e):
-            iota = iota + pr.layer_beta_e[lidx] * (al @ e) + pr.layer_beta[lidx] * (al @ p)
-    s2 = s - h * s * iota
-    e2 = e + h * s * iota - h * pr.sigma * e
-    p2 = p + h * (pr.sigma * e - pr.gamma * p)
-    r2 = r + h * pr.gamma * p
-    return EpidemicState(s=s2, e=e2, p=p2, r=r2)
+    s, p, r, e = _kernel(pr, op, state.s, state.p, state.r, state.e)
+    return EpidemicState(s=s, p=p, r=r, e=e)
 
 
 def simulate(initial: EpidemicState, params, net: Network, steps: int,
@@ -368,90 +326,69 @@ def simulate(initial: EpidemicState, params, net: Network, steps: int,
     """Run ``steps`` steps from ``initial``; returns steps+1 states.
 
     With ``strict`` on, parameters are checked once up front and every state
-    is re-validated against the simplex invariants; drift beyond tolerance
+    is validated against the simplex invariants; drift beyond tolerance
     aborts, since it signals an implementation bug rather than model behavior.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    kind = initial.kind
-    if isinstance(params, SirParams):
-        if kind != "sir":
-            raise ValueError("SirParams require an SIR state")
-        pr = params.resolved(net.n)
-        if strict:
-            check_assumption_sir(pr, net).raise_if_violated()
-    elif isinstance(params, SeirParams):
-        if kind != "seir":
-            raise ValueError("SeirParams require an SEIR state")
-        pr = params.resolved(net.n)
-        if len(pr.layer_beta_e) != len(net.layers):
-            raise ValueError("layer rate count does not match network layer count")
-        if strict:
-            check_assumption_seir(pr, net).raise_if_violated()
-    else:
-        raise TypeError("params must be SirParams or SeirParams")
+    pr, op = _prepare(params, initial, net)
     if strict:
-        initial.validate()
-    states = [initial]
-    cur = initial
+        _check_assumption(pr, net).raise_if_violated()
+    rows = [(initial.s, initial.p, initial.r, initial.e)]
     for _ in range(steps):
-        cur = _fast_step(cur, pr, net, kind)
-        if strict:
-            cur.validate()
-        states.append(cur)
-    return Trajectory(kind=kind, states=tuple(states), h=pr.h)
+        rows.append(_kernel(pr, op, *rows[-1]))
+    s, p, r, e = (None if comp[0] is None else np.stack(comp) for comp in zip(*rows))
+    if strict:
+        _validate(s, p, r, e, SUM_TOL)
+    return Trajectory(s=s, p=p, r=r, e=e, h=pr.h)
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV "k,node,s,e,p,r"; e left blank for SIR; 17 significant digits."""
-    fmt = lambda x: format(x, ".17g")
-    lines = ["k,node,s,e,p,r"]
-    for k, st in enumerate(traj.states):
-        for i in range(st.n):
-            e = "" if st.e is None else fmt(st.e[i])
-            lines.append(f"{k},{i},{fmt(st.s[i])},{e},{fmt(st.p[i])},{fmt(st.r[i])}")
-    return "\n".join(lines) + "\n"
+    steps, n = traj.s.shape
+    comps = [traj.s, traj.p, traj.r] if traj.e is None else [traj.s, traj.e, traj.p, traj.r]
+    table = np.column_stack([np.repeat(np.arange(steps), n), np.tile(np.arange(n), steps)]
+                            + [c.ravel() for c in comps])
+    row = "%d,%d,%.17g," + ("" if traj.e is None else "%.17g") + ",%.17g,%.17g\n"
+    return "k,node,s,e,p,r\n" + (row * len(table)) % tuple(table.ravel().tolist())
 
 
 def trajectory_from_csv(text: str | Iterable[str], h: float = 1.0) -> Trajectory:
     """Inverse of trajectory_to_csv. ``h`` is supplied by the caller since the
     CSV carries only states."""
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in text]
     rows = []
-    for ln in lines:
+    for ln in text.splitlines() if isinstance(text, str) else text:
         ln = ln.strip()
         if not ln or ln.startswith("k,"):
             continue
         parts = ln.split(",")
         if len(parts) != 6:
             raise ValueError(f"malformed trajectory row: {ln!r}")
-        k, node = int(parts[0]), int(parts[1])
-        s = float(parts[2])
-        e = None if parts[3] == "" else float(parts[3])
-        p, r = float(parts[4]), float(parts[5])
-        rows.append((k, node, s, e, p, r))
+        rows.append(parts)
     if not rows:
         raise ValueError("empty trajectory CSV")
-    ks = sorted({row[0] for row in rows})
-    if ks != list(range(len(ks))):
+    k, node, s, e, p, r = zip(*rows)
+    k = np.array(list(map(int, k)))
+    node = np.array(list(map(int, node)))
+    # counting, not sorting: numpy's sort kernels add ~1.5 MB of resident code
+    if k.min() < 0 or not np.bincount(k).all():
         raise ValueError("trajectory steps must be contiguous from 0")
-    nodes = sorted({row[1] for row in rows})
-    n = len(nodes)
-    has_e = rows[0][3] is not None
-    states = []
-    by_step: dict[int, dict[int, tuple]] = {k: {} for k in ks}
-    for k, node, s, e, p, r in rows:
-        by_step[k][node] = (s, e, p, r)
-    for k in ks:
-        step = by_step[k]
-        if len(step) != n:
-            raise ValueError(f"step {k} missing node rows")
-        s = np.array([step[i][0] for i in range(n)])
-        p = np.array([step[i][2] for i in range(n)])
-        r = np.array([step[i][3] for i in range(n)])
-        e = np.array([step[i][1] for i in range(n)]) if has_e else None
-        states.append(EpidemicState(s=s, p=p, r=r, e=e))
-    return Trajectory(kind="seir" if has_e else "sir", states=tuple(states), h=h)
+    if node.min() < 0 or not np.bincount(node).all():
+        raise ValueError("trajectory node ids must be 0..n-1")
+    blank = [v == "" for v in e]
+    if any(blank) and not all(blank):
+        raise ValueError("e column must be blank on every row (SIR) or on none (SEIR)")
+    shape = (k.max() + 1, node.max() + 1)
+    seen = np.zeros(shape, dtype=bool)
+    seen[k, node] = True
+    missing = np.flatnonzero(~seen.all(axis=1))
+    if missing.size:
+        raise ValueError(f"step {missing[0]} missing node rows")
+
+    def grid(column) -> np.ndarray:
+        out = np.empty(shape)
+        out[k, node] = list(map(float, column))
+        return out
+
+    return Trajectory(s=grid(s), p=grid(p), r=grid(r),
+                      e=None if blank[0] else grid(e), h=h)

@@ -12,12 +12,12 @@ consistent solutions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import (EpidemicState, SeirParams, SirParams, Trajectory,
-                       simulate)
+from .dynamics import (SeirParams, SirParams, Trajectory, _operator,
+                       _pressure, simulate)
 from .graph import Network
 
 __all__ = [
@@ -49,12 +49,6 @@ class RegressionSystem:
     kind: str  # "sir-homog" | "sir-hetero" | "seir-homog" | "seir-hetero"
     t: int
     node: int | None = None
-
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        if self.kind.startswith("sir"):
-            return ("beta", "gamma")
-        return ("beta_e", "beta", "sigma", "gamma")
 
 
 @dataclass(frozen=True)
@@ -105,48 +99,77 @@ class NoiseModel:
             raise ValueError("noise slopes and floors must be >= 0")
 
 
+def _g(s: np.ndarray, x: np.ndarray, net: Network) -> np.ndarray:
+    """g = s * (A x) row by row for (steps, n) arrays of s and of one
+    compartment x: one product for all steps. The regression models the base
+    network only, so transport layers are refused."""
+    try:
+        op = _operator(net, ((1.0,),))
+    except ValueError as exc:
+        raise ValueError(f"estimation does not model transport layers: {exc}") from exc
+    # a stack of column vectors: the per-step matrix-vector products, bit for bit
+    return s * _pressure(op, (x[:, :, None],))[:, :, 0]
+
+
+def _transitions(traj: Trajectory) -> int:
+    if traj.transitions < 1:
+        raise ValueError("need at least one transition (T >= 1)")
+    return traj.transitions
+
+
+def _nodes(net: Network, node: int | None) -> np.ndarray:
+    """Columns of the network-wide system a check or regression covers."""
+    if node is None:
+        return np.arange(net.n)
+    if not (0 <= node < net.n):
+        raise IndexError("node index out of range")
+    return np.array([node])
+
+
 def g_value(traj: Trajectory, net: Network, i: int, k: int, x: str) -> float:
     """s_i^k times the weighted neighbor sum of compartment ``x`` ("e" or "p")."""
     if not (0 <= k < len(traj)):
         raise IndexError("step index out of range")
     if not (0 <= i < net.n):
         raise IndexError("node index out of range")
-    st = traj.states[k]
-    vec = st.p if x == "p" else st.e
+    vec = traj.p if x == "p" else traj.e
     if vec is None:
         raise ValueError(f"compartment {x!r} not present in this trajectory")
-    return float(st.s[i] * (net.adjacency[i] @ vec))
+    return float(_g(traj.s[k:k + 1], vec[k:k + 1], net)[0, i])
 
 
-def _nonzero(x: float) -> bool:
-    return abs(x) > NONZERO_TOL
+def _nonzero_conditions(conditions, nodes: np.ndarray) -> tuple[dict, list]:
+    """For each (name, x) of ``conditions``, "x[k, i] != 0 for some step k and
+    i in ``nodes``": a witness, the first hit with steps in order and nodes
+    within a step, or a failure."""
+    witnesses = {}
+    failed = []
+    for name, x in conditions:
+        hits = np.argwhere(np.abs(x[:, nodes]) > NONZERO_TOL)
+        if not len(hits):
+            failed.append(name)
+            continue
+        k, i = int(hits[0, 0]), int(nodes[hits[0, 1]])
+        witnesses[name] = {"i": i, "k": k, "value": float(x[k, i])}
+    return witnesses, failed
+
+
+def _check_sir(traj: Trajectory, net: Network, node: int | None) -> IdentifiabilityVerdict:
+    t = _transitions(traj)
+    nodes = _nodes(net, node)
+    names = ("p_nonzero", "sAp_nonzero") if node is None else ("p_i_nonzero", "g_i_p_nonzero")
+    witnesses, failed = _nonzero_conditions(
+        zip(names, (traj.p[:t], _g(traj.s[:t], traj.p[:t], net))), nodes)
+    if node is not None:
+        witnesses = {name: {"k": w["k"], "value": w["value"]} for name, w in witnesses.items()}
+    return IdentifiabilityVerdict(identifiable=not failed, witnesses=witnesses,
+                                  failed_conditions=tuple(failed),
+                                  derived_condition=node is not None)
 
 
 def check_identifiability_sir_homog(traj: Trajectory, net: Network) -> IdentifiabilityVerdict:
     """Homogeneous SIR: need some p != 0 and some (S A p) entry != 0 over the window."""
-    if traj.transitions < 1:
-        raise ValueError("need at least one transition (T >= 1)")
-    witnesses = {}
-    failed = []
-    for k in range(traj.transitions):
-        st = traj.states[k]
-        idx = np.flatnonzero(np.abs(st.p) > NONZERO_TOL)
-        if idx.size:
-            witnesses["p_nonzero"] = {"i": int(idx[0]), "k": k, "value": float(st.p[idx[0]])}
-            break
-    else:
-        failed.append("p_nonzero")
-    for k in range(traj.transitions):
-        st = traj.states[k]
-        sap = st.s * (net.adjacency @ st.p)
-        idx = np.flatnonzero(np.abs(sap) > NONZERO_TOL)
-        if idx.size:
-            witnesses["sAp_nonzero"] = {"i": int(idx[0]), "k": k, "value": float(sap[idx[0]])}
-            break
-    else:
-        failed.append("sAp_nonzero")
-    return IdentifiabilityVerdict(identifiable=not failed, witnesses=witnesses,
-                                  failed_conditions=tuple(failed))
+    return _check_sir(traj, net, None)
 
 
 def check_identifiability_sir_hetero(traj: Trajectory, net: Network, i: int) -> IdentifiabilityVerdict:
@@ -155,27 +178,24 @@ def check_identifiability_sir_hetero(traj: Trajectory, net: Network, i: int) -> 
     The source results state no per-node SIR theorem; this is the direct
     per-node translation and is flagged as a derived condition.
     """
-    if traj.transitions < 1:
-        raise ValueError("need at least one transition (T >= 1)")
-    if not (0 <= i < net.n):
-        raise IndexError("node index out of range")
-    witnesses = {}
-    failed = []
-    for k in range(traj.transitions):
-        if _nonzero(traj.states[k].p[i]):
-            witnesses["p_i_nonzero"] = {"k": k, "value": float(traj.states[k].p[i])}
-            break
-    else:
-        failed.append("p_i_nonzero")
-    for k in range(traj.transitions):
-        val = g_value(traj, net, i, k, "p")
-        if _nonzero(val):
-            witnesses["g_i_p_nonzero"] = {"k": k, "value": val}
-            break
-    else:
-        failed.append("g_i_p_nonzero")
-    return IdentifiabilityVerdict(identifiable=not failed, witnesses=witnesses,
-                                  failed_conditions=tuple(failed), derived_condition=True)
+    return _check_sir(traj, net, i)
+
+
+def _nonproportional_pair(ge: np.ndarray, gp: np.ndarray, nodes: np.ndarray) -> dict | None:
+    """First pair of (g(e), g(p)) points, node-major then step order, that
+    are not proportional."""
+    points = [(i, k, e, p)
+              for i, e_row, p_row in zip(nodes.tolist(), ge[:, nodes].T.tolist(),
+                                         gp[:, nodes].T.tolist())
+              for k, (e, p) in enumerate(zip(e_row, p_row))]
+    for i3, k3, e3, p3 in points:
+        for i4, k4, e4, p4 in points:
+            lhs = e3 * p4
+            rhs = e4 * p3
+            scale = max(1.0, abs(lhs), abs(rhs))
+            if abs(lhs - rhs) > NONZERO_TOL * scale:
+                return {"i3": i3, "k3": k3, "i4": i4, "k4": k4, "lhs": lhs, "rhs": rhs}
+    return None
 
 
 def check_identifiability_seir(traj: Trajectory, net: Network,
@@ -185,109 +205,52 @@ def check_identifiability_seir(traj: Trajectory, net: Network,
     requires T > 1; the network-wide check requires n > 1 and T > 0."""
     if traj.kind != "seir":
         raise ValueError("SEIR identifiability needs an SEIR trajectory")
-    t = traj.transitions
-    if node is None:
-        if net.n <= 1:
-            raise ValueError("network-wide SEIR identifiability requires n > 1")
-        if t < 1:
-            raise ValueError("need T > 0")
-        nodes = range(net.n)
-        p_nodes = e_nodes = nodes
-    else:
-        if not (0 <= node < net.n):
-            raise IndexError("node index out of range")
-        if t < 1:
-            raise ValueError("need at least one transition")
-        if t < 2:
-            # per-node identification needs two transitions; with fewer the
-            # stacked system cannot reach full column rank
-            return IdentifiabilityVerdict(identifiable=False,
-                                          failed_conditions=("horizon_T>1",))
-        nodes = [node]
-        p_nodes = e_nodes = nodes
-    witnesses = {}
-    failed = []
-
-    def find_nonzero(which: str, candidates) -> bool:
-        for k in range(t):
-            st = traj.states[k]
-            vec = st.p if which == "p" else st.e
-            for i in candidates:
-                if _nonzero(vec[i]):
-                    witnesses[f"{which}_nonzero"] = {"i": i, "k": k, "value": float(vec[i])}
-                    return True
-        return False
-
-    if not find_nonzero("p", p_nodes):
-        failed.append("p_nonzero")
-    if not find_nonzero("e", e_nodes):
-        failed.append("e_nonzero")
-
-    ge = np.array([[g_value(traj, net, i, k, "e") for k in range(t)] for i in range(net.n)])
-    gp = np.array([[g_value(traj, net, i, k, "p") for k in range(t)] for i in range(net.n)])
-    found = False
-    for i3 in nodes:
-        for k3 in range(t):
-            for i4 in nodes:
-                for k4 in range(t):
-                    lhs = ge[i3, k3] * gp[i4, k4]
-                    rhs = ge[i4, k4] * gp[i3, k3]
-                    scale = max(1.0, abs(lhs), abs(rhs))
-                    if abs(lhs - rhs) > NONZERO_TOL * scale:
-                        witnesses["g_pair"] = {
-                            "i3": i3, "k3": k3, "i4": i4, "k4": k4,
-                            "lhs": lhs, "rhs": rhs,
-                        }
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found:
-            break
-    if not found:
+    nodes = _nodes(net, node)
+    if node is None and net.n <= 1:
+        raise ValueError("network-wide SEIR identifiability requires n > 1")
+    t = _transitions(traj)
+    if node is not None and t < 2:
+        # per-node identification needs two transitions; with fewer the
+        # stacked system cannot reach full column rank
+        return IdentifiabilityVerdict(identifiable=False,
+                                      failed_conditions=("horizon_T>1",))
+    witnesses, failed = _nonzero_conditions(
+        (("p_nonzero", traj.p[:t]), ("e_nonzero", traj.e[:t])), nodes)
+    pair = _nonproportional_pair(_g(traj.s[:t], traj.e[:t], net),
+                                 _g(traj.s[:t], traj.p[:t], net), nodes)
+    if pair is None:
         failed.append("g_pair_nonproportional")
+    else:
+        witnesses["g_pair"] = pair
     return IdentifiabilityVerdict(identifiable=not failed, witnesses=witnesses,
                                   failed_conditions=tuple(failed))
 
 
-def build_regression_sir_homog(traj: Trajectory, net: Network) -> RegressionSystem:
-    """Stack the p- and r-updates over all nodes and steps; unknowns (beta, gamma)."""
+def _regression_sir(traj: Trajectory, net: Network, node: int | None) -> RegressionSystem:
     if traj.kind != "sir":
         raise ValueError("needs an SIR trajectory")
-    t = traj.transitions
-    if t < 1:
-        raise ValueError("need at least one transition")
-    h, a = traj.h, net.adjacency
-    a_col = np.concatenate([h * traj.states[k].s * (a @ traj.states[k].p) for k in range(t)])
-    b_col = np.concatenate([h * traj.states[k].p for k in range(t)])
+    nodes = _nodes(net, node)
+    t = _transitions(traj)
+    h = traj.h
+    a_col = h * _g(traj.s[:t], traj.p[:t], net)[:, nodes].ravel()
+    b_col = h * traj.p[:t, nodes].ravel()
     zeros = np.zeros_like(a_col)
     q = np.block([[a_col[:, None], -b_col[:, None]],
                   [zeros[:, None], b_col[:, None]]])
-    dp = np.concatenate([traj.states[k + 1].p - traj.states[k].p for k in range(t)])
-    dr = np.concatenate([traj.states[k + 1].r - traj.states[k].r for k in range(t)])
-    return RegressionSystem(q=q, delta=np.concatenate([dp, dr]), kind="sir-homog", t=t)
+    dp = np.diff(traj.p, axis=0)[:, nodes].ravel()
+    dr = np.diff(traj.r, axis=0)[:, nodes].ravel()
+    return RegressionSystem(q=q, delta=np.concatenate([dp, dr]),
+                            kind="sir-homog" if node is None else "sir-hetero",
+                            t=t, node=node)
+
+
+def build_regression_sir_homog(traj: Trajectory, net: Network) -> RegressionSystem:
+    """Stack the p- and r-updates over all nodes and steps; unknowns (beta, gamma)."""
+    return _regression_sir(traj, net, None)
 
 
 def build_regression_sir_hetero(traj: Trajectory, net: Network, i: int) -> RegressionSystem:
-    if traj.kind != "sir":
-        raise ValueError("needs an SIR trajectory")
-    if not (0 <= i < net.n):
-        raise IndexError("node index out of range")
-    t = traj.transitions
-    if t < 1:
-        raise ValueError("need at least one transition")
-    h, a = traj.h, net.adjacency
-    a_col = np.array([h * traj.states[k].s[i] * (a[i] @ traj.states[k].p) for k in range(t)])
-    b_col = np.array([h * traj.states[k].p[i] for k in range(t)])
-    zeros = np.zeros_like(a_col)
-    q = np.block([[a_col[:, None], -b_col[:, None]],
-                  [zeros[:, None], b_col[:, None]]])
-    dp = np.array([traj.states[k + 1].p[i] - traj.states[k].p[i] for k in range(t)])
-    dr = np.array([traj.states[k + 1].r[i] - traj.states[k].r[i] for k in range(t)])
-    return RegressionSystem(q=q, delta=np.concatenate([dp, dr]),
-                            kind="sir-hetero", t=t, node=i)
+    return _regression_sir(traj, net, i)
 
 
 def build_regression_seir(traj: Trajectory, net: Network,
@@ -295,42 +258,23 @@ def build_regression_seir(traj: Trajectory, net: Network,
     """Stack e-, p-, and r-updates; unknowns (beta_e, beta, sigma, gamma)."""
     if traj.kind != "seir":
         raise ValueError("needs an SEIR trajectory")
-    t = traj.transitions
-    if t < 1:
-        raise ValueError("need at least one transition")
-    h, a = traj.h, net.adjacency
-    if node is None:
-        ae = np.concatenate([h * traj.states[k].s * (a @ traj.states[k].e) for k in range(t)])
-        be = np.concatenate([h * traj.states[k].s * (a @ traj.states[k].p) for k in range(t)])
-        ce = np.concatenate([h * traj.states[k].e for k in range(t)])
-        de = np.concatenate([h * traj.states[k].p for k in range(t)])
-        sel = slice(None)
-        kind = "seir-homog"
-    else:
-        if not (0 <= node < net.n):
-            raise IndexError("node index out of range")
-        ae = np.array([h * traj.states[k].s[node] * (a[node] @ traj.states[k].e) for k in range(t)])
-        be = np.array([h * traj.states[k].s[node] * (a[node] @ traj.states[k].p) for k in range(t)])
-        ce = np.array([h * traj.states[k].e[node] for k in range(t)])
-        de = np.array([h * traj.states[k].p[node] for k in range(t)])
-        sel = node
-        kind = "seir-hetero"
-    rows = len(ae)
-    z = np.zeros(rows)
+    t = _transitions(traj)
+    nodes = _nodes(net, node)
+    h = traj.h
+    ae = h * _g(traj.s[:t], traj.e[:t], net)[:, nodes].ravel()
+    be = h * _g(traj.s[:t], traj.p[:t], net)[:, nodes].ravel()
+    ce = h * traj.e[:t, nodes].ravel()
+    de = h * traj.p[:t, nodes].ravel()
+    z = np.zeros(len(ae))
     phi = np.column_stack([ae, be, -ce, z])
     sig = np.column_stack([z, z, ce, -de])
     gam = np.column_stack([z, z, z, de])
     q = np.vstack([phi, sig, gam])
-    if node is None:
-        d_e = np.concatenate([traj.states[k + 1].e - traj.states[k].e for k in range(t)])
-        d_p = np.concatenate([traj.states[k + 1].p - traj.states[k].p for k in range(t)])
-        d_r = np.concatenate([traj.states[k + 1].r - traj.states[k].r for k in range(t)])
-    else:
-        d_e = np.array([traj.states[k + 1].e[sel] - traj.states[k].e[sel] for k in range(t)])
-        d_p = np.array([traj.states[k + 1].p[sel] - traj.states[k].p[sel] for k in range(t)])
-        d_r = np.array([traj.states[k + 1].r[sel] - traj.states[k].r[sel] for k in range(t)])
-    return RegressionSystem(q=q, delta=np.concatenate([d_e, d_p, d_r]),
-                            kind=kind, t=t, node=node)
+    delta = np.concatenate([np.diff(x, axis=0)[:, nodes].ravel()
+                            for x in (traj.e, traj.p, traj.r)])
+    return RegressionSystem(q=q, delta=delta,
+                            kind="seir-homog" if node is None else "seir-hetero",
+                            t=t, node=node)
 
 
 def solve_least_squares(sys: RegressionSystem,
@@ -369,27 +313,20 @@ def apply_noise(traj: Trajectory, model: NoiseModel) -> Trajectory:
         second = slope * x + floor
         return second if model.param_is_std else np.sqrt(second)
 
-    states = []
-    for st in traj.states[model.start_k:]:
-        e = st.e + rng.normal(0.0, 1.0, st.n) * scale(st.e, model.e_slope, model.e_floor)
-        p = st.p + rng.normal(0.0, 1.0, st.n) * scale(st.p, model.x_slope, model.x_floor)
-        r = st.r + rng.normal(0.0, 1.0, st.n) * scale(st.r, model.x_slope, model.x_floor)
-        e = np.clip(e, 0.0, 1.0)
-        p = np.clip(p, 0.0, 1.0)
-        r = np.clip(r, 0.0, 1.0)
-        s = 1.0 - e - p - r
-        states.append(EpidemicState(s=s, e=e, p=p, r=r))
-    return Trajectory(kind="seir", states=tuple(states), h=traj.h)
+    e, p, r = (x[model.start_k:] for x in (traj.e, traj.p, traj.r))
+    # one draw per step for e, then p, then r: the order of the random stream
+    z = rng.normal(0.0, 1.0, size=(len(e), 3, traj.n))
+    e = np.clip(e + z[:, 0] * scale(e, model.e_slope, model.e_floor), 0.0, 1.0)
+    p = np.clip(p + z[:, 1] * scale(p, model.x_slope, model.x_floor), 0.0, 1.0)
+    r = np.clip(r + z[:, 2] * scale(r, model.x_slope, model.x_floor), 0.0, 1.0)
+    return Trajectory(s=1.0 - e - p - r, e=e, p=p, r=r, h=traj.h)
 
 
 def _trajectory_errors(measured: Trajectory, resim: Trajectory, metric: str) -> dict:
     out = {}
     comps = ["s", "p", "r"] + (["e"] if measured.kind == "seir" else [])
     for comp in comps:
-        diffs = []
-        for a, b in zip(measured.states, resim.states):
-            diffs.append(getattr(a, comp) - getattr(b, comp))
-        d = np.concatenate(diffs)
+        d = (getattr(measured, comp) - getattr(resim, comp)).ravel()
         if metric == "rmse":
             out[comp] = float(np.sqrt(np.mean(d ** 2)))
         else:
@@ -415,22 +352,14 @@ def estimate_pipeline(measured: Trajectory, net: Network, kind: str,
     report = solve_least_squares(sys, verdict=verdict)
     if not verdict.identifiable or not resimulate:
         return report
-    theta = report.estimates
-    if kind == "sir":
-        params = SirParams(beta=theta[0], gamma=theta[1], h=measured.h)
-    else:
-        params = SeirParams(beta_e=theta[0], beta=theta[1], sigma=theta[2],
-                            gamma=theta[3], h=measured.h)
+    # the estimates come in the order of the parameter fields
+    params = (SirParams if kind == "sir" else SeirParams)(*report.estimates, h=measured.h)
     try:
         resim = simulate(measured.states[0], params, net,
                          steps=measured.transitions, strict=False)
     except (ValueError, TypeError):
         return report
-    errors = _trajectory_errors(measured, resim, error_metric)
-    return EstimateReport(kind=report.kind, estimates=report.estimates,
-                          residual_norm=report.residual_norm, rank=report.rank,
-                          verdict=verdict, non_unique=report.non_unique,
-                          trajectory_errors=errors)
+    return replace(report, trajectory_errors=_trajectory_errors(measured, resim, error_metric))
 
 
 def report_to_json(report: EstimateReport) -> str:

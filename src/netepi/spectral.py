@@ -7,8 +7,9 @@ for SEIR it is the 2n x 2n block matrix
     [ I + h*diag(s)*Be*A - h*sigma   h*diag(s)*B*A ]
     [ h*sigma                        I - h*gamma   ]
 
-acting on (e, p); for SIR it is the n x n matrix
-I + h*diag(s)*B*A - h*gamma acting on p alone. Its dominant eigenvalue
+acting on (e, p), where Be*A and B*A sum over the base network and the
+transport layers; for SIR it is the n x n matrix I + h*diag(s)*B*A - h*gamma
+acting on p alone. Its dominant eigenvalue
 drops below 1 once enough susceptibles are depleted, after which the
 infection decays geometrically.
 """
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SeirParams, SirParams, Trajectory, EpidemicState
+from .dynamics import (EpidemicState, SirParams, Trajectory, _prepare,
+                       _pressure_jacobian)
 from .graph import Network
 
 __all__ = [
@@ -64,26 +66,19 @@ class ConvergenceReport:
 
 def build_spreading_matrix(state: EpidemicState, params, net: Network,
                            k: int = 0) -> SpreadingMatrix:
-    """Linear map propagating the infectious coordinates one step from ``state``."""
-    n = net.n
-    if state.n != n:
-        raise ValueError("state/network dimension mismatch")
-    a = net.adjacency
-    eye = np.eye(n)
-    if isinstance(params, SirParams):
-        pr = params.resolved(n)
-        m = eye + pr.h * (state.s[:, None] * (pr.beta[:, None] * a)) - pr.h * np.diag(pr.gamma)
+    """Linear map propagating the infectious coordinates one step from
+    ``state``; its infection blocks are diag(s) times the Jacobian of the
+    infection pressure the step uses, transport layers included."""
+    pr, op = _prepare(params, state, net)
+    eye = np.eye(net.n)
+    if isinstance(pr, SirParams):
+        m = eye + pr.h * (state.s[:, None] * _pressure_jacobian(op, 0)) - pr.h * np.diag(pr.gamma)
         return SpreadingMatrix(m=m, k=k)
-    if isinstance(params, SeirParams):
-        if state.e is None:
-            raise ValueError("SEIR spreading matrix needs an exposed compartment")
-        pr = params.resolved(n)
-        sba_e = state.s[:, None] * (pr.beta_e[:, None] * a)
-        sba_p = state.s[:, None] * (pr.beta[:, None] * a)
-        top = np.hstack([eye + pr.h * sba_e - pr.h * np.diag(pr.sigma), pr.h * sba_p])
-        bot = np.hstack([pr.h * np.diag(pr.sigma), eye - pr.h * np.diag(pr.gamma)])
-        return SpreadingMatrix(m=np.vstack([top, bot]), k=k)
-    raise TypeError("params must be SirParams or SeirParams")
+    sba_e = state.s[:, None] * _pressure_jacobian(op, 0)
+    sba_p = state.s[:, None] * _pressure_jacobian(op, 1)
+    top = np.hstack([eye + pr.h * sba_e - pr.h * np.diag(pr.sigma), pr.h * sba_p])
+    bot = np.hstack([pr.h * np.diag(pr.sigma), eye - pr.h * np.diag(pr.gamma)])
+    return SpreadingMatrix(m=np.vstack([top, bot]), k=k)
 
 
 def dominant_eigenvalue(m: np.ndarray, v0: np.ndarray | None = None,
@@ -127,10 +122,6 @@ def dominant_eigenvalue(m: np.ndarray, v0: np.ndarray | None = None,
     raise PowerIterationError("power iteration did not converge", residual)
 
 
-def _p_norm(state: EpidemicState) -> float:
-    return float(np.linalg.norm(state.p))
-
-
 def convergence_diagnostics(traj: Trajectory, params, net: Network,
                             extinction_threshold: float = EXTINCTION_THRESHOLD
                             ) -> ConvergenceReport:
@@ -139,24 +130,19 @@ def convergence_diagnostics(traj: Trajectory, params, net: Network,
         raise ValueError("trajectory too short for diagnostics (< 2 states)")
     lambdas = np.empty(len(traj))
     w = None
-    for k, st in enumerate(traj.states):
-        sm = build_spreading_matrix(st, params, net, k=k)
+    for k in range(len(traj)):
+        sm = build_spreading_matrix(traj.states[k], params, net, k=k)
         lambdas[k], w = dominant_eigenvalue(sm.m, v0=w)
-    k_bar = None
-    for k, lam in enumerate(lambdas):
-        if lam < 1.0:
-            k_bar = k
-            break
+    below = np.flatnonzero(lambdas < 1.0)
+    k_bar = int(below[0]) if below.size else None
     monotone = bool(np.all(np.diff(lambdas) <= MONOTONE_TOL))
-    p_norms = np.array([_p_norm(st) for st in traj.states])
-    extinction_step = None
-    for k, st in enumerate(traj.states):
-        peak = float(np.max(st.p))
-        if st.e is not None:
-            peak = max(peak, float(np.max(st.e)))
-        if peak < extinction_threshold:
-            extinction_step = k
-            break
+    # row-wise dot products: the same BLAS dot np.linalg.norm takes per vector
+    p_norms = np.sqrt((traj.p[:, None, :] @ traj.p[:, :, None]).ravel())
+    peak = traj.p.max(axis=1)
+    if traj.e is not None:
+        peak = np.maximum(peak, traj.e.max(axis=1))
+    quiet = np.flatnonzero(peak < extinction_threshold)
+    extinction_step = int(quiet[0]) if quiet.size else None
     rate = None
     if k_bar is not None:
         end = extinction_step if extinction_step is not None else len(traj) - 1

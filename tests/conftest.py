@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from netepi import EpidemicState, Network, SeirParams, SirParams
+from netepi import EpidemicState, Network, SeirParams, SirParams, Trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +58,19 @@ def random_seir_params(rng, net, h=1.0):
                       gamma=rng.uniform(0.1, 0.9) / h, h=h)
 
 
+def random_layered_seir(rng, n):
+    """Network with one transport layer and SEIR params with layer rates,
+    well-posed over base + layer."""
+    base = random_irreducible_network(rng, n).adjacency
+    layer = random_irreducible_network(rng, n).adjacency
+    pr = random_seir_params(rng, Network(base + layer))
+    params = SeirParams(beta_e=pr.beta_e, beta=pr.beta, sigma=pr.sigma,
+                        gamma=pr.gamma, h=pr.h,
+                        layer_beta_e=(np.full(n, pr.beta_e),),
+                        layer_beta=(np.full(n, pr.beta),))
+    return Network(base, layers=(layer,)), params
+
+
 def random_simplex_state(rng, n, kind):
     comps = 3 if kind == "sir" else 4
     levels = rng.dirichlet(np.ones(comps), size=n)
@@ -80,6 +93,12 @@ def seeded_state(n, kind, e_seeds=(), p_seeds=()):
     return EpidemicState(s=1.0 - e - p, e=e, p=p, r=np.zeros(n))
 
 
+def fabricated_seir(e, p, r, h=1.0):
+    """Trajectory from (T+1, n) arrays of e, p and r; s fills in."""
+    e, p, r = (np.asarray(x, dtype=float) for x in (e, p, r))
+    return Trajectory(s=1.0 - e - p - r, e=e, p=p, r=r, h=h)
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles.
 
@@ -97,6 +116,47 @@ def charpoly_spectral_radius(m):
         coeffs[k] = -np.trace(mk) / k
     roots = np.roots(coeffs)
     return float(np.max(np.abs(roots)))
+
+
+def sir_step_oracle(state, params, net):
+    """One SIR step written as explicit per-node sums."""
+    pr = params.resolved(net.n)
+    n, h, a = net.n, pr.h, net.adjacency
+    s, p, r = state.s, state.p, state.r
+    s2 = np.empty(n)
+    p2 = np.empty(n)
+    r2 = np.empty(n)
+    for i in range(n):
+        pressure = pr.beta[i] * sum(a[i, j] * p[j] for j in range(n) if a[i, j] != 0.0)
+        s2[i] = s[i] - h * s[i] * pressure
+        p2[i] = p[i] + h * (s[i] * pressure - pr.gamma[i] * p[i])
+        r2[i] = r[i] + h * pr.gamma[i] * p[i]
+    return EpidemicState(s=s2, p=p2, r=r2)
+
+
+def seir_step_oracle(state, params, net):
+    """One SEIR step written as explicit per-node sums over the base network
+    and every transport layer."""
+    pr = params.resolved(net.n)
+    n, h, a = net.n, pr.h, net.adjacency
+    s, e, p, r = state.s, state.e, state.p, state.r
+    s2 = np.empty(n)
+    e2 = np.empty(n)
+    p2 = np.empty(n)
+    r2 = np.empty(n)
+    for i in range(n):
+        iota = (pr.beta_e[i] * sum(a[i, j] * e[j] for j in range(n) if a[i, j] != 0.0)
+                + pr.beta[i] * sum(a[i, j] * p[j] for j in range(n) if a[i, j] != 0.0))
+        for lidx, al in enumerate(net.layers):
+            iota += (pr.layer_beta_e[lidx][i]
+                     * sum(al[i, j] * e[j] for j in range(n) if al[i, j] != 0.0)
+                     + pr.layer_beta[lidx][i]
+                     * sum(al[i, j] * p[j] for j in range(n) if al[i, j] != 0.0))
+        s2[i] = s[i] - h * s[i] * iota
+        e2[i] = e[i] + h * s[i] * iota - h * pr.sigma[i] * e[i]
+        p2[i] = p[i] + h * (pr.sigma[i] * e[i] - pr.gamma[i] * p[i])
+        r2[i] = r[i] + h * pr.gamma[i] * p[i]
+    return EpidemicState(s=s2, e=e2, p=p2, r=r2)
 
 
 def brute_force_strongly_connected(m):

@@ -15,8 +15,7 @@ import pytest
 
 from netepi import (EpidemicState, Network, SeirParams, SirParams,
                     build_spreading_matrix, convergence_diagnostics,
-                    dominant_eigenvalue, seir_step, seir_step_matrix,
-                    simulate, sir_step, sir_step_matrix)
+                    dominant_eigenvalue, simulate, step)
 from netepi.dynamics import Trajectory
 from netepi.estimation import (NoiseModel, apply_noise,
                                build_regression_seir,
@@ -25,9 +24,11 @@ from netepi.estimation import (NoiseModel, apply_noise,
                                check_identifiability_sir_homog,
                                estimate_pipeline, solve_least_squares)
 
-from conftest import (charpoly_spectral_radius, random_irreducible_network,
+from conftest import (charpoly_spectral_radius, fabricated_seir,
+                      random_irreducible_network, random_layered_seir,
                       random_seir_params, random_simplex_state,
-                      random_sir_params, seeded_state)
+                      random_sir_params, seeded_state, seir_step_oracle,
+                      sir_step_oracle)
 
 
 def _report(criterion: int, ok: bool, detail: str = "") -> None:
@@ -42,23 +43,21 @@ def _simulate_until_quiet(initial, params, net, horizon, chunk=250,
     """Simulate in chunks up to ``horizon`` steps, stopping once the maximum
     infectious/exposed level drops below ``threshold``. Returns the full
     concatenated trajectory."""
-    states = [initial]
+    comps = ("s", "p", "r") if initial.e is None else ("s", "e", "p", "r")
+    chunks = {c: [getattr(initial, c)[None]] for c in comps}
     cur = initial
     done = 0
     while done < horizon:
         k = min(chunk, horizon - done)
         traj = simulate(cur, params, net, k, strict=False)
-        states.extend(traj.states[1:])
+        for c in comps:
+            chunks[c].append(getattr(traj, c)[1:])
         cur = traj.states[-1]
         done += k
         peak = cur.p.max() if cur.e is None else max(cur.e.max(), cur.p.max())
         if peak < threshold:
             break
-    return Trajectory(params_kind(params), tuple(states), params.h)
-
-
-def params_kind(params):
-    return "sir" if isinstance(params, SirParams) else "seir"
+    return Trajectory(h=params.h, **{c: np.concatenate(v) for c, v in chunks.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -280,29 +279,21 @@ def test_criterion_4_noisy_recovery_variance_scaled():
 # ---------------------------------------------------------------------------
 # Criterion 5: identifiability verdict agrees with numerical rank.
 
-def _fabricated_seir(e, p, r, h=1.0):
-    states = []
-    for ek, pk, rk in zip(e, p, r):
-        ek, pk, rk = map(np.asarray, (ek, pk, rk))
-        states.append(EpidemicState(s=1.0 - ek - pk - rk, e=ek, p=pk, r=rk))
-    return Trajectory("seir", tuple(states), h)
-
-
 def test_criterion_5_identifiability_iff():
     net = Network(np.array([[0.0, 1.0], [1.0, 0.0]]))
     checks = []
 
     # degenerate: infectious levels identically zero
-    traj = _fabricated_seir(e=[[0.1, 0.0], [0.06, 0.0], [0.036, 0.0]],
-                            p=[np.zeros(2)] * 3, r=[np.zeros(2)] * 3)
+    traj = fabricated_seir(e=[[0.1, 0.0], [0.06, 0.0], [0.036, 0.0]],
+                           p=[np.zeros(2)] * 3, r=[np.zeros(2)] * 3)
     verdict = check_identifiability_seir(traj, net)
     rep = solve_least_squares(build_regression_seir(traj, net))
     checks.append(("p==0", not verdict.identifiable and rep.rank < 4))
 
     # degenerate: exposed levels identically zero
-    traj = _fabricated_seir(e=[np.zeros(2)] * 3,
-                            p=[[0.1, 0.0], [0.07, 0.0], [0.049, 0.0]],
-                            r=[[0.0, 0.0], [0.03, 0.0], [0.051, 0.0]])
+    traj = fabricated_seir(e=[np.zeros(2)] * 3,
+                           p=[[0.1, 0.0], [0.07, 0.0], [0.049, 0.0]],
+                           r=[[0.0, 0.0], [0.03, 0.0], [0.051, 0.0]])
     verdict = check_identifiability_seir(traj, net)
     rep = solve_least_squares(build_regression_seir(traj, net))
     checks.append(("e==0", not verdict.identifiable and rep.rank < 4))
@@ -322,11 +313,8 @@ def test_criterion_5_identifiability_iff():
     checks.append(("per-node T=1", not verdict.identifiable and rep.rank < 4))
 
     # degenerate SIR: infection present but no susceptible exposure anywhere
-    states = (EpidemicState(s=np.zeros(2), p=np.array([0.6, 0.5]),
-                            r=np.array([0.4, 0.5])),
-              EpidemicState(s=np.zeros(2), p=np.array([0.48, 0.4]),
-                            r=np.array([0.52, 0.6])))
-    sir_traj = Trajectory("sir", states, 1.0)
+    sir_traj = Trajectory(s=np.zeros((2, 2)), p=[[0.6, 0.5], [0.48, 0.4]],
+                          r=[[0.4, 0.5], [0.52, 0.6]], h=1.0)
     verdict = check_identifiability_sir_homog(sir_traj, net)
     rep = solve_least_squares(build_regression_sir_homog(sir_traj, net))
     checks.append(("sir no exposure", not verdict.identifiable
@@ -353,6 +341,24 @@ def test_criterion_5_identifiability_iff():
 # ---------------------------------------------------------------------------
 # Criterion 6: independent-oracle equivalence.
 
+def _oracle_deviations(state, params, net):
+    """Largest deviation of the production step from the per-node oracle, and
+    of the spreading matrix's (e, p) propagation from the step (SEIR only)."""
+    if state.e is None:
+        a, comps = sir_step_oracle(state, params, net), ("s", "p", "r")
+    else:
+        a, comps = seir_step_oracle(state, params, net), ("s", "e", "p", "r")
+    b = step(state, params, net)
+    dev_step = max(float(np.abs(getattr(a, c) - getattr(b, c)).max())
+                   for c in comps)
+    dev_prop = 0.0
+    if state.e is not None:
+        m = build_spreading_matrix(state, params, net).m
+        z_next = m @ np.concatenate([state.e, state.p])
+        dev_prop = float(np.abs(z_next - np.concatenate([b.e, b.p])).max())
+    return dev_step, dev_prop
+
+
 def test_criterion_6_oracle_equivalence():
     rng = np.random.default_rng(601)
     worst_step = 0.0
@@ -362,23 +368,11 @@ def test_criterion_6_oracle_equivalence():
         n = int(rng.integers(2, 9))
         net = random_irreducible_network(rng, n)
         state = random_simplex_state(rng, n, kind)
-        if kind == "sir":
-            params = random_sir_params(rng, net)
-            a = sir_step(state, params, net)
-            b = sir_step_matrix(state, params, net)
-            comps = ("s", "p", "r")
-        else:
-            params = random_seir_params(rng, net)
-            a = seir_step(state, params, net)
-            b = seir_step_matrix(state, params, net)
-            comps = ("s", "e", "p", "r")
-            m = build_spreading_matrix(state, params, net).m
-            z_next = m @ np.concatenate([state.e, state.p])
-            worst_prop = max(worst_prop, float(np.abs(
-                z_next - np.concatenate([a.e, a.p])).max()))
-        for c in comps:
-            worst_step = max(worst_step, float(np.abs(
-                getattr(a, c) - getattr(b, c)).max()))
+        params = (random_sir_params(rng, net) if kind == "sir"
+                  else random_seir_params(rng, net))
+        dev_step, dev_prop = _oracle_deviations(state, params, net)
+        worst_step = max(worst_step, dev_step)
+        worst_prop = max(worst_prop, dev_prop)
 
     worst_eig = 0.0
     for _ in range(500):
@@ -386,6 +380,15 @@ def test_criterion_6_oracle_equivalence():
         m = rng.random((n, n))
         val, _ = dominant_eigenvalue(m)
         worst_eig = max(worst_eig, abs(val - charpoly_spectral_radius(m)))
+
+    # transport layers: drawn after the cases above, which keep their draws
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        net, params = random_layered_seir(rng, n)
+        dev_step, dev_prop = _oracle_deviations(
+            random_simplex_state(rng, n, "seir"), params, net)
+        worst_step = max(worst_step, dev_step)
+        worst_prop = max(worst_prop, dev_prop)
 
     ok = worst_step <= 1e-13 and worst_prop <= 1e-13 and worst_eig <= 1e-8
     _report(6, ok, f"step dev {worst_step:.2e}, matrix-form dev "
@@ -402,7 +405,7 @@ def test_criterion_7_hand_goldens():
     sir_params = SirParams(beta=0.5, gamma=0.2, h=0.1)
     sir_state = EpidemicState(s=np.array([0.9, 1.0]), p=np.array([0.1, 0.0]),
                               r=np.zeros(2))
-    nxt = sir_step(sir_state, sir_params, net)
+    nxt = step(sir_state, sir_params, net)
     checks.append(("sir step",
                    nxt.s == pytest.approx([0.9, 0.995], abs=1e-15)
                    and nxt.p == pytest.approx([0.098, 0.005], abs=1e-15)
@@ -413,7 +416,7 @@ def test_criterion_7_hand_goldens():
     seir_state = EpidemicState(s=np.array([0.95, 1.0]),
                                e=np.array([0.02, 0.0]),
                                p=np.array([0.03, 0.0]), r=np.zeros(2))
-    nxt = seir_step(seir_state, seir_params, net)
+    nxt = step(seir_state, seir_params, net)
     checks.append(("seir step",
                    nxt.s == pytest.approx([0.95, 0.9974], abs=1e-15)
                    and nxt.e == pytest.approx([0.012, 0.0026], abs=1e-15)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from netepi.cli import main
+from netepi.cli import build_parser, main
 from netepi.dynamics import trajectory_from_csv
 
 
@@ -145,6 +145,16 @@ class TestDiagnose:
                    "--trajectory", tmp_path / "out" / "trajectory.csv") == 1
         assert "short" in capsys.readouterr().err
 
+    def test_noncontiguous_node_ids_rejected(self, tmp_path, capsys):
+        sc = write_scenario(tmp_path, steps=2)
+        lines = ["k,node,s,e,p,r"] + [f"{k},{node},0.9,0.05,0.05,0"
+                                      for k in range(3) for node in (0, 2)]
+        (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+        assert run("diagnose", "--scenario", sc, "--out", tmp_path / "diag",
+                   "--trajectory", tmp_path / "bad.csv") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "node ids" in err[0]
+
 
 class TestPerturb:
     def test_zero_noise_passthrough(self, tmp_path):
@@ -234,6 +244,46 @@ class TestEstimate:
                    "--node", 1) == 0
         est = json.loads((tmp_path / "est" / "estimate.json").read_text())["estimates"]
         assert est["sigma"] == pytest.approx(0.4, rel=1e-6)
+
+    def test_layered_scenario_refused(self, tmp_path, capsys):
+        sc = write_scenario(tmp_path, steps=4)
+        data = json.loads(sc.read_text())
+        data["layers"] = ["net.csv"]
+        data["params"].update(layer_beta_e=[0.01], layer_beta=[0.01])
+        sc.write_text(json.dumps(data))
+        assert run("simulate", "--scenario", sc, "--out", tmp_path / "out") == 0
+        capsys.readouterr()
+        assert run("estimate", "--scenario", sc, "--out", tmp_path / "est",
+                   "--trajectory", tmp_path / "out" / "trajectory.csv") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "transport layers" in err[0]
+
+
+class TestParser:
+    @pytest.mark.parametrize("command,flag", [
+        ("simulate", "--seed"), ("diagnose", "--seed"), ("estimate", "--seed"),
+        ("diagnose", "--strict"), ("diagnose", "--no-strict"),
+        ("perturb", "--strict"), ("perturb", "--no-strict"),
+        ("estimate", "--strict"), ("estimate", "--no-strict"),
+    ])
+    def test_removed_flags_refused(self, command, flag, capsys):
+        argv = [command, "--scenario", "s.json", "--out", "o"]
+        if command != "simulate":
+            argv += ["--trajectory", "t.csv"]
+        argv += [flag] + (["3"] if flag == "--seed" else [])
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_kept_flags_accepted(self):
+        args = build_parser().parse_args(["simulate", "--scenario", "s.json",
+                                          "--out", "o", "--no-strict"])
+        assert args.strict is False
+        args = build_parser().parse_args(["perturb", "--scenario", "s.json", "--out",
+                                          "o", "--trajectory", "t.csv", "--seed", "3"])
+        assert args.seed == 3
 
 
 class TestScenarioParsing:

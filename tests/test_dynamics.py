@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netepi import (EpidemicState, Network, SeirParams, SirParams,
-                    check_assumption_seir, check_assumption_sir, seir_step,
-                    seir_step_matrix, seir_step_multilayer, simulate, sir_step,
-                    sir_step_matrix, trajectory_from_csv, trajectory_to_csv)
-from netepi.dynamics import AssumptionError, StateInvariantError
+                    check_assumption_seir, check_assumption_sir, simulate, step,
+                    trajectory_from_csv, trajectory_to_csv)
+from netepi.dynamics import AssumptionError, StateInvariantError, Trajectory
 
 from conftest import (random_irreducible_network, random_seir_params,
-                      random_simplex_state, random_sir_params, seeded_state)
+                      random_simplex_state, random_sir_params, seeded_state,
+                      seir_step_oracle, sir_step_oracle)
 
 
 class TestAssumptionChecks:
@@ -51,13 +51,14 @@ class TestAssumptionChecks:
                             layer_beta_e=(np.full(2, 0.3),),
                             layer_beta=(np.full(2, 0.3),))
         assert not check_assumption_seir(params, layered).ok
-        assert check_assumption_seir(params, layered, include_layers=False).ok
+        base_only = SeirParams(beta_e=0.3, beta=0.3, sigma=0.4, gamma=0.3, h=1.0)
+        assert check_assumption_seir(base_only, two_node_net).ok
 
 
 class TestSirStep:
     def test_hand_values(self, sir_example):
         net, params, state = sir_example
-        nxt = sir_step(state, params, net)
+        nxt = step(state, params, net)
         assert nxt.s == pytest.approx([0.9, 0.995], abs=1e-15)
         assert nxt.p == pytest.approx([0.098, 0.005], abs=1e-15)
         assert nxt.r == pytest.approx([0.002, 0.0], abs=1e-15)
@@ -66,15 +67,15 @@ class TestSirStep:
         params = SirParams(beta=0.5, gamma=0.2, h=0.1)
         state = EpidemicState(s=np.array([0.7, 1.0]), p=np.zeros(2),
                               r=np.array([0.3, 0.0]))
-        nxt = sir_step(state, params, two_node_net)
+        nxt = step(state, params, two_node_net)
         assert np.array_equal(nxt.s, state.s)
         assert np.array_equal(nxt.p, state.p)
         assert np.array_equal(nxt.r, state.r)
 
     def test_matrix_form_agrees(self, sir_example):
         net, params, state = sir_example
-        a = sir_step(state, params, net)
-        b = sir_step_matrix(state, params, net)
+        a = sir_step_oracle(state, params, net)
+        b = step(state, params, net)
         for comp in ("s", "p", "r"):
             assert getattr(a, comp) == pytest.approx(getattr(b, comp), abs=1e-14)
 
@@ -82,32 +83,32 @@ class TestSirStep:
         params = SirParams(beta=0.0, gamma=0.2, h=0.5)
         state = EpidemicState(s=np.array([0.5, 0.5]), p=np.array([0.3, 0.2]),
                               r=np.array([0.2, 0.3]))
-        nxt = sir_step_matrix(state, params, two_node_net)
+        nxt = step(state, params, two_node_net)
         assert nxt.p == pytest.approx((1 - 0.5 * 0.2) * state.p, abs=1e-15)
 
     def test_gamma_zero_rejected(self, sir_example):
         net, _, state = sir_example
         with pytest.raises(AssumptionError):
-            sir_step_matrix(state, SirParams(beta=0.5, gamma=0.0, h=0.1), net)
+            step(state, SirParams(beta=0.5, gamma=0.0, h=0.1), net)
 
     def test_off_simplex_rejected_when_strict(self, sir_example):
         net, params, _ = sir_example
         bad = EpidemicState(s=np.array([0.9, 1.0]), p=np.array([0.3, 0.0]),
                             r=np.zeros(2))
         with pytest.raises(StateInvariantError):
-            sir_step(bad, params, net)
-        sir_step(bad, params, net, strict=False)  # opt-out for measured data
+            step(bad, params, net)
+        step(bad, params, net, strict=False)  # opt-out for measured data
 
     def test_seir_state_rejected(self, seir_example):
         net, _, state = seir_example
         with pytest.raises(ValueError):
-            sir_step(state, SirParams(beta=0.5, gamma=0.2, h=0.1), net)
+            step(state, SirParams(beta=0.5, gamma=0.2, h=0.1), net)
 
 
 class TestSeirStep:
     def test_hand_values(self, seir_example):
         net, params, state = seir_example
-        nxt = seir_step(state, params, net)
+        nxt = step(state, params, net)
         assert nxt.s == pytest.approx([0.95, 0.9974], abs=1e-15)
         assert nxt.e == pytest.approx([0.012, 0.0026], abs=1e-15)
         assert nxt.p == pytest.approx([0.029, 0.0], abs=1e-15)
@@ -117,21 +118,21 @@ class TestSeirStep:
         net, params, _ = seir_example
         state = EpidemicState(s=np.array([0.6, 1.0]), e=np.zeros(2),
                               p=np.zeros(2), r=np.array([0.4, 0.0]))
-        nxt = seir_step(state, params, net)
+        nxt = step(state, params, net)
         for comp in ("s", "e", "p", "r"):
             assert np.array_equal(getattr(nxt, comp), getattr(state, comp))
 
     def test_matrix_form_agrees(self, seir_example):
         net, params, state = seir_example
-        a = seir_step(state, params, net)
-        b = seir_step_matrix(state, params, net)
+        a = seir_step_oracle(state, params, net)
+        b = step(state, params, net)
         for comp in ("s", "e", "p", "r"):
             assert getattr(a, comp) == pytest.approx(getattr(b, comp), abs=1e-14)
 
     def test_full_conversion_when_h_sigma_one(self, seir_example):
         net, _, state = seir_example
         params = SeirParams(beta_e=0.04, beta=0.06, sigma=1.0, gamma=0.3, h=1.0)
-        nxt = seir_step_matrix(state, params, net)
+        nxt = step(state, params, net)
         a = net.adjacency
         expected = state.s * (0.04 * (a @ state.e) + 0.06 * (a @ state.p))
         assert nxt.e == pytest.approx(expected, abs=1e-15)
@@ -140,18 +141,23 @@ class TestSeirStep:
         params = SeirParams(beta_e=0.0, beta=0.0, sigma=0.4, gamma=0.3, h=1.0)
         state = EpidemicState(s=np.array([0.8, 0.8]), e=np.array([0.1, 0.1]),
                               p=np.array([0.1, 0.1]), r=np.zeros(2))
-        nxt = seir_step_matrix(state, params, two_node_net)
+        nxt = step(state, params, two_node_net)
         assert nxt.s == pytest.approx(state.s, abs=1e-15)
         assert nxt.e == pytest.approx((1 - 0.4) * state.e, abs=1e-15)
 
 
 class TestSeirMultilayer:
     def test_zero_layers_bit_exact(self, seir_example):
+        # without layers the step is the base-network matrix form, bit for bit
         net, params, state = seir_example
-        a = seir_step(state, params, net)
-        b = seir_step_multilayer(state, params, net)
-        for comp in ("s", "e", "p", "r"):
-            assert np.array_equal(getattr(a, comp), getattr(b, comp))
+        a = net.adjacency
+        s, e, p, r = state.s, state.e, state.p, state.r
+        iota = 0.04 * (a @ e) + 0.06 * (a @ p)
+        nxt = step(state, params, net)
+        assert np.array_equal(nxt.s, s - 1.0 * s * iota)
+        assert np.array_equal(nxt.e, e + 1.0 * s * iota - 1.0 * 0.4 * e)
+        assert np.array_equal(nxt.p, p + 1.0 * (0.4 * e - 0.3 * p))
+        assert np.array_equal(nxt.r, r + 1.0 * 0.3 * p)
 
     def test_duplicated_layer_doubles_pressure(self, seir_example):
         net, params, state = seir_example
@@ -159,7 +165,7 @@ class TestSeirMultilayer:
         lparams = SeirParams(beta_e=0.04, beta=0.06, sigma=0.4, gamma=0.3, h=1.0,
                              layer_beta_e=(np.full(2, 0.04),),
                              layer_beta=(np.full(2, 0.06),))
-        nxt = seir_step_multilayer(state, lparams, layered)
+        nxt = step(state, lparams, layered)
         a = net.adjacency
         iota = 0.04 * (a @ state.e) + 0.06 * (a @ state.p)
         expected_e = state.e + state.s * (2 * iota) - 0.4 * state.e
@@ -171,9 +177,9 @@ class TestSeirMultilayer:
         lparams = SeirParams(beta_e=0.04, beta=0.06, sigma=0.4, gamma=0.3, h=1.0,
                              layer_beta_e=(np.full(2, 0.5),),
                              layer_beta=(np.full(2, 0.5),))
-        base = seir_step(state, SeirParams(beta_e=0.04, beta=0.06, sigma=0.4,
-                                           gamma=0.3, h=1.0), net)
-        nxt = seir_step_multilayer(state, lparams, layered)
+        base = step(state, SeirParams(beta_e=0.04, beta=0.06, sigma=0.4,
+                                      gamma=0.3, h=1.0), net)
+        nxt = step(state, lparams, layered)
         for comp in ("s", "e", "p", "r"):
             assert np.array_equal(getattr(nxt, comp), getattr(base, comp))
 
@@ -181,14 +187,30 @@ class TestSeirMultilayer:
         net, params, state = seir_example
         layered = Network(net.adjacency, layers=(net.adjacency,))
         with pytest.raises(ValueError, match="layer"):
-            seir_step_multilayer(state, params, layered)
+            step(state, params, layered)
+        with pytest.raises(ValueError, match="layer"):
+            simulate(state, params, layered, 3)
+
+    def test_sir_refuses_layers(self, sir_example):
+        # SirParams carry no layer rates, so every path refuses a layered network
+        net, params, state = sir_example
+        layered = Network(net.adjacency, layers=(net.adjacency,))
+        with pytest.raises(ValueError, match="transport layers"):
+            step(state, params, layered)
+        with pytest.raises(ValueError, match="transport layers"):
+            simulate(state, params, layered, 0, strict=False)
+        with pytest.raises(ValueError, match="transport layers"):
+            check_assumption_sir(params, layered)
 
 
 class TestSimulate:
     def test_zero_steps(self, sir_example):
         net, params, state = sir_example
         traj = simulate(state, params, net, 0)
-        assert len(traj) == 1 and traj.states[0] is state
+        assert len(traj) == 1
+        for comp in ("s", "p", "r"):
+            assert np.array_equal(getattr(traj.states[0], comp), getattr(state, comp))
+        assert traj.states[0].e is None
 
     def test_sir_one_step_matches_hand_values(self, sir_example):
         net, params, state = sir_example
@@ -265,3 +287,32 @@ class TestTrajectoryCsv:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             trajectory_from_csv("k,node,s,e,p,r\n")
+
+    @pytest.mark.parametrize("rows,message", [
+        (["0,0,1,,0,0", "0,2,1,,0,0"], "node ids"),
+        (["0,0,1,,0,0", "0,1,1,,0,0", "1,0,1,,0,0"], "step 1 missing"),
+        (["0,0,1,,0,0", "2,0,1,,0,0"], "contiguous"),
+        (["0,0,1,,0,0", "0,1,0.9,0.1,0,0"], "e column"),
+        (["0,0,1,0,0"], "malformed"),
+    ])
+    def test_rejects_inconsistent_rows(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            trajectory_from_csv("\n".join(["k,node,s,e,p,r"] + rows))
+
+
+class TestTrajectoryArrays:
+    def test_states_are_read_only_row_views(self, seir_example):
+        net, params, state = seir_example
+        traj = simulate(state, params, net, 4)
+        assert traj.e.shape == (5, 2) and not traj.e.flags.writeable
+        st = traj.states[3]
+        assert traj.states is traj.states
+        assert np.shares_memory(st.e, traj.e) and np.array_equal(st.p, traj.p[3])
+        with pytest.raises(ValueError):
+            st.s[0] = 0.5
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError):
+            Trajectory(s=np.ones((2, 3)), p=np.zeros((2, 2)), r=np.zeros((2, 3)), h=1.0)
+        with pytest.raises(ValueError, match="at least one state"):
+            Trajectory(s=np.ones((0, 3)), p=np.zeros((0, 3)), r=np.zeros((0, 3)), h=1.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from netepi import (EpidemicState, Network, SeirParams, SirParams, Trajectory,
+from netepi import (Network, SeirParams, SirParams, Trajectory,
                     apply_noise, build_regression_seir,
                     build_regression_sir_hetero, build_regression_sir_homog,
                     check_identifiability_seir, check_identifiability_sir_hetero,
@@ -9,7 +9,7 @@ from netepi import (EpidemicState, Network, SeirParams, SirParams, Trajectory,
                     simulate, solve_least_squares)
 from netepi.estimation import NoiseModel, report_to_json
 
-from conftest import random_irreducible_network, seeded_state
+from conftest import fabricated_seir, random_irreducible_network, seeded_state
 
 
 @pytest.fixture
@@ -24,13 +24,10 @@ def seir_traj(seir_example):
     return net, params, simulate(state, params, net, 2)
 
 
-def fabricated_seir(e, p, r, h=1.0):
-    """Trajectory built directly from per-step (e, p, r) lists; s fills in."""
-    states = []
-    for ek, pk, rk in zip(e, p, r):
-        ek, pk, rk = map(np.asarray, (ek, pk, rk))
-        states.append(EpidemicState(s=1.0 - ek - pk - rk, e=ek, p=pk, r=rk))
-    return Trajectory("seir", tuple(states), h)
+def no_signal_sir(steps, h=0.1):
+    """Two-node SIR trajectory with nobody infected at any step."""
+    return Trajectory(s=np.ones((steps, 2)), p=np.zeros((steps, 2)),
+                      r=np.zeros((steps, 2)), h=h)
 
 
 class TestGValue:
@@ -66,9 +63,7 @@ class TestSirHomogIdentifiability:
         assert w["value"] == pytest.approx(0.1)
 
     def test_no_signal(self, two_node_net):
-        states = [EpidemicState(s=np.ones(2), p=np.zeros(2), r=np.zeros(2))] * 3
-        traj = Trajectory("sir", tuple(states), 0.1)
-        verdict = check_identifiability_sir_homog(traj, two_node_net)
+        verdict = check_identifiability_sir_homog(no_signal_sir(3), two_node_net)
         assert not verdict.identifiable
         assert set(verdict.failed_conditions) == {"p_nonzero", "sAp_nonzero"}
 
@@ -147,9 +142,7 @@ class TestSirRegression:
         assert sys.delta == pytest.approx(expected_d, abs=1e-15)
 
     def test_zero_trajectory(self, two_node_net):
-        states = [EpidemicState(s=np.ones(2), p=np.zeros(2), r=np.zeros(2))] * 2
-        sys = build_regression_sir_homog(Trajectory("sir", tuple(states), 0.1),
-                                         two_node_net)
+        sys = build_regression_sir_homog(no_signal_sir(2), two_node_net)
         assert not sys.q.any() and not sys.delta.any()
 
     def test_substitution_identity(self, sir_traj):
@@ -324,16 +317,26 @@ class TestEstimatePipeline:
         traj = simulate(initial, params, net, 4)
         base = estimate_pipeline(traj, net, "seir", node=0, resimulate=False)
         rng = np.random.default_rng(0)
-        perturbed_states = []
-        for st in traj.states:
-            e, p, r, s = st.e.copy(), st.p.copy(), st.r.copy(), st.s.copy()
-            for vec in (s, e, p, r):
-                vec[2] = rng.random()
-                vec[3] = rng.random()
-            perturbed_states.append(EpidemicState(s=s, e=e, p=p, r=r))
-        perturbed = Trajectory("seir", tuple(perturbed_states), traj.h)
+        comps = {c: getattr(traj, c).copy() for c in ("s", "e", "p", "r")}
+        for x in comps.values():
+            x[:, 2:] = rng.random((len(traj), 2))
+        perturbed = Trajectory(h=traj.h, **comps)
         rep = estimate_pipeline(perturbed, net, "seir", node=0, resimulate=False)
         assert np.array_equal(rep.estimates, base.estimates)
+
+    def test_transport_layers_refused(self, seir_example, sir_traj):
+        net, params, state = seir_example
+        layered = Network(net.adjacency, layers=(net.adjacency,))
+        lparams = SeirParams(beta_e=0.04, beta=0.06, sigma=0.4, gamma=0.3, h=1.0,
+                             layer_beta_e=(np.full(2, 0.04),),
+                             layer_beta=(np.full(2, 0.06),))
+        traj = simulate(state, lparams, layered, 3)
+        for node in (None, 0):
+            with pytest.raises(ValueError, match="transport layers"):
+                estimate_pipeline(traj, layered, "seir", node=node)
+        _, _, sir = sir_traj
+        with pytest.raises(ValueError, match="transport layers"):
+            estimate_pipeline(sir, layered, "sir")
 
     def test_report_json_round_trip(self, seir_traj):
         import json
@@ -348,8 +351,7 @@ class TestNecessityDirection:
     """When a condition fails, the system must be rank deficient."""
 
     def test_p_zero_sir(self, two_node_net):
-        states = [EpidemicState(s=np.ones(2), p=np.zeros(2), r=np.zeros(2))] * 3
-        traj = Trajectory("sir", tuple(states), 0.1)
+        traj = no_signal_sir(3)
         assert not check_identifiability_sir_homog(traj, two_node_net).identifiable
         rep = solve_least_squares(build_regression_sir_homog(traj, two_node_net))
         assert rep.rank < 2

@@ -3,11 +3,13 @@ import pytest
 
 from netepi import (EpidemicState, Network, SeirParams, SirParams,
                     build_spreading_matrix, convergence_diagnostics,
-                    dominant_eigenvalue, seir_step, simulate, sir_step)
+                    dominant_eigenvalue, simulate, step)
+from netepi.dynamics import Trajectory
 from netepi.spectral import report_to_csv, report_to_json
 
 from conftest import (charpoly_spectral_radius, random_irreducible_network,
-                      random_seir_params, seeded_state)
+                      random_layered_seir, random_seir_params,
+                      random_simplex_state, seeded_state)
 
 
 class TestBuildSpreadingMatrix:
@@ -31,15 +33,39 @@ class TestBuildSpreadingMatrix:
         net, params, state = seir_example
         m = build_spreading_matrix(state, params, net).m
         z = np.concatenate([state.e, state.p])
-        nxt = seir_step(state, params, net)
+        nxt = step(state, params, net)
         z_next = np.concatenate([nxt.e, nxt.p])
         assert m @ z == pytest.approx(z_next, abs=1e-13)
+
+    def test_propagates_through_transport_layers(self, seir_example):
+        net, _, state = seir_example
+        layered = Network(net.adjacency, layers=(net.adjacency,))
+        params = SeirParams(beta_e=0.04, beta=0.06, sigma=0.4, gamma=0.3, h=1.0,
+                            layer_beta_e=(np.full(2, 0.04),),
+                            layer_beta=(np.full(2, 0.06),))
+        rng = np.random.default_rng(31)
+        cases = [(layered, params, state)]
+        for _ in range(50):
+            n = int(rng.integers(2, 9))
+            lnet, lparams = random_layered_seir(rng, n)
+            cases.append((lnet, lparams, random_simplex_state(rng, n, "seir")))
+        for lnet, lparams, st in cases:
+            m = build_spreading_matrix(st, lparams, lnet).m
+            nxt = step(st, lparams, lnet)
+            z_next = np.concatenate([nxt.e, nxt.p])
+            assert np.abs(m @ np.concatenate([st.e, st.p]) - z_next).max() <= 1e-13
+
+    def test_sir_refuses_layers(self, sir_example):
+        net, params, state = sir_example
+        layered = Network(net.adjacency, layers=(net.adjacency,))
+        with pytest.raises(ValueError, match="transport layers"):
+            build_spreading_matrix(state, params, layered)
 
     def test_sir_matrix_propagates_p(self, sir_example):
         net, params, state = sir_example
         m = build_spreading_matrix(state, params, net).m
         assert m.shape == (2, 2)
-        nxt = sir_step(state, params, net)
+        nxt = step(state, params, net)
         assert m @ state.p == pytest.approx(nxt.p, abs=1e-13)
 
     def test_dimension_mismatch(self, seir_example):
@@ -133,9 +159,10 @@ class TestConvergenceDiagnostics:
 
     def test_too_short(self, seir_example):
         net, params, state = seir_example
-        from netepi.dynamics import Trajectory
+        single = Trajectory(s=state.s[None], e=state.e[None], p=state.p[None],
+                            r=state.r[None], h=1.0)
         with pytest.raises(ValueError, match="short"):
-            convergence_diagnostics(Trajectory("seir", (state,), 1.0), params, net)
+            convergence_diagnostics(single, params, net)
 
     def test_serialization(self, seir_example):
         net, params, state = seir_example
