@@ -3,19 +3,14 @@ diagnostics, and least-squares recovery of spread parameters."""
 
 from .graph import Network, load_network, save_network, neighbors, is_irreducible
 from .dynamics import (SirParams, SeirParams, EpidemicState, Trajectory,
-                       check_assumption_sir, check_assumption_seir, step,
-                       simulate, trajectory_to_csv, trajectory_from_csv)
+                       check_assumption, step, simulate, trajectory_to_csv,
+                       trajectory_from_csv)
 from .spectral import (SpreadingMatrix, ConvergenceReport,
                        build_spreading_matrix, dominant_eigenvalue,
                        convergence_diagnostics)
 from .estimation import (RegressionSystem, IdentifiabilityVerdict,
                          EstimateReport, NoiseModel, g_value,
-                         check_identifiability_sir_homog,
-                         check_identifiability_sir_hetero,
-                         check_identifiability_seir,
-                         build_regression_sir_homog,
-                         build_regression_sir_hetero,
-                         build_regression_seir,
+                         check_identifiability, build_regression,
                          solve_least_squares, apply_noise, estimate_pipeline)
 
 __version__ = "0.1.0"

@@ -134,8 +134,7 @@ def cmd_simulate(args) -> int:
     sc = load_scenario(args.scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    check = (dynamics.check_assumption_sir if sc["model"] == "sir"
-             else dynamics.check_assumption_seir)(sc["params"], sc["net"])
+    check = dynamics.check_assumption(sc["params"], sc["net"])
     if not check.ok:
         for v in check.violations:
             print(f"assumption violation: {v}", file=sys.stderr)
@@ -199,8 +198,10 @@ def cmd_estimate(args) -> int:
     sc = load_scenario(args.scenario)
     traj = dynamics.trajectory_from_csv(Path(args.trajectory).read_text(),
                                         h=sc["params"].h)
-    report = estimation.estimate_pipeline(traj, sc["net"], sc["model"],
-                                          node=args.node)
+    if traj.kind != sc["model"]:
+        raise ScenarioError(f"scenario model {sc['model']!r} does not match "
+                            f"the {traj.kind!r} trajectory")
+    report = estimation.estimate_pipeline(traj, sc["net"], node=args.node)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "estimate.json").write_text(estimation.report_to_json(report))
@@ -251,7 +252,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ScenarioError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ScenarioError, ValueError, OSError, json.JSONDecodeError,
+            spectral.PowerIterationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -9,7 +9,7 @@ Per-node updates (SIR), with pressure(i) = beta_i * sum_j a_ij * p_j:
 SEIR adds an exposed compartment fed by pressure from both e and p, summed
 over the base network and any transport layers. All compartments stay in
 [0, 1] and sum to 1 per node as long as the well-posedness inequalities hold
-(see check_assumption_*).
+(see check_assumption).
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ __all__ = [
     "AssumptionReport",
     "AssumptionError",
     "StateInvariantError",
-    "check_assumption_sir",
-    "check_assumption_seir",
+    "check_assumption",
     "step",
     "simulate",
     "trajectory_to_csv",
@@ -108,8 +107,9 @@ def _validate(s, p, r, e, tol: float) -> None:
     """Simplex check on compartment arrays of any one shape."""
     parts = [s, p, r] + ([e] if e is not None else [])
     for v in parts:
-        if np.any(v < -tol) or np.any(v > 1 + tol):
-            raise StateInvariantError("compartment level outside [0, 1]")
+        # written so that NaN fails too
+        if not np.all((v >= -tol) & (v <= 1 + tol)):
+            raise StateInvariantError("compartment level outside [0, 1] or NaN")
     if np.any(np.abs(sum(parts) - 1.0) > tol):
         raise StateInvariantError("per-node compartments do not sum to 1")
 
@@ -252,34 +252,24 @@ def _report(checks: list) -> AssumptionReport:
         for i in range(len(checks[0][1])) for label, values, ok, bound in checks if not ok[i]))
 
 
-def check_assumption_sir(params: SirParams, net: Network) -> AssumptionReport:
-    """Every node needs 0 < h*gamma < 1 and h*beta*(row sum of A) < 1."""
-    pr = params.resolved(net.n)
-    hg = pr.h * pr.gamma
-    hb = pr.h * _pressure(_operator(net, pr.rates), (np.ones(net.n),))
-    return _report([("h*gamma", hg, (0 < hg) & (hg < 1), "not in (0, 1)"),
-                    ("h*beta*row_sum", hb, hb < 1, "not < 1"),
-                    ("beta", pr.beta, ~(pr.beta < 0), "negative")])
-
-
-def check_assumption_seir(params: SeirParams, net: Network) -> AssumptionReport:
-    """SEIR well-posedness: 0 < h*gamma < 1, 0 < h*sigma <= 1, and
+def check_assumption(params, net: Network) -> AssumptionReport:
+    """Well-posedness of ``params`` on ``net``; the model follows the type of
+    ``params``. Every node needs 0 < h*gamma < 1 and a nonnegative infection
+    rate; SIR needs h*beta*(row sum of A) < 1, SEIR needs 0 < h*sigma <= 1 and
     h*(beta_e + beta)*(row sum) < 1, summed over the transport layers."""
     pr = params.resolved(net.n)
     hg = pr.h * pr.gamma
+    gamma = ("h*gamma", hg, (0 < hg) & (hg < 1), "not in (0, 1)")
+    # the row sums: the pressure of all-ones levels in every compartment
+    hb = pr.h * _pressure(_operator(net, pr.rates), (np.ones(net.n),) * len(pr.rates[0]))
+    if isinstance(pr, SirParams):
+        return _report([gamma, ("h*beta*row_sum", hb, hb < 1, "not < 1"),
+                        ("beta", pr.beta, ~(pr.beta < 0), "negative")])
     hs = pr.h * pr.sigma
-    ones = np.ones(net.n)
-    hb = pr.h * _pressure(_operator(net, pr.rates), (ones, ones))
     low = np.minimum(pr.beta_e, pr.beta)
-    return _report([("h*gamma", hg, (0 < hg) & (hg < 1), "not in (0, 1)"),
-                    ("h*sigma", hs, (0 < hs) & (hs <= 1), "not in (0, 1]"),
+    return _report([gamma, ("h*sigma", hs, (0 < hs) & (hs <= 1), "not in (0, 1]"),
                     ("beta_e/beta", low, ~(low < 0), "negative"),
                     ("h*(beta_e+beta)*row_sum", hb, (0 <= hb) & (hb < 1), "not in [0, 1)")])
-
-
-def _check_assumption(pr, net: Network) -> AssumptionReport:
-    check = check_assumption_sir if isinstance(pr, SirParams) else check_assumption_seir
-    return check(pr, net)
 
 
 def _prepare(params, state: EpidemicState, net: Network) -> tuple:
@@ -314,7 +304,7 @@ def step(state: EpidemicState, params, net: Network,
     well-posedness bounds; ``strict`` also validates ``state`` against the
     simplex (turn it off for noisy measured data)."""
     pr, op = _prepare(params, state, net)
-    _check_assumption(pr, net).raise_if_violated()
+    check_assumption(pr, net).raise_if_violated()
     if strict:
         state.validate()
     s, p, r, e = _kernel(pr, op, state.s, state.p, state.r, state.e)
@@ -333,7 +323,7 @@ def simulate(initial: EpidemicState, params, net: Network, steps: int,
         raise ValueError("steps must be >= 0")
     pr, op = _prepare(params, initial, net)
     if strict:
-        _check_assumption(pr, net).raise_if_violated()
+        check_assumption(pr, net).raise_if_violated()
     rows = [(initial.s, initial.p, initial.r, initial.e)]
     for _ in range(steps):
         rows.append(_kernel(pr, op, *rows[-1]))
@@ -384,10 +374,14 @@ def trajectory_from_csv(text: str | Iterable[str], h: float = 1.0) -> Trajectory
     missing = np.flatnonzero(~seen.all(axis=1))
     if missing.size:
         raise ValueError(f"step {missing[0]} missing node rows")
+    if len(rows) != seen.size:
+        raise ValueError("trajectory has duplicate (k, node) rows")
 
     def grid(column) -> np.ndarray:
         out = np.empty(shape)
         out[k, node] = list(map(float, column))
+        if not np.isfinite(out).all():
+            raise ValueError("trajectory values must be finite")
         return out
 
     return Trajectory(s=grid(s), p=grid(p), r=grid(r),

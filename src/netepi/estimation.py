@@ -26,12 +26,8 @@ __all__ = [
     "EstimateReport",
     "NoiseModel",
     "g_value",
-    "check_identifiability_sir_homog",
-    "check_identifiability_sir_hetero",
-    "check_identifiability_seir",
-    "build_regression_sir_homog",
-    "build_regression_sir_hetero",
-    "build_regression_seir",
+    "check_identifiability",
+    "build_regression",
     "solve_least_squares",
     "apply_noise",
     "estimate_pipeline",
@@ -56,7 +52,6 @@ class IdentifiabilityVerdict:
     identifiable: bool
     witnesses: dict = field(default_factory=dict)
     failed_conditions: tuple[str, ...] = ()
-    derived_condition: bool = False
 
 
 @dataclass(frozen=True)
@@ -155,6 +150,9 @@ def _nonzero_conditions(conditions, nodes: np.ndarray) -> tuple[dict, list]:
 
 
 def _check_sir(traj: Trajectory, net: Network, node: int | None) -> IdentifiabilityVerdict:
+    """Some p != 0 and some (S A p) entry != 0 over the window. Per node, the
+    same restricted to node i: the source results state no per-node SIR
+    theorem, so this is the direct per-node translation."""
     t = _transitions(traj)
     nodes = _nodes(net, node)
     names = ("p_nonzero", "sAp_nonzero") if node is None else ("p_i_nonzero", "g_i_p_nonzero")
@@ -163,48 +161,35 @@ def _check_sir(traj: Trajectory, net: Network, node: int | None) -> Identifiabil
     if node is not None:
         witnesses = {name: {"k": w["k"], "value": w["value"]} for name, w in witnesses.items()}
     return IdentifiabilityVerdict(identifiable=not failed, witnesses=witnesses,
-                                  failed_conditions=tuple(failed),
-                                  derived_condition=node is not None)
+                                  failed_conditions=tuple(failed))
 
 
-def check_identifiability_sir_homog(traj: Trajectory, net: Network) -> IdentifiabilityVerdict:
-    """Homogeneous SIR: need some p != 0 and some (S A p) entry != 0 over the window."""
-    return _check_sir(traj, net, None)
+def _nonproportional_witness(ge: np.ndarray, gp: np.ndarray, nodes: np.ndarray) -> dict | None:
+    """A pair of (g(e), g(p)) points over ``nodes`` that are not proportional,
+    or None. Points are taken node-major, then in step order. The pivot c is
+    the first point of largest norm and the witness pairs it with the first
+    point j not parallel to it: a pair (a, b) has
+    |a x b| = |a||b||sin(a, b)| <= |a||b|(|sin(a, c)| + |sin(b, c)|)
+    <= |a x c| + |b x c| since |c| is largest, so when no point's cross
+    product with c exceeds the tolerance, no pair's exceeds two of them."""
+    e = ge[:, nodes].T.ravel()
+    p = gp[:, nodes].T.ravel()
+    c = int(np.argmax(e * e + p * p))
+    lhs = e[c] * p
+    rhs = e * p[c]
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    off = np.flatnonzero(np.abs(lhs - rhs) > NONZERO_TOL * scale)
+    if not off.size:
+        return None
+    j = int(off[0])
+    t = len(ge)
+    return {"i3": int(nodes[c // t]), "k3": c % t, "i4": int(nodes[j // t]), "k4": j % t,
+            "lhs": float(lhs[j]), "rhs": float(rhs[j])}
 
 
-def check_identifiability_sir_hetero(traj: Trajectory, net: Network, i: int) -> IdentifiabilityVerdict:
-    """Per-node analog of the homogeneous SIR conditions, restricted to node i.
-
-    The source results state no per-node SIR theorem; this is the direct
-    per-node translation and is flagged as a derived condition.
-    """
-    return _check_sir(traj, net, i)
-
-
-def _nonproportional_pair(ge: np.ndarray, gp: np.ndarray, nodes: np.ndarray) -> dict | None:
-    """First pair of (g(e), g(p)) points, node-major then step order, that
-    are not proportional."""
-    points = [(i, k, e, p)
-              for i, e_row, p_row in zip(nodes.tolist(), ge[:, nodes].T.tolist(),
-                                         gp[:, nodes].T.tolist())
-              for k, (e, p) in enumerate(zip(e_row, p_row))]
-    for i3, k3, e3, p3 in points:
-        for i4, k4, e4, p4 in points:
-            lhs = e3 * p4
-            rhs = e4 * p3
-            scale = max(1.0, abs(lhs), abs(rhs))
-            if abs(lhs - rhs) > NONZERO_TOL * scale:
-                return {"i3": i3, "k3": k3, "i4": i4, "k4": k4, "lhs": lhs, "rhs": rhs}
-    return None
-
-
-def check_identifiability_seir(traj: Trajectory, net: Network,
-                               node: int | None = None) -> IdentifiabilityVerdict:
-    """SEIR identifiability: nonzero p, nonzero e, and a non-proportional pair
-    of (g(e), g(p)) values. ``node`` restricts everything to one node, which
-    requires T > 1; the network-wide check requires n > 1 and T > 0."""
-    if traj.kind != "seir":
-        raise ValueError("SEIR identifiability needs an SEIR trajectory")
+def _check_seir(traj: Trajectory, net: Network, node: int | None) -> IdentifiabilityVerdict:
+    """Nonzero p, nonzero e, and a non-proportional pair of (g(e), g(p))
+    values. Per node this requires T > 1; network-wide n > 1 and T > 0."""
     nodes = _nodes(net, node)
     if node is None and net.n <= 1:
         raise ValueError("network-wide SEIR identifiability requires n > 1")
@@ -216,8 +201,8 @@ def check_identifiability_seir(traj: Trajectory, net: Network,
                                       failed_conditions=("horizon_T>1",))
     witnesses, failed = _nonzero_conditions(
         (("p_nonzero", traj.p[:t]), ("e_nonzero", traj.e[:t])), nodes)
-    pair = _nonproportional_pair(_g(traj.s[:t], traj.e[:t], net),
-                                 _g(traj.s[:t], traj.p[:t], net), nodes)
+    pair = _nonproportional_witness(_g(traj.s[:t], traj.e[:t], net),
+                                    _g(traj.s[:t], traj.p[:t], net), nodes)
     if pair is None:
         failed.append("g_pair_nonproportional")
     else:
@@ -226,9 +211,16 @@ def check_identifiability_seir(traj: Trajectory, net: Network,
                                   failed_conditions=tuple(failed))
 
 
+def check_identifiability(traj: Trajectory, net: Network,
+                          node: int | None = None) -> IdentifiabilityVerdict:
+    """The conditions, necessary and sufficient for the regression of
+    ``build_regression`` to have full column rank, checked on the window of
+    ``traj``; the model follows ``traj.kind``. ``node`` restricts them to one
+    node. Each condition met gets a witness, each one failed is named."""
+    return (_check_sir if traj.kind == "sir" else _check_seir)(traj, net, node)
+
+
 def _regression_sir(traj: Trajectory, net: Network, node: int | None) -> RegressionSystem:
-    if traj.kind != "sir":
-        raise ValueError("needs an SIR trajectory")
     nodes = _nodes(net, node)
     t = _transitions(traj)
     h = traj.h
@@ -244,20 +236,7 @@ def _regression_sir(traj: Trajectory, net: Network, node: int | None) -> Regress
                             t=t, node=node)
 
 
-def build_regression_sir_homog(traj: Trajectory, net: Network) -> RegressionSystem:
-    """Stack the p- and r-updates over all nodes and steps; unknowns (beta, gamma)."""
-    return _regression_sir(traj, net, None)
-
-
-def build_regression_sir_hetero(traj: Trajectory, net: Network, i: int) -> RegressionSystem:
-    return _regression_sir(traj, net, i)
-
-
-def build_regression_seir(traj: Trajectory, net: Network,
-                          node: int | None = None) -> RegressionSystem:
-    """Stack e-, p-, and r-updates; unknowns (beta_e, beta, sigma, gamma)."""
-    if traj.kind != "seir":
-        raise ValueError("needs an SEIR trajectory")
+def _regression_seir(traj: Trajectory, net: Network, node: int | None) -> RegressionSystem:
     t = _transitions(traj)
     nodes = _nodes(net, node)
     h = traj.h
@@ -275,6 +254,15 @@ def build_regression_seir(traj: Trajectory, net: Network,
     return RegressionSystem(q=q, delta=delta,
                             kind="seir-homog" if node is None else "seir-hetero",
                             t=t, node=node)
+
+
+def build_regression(traj: Trajectory, net: Network,
+                     node: int | None = None) -> RegressionSystem:
+    """Stack the one-step updates over the nodes (all, or ``node`` alone) and
+    the steps of ``traj`` into Q theta = delta; the model follows
+    ``traj.kind``. SIR stacks the p- and r-updates, unknowns (beta, gamma);
+    SEIR stacks the e-, p- and r-updates, unknowns (beta_e, beta, sigma, gamma)."""
+    return (_regression_sir if traj.kind == "sir" else _regression_seir)(traj, net, node)
 
 
 def solve_least_squares(sys: RegressionSystem,
@@ -322,44 +310,30 @@ def apply_noise(traj: Trajectory, model: NoiseModel) -> Trajectory:
     return Trajectory(s=1.0 - e - p - r, e=e, p=p, r=r, h=traj.h)
 
 
-def _trajectory_errors(measured: Trajectory, resim: Trajectory, metric: str) -> dict:
-    out = {}
+def _trajectory_errors(measured: Trajectory, resim: Trajectory) -> dict:
+    """Mean absolute error per compartment."""
     comps = ["s", "p", "r"] + (["e"] if measured.kind == "seir" else [])
-    for comp in comps:
-        d = (getattr(measured, comp) - getattr(resim, comp)).ravel()
-        if metric == "rmse":
-            out[comp] = float(np.sqrt(np.mean(d ** 2)))
-        else:
-            out[comp] = float(np.mean(np.abs(d)))
-    return out
+    return {comp: float(np.mean(np.abs((getattr(measured, comp) - getattr(resim, comp)).ravel())))
+            for comp in comps}
 
 
-def estimate_pipeline(measured: Trajectory, net: Network, kind: str,
-                      node: int | None = None, resimulate: bool = True,
-                      error_metric: str = "mae") -> EstimateReport:
-    """Identifiability check, system assembly, pseudoinverse solve, and an
-    optional re-simulation from the first measured state to score the fit."""
-    if kind == "sir":
-        verdict = (check_identifiability_sir_homog(measured, net) if node is None
-                   else check_identifiability_sir_hetero(measured, net, node))
-        sys = (build_regression_sir_homog(measured, net) if node is None
-               else build_regression_sir_hetero(measured, net, node))
-    elif kind == "seir":
-        verdict = check_identifiability_seir(measured, net, node=node)
-        sys = build_regression_seir(measured, net, node=node)
-    else:
-        raise ValueError("kind must be 'sir' or 'seir'")
-    report = solve_least_squares(sys, verdict=verdict)
-    if not verdict.identifiable or not resimulate:
+def estimate_pipeline(measured: Trajectory, net: Network,
+                      node: int | None = None) -> EstimateReport:
+    """Identifiability check, system assembly and pseudoinverse solve for the
+    model of ``measured``; when the data are identifiable, a re-simulation
+    from the first measured state scores the fit."""
+    verdict = check_identifiability(measured, net, node)
+    report = solve_least_squares(build_regression(measured, net, node), verdict=verdict)
+    if not verdict.identifiable:
         return report
     # the estimates come in the order of the parameter fields
-    params = (SirParams if kind == "sir" else SeirParams)(*report.estimates, h=measured.h)
+    params = (SirParams if measured.kind == "sir" else SeirParams)(*report.estimates, h=measured.h)
     try:
         resim = simulate(measured.states[0], params, net,
                          steps=measured.transitions, strict=False)
     except (ValueError, TypeError):
         return report
-    return replace(report, trajectory_errors=_trajectory_errors(measured, resim, error_metric))
+    return replace(report, trajectory_errors=_trajectory_errors(measured, resim))
 
 
 def report_to_json(report: EstimateReport) -> str:

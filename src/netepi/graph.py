@@ -7,8 +7,8 @@ node i. Edge-list records ``i,j,weight`` populate ``adjacency[i, j]``, i.e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class Network:
 
     adjacency: np.ndarray
     layers: tuple[np.ndarray, ...] = ()
-    node_labels: tuple[str, ...] | None = field(default=None)
 
     def __post_init__(self):
         a = np.asarray(self.adjacency, dtype=float)
@@ -58,19 +57,13 @@ class Network:
             m.setflags(write=False)
             checked.append(m)
         object.__setattr__(self, "layers", tuple(checked))
-        if self.node_labels is not None:
-            labels = tuple(str(x) for x in self.node_labels)
-            if len(labels) != n:
-                raise NetworkError("node_labels length does not match node count")
-            object.__setattr__(self, "node_labels", labels)
 
     @property
     def n(self) -> int:
         return self.adjacency.shape[0]
 
 
-def load_network(source: Iterable[str] | str, n: int,
-                 node_labels: Sequence[str] | None = None) -> Network:
+def load_network(source: Iterable[str] | str, n: int) -> Network:
     """Parse comma-separated ``i,j,weight`` records into a Network.
 
     ``source`` is an iterable of lines (an open text file works). Lines that
@@ -101,7 +94,7 @@ def load_network(source: Iterable[str] | str, n: int,
             raise NetworkError(f"line {lineno}: duplicate edge ({i},{j})")
         seen.add((i, j))
         a[i, j] = w
-    return Network(a, node_labels=tuple(node_labels) if node_labels else None)
+    return Network(a)
 
 
 def save_network(net: Network) -> str:

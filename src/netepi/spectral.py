@@ -38,6 +38,10 @@ __all__ = [
 
 EXTINCTION_THRESHOLD = 1e-8
 MONOTONE_TOL = 1e-10
+# power iteration stops once the 1-norm change of the iterate is at most
+# POWER_RTOL, and fails after POWER_MAX_ITER iterations
+POWER_RTOL = 1e-12
+POWER_MAX_ITER = 100_000
 
 
 class PowerIterationError(RuntimeError):
@@ -51,7 +55,6 @@ class PowerIterationError(RuntimeError):
 @dataclass(frozen=True)
 class SpreadingMatrix:
     m: np.ndarray
-    k: int = 0
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,7 @@ class ConvergenceReport:
     p_norms: np.ndarray
 
 
-def build_spreading_matrix(state: EpidemicState, params, net: Network,
-                           k: int = 0) -> SpreadingMatrix:
+def build_spreading_matrix(state: EpidemicState, params, net: Network) -> SpreadingMatrix:
     """Linear map propagating the infectious coordinates one step from
     ``state``; its infection blocks are diag(s) times the Jacobian of the
     infection pressure the step uses, transport layers included."""
@@ -73,17 +75,15 @@ def build_spreading_matrix(state: EpidemicState, params, net: Network,
     eye = np.eye(net.n)
     if isinstance(pr, SirParams):
         m = eye + pr.h * (state.s[:, None] * _pressure_jacobian(op, 0)) - pr.h * np.diag(pr.gamma)
-        return SpreadingMatrix(m=m, k=k)
+        return SpreadingMatrix(m=m)
     sba_e = state.s[:, None] * _pressure_jacobian(op, 0)
     sba_p = state.s[:, None] * _pressure_jacobian(op, 1)
     top = np.hstack([eye + pr.h * sba_e - pr.h * np.diag(pr.sigma), pr.h * sba_p])
     bot = np.hstack([pr.h * np.diag(pr.sigma), eye - pr.h * np.diag(pr.gamma)])
-    return SpreadingMatrix(m=np.vstack([top, bot]), k=k)
+    return SpreadingMatrix(m=np.vstack([top, bot]))
 
 
-def dominant_eigenvalue(m: np.ndarray, v0: np.ndarray | None = None,
-                        rtol: float = 1e-12, max_iter: int = 100_000
-                        ) -> tuple[float, np.ndarray]:
+def dominant_eigenvalue(m: np.ndarray, v0: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Spectral radius and a nonnegative left eigenvector (unit 1-norm).
 
     Power iteration runs on the transpose of ``m + eps*I``; the small diagonal
@@ -107,7 +107,7 @@ def dominant_eigenvalue(m: np.ndarray, v0: np.ndarray | None = None,
         tot = w.sum()
         w = np.full(n, 1.0 / n) if tot <= 0 else w / tot
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         nxt = mt @ w
         norm = nxt.sum()  # 1-norm: all entries nonnegative
         if norm == 0.0:
@@ -116,22 +116,20 @@ def dominant_eigenvalue(m: np.ndarray, v0: np.ndarray | None = None,
         delta = np.abs(w_new - w).sum()
         lam = norm
         w = w_new
-        if delta <= rtol:
+        if delta <= POWER_RTOL:
             return lam - eps, w
     residual = float(np.abs(mt @ w - lam * w).sum())
     raise PowerIterationError("power iteration did not converge", residual)
 
 
-def convergence_diagnostics(traj: Trajectory, params, net: Network,
-                            extinction_threshold: float = EXTINCTION_THRESHOLD
-                            ) -> ConvergenceReport:
+def convergence_diagnostics(traj: Trajectory, params, net: Network) -> ConvergenceReport:
     """Per-step dominant eigenvalues and decay diagnostics for a simulated run."""
     if len(traj) < 2:
         raise ValueError("trajectory too short for diagnostics (< 2 states)")
     lambdas = np.empty(len(traj))
     w = None
     for k in range(len(traj)):
-        sm = build_spreading_matrix(traj.states[k], params, net, k=k)
+        sm = build_spreading_matrix(traj.states[k], params, net)
         lambdas[k], w = dominant_eigenvalue(sm.m, v0=w)
     below = np.flatnonzero(lambdas < 1.0)
     k_bar = int(below[0]) if below.size else None
@@ -141,7 +139,7 @@ def convergence_diagnostics(traj: Trajectory, params, net: Network,
     peak = traj.p.max(axis=1)
     if traj.e is not None:
         peak = np.maximum(peak, traj.e.max(axis=1))
-    quiet = np.flatnonzero(peak < extinction_threshold)
+    quiet = np.flatnonzero(peak < EXTINCTION_THRESHOLD)
     extinction_step = int(quiet[0]) if quiet.size else None
     rate = None
     if k_bar is not None:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from netepi import EpidemicState, Network, SeirParams, SirParams, Trajectory
+from netepi.estimation import NONZERO_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +158,23 @@ def seir_step_oracle(state, params, net):
         p2[i] = p[i] + h * (pr.sigma[i] * e[i] - pr.gamma[i] * p[i])
         r2[i] = r[i] + h * pr.gamma[i] * p[i]
     return EpidemicState(s=s2, e=e2, p=p2, r=r2)
+
+
+def nonproportional_pair_oracle(ge, gp, nodes):
+    """First pair of (g(e), g(p)) points, node-major then step order, that
+    are not proportional: the scan over all pairs."""
+    points = [(i, k, e, p)
+              for i, e_row, p_row in zip(nodes.tolist(), ge[:, nodes].T.tolist(),
+                                         gp[:, nodes].T.tolist())
+              for k, (e, p) in enumerate(zip(e_row, p_row))]
+    for i3, k3, e3, p3 in points:
+        for i4, k4, e4, p4 in points:
+            lhs = e3 * p4
+            rhs = e4 * p3
+            scale = max(1.0, abs(lhs), abs(rhs))
+            if abs(lhs - rhs) > NONZERO_TOL * scale:
+                return {"i3": i3, "k3": k3, "i4": i4, "k4": k4, "lhs": lhs, "rhs": rhs}
+    return None
 
 
 def brute_force_strongly_connected(m):

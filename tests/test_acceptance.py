@@ -17,12 +17,9 @@ from netepi import (EpidemicState, Network, SeirParams, SirParams,
                     build_spreading_matrix, convergence_diagnostics,
                     dominant_eigenvalue, simulate, step)
 from netepi.dynamics import Trajectory
-from netepi.estimation import (NoiseModel, apply_noise,
-                               build_regression_seir,
-                               build_regression_sir_homog,
-                               check_identifiability_seir,
-                               check_identifiability_sir_homog,
-                               estimate_pipeline, solve_least_squares)
+from netepi.estimation import (NoiseModel, apply_noise, build_regression,
+                               check_identifiability, estimate_pipeline,
+                               solve_least_squares)
 
 from conftest import (charpoly_spectral_radius, fabricated_seir,
                       random_irreducible_network, random_layered_seir,
@@ -201,7 +198,7 @@ def test_criterion_3_exact_recovery():
     initial = seeded_state(20, "seir", e_seeds=[(1, 0.02), (2, 0.03)],
                            p_seeds=[(1, 0.01)])
     traj = simulate(initial, truth, net, 2)
-    report = estimate_pipeline(traj, net, "seir")
+    report = estimate_pipeline(traj, net)
     seir_ok = (report.verdict.identifiable
                and report.estimates == pytest.approx([0.04, 0.06, 0.4, 0.3],
                                                      rel=1e-8))
@@ -209,7 +206,7 @@ def test_criterion_3_exact_recovery():
     sir_truth = SirParams(beta=0.06, gamma=0.3, h=1.0)
     sir_initial = seeded_state(20, "sir", p_seeds=[(1, 0.01)])
     sir_traj = simulate(sir_initial, sir_truth, net, 1)
-    sir_report = estimate_pipeline(sir_traj, net, "sir")
+    sir_report = estimate_pipeline(sir_traj, net)
     sir_ok = (sir_report.verdict.identifiable
               and sir_report.estimates == pytest.approx([0.06, 0.3],
                                                         rel=1e-8))
@@ -239,7 +236,7 @@ def _noisy_recovery(param_is_std):
     for seed in range(20):
         measured = apply_noise(traj, NoiseModel(seed=seed, start_k=14,
                                                 param_is_std=param_is_std))
-        report = estimate_pipeline(measured, net, "seir")
+        report = estimate_pipeline(measured, net)
         assert report.verdict.identifiable
         estimates.append(report.estimates)
         maes.append(report.trajectory_errors)
@@ -286,16 +283,16 @@ def test_criterion_5_identifiability_iff():
     # degenerate: infectious levels identically zero
     traj = fabricated_seir(e=[[0.1, 0.0], [0.06, 0.0], [0.036, 0.0]],
                            p=[np.zeros(2)] * 3, r=[np.zeros(2)] * 3)
-    verdict = check_identifiability_seir(traj, net)
-    rep = solve_least_squares(build_regression_seir(traj, net))
+    verdict = check_identifiability(traj, net)
+    rep = solve_least_squares(build_regression(traj, net))
     checks.append(("p==0", not verdict.identifiable and rep.rank < 4))
 
     # degenerate: exposed levels identically zero
     traj = fabricated_seir(e=[np.zeros(2)] * 3,
                            p=[[0.1, 0.0], [0.07, 0.0], [0.049, 0.0]],
                            r=[[0.0, 0.0], [0.03, 0.0], [0.051, 0.0]])
-    verdict = check_identifiability_seir(traj, net)
-    rep = solve_least_squares(build_regression_seir(traj, net))
+    verdict = check_identifiability(traj, net)
+    rep = solve_least_squares(build_regression(traj, net))
     checks.append(("e==0", not verdict.identifiable and rep.rank < 4))
 
     # degenerate: one transition only, bilinear condition unsatisfiable
@@ -303,35 +300,35 @@ def test_criterion_5_identifiability_iff():
     initial = EpidemicState(s=np.array([0.95, 1.0]), e=np.array([0.02, 0.0]),
                             p=np.array([0.03, 0.0]), r=np.zeros(2))
     traj = simulate(initial, truth, net, 1)
-    verdict = check_identifiability_seir(traj, net)
-    rep = solve_least_squares(build_regression_seir(traj, net))
+    verdict = check_identifiability(traj, net)
+    rep = solve_least_squares(build_regression(traj, net))
     checks.append(("single-step", not verdict.identifiable and rep.rank < 4))
 
     # degenerate: per-node estimation needs more than one transition
-    verdict = check_identifiability_seir(traj, net, node=0)
-    rep = solve_least_squares(build_regression_seir(traj, net, node=0))
+    verdict = check_identifiability(traj, net, node=0)
+    rep = solve_least_squares(build_regression(traj, net, node=0))
     checks.append(("per-node T=1", not verdict.identifiable and rep.rank < 4))
 
     # degenerate SIR: infection present but no susceptible exposure anywhere
     sir_traj = Trajectory(s=np.zeros((2, 2)), p=[[0.6, 0.5], [0.48, 0.4]],
                           r=[[0.4, 0.5], [0.52, 0.6]], h=1.0)
-    verdict = check_identifiability_sir_homog(sir_traj, net)
-    rep = solve_least_squares(build_regression_sir_homog(sir_traj, net))
+    verdict = check_identifiability(sir_traj, net)
+    rep = solve_least_squares(build_regression(sir_traj, net))
     checks.append(("sir no exposure", not verdict.identifiable
                    and rep.rank < 2))
 
     # witnessed positive: two-node two-step dataset
     traj2 = simulate(initial, truth, net, 2)
-    verdict = check_identifiability_seir(traj2, net)
-    rep = solve_least_squares(build_regression_seir(traj2, net))
+    verdict = check_identifiability(traj2, net)
+    rep = solve_least_squares(build_regression(traj2, net))
     checks.append(("seir witness", verdict.identifiable and rep.rank == 4))
 
     sir_truth = SirParams(beta=0.5, gamma=0.2, h=0.1)
     sir_initial = EpidemicState(s=np.array([0.9, 1.0]),
                                 p=np.array([0.1, 0.0]), r=np.zeros(2))
     sir_pos = simulate(sir_initial, sir_truth, net, 1)
-    verdict = check_identifiability_sir_homog(sir_pos, net)
-    rep = solve_least_squares(build_regression_sir_homog(sir_pos, net))
+    verdict = check_identifiability(sir_pos, net)
+    rep = solve_least_squares(build_regression(sir_pos, net))
     checks.append(("sir witness", verdict.identifiable and rep.rank == 2))
 
     failed = [name for name, ok in checks if not ok]
@@ -424,7 +421,7 @@ def test_criterion_7_hand_goldens():
                    and nxt.r == pytest.approx([0.009, 0.0], abs=1e-15)))
 
     traj = simulate(sir_state, sir_params, net, 1)
-    sys = build_regression_sir_homog(traj, net)
+    sys = build_regression(traj, net)
     # rows: phi_0, phi_1, gamma_0, gamma_1 with g = s * (A p), h folded in
     q_expected = np.array([[0.1 * 0.9 * 0.0, -0.1 * 0.1],
                            [0.1 * 1.0 * 0.1, -0.1 * 0.0],

@@ -44,6 +44,13 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def error_line(capsys) -> str:
+    """The one stderr line of a refused run."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
+
+
 class TestSimulate:
     def test_reference_scenario(self, tmp_path):
         sc = write_scenario(tmp_path, steps=30)
@@ -69,6 +76,15 @@ class TestSimulate:
         sc.write_text(json.dumps(data))
         assert run("simulate", "--scenario", sc, "--out", tmp_path / "out") == 1
         assert "assumption violation" in capsys.readouterr().err
+
+    def test_nan_level_rejected(self, tmp_path, capsys):
+        sc = write_scenario(tmp_path)
+        data = json.loads(sc.read_text())
+        data["initial"]["seeds"]["e"]["1"] = float("nan")
+        sc.write_text(json.dumps(data))
+        assert run("simulate", "--scenario", sc, "--out", tmp_path / "out") == 1
+        assert "NaN" in error_line(capsys)
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
 
     def test_missing_network_file(self, tmp_path):
         sc = write_scenario(tmp_path)
@@ -154,6 +170,33 @@ class TestDiagnose:
                    "--trajectory", tmp_path / "bad.csv") == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "node ids" in err[0]
+
+    @pytest.mark.parametrize("row,replaced,message", [
+        ("0,0,0.5,,0.5,0", 0, "duplicate"),  # a second row for step 0, node 0
+        ("0,1,nan,,0,0", 1, "finite"),
+    ])
+    def test_malformed_rows_rejected(self, tmp_path, capsys, row, replaced, message):
+        sc = write_scenario(tmp_path, model="sir")
+        rows = ["k,node,s,e,p,r"] + [f"{k},{node},1,,0,0" for k in range(2) for node in range(20)]
+        rows[2:2 + replaced] = [row]
+        (tmp_path / "bad.csv").write_text("\n".join(rows) + "\n")
+        assert run("diagnose", "--scenario", sc, "--out", tmp_path / "diag",
+                   "--trajectory", tmp_path / "bad.csv") == 1
+        assert message in error_line(capsys)
+
+    def test_power_iteration_failure(self, tmp_path, capsys):
+        # no edges: the spreading matrix is diag(1 - h*gamma), whose two
+        # nearly equal eigenvalues stall power iteration
+        (tmp_path / "empty.csv").write_text("")
+        sc = tmp_path / "scenario.json"
+        sc.write_text(json.dumps({
+            "model": "sir", "n": 2, "network": "empty.csv", "steps": 1,
+            "params": {"beta": 0.1, "gamma": [0.3, 0.30000001], "h": 1.0},
+            "initial": {"seeds": {"p": {"0": 0.1}}}}))
+        assert run("simulate", "--scenario", sc, "--out", tmp_path / "out") == 0
+        assert run("diagnose", "--scenario", sc, "--out", tmp_path / "diag",
+                   "--trajectory", tmp_path / "out" / "trajectory.csv") == 1
+        assert "power iteration did not converge" in error_line(capsys)
 
 
 class TestPerturb:
@@ -258,6 +301,14 @@ class TestEstimate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert "transport layers" in err[0]
+
+    def test_model_mismatch_refused(self, tmp_path, capsys):
+        sc = write_scenario(tmp_path, steps=2)
+        run("simulate", "--scenario", sc, "--out", tmp_path / "out")
+        sir = write_scenario(tmp_path, model="sir", steps=2)
+        assert run("estimate", "--scenario", sir, "--out", tmp_path / "est",
+                   "--trajectory", tmp_path / "out" / "trajectory.csv") == 1
+        assert "'sir' does not match" in error_line(capsys)
 
 
 class TestParser:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netepi import (EpidemicState, Network, SeirParams, SirParams,
-                    check_assumption_seir, check_assumption_sir, simulate, step,
+                    check_assumption, simulate, step,
                     trajectory_from_csv, trajectory_to_csv)
 from netepi.dynamics import AssumptionError, StateInvariantError, Trajectory
 
@@ -15,33 +15,33 @@ from conftest import (random_irreducible_network, random_seir_params,
 
 class TestAssumptionChecks:
     def test_sir_well_posed(self, two_node_net):
-        report = check_assumption_sir(SirParams(beta=0.5, gamma=0.2, h=0.1),
-                                      two_node_net)
+        report = check_assumption(SirParams(beta=0.5, gamma=0.2, h=0.1),
+                                  two_node_net)
         assert report.ok
 
     def test_sir_gamma_boundary(self, two_node_net):
-        report = check_assumption_sir(SirParams(beta=0.1, gamma=1.0, h=1.0),
-                                      two_node_net)
+        report = check_assumption(SirParams(beta=0.1, gamma=1.0, h=1.0),
+                                  two_node_net)
         assert not report.ok
         assert any(v.label == "h*gamma" for v in report.violations)
 
     def test_sir_transmission_boundary(self, two_node_net):
-        report = check_assumption_sir(SirParams(beta=1.0, gamma=0.2, h=1.0),
-                                      two_node_net)
+        report = check_assumption(SirParams(beta=1.0, gamma=0.2, h=1.0),
+                                  two_node_net)
         nodes = {v.node for v in report.violations if v.label == "h*beta*row_sum"}
         assert nodes == {0, 1}
 
     def test_seir_well_posed(self, two_node_net):
         params = SeirParams(beta_e=0.04, beta=0.06, sigma=0.4, gamma=0.3, h=1.0)
-        assert check_assumption_seir(params, two_node_net).ok
+        assert check_assumption(params, two_node_net).ok
 
     def test_seir_sigma_equality_permitted(self, two_node_net):
         params = SeirParams(beta_e=0.04, beta=0.06, sigma=1.0, gamma=0.3, h=1.0)
-        assert check_assumption_seir(params, two_node_net).ok
+        assert check_assumption(params, two_node_net).ok
 
     def test_seir_sigma_exceeded(self, two_node_net):
         params = SeirParams(beta_e=0.04, beta=0.06, sigma=1.5, gamma=0.3, h=1.0)
-        report = check_assumption_seir(params, two_node_net)
+        report = check_assumption(params, two_node_net)
         assert any(v.label == "h*sigma" and v.value == 1.5 for v in report.violations)
 
     def test_multilayer_bound_extends_over_layers(self, two_node_net):
@@ -50,9 +50,9 @@ class TestAssumptionChecks:
         params = SeirParams(beta_e=0.3, beta=0.3, sigma=0.4, gamma=0.3, h=1.0,
                             layer_beta_e=(np.full(2, 0.3),),
                             layer_beta=(np.full(2, 0.3),))
-        assert not check_assumption_seir(params, layered).ok
+        assert not check_assumption(params, layered).ok
         base_only = SeirParams(beta_e=0.3, beta=0.3, sigma=0.4, gamma=0.3, h=1.0)
-        assert check_assumption_seir(base_only, two_node_net).ok
+        assert check_assumption(base_only, two_node_net).ok
 
 
 class TestSirStep:
@@ -200,7 +200,7 @@ class TestSeirMultilayer:
         with pytest.raises(ValueError, match="transport layers"):
             simulate(state, params, layered, 0, strict=False)
         with pytest.raises(ValueError, match="transport layers"):
-            check_assumption_sir(params, layered)
+            check_assumption(params, layered)
 
 
 class TestSimulate:
@@ -240,6 +240,16 @@ class TestSimulate:
         net, _, state = sir_example
         with pytest.raises(AssumptionError):
             simulate(state, SirParams(beta=0.5, gamma=2.0, h=1.0), net, 5)
+
+    def test_nan_level_rejected(self, seir_example):
+        net, params, state = seir_example
+        e = state.e.copy()
+        e[1] = np.nan
+        bad = EpidemicState(s=1.0 - e - state.p - state.r, e=e, p=state.p, r=state.r)
+        with pytest.raises(StateInvariantError):
+            bad.validate()
+        with pytest.raises(StateInvariantError):
+            simulate(bad, params, net, 2)
 
     def test_params_state_kind_mismatch(self, sir_example, seir_example):
         net, sir_params, sir_state = sir_example

@@ -44,12 +44,6 @@ class TestLoadNetwork:
         with pytest.raises(NetworkError):
             load_network("0,1", 2)
 
-    def test_node_labels(self):
-        net = load_network("0,1,1.0", 2, node_labels=["a", "b"])
-        assert net.node_labels == ("a", "b")
-        with pytest.raises(NetworkError):
-            load_network("0,1,1.0", 2, node_labels=["a"])
-
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(7)
         a = np.where(rng.random((5, 5)) < 0.4, rng.random((5, 5)), 0.0)
