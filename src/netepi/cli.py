@@ -51,22 +51,41 @@ class ScenarioError(ValueError):
     pass
 
 
-def _resolve(value, base: Path, n: int) -> np.ndarray:
+def _require(mapping, key: str, where: str):
+    if not isinstance(mapping, dict):
+        raise ScenarioError(f"{where} must be a JSON object")
+    if key not in mapping:
+        raise ScenarioError(f"{where} missing {key!r}")
+    return mapping[key]
+
+
+def _finite(name: str, value):
+    if not np.all(np.isfinite(value)):
+        raise ScenarioError(f"{name} is NaN or infinite")
+    return value
+
+
+def _resolve(value, base: Path, n: int, name: str) -> np.ndarray:
     if isinstance(value, str):
         path = base / value
-        return np.array([float(x) for x in path.read_text().split()])
-    return np.asarray(value, dtype=float) if isinstance(value, list) else np.full(n, float(value))
+        arr = np.array([float(x) for x in path.read_text().split()])
+    else:
+        arr = np.asarray(value, dtype=float) if isinstance(value, list) else np.full(n, float(value))
+    return _finite(f"parameter {name!r}", arr)
 
 
 def load_scenario(path: str | Path) -> dict:
+    """Read and check a scenario: a missing key, a NaN or infinite parameter or
+    initial level, a seed node outside 0..n-1 or an unknown noise key is a
+    ``ScenarioError`` naming it."""
     path = Path(path)
     sc = json.loads(path.read_text())
     base = path.parent
-    model = sc.get("model")
+    model = _require(sc, "model", "scenario")
     if model not in ("sir", "seir"):
         raise ScenarioError("scenario 'model' must be 'sir' or 'seir'")
-    n = int(sc["n"])
-    net_path = base / sc["network"]
+    n = int(_require(sc, "n", "scenario"))
+    net_path = base / _require(sc, "network", "scenario")
     if not net_path.exists():
         raise ScenarioError(f"network file not found: {net_path}")
     with open(net_path) as fh:
@@ -79,35 +98,32 @@ def load_scenario(path: str | Path) -> dict:
         net = graph.load_network(fh, n)
         if layers:
             net = graph.Network(net.adjacency, layers=tuple(layers))
-    p = sc["params"]
-    h = float(p.get("h", 1.0))
+    p = _require(sc, "params", "scenario")
+    needed = ("beta", "gamma") if model == "sir" else ("beta_e", "beta", "sigma", "gamma")
+    rates = {k: _resolve(_require(p, k, "params"), base, n, k) for k in needed}
+    h = _finite("parameter 'h'", float(p.get("h", 1.0)))
     if model == "sir":
-        params = dynamics.SirParams(beta=_resolve(p["beta"], base, n),
-                                    gamma=_resolve(p["gamma"], base, n), h=h)
+        params = dynamics.SirParams(**rates, h=h)
     else:
-        params = dynamics.SeirParams(
-            beta_e=_resolve(p["beta_e"], base, n),
-            beta=_resolve(p["beta"], base, n),
-            sigma=_resolve(p["sigma"], base, n),
-            gamma=_resolve(p["gamma"], base, n), h=h,
-            layer_beta_e=tuple(_resolve(v, base, n) for v in p.get("layer_beta_e", [])),
-            layer_beta=tuple(_resolve(v, base, n) for v in p.get("layer_beta", [])),
-        )
+        layer_rates = {k: tuple(_resolve(v, base, n, k) for v in p.get(k, []))
+                       for k in ("layer_beta_e", "layer_beta")}
+        params = dynamics.SeirParams(**rates, h=h, **layer_rates)
     initial = _build_initial(sc.get("initial", {}), model, n)
     noise = None
     if "noise" in sc:
         nz = dict(sc["noise"])
         nz.setdefault("seed", sc.get("seed", 0))
+        unknown = set(nz) - {f.name for f in dataclasses.fields(estimation.NoiseModel)}
+        if unknown:
+            raise ScenarioError(f"noise has unknown keys {sorted(unknown)}")
         noise = estimation.NoiseModel(**nz)
     return {
         "model": model,
-        "n": n,
         "net": net,
         "params": params,
         "initial": initial,
         "steps": int(sc.get("steps", 0)),
         "noise": noise,
-        "seed": int(sc.get("seed", 0)),
     }
 
 
@@ -119,13 +135,14 @@ def _build_initial(spec: dict, model: str, n: int) -> dynamics.EpidemicState:
             if comp not in vals:
                 raise ScenarioError(f"cannot seed compartment {comp!r} for model {model}")
             for node, level in seeds.items():
-                vals[comp][int(node)] = float(level)
+                if not 0 <= int(node) < n:
+                    raise ScenarioError(f"seed node {node} out of range for n={n}")
+                vals[comp][int(node)] = _finite(f"initial {comp!r} level", float(level))
         s = 1.0 - sum(vals.values())
         return dynamics.EpidemicState(s=s, **{c: vals[c] for c in vals})
-    try:
-        arrays = {c: np.asarray(spec[c], dtype=float) for c in comps}
-    except KeyError as exc:
-        raise ScenarioError(f"initial state missing compartment {exc}") from exc
+    arrays = {c: np.asarray(_require(spec, c, "initial state"), dtype=float) for c in comps}
+    for c, arr in arrays.items():
+        _finite(f"initial {c!r}", arr)
     e = arrays.pop("e", None)
     return dynamics.EpidemicState(e=e, **arrays)
 

@@ -117,7 +117,7 @@ def _nodes(net: Network, node: int | None) -> np.ndarray:
     if node is None:
         return np.arange(net.n)
     if not (0 <= node < net.n):
-        raise IndexError("node index out of range")
+        raise ValueError(f"node {node} out of range for n={net.n}")
     return np.array([node])
 
 

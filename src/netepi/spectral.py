@@ -42,6 +42,7 @@ MONOTONE_TOL = 1e-10
 # POWER_RTOL, and fails after POWER_MAX_ITER iterations
 POWER_RTOL = 1e-12
 POWER_MAX_ITER = 100_000
+STACK_ENTRIES = 2 ** 22  # most matrix entries (32 MB) solved in one stack
 
 
 class PowerIterationError(RuntimeError):
@@ -83,54 +84,52 @@ def build_spreading_matrix(state: EpidemicState, params, net: Network) -> Spread
     return SpreadingMatrix(m=np.vstack([top, bot]))
 
 
-def dominant_eigenvalue(m: np.ndarray, v0: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Spectral radius and a nonnegative left eigenvector (unit 1-norm).
+def dominant_eigenvalue(m: np.ndarray) -> tuple:
+    """Spectral radius and a nonnegative left eigenvector (unit 1-norm) of a
+    matrix, or of each matrix in a ``(B, N, N)`` stack (then ``(B,)``, ``(B, N)``).
 
-    Power iteration runs on the transpose of ``m + eps*I``; the small diagonal
-    shift keeps the Perron value (subtracted before returning) while breaking
-    the period-2 oscillation of patterns like permutation matrices. ``v0``
-    warm-starts the iteration, which pays off when scanning a trajectory whose
-    matrices change slowly.
-    """
+    Power iteration runs on the whole stack as ``w @ m + eps*w``, each matrix
+    stopping at its own convergence; the shift (subtracted before returning)
+    breaks the period-2 oscillation of patterns like permutation matrices."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if np.any(m < 0):
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or not m.size:
+        raise ValueError("matrix must be square and nonempty, or a stack of them")
+    if not np.all(m >= 0):  # written so that NaN fails too
         raise ValueError("matrix must be nonnegative")
-    n = m.shape[0]
+    ms = m if m.ndim == 3 else m[None]  # shrinks to the unconverged ones, m[todo]
+    b, n = ms.shape[:2]
     eps = 1e-8
-    mt = m.T + eps * np.eye(n)
-    if v0 is None:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = np.asarray(v0, dtype=float).clip(min=0)
-        tot = w.sum()
-        w = np.full(n, 1.0 / n) if tot <= 0 else w / tot
-    lam = 0.0
+    lam, vec, todo = np.empty(b), np.empty((b, n)), np.arange(b)
+    w = np.full((b, 1, n), 1.0 / n)
     for _ in range(POWER_MAX_ITER):
-        nxt = mt @ w
-        norm = nxt.sum()  # 1-norm: all entries nonnegative
-        if norm == 0.0:
-            return 0.0, w
+        nxt = w @ ms + eps * w
+        norm = nxt.sum(axis=2, keepdims=True)  # 1-norm (entries are >= 0), at least eps
         w_new = nxt / norm
-        delta = np.abs(w_new - w).sum()
-        lam = norm
+        delta = np.abs(w_new - w).sum(axis=(1, 2))
         w = w_new
-        if delta <= POWER_RTOL:
-            return lam - eps, w
-    residual = float(np.abs(mt @ w - lam * w).sum())
-    raise PowerIterationError("power iteration did not converge", residual)
+        done = delta <= POWER_RTOL
+        if done.any():
+            lam[todo[done]], vec[todo[done]] = norm[done, 0, 0] - eps, w[done, 0]
+            todo, ms, w = todo[~done], ms[~done], w[~done]
+            if not todo.size:
+                return (lam, vec) if m.ndim == 3 else (lam[0], vec[0])
+    residual = (norm[:, 0, 0] * delta)[~done].max()  # 1-norm of w @ m + eps*w - norm*w
+    raise PowerIterationError("power iteration did not converge", float(residual))
 
 
 def convergence_diagnostics(traj: Trajectory, params, net: Network) -> ConvergenceReport:
-    """Per-step dominant eigenvalues and decay diagnostics for a simulated run."""
+    """Per-step dominant eigenvalues and decay diagnostics for a simulated run,
+    solved in stacks of at most STACK_ENTRIES entries (or one matrix) to bound memory."""
     if len(traj) < 2:
         raise ValueError("trajectory too short for diagnostics (< 2 states)")
+    dim = net.n if isinstance(params, SirParams) else 2 * net.n
+    chunk = max(1, STACK_ENTRIES // dim ** 2)
     lambdas = np.empty(len(traj))
-    w = None
-    for k in range(len(traj)):
-        sm = build_spreading_matrix(traj.states[k], params, net)
-        lambdas[k], w = dominant_eigenvalue(sm.m, v0=w)
+    for i in range(0, len(traj), chunk):
+        ms = [build_spreading_matrix(st, params, net).m for st in traj.states[i:i + chunk]]
+        # a lone matrix goes as a view (copying 4000x4000 costs ~5% of its solve)
+        lambdas[i:i + chunk] = dominant_eigenvalue(np.stack(ms) if chunk > 1 else ms[0][None])[0]
+        del ms  # freed before the next chunk is built, which bounds peak memory
     below = np.flatnonzero(lambdas < 1.0)
     k_bar = int(below[0]) if below.size else None
     monotone = bool(np.all(np.diff(lambdas) <= MONOTONE_TOL))

@@ -1,7 +1,9 @@
-"""The public API, pinned: a removed name left behind, or a per-model twin
-added back, fails here."""
+"""The public API, pinned: a removed name left behind, a per-model twin
+added back, or a new option, fails here."""
 
+import ast
 import types
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,15 @@ PACKAGE = {
     "apply_noise", "estimate_pipeline",
 }
 
+# every parameter with a default, over every function and method in the package
+OPTIONS = {
+    "cli.common(with_traj)", "cli.main(argv)",
+    "dynamics.validate(tol)", "dynamics.step(strict)", "dynamics.simulate(strict)",
+    "dynamics.trajectory_from_csv(h)",
+    "estimation.check_identifiability(node)", "estimation.build_regression(node)",
+    "estimation.solve_least_squares(verdict)", "estimation.estimate_pipeline(node)",
+}
+
 
 @pytest.mark.parametrize("module", list(ALL), ids=lambda m: m.__name__)
 def test_module_all(module):
@@ -51,3 +62,16 @@ def test_package_exports():
     for name in PACKAGE:
         assert getattr(netepi, name) is getattr(
             next(m for m in ALL if name in m.__all__), name)
+
+
+def test_no_new_options():
+    found = set()
+    for path in Path(netepi.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                named = positional[len(positional) - len(args.defaults):]
+                named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                found |= {f"{path.stem}.{node.name}({a.arg})" for a in named}
+    assert found == OPTIONS

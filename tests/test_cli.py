@@ -302,6 +302,14 @@ class TestEstimate:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "transport layers" in err[0]
 
+    @pytest.mark.parametrize("node", [99, -1])
+    def test_node_out_of_range(self, tmp_path, capsys, node):
+        sc = write_scenario(tmp_path, steps=2)
+        run("simulate", "--scenario", sc, "--out", tmp_path / "out")
+        assert run("estimate", "--scenario", sc, "--out", tmp_path / "est",
+                   "--trajectory", tmp_path / "out" / "trajectory.csv", "--node", node) == 1
+        assert f"node {node} out of range" in error_line(capsys)
+
     def test_model_mismatch_refused(self, tmp_path, capsys):
         sc = write_scenario(tmp_path, steps=2)
         run("simulate", "--scenario", sc, "--out", tmp_path / "out")
@@ -355,6 +363,41 @@ class TestScenarioParsing:
         data["params"]["gamma"] = "gamma.txt"
         sc.write_text(json.dumps(data))
         assert run("simulate", "--scenario", sc, "--out", tmp_path / "out") == 0
+
+    @pytest.mark.parametrize("model,edit,message", [
+        ("seir", lambda d: d.pop("n"), "missing 'n'"),
+        ("seir", lambda d: d.pop("network"), "missing 'network'"),
+        ("seir", lambda d: d.pop("params"), "missing 'params'"),
+        ("seir", lambda d: d["params"].pop("sigma"), "params missing 'sigma'"),
+        ("sir", lambda d: d["params"].pop("gamma"), "params missing 'gamma'"),
+        ("seir", lambda d: d["params"].update(beta=float("nan")), "'beta' is NaN or infinite"),
+        ("sir", lambda d: d["params"].update(gamma=[0.3] * 19 + [float("inf")]),
+         "'gamma' is NaN or infinite"),
+        ("seir", lambda d: d["params"].update(h=float("nan")), "'h' is NaN or infinite"),
+        ("seir", lambda d: d["initial"]["seeds"]["e"].update({"1": float("nan")}),
+         "initial 'e' level is NaN or infinite"),
+        ("seir", lambda d: d["initial"]["seeds"]["p"].update({"20": 0.01}),
+         "seed node 20 out of range"),
+        ("sir", lambda d: d.update(initial={"s": [1.0] * 20, "p": [float("nan")] * 20,
+                                            "r": [0.0] * 20}), "initial 'p' is NaN or infinite"),
+        ("sir", lambda d: d.update(initial={"s": [1.0] * 20, "p": [0.0] * 20}),
+         "initial state missing 'r'"),
+        ("seir", lambda d: d.update(noise={"e_slop": 0.01}), "unknown keys ['e_slop']"),
+    ], ids=["n", "network", "params", "sigma", "gamma", "nan_beta", "inf_gamma", "nan_h",
+            "nan_seed", "seed_node", "nan_initial", "initial_r", "noise_key"])
+    def test_invalid_scenario_refused(self, tmp_path, capsys, model, edit, message):
+        sc = write_scenario(tmp_path, model=model, steps=3)
+        assert run("simulate", "--scenario", sc, "--out", tmp_path / "out") == 0
+        data = json.loads(sc.read_text())
+        edit(data)
+        sc.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run("simulate", "--no-strict", "--scenario", sc, "--out", tmp_path / "bad") == 1
+        assert message in error_line(capsys)
+        assert not (tmp_path / "bad" / "trajectory.csv").exists()
+        assert run("diagnose", "--scenario", sc, "--out", tmp_path / "diag",
+                   "--trajectory", tmp_path / "out" / "trajectory.csv") == 1
+        assert message in error_line(capsys)
 
     def test_bad_model_rejected(self, tmp_path):
         sc = write_scenario(tmp_path)

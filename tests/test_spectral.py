@@ -3,9 +3,9 @@ import pytest
 
 from netepi import (EpidemicState, Network, SeirParams, SirParams,
                     build_spreading_matrix, convergence_diagnostics,
-                    dominant_eigenvalue, simulate, step)
+                    dominant_eigenvalue, simulate, spectral, step)
 from netepi.dynamics import Trajectory
-from netepi.spectral import report_to_csv, report_to_json
+from netepi.spectral import PowerIterationError, report_to_csv, report_to_json
 
 from conftest import (charpoly_spectral_radius, random_irreducible_network,
                       random_layered_seir, random_seir_params,
@@ -93,6 +93,10 @@ class TestDominantEigenvalue:
         with pytest.raises(ValueError):
             dominant_eigenvalue(np.array([[0.0, -1.0], [1.0, 0.0]]))
 
+    def test_rejects_nan_entry(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            dominant_eigenvalue(np.array([[0.5, np.nan], [0.1, 0.5]]))
+
     def test_matches_charpoly_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
@@ -117,6 +121,63 @@ class TestDominantEigenvalue:
             bumped[rng.integers(n), rng.integers(n)] += rng.uniform(0.1, 1.0)
             val2, _ = dominant_eigenvalue(bumped)
             assert val2 >= val - 1e-10
+
+
+class TestStackedSolve:
+    def test_stack_agrees_with_single_and_eigvals(self):
+        rng = np.random.default_rng(41)
+        for n in (2, 3, 7, 12):
+            # sparse but primitive: a ring keeps each irreducible, a positive
+            # diagonal keeps it aperiodic
+            stack = rng.random((9, n, n)) * (rng.random((9, n, n)) < 0.4) + 0.1 * np.eye(n)
+            stack[:, np.arange(n), (np.arange(n) + 1) % n] += 0.5
+            stack[0] = np.eye(n)[rng.permutation(n)]
+            stack[1] = 0.0
+            vals, vecs = dominant_eigenvalue(stack)
+            assert vals.shape == (9,) and vecs.shape == (9, n)
+            for m, val, vec in zip(stack, vals, vecs):
+                alone, alone_vec = dominant_eigenvalue(m)
+                assert abs(val - alone) <= 1e-12
+                assert np.abs(vec - alone_vec).max() <= 1e-12
+                assert abs(val - np.abs(np.linalg.eigvals(m)).max()) <= 1e-10
+
+    def test_mixed_convergence_keeps_each_value(self):
+        # a rank-one matrix converges at once; nearly equal diagonal entries
+        # with a weak coupling take thousands of iterations
+        fast = np.full((3, 3), 0.2)
+        slow = np.array([[0.7, 1e-4, 0.0], [0.0, 0.699, 0.0], [0.0, 0.0, 0.3]])
+        vals, _ = dominant_eigenvalue(np.stack([slow, fast, slow.T, fast * 2]))
+        for m, val in zip([slow, fast, slow.T, fast * 2], vals):
+            assert abs(val - dominant_eigenvalue(m)[0]) <= 1e-12
+            assert abs(val - np.abs(np.linalg.eigvals(m)).max()) <= 1e-10
+
+    def test_stalled_matrix_fails_the_stack(self):
+        stalled = np.diag([0.7, 0.69999999])
+        with pytest.raises(PowerIterationError, match="did not converge"):
+            dominant_eigenvalue(np.stack([np.full((2, 2), 0.4), stalled]))
+
+    @pytest.mark.parametrize("per_stack,sizes", [(1, [1] * 40), (7, [7] * 5 + [5])])
+    def test_chunked_trajectory_matches_one_stack(self, monkeypatch, per_stack, sizes):
+        rng = np.random.default_rng(5)
+        net = random_irreducible_network(rng, 3)
+        params = random_seir_params(rng, net)
+        initial = seeded_state(3, "seir", e_seeds=[(0, 0.05)], p_seeds=[(1, 0.02)])
+        traj = simulate(initial, params, net, 39)
+        calls = []
+
+        def counted(m):
+            calls.append(len(m))
+            return dominant_eigenvalue(m)
+
+        monkeypatch.setattr(spectral, "dominant_eigenvalue", counted)
+        whole = convergence_diagnostics(traj, params, net)
+        assert calls == [40]
+        calls.clear()
+        monkeypatch.setattr(spectral, "STACK_ENTRIES", 36 * per_stack)  # 6x6 matrices
+        chunked = convergence_diagnostics(traj, params, net)
+        assert calls == sizes
+        assert np.abs(chunked.lambda_seq - whole.lambda_seq).max() <= 1e-12
+        assert chunked.k_bar == whole.k_bar and chunked.monotone == whole.monotone
 
 
 class TestConvergenceDiagnostics:
