@@ -51,10 +51,14 @@ class ScenarioError(ValueError):
     pass
 
 
-def _require(mapping, key: str, where: str):
-    if not isinstance(mapping, dict):
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
         raise ScenarioError(f"{where} must be a JSON object")
-    if key not in mapping:
+    return value
+
+
+def _require(mapping, key: str, where: str):
+    if key not in _object(mapping, where):
         raise ScenarioError(f"{where} missing {key!r}")
     return mapping[key]
 
@@ -75,7 +79,8 @@ def _resolve(value, base: Path, n: int, name: str) -> np.ndarray:
 
 
 def load_scenario(path: str | Path) -> dict:
-    """Read and check a scenario: a missing key, a NaN or infinite parameter or
+    """Read and check a scenario: a missing key, an "initial", "seeds" or
+    "noise" value that is not a JSON object, a NaN or infinite parameter or
     initial level, a seed node outside 0..n-1 or an unknown noise key is a
     ``ScenarioError`` naming it."""
     path = Path(path)
@@ -108,10 +113,10 @@ def load_scenario(path: str | Path) -> dict:
         layer_rates = {k: tuple(_resolve(v, base, n, k) for v in p.get(k, []))
                        for k in ("layer_beta_e", "layer_beta")}
         params = dynamics.SeirParams(**rates, h=h, **layer_rates)
-    initial = _build_initial(sc.get("initial", {}), model, n)
+    initial = _build_initial(_object(sc.get("initial", {}), "scenario 'initial'"), model, n)
     noise = None
     if "noise" in sc:
-        nz = dict(sc["noise"])
+        nz = dict(_object(sc["noise"], "scenario 'noise'"))
         nz.setdefault("seed", sc.get("seed", 0))
         unknown = set(nz) - {f.name for f in dataclasses.fields(estimation.NoiseModel)}
         if unknown:
@@ -131,10 +136,10 @@ def _build_initial(spec: dict, model: str, n: int) -> dynamics.EpidemicState:
     comps = ("s", "p", "r") if model == "sir" else ("s", "e", "p", "r")
     if "seeds" in spec:
         vals = {c: np.zeros(n) for c in comps if c != "s"}
-        for comp, seeds in spec["seeds"].items():
+        for comp, seeds in _object(spec["seeds"], "initial 'seeds'").items():
             if comp not in vals:
                 raise ScenarioError(f"cannot seed compartment {comp!r} for model {model}")
-            for node, level in seeds.items():
+            for node, level in _object(seeds, f"seeds {comp!r}").items():
                 if not 0 <= int(node) < n:
                     raise ScenarioError(f"seed node {node} out of range for n={n}")
                 vals[comp][int(node)] = _finite(f"initial {comp!r} level", float(level))

@@ -184,10 +184,16 @@ class Trajectory:
 
     @cached_property
     def states(self) -> tuple[EpidemicState, ...]:
-        """Per-step states whose vectors are row views of the arrays."""
-        return tuple(EpidemicState(s=self.s[k], p=self.p[k], r=self.r[k],
-                                   e=None if self.e is None else self.e[k])
-                     for k in range(len(self)))
+        """Per-step states whose vectors are row views of the arrays. The rows
+        are already float, read-only and of one length, so the states are
+        filled in directly, without EpidemicState's conversions and checks."""
+        states = []
+        for s, p, r, e in zip(self.s, self.p, self.r,
+                              [None] * len(self) if self.e is None else self.e):
+            state = object.__new__(EpidemicState)
+            state.__dict__.update(s=s, p=p, r=r, e=e)
+            states.append(state)
+        return tuple(states)
 
 
 @dataclass(frozen=True)
@@ -272,8 +278,9 @@ def check_assumption(params, net: Network) -> AssumptionReport:
                     ("h*(beta_e+beta)*row_sum", hb, (0 <= hb) & (hb < 1), "not in [0, 1)")])
 
 
-def _prepare(params, state: EpidemicState, net: Network) -> tuple:
-    """Check ``params`` against ``state`` and ``net``; resolve them and build their operator."""
+def _prepare(params, state, net: Network) -> tuple:
+    """Check ``params`` against ``state`` (an EpidemicState or a Trajectory)
+    and ``net``; resolve them and build their operator."""
     if not isinstance(params, (SirParams, SeirParams)):
         raise TypeError("params must be SirParams or SeirParams")
     kind = "sir" if isinstance(params, SirParams) else "seir"

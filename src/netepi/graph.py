@@ -7,6 +7,7 @@ node i. Edge-list records ``i,j,weight`` populate ``adjacency[i, j]``, i.e.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -116,10 +117,9 @@ def neighbors(net: Network, i: int) -> set[int]:
 
 
 def is_irreducible(m: np.ndarray) -> bool:
-    """True iff the digraph of nonzero entries is strongly connected.
-
-    Checked by a forward and a transposed reachability sweep from node 0.
-    A 1x1 matrix is irreducible iff its entry is nonzero.
+    """True iff the digraph of nonzero entries is strongly connected, i.e. it
+    is one strongly connected component. A 1x1 matrix is irreducible iff its
+    entry is nonzero.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -129,19 +129,49 @@ def is_irreducible(m: np.ndarray) -> bool:
     n = m.shape[0]
     if n == 1:
         return bool(m[0, 0] > 0)
-    pattern = m > 0
-    return _reaches_all(pattern, 0) and _reaches_all(pattern.T, 0)
+    return bool(_components(n, *np.nonzero(m > 0)).max() == 0)
 
 
-def _reaches_all(pattern: np.ndarray, start: int) -> bool:
-    n = pattern.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        # edge u -> v exists when pattern[v, u]: u influences v
-        for v in np.flatnonzero(pattern[:, u] & ~seen):
-            seen[v] = True
-            stack.append(int(v))
-    return bool(seen.all())
+def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Strongly connected component label (0, 1, ...) of each of the ``n``
+    nodes of the digraph with edges rows[k] -> cols[k], ``rows`` ascending.
+
+    Tarjan's algorithm ("Depth-first search and linear graph algorithms",
+    SIAM J. Comput. 1972) with an explicit stack; the components come out in
+    reverse topological order. Reversing every edge leaves them unchanged.
+    """
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=start[1:])
+    start, succ = start.tolist(), np.asarray(cols).tolist()
+    index, low, label, at = [-1] * n, [0] * n, [-1] * n, [0] * n
+    path, work, count = [], [], 0  # work: the DFS stack of (node, its remaining edges)
+    order = itertools.count()
+
+    def visit(v: int) -> None:
+        index[v] = low[v] = next(order)
+        at[v] = len(path)
+        path.append(v)
+        work.append((v, iter(succ[start[v]:start[v + 1]])))
+
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        visit(root)
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] < 0:  # descend; v's remaining edges resume after w
+                    visit(w)
+                    break
+                if label[w] < 0 and index[w] < low[v]:  # w is on the path
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    for w in path[at[v]:]:
+                        label[w] = count
+                    del path[at[v]:]
+                    count += 1
+    return np.array(label, dtype=np.int64)

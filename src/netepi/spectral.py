@@ -9,21 +9,29 @@ for SEIR it is the 2n x 2n block matrix
 
 acting on (e, p), where Be*A and B*A sum over the base network and the
 transport layers; for SIR it is the n x n matrix I + h*diag(s)*B*A - h*gamma
-acting on p alone. Its dominant eigenvalue
-drops below 1 once enough susceptibles are depleted, after which the
-infection decays geometrically.
+acting on p alone. Its dominant eigenvalue drops below 1 once enough
+susceptibles are depleted, after which the infection decays geometrically.
+
+``build_spreading_matrix`` forms the matrix for one state.
+``convergence_diagnostics`` never does: it runs power iteration on all the
+states of a trajectory at once through the matrices' left action, computed
+from s, the rates and the adjacency, so its memory is the (T+1) x 2n
+iterates (SEIR; (T+1) x n for SIR) besides the adjacency. A reducible
+matrix is solved per strongly connected block of its off-diagonal pattern;
+its Perron root is the largest of the blocks' roots.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .dynamics import (EpidemicState, SirParams, Trajectory, _prepare,
                        _pressure_jacobian)
-from .graph import Network
+from .graph import Network, _components
 
 __all__ = [
     "SpreadingMatrix",
@@ -42,7 +50,9 @@ MONOTONE_TOL = 1e-10
 # POWER_RTOL, and fails after POWER_MAX_ITER iterations
 POWER_RTOL = 1e-12
 POWER_MAX_ITER = 100_000
-STACK_ENTRIES = 2 ** 22  # most matrix entries (32 MB) solved in one stack
+# the iteration runs on M + SHIFT*I, which breaks the period-2 oscillation
+# of patterns like permutation matrices; the roots are shifted back
+SHIFT = 1e-8
 
 
 class PowerIterationError(RuntimeError):
@@ -86,50 +96,135 @@ def build_spreading_matrix(state: EpidemicState, params, net: Network) -> Spread
 
 def dominant_eigenvalue(m: np.ndarray) -> tuple:
     """Spectral radius and a nonnegative left eigenvector (unit 1-norm) of a
-    matrix, or of each matrix in a ``(B, N, N)`` stack (then ``(B,)``, ``(B, N)``).
-
-    Power iteration runs on the whole stack as ``w @ m + eps*w``, each matrix
-    stopping at its own convergence; the shift (subtracted before returning)
-    breaks the period-2 oscillation of patterns like permutation matrices."""
+    matrix, or of each matrix in a ``(B, N, N)`` stack (then ``(B,)``, ``(B, N)``),
+    by power iteration on the whole stack, each matrix stopping at its own
+    convergence."""
     m = np.asarray(m, dtype=float)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or not m.size:
         raise ValueError("matrix must be square and nonempty, or a stack of them")
     if not np.all(m >= 0):  # written so that NaN fails too
         raise ValueError("matrix must be nonnegative")
-    ms = m if m.ndim == 3 else m[None]  # shrinks to the unconverged ones, m[todo]
-    b, n = ms.shape[:2]
-    eps = 1e-8
-    lam, vec, todo = np.empty(b), np.empty((b, n)), np.arange(b)
-    w = np.full((b, 1, n), 1.0 / n)
+    lam, vec = _power_iteration(_dense_action, (m if m.ndim == 3 else m[None],), m.shape[-1])
+    return (lam, vec) if m.ndim == 3 else (lam[0], vec[0])
+
+
+def _dense_action(w: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    return (w[:, None, :] @ ms)[:, 0] + SHIFT * w
+
+
+def _power_iteration(apply, data: tuple, size: int) -> tuple:
+    """Perron roots and left vectors (unit 1-norm) of B nonnegative matrices
+    M of order ``size``, given by the left action of the shifted matrices,
+    ``apply(w, *data) = w M + SHIFT*w``, on the iterates ``w`` (B, size); row i
+    of each ``data`` array belongs to matrix i.
+
+    The iteration runs on all matrices at once; each stops once its iterate
+    moves by at most POWER_RTOL in the 1-norm, and then leaves ``w`` and
+    ``data``, so the arrays shrink only as members converge."""
+    b = len(data[0])
+    lam, vec, todo = np.empty(b), np.empty((b, size)), np.arange(b)
+    w = np.full((b, size), 1.0 / size)
     for _ in range(POWER_MAX_ITER):
-        nxt = w @ ms + eps * w
-        norm = nxt.sum(axis=2, keepdims=True)  # 1-norm (entries are >= 0), at least eps
-        w_new = nxt / norm
-        delta = np.abs(w_new - w).sum(axis=(1, 2))
-        w = w_new
-        done = delta <= POWER_RTOL
-        if done.any():
-            lam[todo[done]], vec[todo[done]] = norm[done, 0, 0] - eps, w[done, 0]
-            todo, ms, w = todo[~done], ms[~done], w[~done]
+        nxt = apply(w, *data)
+        norm = nxt.sum(axis=1, keepdims=True)  # 1-norm (entries are >= 0), at least SHIFT
+        nxt /= norm
+        w -= nxt
+        delta = np.abs(w, out=w).sum(axis=1)
+        w = nxt
+        if delta.min() <= POWER_RTOL:
+            done = delta <= POWER_RTOL
+            lam[todo[done]], vec[todo[done]] = norm[done, 0] - SHIFT, w[done]
+            todo, w = todo[~done], w[~done]
+            data = tuple(d[~done] for d in data)
             if not todo.size:
-                return (lam, vec) if m.ndim == 3 else (lam[0], vec[0])
-    residual = (norm[:, 0, 0] * delta)[~done].max()  # 1-norm of w @ m + eps*w - norm*w
+                return lam, vec
+    # the 1-norm of w M + SHIFT*w - norm*w, over the members still unconverged
+    residual = (norm[:, 0] * delta)[delta > POWER_RTOL].max()
     raise PowerIterationError("power iteration did not converge", float(residual))
 
 
+def _trajectory_roots(traj: Trajectory, params, net: Network) -> np.ndarray:
+    """Perron root of M(s_k) for every step k, without forming any M.
+
+    The left action of all T+1 matrices at once, for iterates w = [u, v]
+    stacked as (T+1, 2n) and x = h*u*s_k (SIR: w = u, no e block), is
+
+        [u, v] M = [u*(1 - h*sigma) + h*sigma*v + sum_l (x*beta_e_l) A_l,
+                    v*(1 - h*gamma)             + sum_l (x*beta_l) A_l]
+
+    with one (c*b, n) @ (n, n) product per layer for the c compartments of
+    the b unconverged rows. A reducible M is solved per strongly connected
+    block of its off-diagonal pattern (taken with s > 0): a singleton block's
+    root is its diagonal entry, and the root of M is the largest."""
+    pr, op = _prepare(params, traj, net)
+    n, h = net.n, pr.h
+    hs = h * traj.s
+    sir = isinstance(pr, SirParams)
+    comps = len(op[0][1])
+    size = comps * n
+    layers = [(a, np.stack(r)) for a, r in op]  # rates as (comps, n)
+    keep = 1 - h * pr.gamma if sir else np.concatenate([1 - h * pr.sigma, 1 - h * pr.gamma])
+    keep_shifted = keep + SHIFT
+    h_sigma = None if sir else h * pr.sigma
+
+    def apply(w, hs_rows):
+        x = (w[:, :n] * hs_rows)[:, None, :]
+        out = None
+        for a, r in layers:
+            y = (x * r).reshape(-1, n) @ a
+            out = y if out is None else out + y
+        out = out.reshape(len(w), size)
+        out += w * keep_shifted
+        if not sir:
+            out[:, :n] += h_sigma * w[:, n:]
+        return out
+
+    diag = np.tile(keep, (len(hs), 1))
+    diag[:, :n] += hs * sum(r[0] * np.diagonal(a) for a, r in layers)
+    # M >= 0 follows from these (each written so that NaN fails too)
+    if not (np.all(hs >= 0) and all(np.all(r >= 0) for _, r in layers)
+            and np.all(diag >= 0) and (sir or np.all(h_sigma >= 0))):
+        raise ValueError("spreading matrix must be nonnegative (h*s, the rates, "
+                         "h*sigma and its diagonal must be >= 0)")
+
+    # the digraph of M's off-diagonal pattern on the nodes (c, i) = c*n + i,
+    # compartment c (e then p; p alone for SIR) of node i: infection edges
+    # (0, i) -> (c, j) where some layer has rates_l[c][i] * A_l[i, j] != 0,
+    # and for SEIR the progression p_i -> e_i where sigma_i != 0
+    pattern = np.zeros((n, comps, n), dtype=bool)
+    for a, r in layers:
+        pattern |= (a != 0)[:, None, :] & (r != 0).T[:, :, None]
+    rows, cols = np.nonzero(pattern.reshape(n, size))
+    if not sir:
+        link = np.flatnonzero(pr.sigma != 0)
+        rows, cols = np.concatenate([rows, link + n]), np.concatenate([cols, link])
+    labels = _components(size, rows, cols)
+    sizes = np.bincount(labels)
+    roots = np.zeros(len(hs))
+    single = sizes[labels] == 1
+    if single.any():
+        roots = diag[:, single].max(axis=1)
+    for block in np.flatnonzero(sizes > 1):
+        idx = np.flatnonzero(labels == block)
+        act = apply if idx.size == size else partial(_restricted, apply, idx, size)
+        roots = np.maximum(roots, _power_iteration(act, (hs,), idx.size)[0])
+    return roots
+
+
+def _restricted(apply, idx: np.ndarray, size: int, w: np.ndarray, *data) -> np.ndarray:
+    """Left action of the diagonal block M[idx, idx], through the full one."""
+    full = np.zeros((len(w), size))
+    full[:, idx] = w
+    return apply(full, *data)[:, idx]
+
+
 def convergence_diagnostics(traj: Trajectory, params, net: Network) -> ConvergenceReport:
-    """Per-step dominant eigenvalues and decay diagnostics for a simulated run,
-    solved in stacks of at most STACK_ENTRIES entries (or one matrix) to bound memory."""
+    """Per-step dominant eigenvalues and decay diagnostics for a simulated run;
+    the eigenvalues come from the left action of the spreading matrices, which
+    are never formed."""
     if len(traj) < 2:
         raise ValueError("trajectory too short for diagnostics (< 2 states)")
-    dim = net.n if isinstance(params, SirParams) else 2 * net.n
-    chunk = max(1, STACK_ENTRIES // dim ** 2)
-    lambdas = np.empty(len(traj))
-    for i in range(0, len(traj), chunk):
-        ms = [build_spreading_matrix(st, params, net).m for st in traj.states[i:i + chunk]]
-        # a lone matrix goes as a view (copying 4000x4000 costs ~5% of its solve)
-        lambdas[i:i + chunk] = dominant_eigenvalue(np.stack(ms) if chunk > 1 else ms[0][None])[0]
-        del ms  # freed before the next chunk is built, which bounds peak memory
+    lambdas = _trajectory_roots(traj, params, net)
     below = np.flatnonzero(lambdas < 1.0)
     k_bar = int(below[0]) if below.size else None
     monotone = bool(np.all(np.diff(lambdas) <= MONOTONE_TOL))

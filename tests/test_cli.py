@@ -185,18 +185,42 @@ class TestDiagnose:
         assert message in error_line(capsys)
 
     def test_power_iteration_failure(self, tmp_path, capsys):
-        # no edges: the spreading matrix is diag(1 - h*gamma), whose two
+        # a weak coupling keeps the network irreducible; the spreading matrix
+        # is then diag(1 - h*gamma) plus ~1e-10 off the diagonal, whose two
         # nearly equal eigenvalues stall power iteration
-        (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "weak.csv").write_text("0,1,1e-9\n1,0,1e-9\n")
         sc = tmp_path / "scenario.json"
         sc.write_text(json.dumps({
-            "model": "sir", "n": 2, "network": "empty.csv", "steps": 1,
+            "model": "sir", "n": 2, "network": "weak.csv", "steps": 1,
             "params": {"beta": 0.1, "gamma": [0.3, 0.30000001], "h": 1.0},
             "initial": {"seeds": {"p": {"0": 0.1}}}}))
         assert run("simulate", "--scenario", sc, "--out", tmp_path / "out") == 0
         assert run("diagnose", "--scenario", sc, "--out", tmp_path / "diag",
                    "--trajectory", tmp_path / "out" / "trajectory.csv") == 1
         assert "power iteration did not converge" in error_line(capsys)
+
+    @pytest.mark.parametrize("edges,gamma,steps", [
+        # a directed chain 0 -> 1 -> 2: M is triangular with equal diagonal
+        # entries, a defective root that power iteration converges to like 1/k
+        ("1,0,1.0\n2,1,1.0\n", 0.2, 20),
+        # no edges: M = diag(1 - h*gamma) with two nearly equal entries
+        ("", [0.3, 0.30000001], 1),
+    ], ids=["chain", "edgeless"])
+    def test_reducible_network(self, tmp_path, edges, gamma, steps):
+        (tmp_path / "net.csv").write_text(edges)
+        n = 3 if edges else 2
+        sc = tmp_path / "scenario.json"
+        sc.write_text(json.dumps({
+            "model": "sir", "n": n, "network": "net.csv", "steps": steps,
+            "params": {"beta": 0.3, "gamma": gamma, "h": 1.0},
+            "initial": {"seeds": {"p": {"0": 0.1}}}}))
+        assert run("simulate", "--scenario", sc, "--out", tmp_path / "out") == 0
+        assert run("diagnose", "--scenario", sc, "--out", tmp_path / "diag",
+                   "--trajectory", tmp_path / "out" / "trajectory.csv") == 0
+        lam = np.loadtxt(tmp_path / "diag" / "lambda.csv", delimiter=",", skiprows=1,
+                         usecols=1)
+        assert lam.shape == (steps + 1,)
+        assert np.all(lam == np.max(1 - np.asarray(gamma)))
 
 
 class TestPerturb:
@@ -383,8 +407,14 @@ class TestScenarioParsing:
         ("sir", lambda d: d.update(initial={"s": [1.0] * 20, "p": [0.0] * 20}),
          "initial state missing 'r'"),
         ("seir", lambda d: d.update(noise={"e_slop": 0.01}), "unknown keys ['e_slop']"),
+        ("sir", lambda d: d["initial"].update(seeds=[1]),
+         "initial 'seeds' must be a JSON object"),
+        ("sir", lambda d: d["initial"]["seeds"].update(p=[1]), "seeds 'p' must be a JSON object"),
+        ("seir", lambda d: d.update(initial=5), "scenario 'initial' must be a JSON object"),
+        ("seir", lambda d: d.update(noise=[1]), "scenario 'noise' must be a JSON object"),
     ], ids=["n", "network", "params", "sigma", "gamma", "nan_beta", "inf_gamma", "nan_h",
-            "nan_seed", "seed_node", "nan_initial", "initial_r", "noise_key"])
+            "nan_seed", "seed_node", "nan_initial", "initial_r", "noise_key", "seeds_list",
+            "seed_levels_list", "initial_number", "noise_list"])
     def test_invalid_scenario_refused(self, tmp_path, capsys, model, edit, message):
         sc = write_scenario(tmp_path, model=model, steps=3)
         assert run("simulate", "--scenario", sc, "--out", tmp_path / "out") == 0

@@ -321,6 +321,22 @@ class TestTrajectoryArrays:
         with pytest.raises(ValueError):
             st.s[0] = 0.5
 
+    @pytest.mark.parametrize("example", ["sir_example", "seir_example"])
+    def test_states_match_constructed_states(self, request, example):
+        net, params, state = request.getfixturevalue(example)
+        traj = simulate(state, params, net, 3)
+        for k, view in enumerate(traj.states):
+            built = EpidemicState(s=traj.s[k], p=traj.p[k], r=traj.r[k],
+                                  e=None if traj.e is None else traj.e[k])
+            assert type(view) is EpidemicState and vars(view).keys() == vars(built).keys()
+            for name in ("s", "p", "r", "e"):
+                mine, theirs = getattr(view, name), getattr(built, name)
+                assert (mine is None) == (theirs is None)
+                if mine is not None:
+                    assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+            assert view.kind == traj.kind and view.n == traj.n
+            view.validate()
+
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
             Trajectory(s=np.ones((2, 3)), p=np.zeros((2, 2)), r=np.zeros((2, 3)), h=1.0)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netepi import Network, is_irreducible, load_network, neighbors, save_network
-from netepi.graph import NetworkError
+from netepi.graph import NetworkError, _components
 
 from conftest import brute_force_strongly_connected
 
@@ -121,3 +121,25 @@ class TestIsIrreducible:
         rng = np.random.default_rng(seed)
         m = np.where(rng.random((n, n)) < 0.35, rng.random((n, n)), 0.0)
         assert is_irreducible(m) == brute_force_strongly_connected(m)
+
+
+class TestComponents:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=2**31))
+    def test_labels_are_mutual_reachability(self, n, seed):
+        rng = np.random.default_rng(seed)
+        pattern = rng.random((n, n)) < rng.uniform(0.05, 0.5)
+        labels = _components(n, *np.nonzero(pattern))
+        reach = np.eye(n, dtype=bool)
+        for _ in range(n):
+            reach |= (reach.astype(int) @ pattern.astype(int)) > 0
+        assert np.array_equal(labels[:, None] == labels[None, :], reach & reach.T)
+        assert np.array_equal(np.unique(labels), np.arange(labels.max() + 1))
+
+    def test_long_path_without_recursion(self):
+        # a 5000-node chain is 5000 singleton components; a 5000-node ring is one
+        n = 5000
+        chain = np.arange(n - 1)
+        assert np.unique(_components(n, chain, chain + 1)).size == n
+        ring = np.arange(n)
+        assert np.all(_components(n, ring, (ring + 1) % n) == 0)

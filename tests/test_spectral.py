@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from netepi import (EpidemicState, Network, SeirParams, SirParams,
 from netepi.dynamics import Trajectory
 from netepi.spectral import PowerIterationError, report_to_csv, report_to_json
 
-from conftest import (charpoly_spectral_radius, random_irreducible_network,
-                      random_layered_seir, random_seir_params,
+from conftest import (charpoly_spectral_radius, fabricated_seir, random_irreducible_network,
+                      random_layered_seir, random_seir_params, random_sir_params,
                       random_simplex_state, seeded_state)
 
 
@@ -156,28 +158,109 @@ class TestStackedSolve:
         with pytest.raises(PowerIterationError, match="did not converge"):
             dominant_eigenvalue(np.stack([np.full((2, 2), 0.4), stalled]))
 
-    @pytest.mark.parametrize("per_stack,sizes", [(1, [1] * 40), (7, [7] * 5 + [5])])
-    def test_chunked_trajectory_matches_one_stack(self, monkeypatch, per_stack, sizes):
-        rng = np.random.default_rng(5)
-        net = random_irreducible_network(rng, 3)
+
+def _dense_roots(traj, params, net):
+    return np.array([dominant_eigenvalue(build_spreading_matrix(st, params, net).m)[0]
+                     for st in traj.states])
+
+
+class TestMatrixFreeSolve:
+    @pytest.mark.parametrize("kind", ["sir", "seir", "layered"])
+    def test_matches_dense_solve_without_building(self, monkeypatch, kind):
+        def refuse(*args):
+            raise AssertionError("convergence_diagnostics built a spreading matrix")
+
+        monkeypatch.setattr(spectral, "build_spreading_matrix", refuse)
+        rng = np.random.default_rng({"sir": 61, "seir": 62, "layered": 63}[kind])
+        for _ in range(5):
+            n = int(rng.integers(2, 10))
+            if kind == "layered":
+                net, params = random_layered_seir(rng, n)
+            else:
+                net = random_irreducible_network(rng, n)
+                params = (random_sir_params if kind == "sir" else random_seir_params)(rng, net)
+            initial = seeded_state(n, "sir" if kind == "sir" else "seir",
+                                   e_seeds=[] if kind == "sir" else [(0, 0.05)],
+                                   p_seeds=[(1 % n, 0.02)])
+            traj = simulate(initial, params, net, 60)
+            lam = convergence_diagnostics(traj, params, net).lambda_seq
+            assert np.abs(lam - _dense_roots(traj, params, net)).max() <= 1e-12
+
+    def test_each_state_stops_at_its_own_convergence(self, monkeypatch):
+        # s falls from 0.95 to 0: fresh states converge in tens of iterations,
+        # while at s = 0 the roots 1 - h*sigma and 1 - h*gamma are 0.02 apart
+        # and take hundreds
+        net = Network(np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]]))
+        params = SeirParams(beta_e=0.2, beta=0.25, sigma=0.3, gamma=0.32, h=1.0)
+        s = np.repeat(np.linspace(0.95, 0.0, 40)[:, None], 3, axis=1)
+        traj = fabricated_seir(np.zeros((40, 3)), np.zeros((40, 3)), 1 - s)
+        rows = []
+        solve = spectral._power_iteration
+
+        def counted(apply, data, size):
+            def recorded(w, *d):
+                rows.append(len(w))
+                return apply(w, *d)
+            return solve(recorded, data, size)
+
+        monkeypatch.setattr(spectral, "_power_iteration", counted)
+        lam = convergence_diagnostics(traj, params, net).lambda_seq
+        assert np.abs(lam - _dense_roots(traj, params, net)).max() <= 1e-12
+        assert rows[0] == 40 and np.all(np.diff(rows) <= 0)
+        # the first states leave within 60 iterations, the last one runs
+        # alone for over half of the 500+
+        assert rows.count(40) < 60 and len(rows) > 500
+        assert rows.index(1) < len(rows) // 2
+
+    def test_reducible_network_matches_eigvals(self):
+        # two strongly connected rings joined by one-way edges, so M is block
+        # triangular; the root is the larger of the two blocks' roots
+        rng = np.random.default_rng(67)
+        for _ in range(10):
+            n = int(rng.integers(2, 6))
+            a = np.zeros((2 * n, 2 * n))
+            a[:n, :n] = random_irreducible_network(rng, n).adjacency
+            a[n:, n:] = random_irreducible_network(rng, n).adjacency
+            a[n:, :n] = (rng.random((n, n)) < 0.3) * rng.random((n, n))
+            net = Network(a)
+            for params in (random_sir_params(rng, net), random_seir_params(rng, net)):
+                kind = "sir" if isinstance(params, SirParams) else "seir"
+                initial = seeded_state(2 * n, kind, p_seeds=[(n + 1, 0.05)])
+                traj = simulate(initial, params, net, 30)
+                lam = convergence_diagnostics(traj, params, net).lambda_seq
+                for st, val in zip(traj.states, lam):
+                    m = build_spreading_matrix(st, params, net).m
+                    assert abs(val - np.abs(np.linalg.eigvals(m)).max()) <= 1e-10
+
+    def test_defective_chain(self):
+        # a directed chain with equal rates: M is triangular with one diagonal
+        # value, a defective root on which plain power iteration stalls
+        net = Network(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        params = SeirParams(beta_e=0.1, beta=0.2, sigma=0.5, gamma=0.5, h=1.0)
+        traj = simulate(seeded_state(3, "seir", p_seeds=[(0, 0.1)]), params, net, 10)
+        assert np.all(convergence_diagnostics(traj, params, net).lambda_seq == 0.5)
+
+    def test_refuses_negative_spreading_matrix(self, sir_example):
+        net, params, state = sir_example
+        traj = simulate(state, params, net, 3)
+        negative = Trajectory(s=-traj.s, p=traj.p, r=traj.r, h=traj.h)
+        with pytest.raises(ValueError, match="nonnegative"):
+            convergence_diagnostics(negative, params, net)
+
+    def test_memory_stays_below_one_dense_matrix(self):
+        n = 1000
+        rng = np.random.default_rng(71)
+        net = random_irreducible_network(rng, n, extra_prob=0.005)
         params = random_seir_params(rng, net)
-        initial = seeded_state(3, "seir", e_seeds=[(0, 0.05)], p_seeds=[(1, 0.02)])
-        traj = simulate(initial, params, net, 39)
-        calls = []
-
-        def counted(m):
-            calls.append(len(m))
-            return dominant_eigenvalue(m)
-
-        monkeypatch.setattr(spectral, "dominant_eigenvalue", counted)
-        whole = convergence_diagnostics(traj, params, net)
-        assert calls == [40]
-        calls.clear()
-        monkeypatch.setattr(spectral, "STACK_ENTRIES", 36 * per_stack)  # 6x6 matrices
-        chunked = convergence_diagnostics(traj, params, net)
-        assert calls == sizes
-        assert np.abs(chunked.lambda_seq - whole.lambda_seq).max() <= 1e-12
-        assert chunked.k_bar == whole.k_bar and chunked.monotone == whole.monotone
+        traj = simulate(seeded_state(n, "seir", e_seeds=[(0, 0.05)], p_seeds=[(1, 0.02)]),
+                        params, net, 2)
+        tracemalloc.start()
+        try:
+            convergence_diagnostics(traj, params, net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (2 * n) ** 2, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestConvergenceDiagnostics:
