@@ -69,34 +69,55 @@ def _finite(name: str, value):
     return value
 
 
+# the JSON type of a scalar key; a bool is an int to Python, not to JSON
+_TYPES = {
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "a boolean": lambda v: isinstance(v, bool),
+    "a list": lambda v: isinstance(v, list),
+}
+
+
+def _typed(value, kind: str, name: str):
+    if not _TYPES[kind](value):
+        raise ScenarioError(f"{name} must be {kind}")
+    return value
+
+
+def _vector(value, n: int, name: str) -> np.ndarray:
+    """A number, repeated n times, or a list of numbers."""
+    if _TYPES["a number"](value):
+        return np.full(n, float(value))
+    if isinstance(value, list) and all(map(_TYPES["a number"], value)):
+        return np.asarray(value, dtype=float)
+    raise ScenarioError(f"{name} must be a number or a list of numbers")
+
+
 def _resolve(value, base: Path, n: int, name: str) -> np.ndarray:
     if isinstance(value, str):
-        path = base / value
-        arr = np.array([float(x) for x in path.read_text().split()])
-    else:
-        arr = np.asarray(value, dtype=float) if isinstance(value, list) else np.full(n, float(value))
-    return _finite(f"parameter {name!r}", arr)
+        value = [float(x) for x in (base / value).read_text().split()]
+    return _finite(f"parameter {name!r}", _vector(value, n, f"parameter {name!r}"))
 
 
 def load_scenario(path: str | Path) -> dict:
-    """Read and check a scenario: a missing key, an "initial", "seeds" or
-    "noise" value that is not a JSON object, a NaN or infinite parameter or
-    initial level, a seed node outside 0..n-1 or an unknown noise key is a
-    ``ScenarioError`` naming it."""
+    """Read and check a scenario: a missing key, a value of the wrong JSON
+    type, a NaN or infinite parameter or initial level, a seed node outside
+    0..n-1 or an unknown noise key is a ``ScenarioError`` naming it."""
     path = Path(path)
     sc = json.loads(path.read_text())
     base = path.parent
     model = _require(sc, "model", "scenario")
     if model not in ("sir", "seir"):
         raise ScenarioError("scenario 'model' must be 'sir' or 'seir'")
-    n = int(_require(sc, "n", "scenario"))
-    net_path = base / _require(sc, "network", "scenario")
+    n = _typed(_require(sc, "n", "scenario"), "an integer", "scenario 'n'")
+    net_path = base / _typed(_require(sc, "network", "scenario"), "a string", "scenario 'network'")
     if not net_path.exists():
         raise ScenarioError(f"network file not found: {net_path}")
     with open(net_path) as fh:
         layers = []
-        for lp in sc.get("layers", []):
-            lpath = base / lp
+        for lp in _typed(sc.get("layers", []), "a list", "scenario 'layers'"):
+            lpath = base / _typed(lp, "a string", "scenario 'layers' entry")
             if not lpath.exists():
                 raise ScenarioError(f"layer file not found: {lpath}")
             layers.append(graph.load_network(lpath.read_text(), n).adjacency)
@@ -106,11 +127,12 @@ def load_scenario(path: str | Path) -> dict:
     p = _require(sc, "params", "scenario")
     needed = ("beta", "gamma") if model == "sir" else ("beta_e", "beta", "sigma", "gamma")
     rates = {k: _resolve(_require(p, k, "params"), base, n, k) for k in needed}
-    h = _finite("parameter 'h'", float(p.get("h", 1.0)))
+    h = float(_finite("parameter 'h'", _typed(p.get("h", 1.0), "a number", "parameter 'h'")))
     if model == "sir":
         params = dynamics.SirParams(**rates, h=h)
     else:
-        layer_rates = {k: tuple(_resolve(v, base, n, k) for v in p.get(k, []))
+        layer_rates = {k: tuple(_resolve(v, base, n, k)
+                                for v in _typed(p.get(k, []), "a list", f"parameter {k!r}"))
                        for k in ("layer_beta_e", "layer_beta")}
         params = dynamics.SeirParams(**rates, h=h, **layer_rates)
     initial = _build_initial(_object(sc.get("initial", {}), "scenario 'initial'"), model, n)
@@ -121,13 +143,17 @@ def load_scenario(path: str | Path) -> dict:
         unknown = set(nz) - {f.name for f in dataclasses.fields(estimation.NoiseModel)}
         if unknown:
             raise ScenarioError(f"noise has unknown keys {sorted(unknown)}")
+        for key, value in nz.items():
+            kind = ("a boolean" if key == "param_is_std" else
+                    "an integer" if key in ("seed", "start_k") else "a number")
+            _typed(value, kind, f"noise {key!r}")
         noise = estimation.NoiseModel(**nz)
     return {
         "model": model,
         "net": net,
         "params": params,
         "initial": initial,
-        "steps": int(sc.get("steps", 0)),
+        "steps": _typed(sc.get("steps", 0), "an integer", "scenario 'steps'"),
         "noise": noise,
     }
 
@@ -142,10 +168,11 @@ def _build_initial(spec: dict, model: str, n: int) -> dynamics.EpidemicState:
             for node, level in _object(seeds, f"seeds {comp!r}").items():
                 if not 0 <= int(node) < n:
                     raise ScenarioError(f"seed node {node} out of range for n={n}")
-                vals[comp][int(node)] = _finite(f"initial {comp!r} level", float(level))
+                level = _typed(level, "a number", f"initial {comp!r} level")
+                vals[comp][int(node)] = _finite(f"initial {comp!r} level", level)
         s = 1.0 - sum(vals.values())
         return dynamics.EpidemicState(s=s, **{c: vals[c] for c in vals})
-    arrays = {c: np.asarray(_require(spec, c, "initial state"), dtype=float) for c in comps}
+    arrays = {c: _vector(_require(spec, c, "initial state"), n, f"initial {c!r}") for c in comps}
     for c, arr in arrays.items():
         _finite(f"initial {c!r}", arr)
     e = arrays.pop("e", None)

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Network
+from .graph import Network, _read_table, _records
 
 __all__ = [
     "SirParams",
@@ -350,46 +350,68 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     return "k,node,s,e,p,r\n" + (row * len(table)) % tuple(table.ravel().tolist())
 
 
+# one trajectory row; SIR rows leave e blank, so it is read as text there
+SEIR_ROW = np.dtype([("k", np.int64), ("node", np.int64), ("s", np.float64),
+                     ("e", np.float64), ("p", np.float64), ("r", np.float64)])
+SIR_ROW = np.dtype([("k", np.int64), ("node", np.int64), ("s", np.float64),
+                    ("e", "U1"), ("p", np.float64), ("r", np.float64)])
+MIXED_E = "e column must be blank on every row (SIR) or on none (SEIR)"
+
+
 def trajectory_from_csv(text: str | Iterable[str], h: float = 1.0) -> Trajectory:
     """Inverse of trajectory_to_csv. ``h`` is supplied by the caller since the
-    CSV carries only states."""
-    rows = []
-    for ln in text.splitlines() if isinstance(text, str) else text:
-        ln = ln.strip()
-        if not ln or ln.startswith("k,"):
-            continue
-        parts = ln.split(",")
-        if len(parts) != 6:
-            raise ValueError(f"malformed trajectory row: {ln!r}")
-        rows.append(parts)
-    if not rows:
+    CSV carries only states.
+
+    Blank lines and "k,..." header lines are skipped, and a row may carry
+    surrounding whitespace. The rows are parsed in one np.loadtxt call and
+    checked as arrays; the model follows the first row, whose e is blank
+    for SIR."""
+    lines = text.splitlines() if isinstance(text, str) else list(text)
+    first = next(_records(lines, "k,"), None)
+    if first is None:
         raise ValueError("empty trajectory CSV")
-    k, node, s, e, p, r = zip(*rows)
-    k = np.array(list(map(int, k)))
-    node = np.array(list(map(int, node)))
-    # counting, not sorting: numpy's sort kernels add ~1.5 MB of resident code
-    if k.min() < 0 or not np.bincount(k).all():
+    sir = first[1].split(",")[3:4] == [""]
+    try:
+        table = _read_table(lines, SIR_ROW if sir else SEIR_ROW, None, "k,")
+    except ValueError as exc:
+        raise _row_error(lines, exc) from None
+    k, node = table["k"], table["node"]
+    # counting, not sorting: numpy's sort kernels add ~1.5 MB of resident
+    # code; an id of at least the row count leaves a gap, so it is refused
+    # before bincount allocates for it
+    if k.min() < 0 or k.max() >= len(table) or not np.bincount(k).all():
         raise ValueError("trajectory steps must be contiguous from 0")
-    if node.min() < 0 or not np.bincount(node).all():
+    if node.min() < 0 or node.max() >= len(table) or not np.bincount(node).all():
         raise ValueError("trajectory node ids must be 0..n-1")
-    blank = [v == "" for v in e]
-    if any(blank) and not all(blank):
-        raise ValueError("e column must be blank on every row (SIR) or on none (SEIR)")
+    if sir and (table["e"] != "").any():
+        raise ValueError(MIXED_E)
     shape = (k.max() + 1, node.max() + 1)
     seen = np.zeros(shape, dtype=bool)
     seen[k, node] = True
     missing = np.flatnonzero(~seen.all(axis=1))
     if missing.size:
         raise ValueError(f"step {missing[0]} missing node rows")
-    if len(rows) != seen.size:
+    if len(table) != seen.size:
         raise ValueError("trajectory has duplicate (k, node) rows")
 
-    def grid(column) -> np.ndarray:
+    def grid(name: str) -> np.ndarray:
         out = np.empty(shape)
-        out[k, node] = list(map(float, column))
+        out[k, node] = table[name]
         if not np.isfinite(out).all():
             raise ValueError("trajectory values must be finite")
         return out
 
-    return Trajectory(s=grid(s), p=grid(p), r=grid(r),
-                      e=None if blank[0] else grid(e), h=h)
+    return Trajectory(s=grid("s"), p=grid("p"), r=grid("r"),
+                      e=None if sir else grid("e"), h=h)
+
+
+def _row_error(lines: list[str], exc: ValueError) -> ValueError:
+    """The error for rows that do not parse: the first row without six
+    fields, else an e column blank on some rows only, else ``exc``."""
+    rows = [line for _, line in _records(lines, "k,")]
+    for line in rows:
+        if line.count(",") != 5:
+            return ValueError(f"malformed trajectory row: {line!r}")
+    if len({line.split(",")[3] == "" for line in rows}) > 1:
+        return ValueError(MIXED_E)
+    return exc

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from functools import partial
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -64,38 +65,82 @@ class Network:
         return self.adjacency.shape[0]
 
 
+# one edge-list record: node i is influenced by node j with weight w
+EDGE = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
+
+
 def load_network(source: Iterable[str] | str, n: int) -> Network:
     """Parse comma-separated ``i,j,weight`` records into a Network.
 
-    ``source`` is an iterable of lines (an open text file works). Lines that
-    are blank or start with '#' are skipped. A record means node j influences
+    ``source`` is a text or an iterable of lines (an open text file works).
+    Blank lines and lines that start with '#' are skipped, and text after a
+    '#' that ends a record is a comment. A record means node j influences
     node i with the given positive weight.
+
+    The records are parsed in one np.loadtxt call and checked as arrays; only
+    when a check fails are they scanned line by line, to name the first bad
+    line.
     """
-    if isinstance(source, str):
-        source = source.splitlines()
-    a = np.zeros((n, n))
-    seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 3:
-            raise NetworkError(f"line {lineno}: expected 'i,j,weight', got {line!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            w = float(parts[2])
-        except ValueError as exc:
-            raise NetworkError(f"line {lineno}: malformed record {line!r}") from exc
-        if not (0 <= i < n and 0 <= j < n):
-            raise NetworkError(f"line {lineno}: index out of range for n={n}")
-        if not np.isfinite(w) or w <= 0:
-            raise NetworkError(f"line {lineno}: weight must be positive and finite")
-        if (i, j) in seen:
-            raise NetworkError(f"line {lineno}: duplicate edge ({i},{j})")
-        seen.add((i, j))
+    lines = source.splitlines() if isinstance(source, str) else list(source)
+    if next(_records(lines, "#"), None) is None:  # np.loadtxt would warn
+        return Network(np.zeros((n, n)))
+    try:
+        rec = _read_table(lines, EDGE, "#", "#")
+    except ValueError:
+        raise _edge_error(lines, n) from None
+    i, j, w = rec["i"], rec["j"], rec["w"]
+    if np.all((0 <= i) & (i < n) & (0 <= j) & (j < n) & (w > 0) & (w < np.inf)):
+        a = np.zeros((n, n))
         a[i, j] = w
-    return Network(a)
+        # the weights are positive, so a repeated (i, j) leaves fewer nonzeros
+        if np.count_nonzero(a) == len(rec):
+            return Network(a)
+    raise _edge_error(lines, n)
+
+
+def _records(lines: list[str], skip: str) -> Iterator[tuple[int, str]]:
+    """Line number (from 1) and stripped text of each line that holds a
+    record: one that is neither blank nor starts with ``skip``."""
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if line and not line.startswith(skip):
+            yield lineno, line
+
+
+def _read_table(lines: list[str], dtype: np.dtype, comments: str | None,
+                skip: str) -> np.ndarray:
+    """The records of ``lines`` (at least one), one row each, as a structured
+    array of ``dtype``, parsed by np.loadtxt (numpy's C reader); ValueError
+    if one does not parse. A first line that starts with ``skip`` (a header)
+    is left out. Should that read fail, the stripped records alone are read
+    once more: np.loadtxt refuses whitespace-only lines, and ``skip`` lines
+    after the first, which the records leave out."""
+    read = partial(np.loadtxt, dtype=dtype, delimiter=",", comments=comments, ndmin=1)
+    try:
+        return read(lines, skiprows=int(lines[0].startswith(skip)))
+    except ValueError:
+        return read([line for _, line in _records(lines, skip)])
+
+
+def _edge_error(lines: list[str], n: int) -> NetworkError:
+    """The error of the first bad record, naming its line; each record is
+    parsed on its own, as load_network parses them all."""
+    seen = set()
+    for lineno, line in _records(lines, "#"):
+        if line.partition("#")[0].count(",") != 2:
+            return NetworkError(f"line {lineno}: expected 'i,j,weight', got {line!r}")
+        try:
+            i, j, w = np.loadtxt([line], dtype=EDGE, delimiter=",", comments="#").item()
+        except ValueError:
+            return NetworkError(f"line {lineno}: malformed record {line!r}")
+        if not (0 <= i < n and 0 <= j < n):
+            return NetworkError(f"line {lineno}: index out of range for n={n}")
+        if not np.isfinite(w) or w <= 0:
+            return NetworkError(f"line {lineno}: weight must be positive and finite")
+        if (i, j) in seen:
+            return NetworkError(f"line {lineno}: duplicate edge ({i},{j})")
+        seen.add((i, j))
+    return NetworkError("malformed edge list")
 
 
 def save_network(net: Network) -> str:

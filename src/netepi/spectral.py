@@ -154,8 +154,9 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> np.ndarray:
 
     with one (c*b, n) @ (n, n) product per layer for the c compartments of
     the b unconverged rows. A reducible M is solved per strongly connected
-    block of its off-diagonal pattern (taken with s > 0): a singleton block's
-    root is its diagonal entry, and the root of M is the largest."""
+    block of its off-diagonal pattern, labelled once for each set of nodes
+    where s is 0; a singleton block's root is its diagonal entry, and the
+    root of M is the largest."""
     pr, op = _prepare(params, traj, net)
     n, h = net.n, pr.h
     hs = h * traj.s
@@ -189,21 +190,37 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> np.ndarray:
 
     # the digraph of M's off-diagonal pattern on the nodes (c, i) = c*n + i,
     # compartment c (e then p; p alone for SIR) of node i: infection edges
-    # (0, i) -> (c, j) where some layer has rates_l[c][i] * A_l[i, j] != 0,
-    # and for SEIR the progression p_i -> e_i where sigma_i != 0
+    # (0, i) -> (c, j) where h*s_i != 0 and some layer has
+    # rates_l[c][i] * A_l[i, j] != 0, and for SEIR the progression
+    # p_i -> e_i where sigma_i != 0
     pattern = np.zeros((n, comps, n), dtype=bool)
     for a, r in layers:
         pattern |= (a != 0)[:, None, :] & (r != 0).T[:, :, None]
     rows, cols = np.nonzero(pattern.reshape(n, size))
-    if not sir:
-        link = np.flatnonzero(pr.sigma != 0)
-        rows, cols = np.concatenate([rows, link + n]), np.concatenate([cols, link])
-    labels = _components(size, rows, cols)
-    sizes = np.bincount(labels)
+    link = np.zeros(0, dtype=np.intp) if sir else np.flatnonzero(pr.sigma != 0)
+    # the states fall into groups by the nodes where h*s is 0; the blocks are
+    # labelled once per group (grouped by hashing, not sorting, the rows)
+    groups: dict[bytes, list[int]] = {}
+    for k, zero in enumerate(hs == 0):
+        groups.setdefault(zero.tobytes(), []).append(k)
     roots = np.zeros(len(hs))
+    for ks in groups.values():
+        live = hs[ks[0]][rows] != 0
+        labels = _components(size, np.concatenate([rows[live], link + n]),
+                             np.concatenate([cols[live], link]))
+        roots[ks] = _block_roots(apply, labels, diag[ks], hs[ks])
+    return roots
+
+
+def _block_roots(apply, labels: np.ndarray, diag: np.ndarray,
+                 hs: np.ndarray) -> np.ndarray:
+    """Perron roots of the states ``hs`` whose M share the strongly connected
+    blocks ``labels``: a singleton block's root is its diagonal entry, and
+    the root of M is the largest of its blocks' roots."""
+    size = len(labels)
+    sizes = np.bincount(labels)
     single = sizes[labels] == 1
-    if single.any():
-        roots = diag[:, single].max(axis=1)
+    roots = diag[:, single].max(axis=1) if single.any() else np.zeros(len(hs))
     for block in np.flatnonzero(sizes > 1):
         idx = np.flatnonzero(labels == block)
         act = apply if idx.size == size else partial(_restricted, apply, idx, size)

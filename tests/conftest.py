@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from netepi import EpidemicState, Network, SeirParams, SirParams, Trajectory
 from netepi.estimation import NONZERO_TOL
+from netepi.graph import NetworkError
 
 
 # ---------------------------------------------------------------------------
@@ -187,3 +189,105 @@ def brute_force_strongly_connected(m):
         power = power @ pattern
         reach |= power
     return bool(reach.all())
+
+
+def load_network_oracle(source, n):
+    """The per-line edge-list reader that np.loadtxt replaced: each stripped
+    line is split on ',' and converted by int() and float()."""
+    if isinstance(source, str):
+        source = source.splitlines()
+    a = np.zeros((n, n))
+    seen = set()
+    for lineno, raw in enumerate(source, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 3:
+            raise NetworkError(f"line {lineno}: expected 'i,j,weight', got {line!r}")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+            w = float(parts[2])
+        except ValueError as exc:
+            raise NetworkError(f"line {lineno}: malformed record {line!r}") from exc
+        if not (0 <= i < n and 0 <= j < n):
+            raise NetworkError(f"line {lineno}: index out of range for n={n}")
+        if not np.isfinite(w) or w <= 0:
+            raise NetworkError(f"line {lineno}: weight must be positive and finite")
+        if (i, j) in seen:
+            raise NetworkError(f"line {lineno}: duplicate edge ({i},{j})")
+        seen.add((i, j))
+        a[i, j] = w
+    return Network(a)
+
+
+def trajectory_from_csv_oracle(text, h=1.0):
+    """The per-line trajectory reader that np.loadtxt replaced, with one
+    addition: a step or node id of at least the row count is refused before
+    bincount allocates for it (such an id always leaves a gap, so the
+    verdict is the same; only a huge allocation is spared)."""
+    rows = []
+    for ln in text.splitlines() if isinstance(text, str) else text:
+        ln = ln.strip()
+        if not ln or ln.startswith("k,"):
+            continue
+        parts = ln.split(",")
+        if len(parts) != 6:
+            raise ValueError(f"malformed trajectory row: {ln!r}")
+        rows.append(parts)
+    if not rows:
+        raise ValueError("empty trajectory CSV")
+    k, node, s, e, p, r = zip(*rows)
+    k = np.array(list(map(int, k)))
+    node = np.array(list(map(int, node)))
+    if k.min() < 0 or k.max() >= len(rows) or not np.bincount(k).all():
+        raise ValueError("trajectory steps must be contiguous from 0")
+    if node.min() < 0 or node.max() >= len(rows) or not np.bincount(node).all():
+        raise ValueError("trajectory node ids must be 0..n-1")
+    blank = [v == "" for v in e]
+    if any(blank) and not all(blank):
+        raise ValueError("e column must be blank on every row (SIR) or on none (SEIR)")
+    shape = (k.max() + 1, node.max() + 1)
+    seen = np.zeros(shape, dtype=bool)
+    seen[k, node] = True
+    missing = np.flatnonzero(~seen.all(axis=1))
+    if missing.size:
+        raise ValueError(f"step {missing[0]} missing node rows")
+    if len(rows) != seen.size:
+        raise ValueError("trajectory has duplicate (k, node) rows")
+
+    def grid(column):
+        out = np.empty(shape)
+        out[k, node] = list(map(float, column))
+        if not np.isfinite(out).all():
+            raise ValueError("trajectory values must be finite")
+        return out
+
+    return Trajectory(s=grid(s), p=grid(p), r=grid(r),
+                      e=None if blank[0] else grid(e), h=h)
+
+
+# ---------------------------------------------------------------------------
+# Malformed input: valid text, mutated.
+
+MUTATION_TOKENS = list("0123456789+-.e,# \n") + ["nan", "inf"]
+
+
+@st.composite
+def mutated_text(draw, text):
+    """``text`` with up to two rows dropped or duplicated, then up to three
+    edits, each replacing up to two characters by one token (or nothing)."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(0, 2))):
+        if lines:
+            i = draw(st.integers(0, len(lines) - 1))
+            if draw(st.booleans()):
+                del lines[i]
+            else:
+                lines.insert(i, lines[i])
+    text = "\n".join(lines) + "\n"
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))
+        text = text[:pos] + draw(st.sampled_from([""] + MUTATION_TOKENS)) + text[pos + cut:]
+    return text

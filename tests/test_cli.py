@@ -380,6 +380,15 @@ class TestScenarioParsing:
         sc.write_text(json.dumps(data))
         assert run("simulate", "--scenario", sc, "--out", tmp_path / "out") == 0
 
+    def test_explicit_initial_scalars_fill_every_node(self, tmp_path):
+        sc = write_scenario(tmp_path, model="sir", steps=1)
+        data = json.loads(sc.read_text())
+        data["initial"] = {"s": 0.9, "p": 0.1, "r": 0}
+        sc.write_text(json.dumps(data))
+        assert run("simulate", "--scenario", sc, "--out", tmp_path / "out") == 0
+        traj = trajectory_from_csv((tmp_path / "out" / "trajectory.csv").read_text())
+        assert np.array_equal(traj.s[0], np.full(20, 0.9))
+
     def test_per_node_params_from_file(self, tmp_path):
         sc = write_scenario(tmp_path, steps=1)
         (tmp_path / "gamma.txt").write_text("\n".join(["0.3"] * 20))
@@ -435,3 +444,42 @@ class TestScenarioParsing:
         data["model"] = "sis"
         sc.write_text(json.dumps(data))
         assert run("simulate", "--scenario", sc, "--out", tmp_path / "out") == 1
+
+    @pytest.mark.parametrize("model,edit,message", [
+        ("seir", lambda d: d.update(n=[3]), "scenario 'n' must be an integer"),
+        ("seir", lambda d: d.update(steps=[2]), "scenario 'steps' must be an integer"),
+        ("seir", lambda d: d.update(layers=5), "scenario 'layers' must be a list"),
+        ("seir", lambda d: d["params"].update(beta={"x": 1}),
+         "parameter 'beta' must be a number or a list of numbers"),
+        ("seir", lambda d: d.update(network=5), "scenario 'network' must be a string"),
+        ("seir", lambda d: d.update(layers=[5]), "scenario 'layers' entry must be a string"),
+        ("sir", lambda d: d["params"].update(gamma=[0.3, [0.3]]),
+         "parameter 'gamma' must be a number or a list of numbers"),
+        ("seir", lambda d: d["params"].update(h=[1.0]), "parameter 'h' must be a number"),
+        ("seir", lambda d: d["params"].update(layer_beta=0.1),
+         "parameter 'layer_beta' must be a list"),
+        ("sir", lambda d: d["initial"]["seeds"]["p"].update({"1": [0.01]}),
+         "initial 'p' level must be a number"),
+        ("sir", lambda d: d.update(initial={"s": {"x": 1}, "p": [0.0] * 20, "r": [0.0] * 20}),
+         "initial 's' must be a number or a list of numbers"),
+        ("seir", lambda d: d.update(noise={"e_slope": "x"}), "noise 'e_slope' must be a number"),
+        ("seir", lambda d: d.update(noise={"start_k": 1.5}), "noise 'start_k' must be an integer"),
+        ("seir", lambda d: d.update(noise={}, seed=[0]), "noise 'seed' must be an integer"),
+        ("seir", lambda d: d.update(noise={"param_is_std": 1}),
+         "noise 'param_is_std' must be a boolean"),
+    ], ids=["n", "steps", "layers", "param_object", "network", "layer_entry", "param_nested",
+            "h", "layer_rates", "seed_level", "initial_object", "noise_number", "noise_start_k",
+            "noise_seed", "noise_flag"])
+    def test_wrong_json_type_refused(self, tmp_path, capsys, model, edit, message):
+        sc = write_scenario(tmp_path, model=model, steps=3)
+        data = json.loads(sc.read_text())
+        edit(data)
+        sc.write_text(json.dumps(data))
+        assert run("simulate", "--scenario", sc, "--out", tmp_path / "out") == 1
+        assert message in error_line(capsys)
+
+    def test_empty_edge_list_is_quiet(self, tmp_path, capsys):
+        sc = write_scenario(tmp_path, model="sir", steps=2)
+        (tmp_path / "net.csv").write_text("# no edges\n\n")
+        assert run("simulate", "--scenario", sc, "--out", tmp_path / "out") == 0
+        assert capsys.readouterr().err == ""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,8 @@ from netepi.dynamics import AssumptionError, StateInvariantError, Trajectory
 
 from conftest import (random_irreducible_network, random_seir_params,
                       random_simplex_state, random_sir_params, seeded_state,
-                      seir_step_oracle, sir_step_oracle)
+                      seir_step_oracle, sir_step_oracle, trajectory_from_csv_oracle,
+                      mutated_text)
 
 
 class TestAssumptionChecks:
@@ -342,3 +345,96 @@ class TestTrajectoryArrays:
             Trajectory(s=np.ones((2, 3)), p=np.zeros((2, 2)), r=np.zeros((2, 3)), h=1.0)
         with pytest.raises(ValueError, match="at least one state"):
             Trajectory(s=np.ones((0, 3)), p=np.zeros((0, 3)), r=np.zeros((0, 3)), h=1.0)
+
+
+@st.composite
+def trajectory_texts(draw):
+    """A mutated SIR or SEIR trajectory CSV (n <= 3, T <= 3)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    levels = rng.dirichlet(np.ones(4), size=shape)
+    e = None if draw(st.booleans()) else levels[..., 1]
+    traj = Trajectory(s=levels[..., 0], e=e, p=levels[..., 2], r=levels[..., 3], h=1.0)
+    return draw(mutated_text(trajectory_to_csv(traj)))
+
+
+def _same_bits(a, b):
+    assert a.kind == b.kind
+    for name in ("s", "e", "p", "r"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestReaderAgainstPerLineReader:
+    """np.loadtxt against the per-line reader it replaced (the oracle)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(trajectory_texts())
+    def test_mutated_trajectories(self, text):
+        try:
+            want = trajectory_from_csv_oracle(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                trajectory_from_csv(text)
+            return
+        _same_bits(trajectory_from_csv(text), want)
+
+    @pytest.mark.parametrize("row", ["0_0,0,1,,0,0", "0,0,1_0,,0,0", "0,0,1,,0,0_0",
+                                     "0,0,\u0661,,0,0"])
+    def test_python_only_literals_refused(self, row):
+        # int() and float() accept digit-group underscores and non-ASCII
+        # digits; numpy does not
+        text = "k,node,s,e,p,r\n" + row + "\n"
+        trajectory_from_csv_oracle(text)
+        with pytest.raises(ValueError, match="could not convert"):
+            trajectory_from_csv(text)
+
+    @pytest.mark.parametrize("ident", ["1e0", "1.0", "0.5"])
+    def test_non_integer_ids_refused(self, ident):
+        text = f"k,node,s,e,p,r\n0,0,1,,0,0\n{ident},0,1,,0,0\n"
+        with pytest.raises(ValueError, match="could not convert"):
+            trajectory_from_csv(text)
+
+    @pytest.mark.parametrize("row,message", [
+        ("99999999999,0,1,,0,0", "steps must be contiguous"),
+        ("0,99999999999,1,,0,0", "node ids"),
+        ("99999999999999999999,0,1,,0,0", "could not convert"),
+    ])
+    def test_huge_ids_refused_before_counting(self, row, message):
+        # the per-line reader passed such ids to bincount, which allocated a
+        # count for every id up to them
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                trajectory_from_csv(f"0,0,1,,0,0\n{row}\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_blank_lines_whitespace_and_repeated_headers(self):
+        text = ("\n  k,node,s,e,p,r\n 0,0,0.5,0.25,0.25,0 \n\t\nk,node,s,e,p,r\n"
+                "0,1,1,0,0,0\n1,0,0.5,0.25,0.25,0\n1,1,1,0,0,0\n")
+        want = trajectory_from_csv_oracle(text)
+        _same_bits(trajectory_from_csv(text), want)
+        _same_bits(trajectory_from_csv(text.splitlines()), want)
+
+    def test_failures_keep_their_messages(self):
+        with pytest.raises(ValueError, match=r"malformed trajectory row: '# a comment'"):
+            trajectory_from_csv("k,node,s,e,p,r\n# a comment\n0,0,1,,0,0\n")
+        with pytest.raises(ValueError, match="e column"):
+            trajectory_from_csv("0,0,0.5,0.5,0,0\n0,1,1,,0,0\n")
+
+
+class TestFloatExtremes:
+    VALUES = [5e-324, 2.2250738585072014e-308, 1 - 2**-53, 0.1 + 0.2]
+
+    @pytest.mark.parametrize("kind", ["sir", "seir"])
+    def test_trajectory_round_trip(self, kind):
+        grid = np.array([self.VALUES, self.VALUES[::-1]])
+        traj = Trajectory(s=grid, p=grid[::-1], r=1 - grid,
+                          e=None if kind == "sir" else grid[:, ::-1], h=1.0)
+        again = trajectory_from_csv(trajectory_to_csv(traj), h=traj.h)
+        _same_bits(again, traj)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from netepi import Network, is_irreducible, load_network, neighbors, save_network
 from netepi.graph import NetworkError, _components
 
-from conftest import brute_force_strongly_connected
+from conftest import brute_force_strongly_connected, load_network_oracle, mutated_text
 
 
 class TestLoadNetwork:
@@ -143,3 +143,95 @@ class TestComponents:
         assert np.unique(_components(n, chain, chain + 1)).size == n
         ring = np.arange(n)
         assert np.all(_components(n, ring, (ring + 1) % n) == 0)
+
+
+def _without_comments(text):
+    return "\n".join(line.partition("#")[0] for line in text.split("\n"))
+
+
+@st.composite
+def edge_lists(draw):
+    """A mutated edge list over n nodes, with a comment line and a blank line."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    a = np.where(rng.random((n, n)) < 0.5, rng.random((n, n)), 0.0)
+    text = "# i,j,weight\n\n" + save_network(Network(a))
+    return draw(mutated_text(text)), n
+
+
+class TestLoaderAgainstPerLineReader:
+    """np.loadtxt against the per-line reader it replaced (the oracle)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_lists())
+    def test_mutated_edge_lists(self, case):
+        text, n = case
+        try:
+            want = load_network_oracle(text, n)
+        except NetworkError:
+            # the one deliberate difference here: text after a '#' is a comment
+            try:
+                want = load_network_oracle(_without_comments(text), n)
+            except NetworkError:
+                with pytest.raises(NetworkError):
+                    load_network(text, n)
+                return
+        assert load_network(text, n).adjacency.tobytes() == want.adjacency.tobytes()
+
+    def test_trailing_comment_accepted(self):
+        # the per-line reader refused this record as malformed
+        with pytest.raises(NetworkError, match="malformed"):
+            load_network_oracle("0,1,2.5 # weight\n", 2)
+        assert load_network("0,1,2.5 # weight\n", 2).adjacency[0, 1] == 2.5
+
+    @pytest.mark.parametrize("record", ["1_0,1,1.0", "0,1,1_0", "0,1,1_0.5", "\u0661,1,1.0"])
+    def test_python_only_literals_refused(self, record):
+        # int() and float() accept digit-group underscores and non-ASCII
+        # digits; numpy does not
+        load_network_oracle(record, 20)
+        with pytest.raises(NetworkError, match="line 1: malformed record"):
+            load_network(record, 20)
+
+    def test_id_beyond_int64_malformed(self):
+        with pytest.raises(NetworkError, match="line 1: index out of range"):
+            load_network_oracle("99999999999999999999,0,1.0", 2)
+        with pytest.raises(NetworkError, match="line 1: malformed record"):
+            load_network("99999999999999999999,0,1.0", 2)
+
+    @pytest.mark.parametrize("ident", ["1e3", "1.5", "1.0", "0x1", ""])
+    def test_non_integer_ids_refused(self, ident):
+        with pytest.raises(NetworkError, match="line 2: malformed record"):
+            load_network(f"0,1,1.0\n{ident},1,1.0", 2000)
+        with pytest.raises(NetworkError, match="line 2: malformed record"):
+            load_network(f"0,1,1.0\n1,{ident},1.0", 2000)
+
+    def test_whitespace_lines_and_line_sources(self, tmp_path):
+        text = "  # indented comment\n \t\n 0 , 1 , 0.5 \n1,0,2\n"
+        want = load_network_oracle(text, 2).adjacency
+        assert np.array_equal(load_network(text, 2).adjacency, want)
+        (tmp_path / "net.csv").write_text(text)
+        with open(tmp_path / "net.csv") as fh:
+            assert np.array_equal(load_network(fh, 2).adjacency, want)
+        assert np.array_equal(load_network(text.splitlines(), 2).adjacency, want)
+
+    def test_failure_names_the_first_bad_line(self):
+        text = "# c\n0,1,1.0\n\n1,0,2.0\n0,1,3.0\n1,1,-1\n"
+        with pytest.raises(NetworkError, match=r"^line 5: duplicate edge \(0,1\)$"):
+            load_network(text, 2)
+        with pytest.raises(NetworkError, match="line 3: expected 'i,j,weight'"):
+            load_network("0,1,1\n1,0,1\n1,1\n", 2)
+
+    def test_empty_edge_list_does_not_warn(self, recwarn):
+        for text in ("", "\n\n", "# only a comment\n", "  # indented\n \n"):
+            assert not load_network(text, 2).adjacency.any()
+        assert not recwarn.list
+
+
+class TestFloatExtremes:
+    VALUES = [5e-324, 2.2250738585072014e-308, 1 - 2**-53, 0.1 + 0.2, 1.7976931348623157e308]
+
+    def test_edge_list_round_trip(self):
+        a = np.zeros((3, 3))
+        a[[0, 0, 1, 1, 2], [1, 2, 0, 2, 0]] = self.VALUES
+        again = load_network(save_network(Network(a)), 3).adjacency
+        assert again.tobytes() == a.tobytes()

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -187,12 +188,13 @@ class TestMatrixFreeSolve:
             assert np.abs(lam - _dense_roots(traj, params, net)).max() <= 1e-12
 
     def test_each_state_stops_at_its_own_convergence(self, monkeypatch):
-        # s falls from 0.95 to 0: fresh states converge in tens of iterations,
-        # while at s = 0 the roots 1 - h*sigma and 1 - h*gamma are 0.02 apart
-        # and take hundreds
+        # s falls from 0.95 to 0.01: fresh states converge in tens of
+        # iterations, while at s = 0.01 the roots near 1 - h*sigma lie close
+        # together and take hundreds (at s = 0 the blocks split and the root
+        # is read off the diagonal)
         net = Network(np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]]))
         params = SeirParams(beta_e=0.2, beta=0.25, sigma=0.3, gamma=0.32, h=1.0)
-        s = np.repeat(np.linspace(0.95, 0.0, 40)[:, None], 3, axis=1)
+        s = np.repeat(np.linspace(0.95, 0.01, 40)[:, None], 3, axis=1)
         traj = fabricated_seir(np.zeros((40, 3)), np.zeros((40, 3)), 1 - s)
         rows = []
         solve = spectral._power_iteration
@@ -239,6 +241,20 @@ class TestMatrixFreeSolve:
         params = SeirParams(beta_e=0.1, beta=0.2, sigma=0.5, gamma=0.5, h=1.0)
         traj = simulate(seeded_state(3, "seir", p_seeds=[(0, 0.1)]), params, net, 10)
         assert np.all(convergence_diagnostics(traj, params, net).lambda_seq == 0.5)
+
+    def test_block_split_by_zero_susceptibles(self, two_node_net):
+        # 0 <-> 1 is one block while s > 0; at s = 0 the infection edges
+        # vanish and, with sigma = gamma, the root 0.7 is defective
+        params = SeirParams(beta_e=0.2, beta=0.25, sigma=0.3, gamma=0.3, h=1.0)
+        traj = fabricated_seir(e=[[0.25, 0.25], [0.5, 0.5]], p=[[0.25, 0.25], [0.5, 0.5]],
+                               r=np.zeros((2, 2)))
+        assert np.array_equal(traj.s, [[0.5, 0.5], [0.0, 0.0]])
+        start = time.perf_counter()
+        lam = convergence_diagnostics(traj, params, two_node_net).lambda_seq
+        assert time.perf_counter() - start < 1.0
+        for st, val in zip(traj.states, lam):
+            m = build_spreading_matrix(st, params, two_node_net).m
+            assert abs(val - np.abs(np.linalg.eigvals(m)).max()) <= 1e-12
 
     def test_refuses_negative_spreading_matrix(self, sir_example):
         net, params, state = sir_example
