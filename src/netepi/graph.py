@@ -8,8 +8,8 @@ node i. Edge-list records ``i,j,weight`` populate ``adjacency[i, j]``, i.e.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -114,12 +114,28 @@ def _read_table(lines: list[str], dtype: np.dtype, comments: str | None,
     if one does not parse. A first line that starts with ``skip`` (a header)
     is left out. Should that read fail, the stripped records alone are read
     once more: np.loadtxt refuses whitespace-only lines, and ``skip`` lines
-    after the first, which the records leave out."""
-    read = partial(np.loadtxt, dtype=dtype, delimiter=",", comments=comments, ndmin=1)
+    after the first, which the records leave out. (The plain read comes
+    first because stripping the records is a Python pass over every line.)"""
     try:
-        return read(lines, skiprows=int(lines[0].startswith(skip)))
+        return _loadtxt(lines, dtype, comments, int(lines[0].startswith(skip)))
     except ValueError:
-        return read([line for _, line in _records(lines, skip)])
+        return _loadtxt([line for _, line in _records(lines, skip)], dtype, comments, 0)
+
+
+def _loadtxt(lines: list[str], dtype: np.dtype, comments: str | None,
+             skiprows: int) -> np.ndarray:
+    """np.loadtxt of comma-separated ``lines`` that refuses a non-integer
+    text such as '1.5' or '1e3' in an integer field whatever the caller's
+    warning filters: numpy releases from 1.23 that still read such a field
+    through float truncate it and only warn DeprecationWarning, which is
+    raised here as ValueError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=comments,
+                              skiprows=skiprows, ndmin=1)
+        except DeprecationWarning as exc:
+            raise ValueError(str(exc)) from exc
 
 
 def _edge_error(lines: list[str], n: int) -> NetworkError:
@@ -130,7 +146,7 @@ def _edge_error(lines: list[str], n: int) -> NetworkError:
         if line.partition("#")[0].count(",") != 2:
             return NetworkError(f"line {lineno}: expected 'i,j,weight', got {line!r}")
         try:
-            i, j, w = np.loadtxt([line], dtype=EDGE, delimiter=",", comments="#").item()
+            i, j, w = _loadtxt([line], EDGE, "#", 0)[0].item()
         except ValueError:
             return NetworkError(f"line {lineno}: malformed record {line!r}")
         if not (0 <= i < n and 0 <= j < n):

@@ -154,9 +154,8 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> np.ndarray:
 
     with one (c*b, n) @ (n, n) product per layer for the c compartments of
     the b unconverged rows. A reducible M is solved per strongly connected
-    block of its off-diagonal pattern, labelled once for each set of nodes
-    where s is 0; a singleton block's root is its diagonal entry, and the
-    root of M is the largest."""
+    block of its off-diagonal pattern; a singleton block's root is its
+    diagonal entry, and the root of M is the largest."""
     pr, op = _prepare(params, traj, net)
     n, h = net.n, pr.h
     hs = h * traj.s
@@ -190,42 +189,74 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> np.ndarray:
 
     # the digraph of M's off-diagonal pattern on the nodes (c, i) = c*n + i,
     # compartment c (e then p; p alone for SIR) of node i: infection edges
-    # (0, i) -> (c, j) where h*s_i != 0 and some layer has
-    # rates_l[c][i] * A_l[i, j] != 0, and for SEIR the progression
-    # p_i -> e_i where sigma_i != 0
+    # (0, i) -> (c, j) where some layer has rates_l[c][i] * A_l[i, j] != 0
+    # (and h*s_i != 0, which the blocks first take to hold everywhere), and
+    # for SEIR the progression p_i -> e_i where sigma_i != 0
     pattern = np.zeros((n, comps, n), dtype=bool)
     for a, r in layers:
         pattern |= (a != 0)[:, None, :] & (r != 0).T[:, :, None]
     rows, cols = np.nonzero(pattern.reshape(n, size))
     link = np.zeros(0, dtype=np.intp) if sir else np.flatnonzero(pr.sigma != 0)
-    # the states fall into groups by the nodes where h*s is 0; the blocks are
-    # labelled once per group (grouped by hashing, not sorting, the rows)
+    labels = _components(size, np.concatenate([rows, link + n]), np.concatenate([cols, link]))
+    # A state with s = 0 at some nodes lacks the infection edges of their
+    # rows, so its blocks can split further. Iterating the unsplit blocks
+    # still converges unless the split leaves the root defective: shared by
+    # two blocks one of which reaches the other, where the iteration stalls.
+    # Those states take the largest root of their split blocks instead. The
+    # states are grouped by their nodes with s = 0 (hashing, not sorting, the
+    # rows), and each group's blocks are labelled once.
     groups: dict[bytes, list[int]] = {}
     for k, zero in enumerate(hs == 0):
-        groups.setdefault(zero.tobytes(), []).append(k)
+        if zero.any():
+            groups.setdefault(zero.tobytes(), []).append(k)
     roots = np.zeros(len(hs))
-    for ks in groups.values():
+    plain = np.ones(len(hs), dtype=bool)
+    for ks in map(np.array, groups.values()):
         live = hs[ks[0]][rows] != 0
-        labels = _components(size, np.concatenate([rows[live], link + n]),
-                             np.concatenate([cols[live], link]))
-        roots[ks] = _block_roots(apply, labels, diag[ks], hs[ks])
+        src, dst = np.concatenate([rows[live], link + n]), np.concatenate([cols[live], link])
+        split = _components(size, src, dst)
+        if split.max() == labels.max():  # the same blocks
+            continue
+        blocks = _block_roots(apply, split, diag[ks], hs[ks])
+        top = blocks == blocks.max(axis=1, keepdims=True)
+        stalls = (top & _reaches(split[src], split[dst], top)).any(axis=1)
+        roots[ks[stalls]] = blocks[stalls].max(axis=1)
+        plain[ks[stalls]] = False
+    if plain.any():
+        roots[plain] = _block_roots(apply, labels, diag[plain], hs[plain]).max(axis=1)
     return roots
 
 
 def _block_roots(apply, labels: np.ndarray, diag: np.ndarray,
                  hs: np.ndarray) -> np.ndarray:
-    """Perron roots of the states ``hs`` whose M share the strongly connected
-    blocks ``labels``: a singleton block's root is its diagonal entry, and
-    the root of M is the largest of its blocks' roots."""
+    """Perron roots, (states, blocks), of the diagonal blocks of the states
+    ``hs`` for the strongly connected blocks ``labels``: a singleton block's
+    root is its diagonal entry. The root of M is the largest of them."""
     size = len(labels)
     sizes = np.bincount(labels)
+    roots = np.empty((len(hs), len(sizes)))
     single = sizes[labels] == 1
-    roots = diag[:, single].max(axis=1) if single.any() else np.zeros(len(hs))
+    roots[:, labels[single]] = diag[:, single]
     for block in np.flatnonzero(sizes > 1):
         idx = np.flatnonzero(labels == block)
         act = apply if idx.size == size else partial(_restricted, apply, idx, size)
-        roots = np.maximum(roots, _power_iteration(act, (hs,), idx.size)[0])
+        roots[:, block] = _power_iteration(act, (hs,), idx.size)[0]
     return roots
+
+
+def _reaches(src: np.ndarray, dst: np.ndarray, marked: np.ndarray) -> np.ndarray:
+    """(states, blocks): whether each block reaches a ``marked`` block of the
+    state along one or more of the block edges src -> dst. The blocks are
+    labelled in reverse topological order (as _components labels them), so
+    every edge between two blocks runs to a lower label."""
+    succ: dict[int, list[int]] = {}
+    for u, v in zip(src.tolist(), dst.tolist()):
+        if u != v:
+            succ.setdefault(u, []).append(v)
+    reach = np.zeros_like(marked)
+    for u, vs in sorted(succ.items()):
+        reach[:, u] = (marked[:, vs] | reach[:, vs]).any(axis=1)
+    return reach
 
 
 def _restricted(apply, idx: np.ndarray, size: int, w: np.ndarray, *data) -> np.ndarray:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -265,6 +267,30 @@ def trajectory_from_csv_oracle(text, h=1.0):
 
     return Trajectory(s=grid(s), p=grid(p), r=grid(r),
                       e=None if blank[0] else grid(e), h=h)
+
+
+def read_int_fields_through_float(monkeypatch):
+    """Make np.loadtxt read integer fields as numpy releases from 1.23 did
+    until the deprecation expired: a text that int() refuses, such as '1.5'
+    or '1e3', is read through float and truncated, with only a
+    DeprecationWarning."""
+    loadtxt = np.loadtxt
+
+    def through_float(text):
+        try:
+            return int(text)
+        except ValueError:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            return int(float(text))
+
+    def lenient(*args, dtype, **kwargs):
+        dtype = np.dtype(dtype)
+        ints = {c: through_float for c, name in enumerate(dtype.names)
+                if dtype[name].kind == "i"}
+        return loadtxt(*args, dtype=dtype, converters=ints, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", lenient)
 
 
 # ---------------------------------------------------------------------------

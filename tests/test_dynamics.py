@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from netepi.dynamics import AssumptionError, StateInvariantError, Trajectory
 from conftest import (random_irreducible_network, random_seir_params,
                       random_simplex_state, random_sir_params, seeded_state,
                       seir_step_oracle, sir_step_oracle, trajectory_from_csv_oracle,
-                      mutated_text)
+                      mutated_text, read_int_fields_through_float)
 
 
 class TestAssumptionChecks:
@@ -396,6 +397,21 @@ class TestReaderAgainstPerLineReader:
         text = f"k,node,s,e,p,r\n0,0,1,,0,0\n{ident},0,1,,0,0\n"
         with pytest.raises(ValueError, match="could not convert"):
             trajectory_from_csv(text)
+
+    @pytest.mark.parametrize("through_float", [False, True])
+    @pytest.mark.parametrize("ident", ["1e0", "1.5", "1.0"])
+    def test_non_integer_ids_refused_whatever_the_warning_filters(
+            self, monkeypatch, ident, through_float):
+        # numpy releases from 1.23 may read such an id through float and only
+        # warn; outside the test suite DeprecationWarning is ignored by default
+        if through_float:
+            read_int_fields_through_float(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError, match="could not convert"):
+                trajectory_from_csv(f"k,node,s,e,p,r\n0,0,1,,0,0\n{ident},0,1,,0,0\n")
+            with pytest.raises(ValueError, match="could not convert"):
+                trajectory_from_csv(f"0,0,1,,0,0\n0,{ident},1,,0,0\n")
 
     @pytest.mark.parametrize("row,message", [
         ("99999999999,0,1,,0,0", "steps must be contiguous"),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,8 @@ from hypothesis import strategies as st
 from netepi import Network, is_irreducible, load_network, neighbors, save_network
 from netepi.graph import NetworkError, _components
 
-from conftest import brute_force_strongly_connected, load_network_oracle, mutated_text
+from conftest import (brute_force_strongly_connected, load_network_oracle, mutated_text,
+                      read_int_fields_through_float)
 
 
 class TestLoadNetwork:
@@ -204,6 +207,19 @@ class TestLoaderAgainstPerLineReader:
             load_network(f"0,1,1.0\n{ident},1,1.0", 2000)
         with pytest.raises(NetworkError, match="line 2: malformed record"):
             load_network(f"0,1,1.0\n1,{ident},1.0", 2000)
+
+    @pytest.mark.parametrize("through_float", [False, True])
+    @pytest.mark.parametrize("ident", ["1e3", "1.5", "1.0"])
+    def test_non_integer_ids_refused_whatever_the_warning_filters(
+            self, monkeypatch, ident, through_float):
+        # numpy releases from 1.23 may read such an id through float and only
+        # warn; outside the test suite DeprecationWarning is ignored by default
+        if through_float:
+            read_int_fields_through_float(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NetworkError, match="line 2: malformed record"):
+                load_network(f"0,1,1.0\n{ident},0,1.0", 2000)
 
     def test_whitespace_lines_and_line_sources(self, tmp_path):
         text = "  # indented comment\n \t\n 0 , 1 , 0.5 \n1,0,2\n"

@@ -188,13 +188,12 @@ class TestMatrixFreeSolve:
             assert np.abs(lam - _dense_roots(traj, params, net)).max() <= 1e-12
 
     def test_each_state_stops_at_its_own_convergence(self, monkeypatch):
-        # s falls from 0.95 to 0.01: fresh states converge in tens of
-        # iterations, while at s = 0.01 the roots near 1 - h*sigma lie close
-        # together and take hundreds (at s = 0 the blocks split and the root
-        # is read off the diagonal)
+        # s falls from 0.95 to 0: fresh states converge in tens of iterations,
+        # while at s = 0 the roots 1 - h*sigma and 1 - h*gamma are 0.02 apart
+        # and take hundreds
         net = Network(np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]]))
         params = SeirParams(beta_e=0.2, beta=0.25, sigma=0.3, gamma=0.32, h=1.0)
-        s = np.repeat(np.linspace(0.95, 0.01, 40)[:, None], 3, axis=1)
+        s = np.repeat(np.linspace(0.95, 0.0, 40)[:, None], 3, axis=1)
         traj = fabricated_seir(np.zeros((40, 3)), np.zeros((40, 3)), 1 - s)
         rows = []
         solve = spectral._power_iteration
@@ -255,6 +254,22 @@ class TestMatrixFreeSolve:
         for st, val in zip(traj.states, lam):
             m = build_spreading_matrix(st, params, two_node_net).m
             assert abs(val - np.abs(np.linalg.eigvals(m)).max()) <= 1e-12
+
+    def test_roots_as_s_falls_to_zero(self):
+        # test_each_state_stops_at_its_own_convergence with sigma = gamma: at
+        # s = 0 the blocks split into the nodes' e and p, and the root
+        # 1 - h*sigma, shared by p_i and the e_i it reaches, is defective, so
+        # the unsplit iteration would stall
+        net = Network(np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]]))
+        params = SeirParams(beta_e=0.2, beta=0.25, sigma=0.3, gamma=0.3, h=1.0)
+        s = np.repeat(np.linspace(0.95, 0.0, 40)[:, None], 3, axis=1)
+        traj = fabricated_seir(np.zeros((40, 3)), np.zeros((40, 3)), 1 - s)
+        start = time.perf_counter()
+        lam = convergence_diagnostics(traj, params, net).lambda_seq
+        assert time.perf_counter() - start < 1.0
+        for st, val in zip(traj.states, lam):
+            m = build_spreading_matrix(st, params, net).m
+            assert abs(val - np.abs(np.linalg.eigvals(m)).max()) <= 1e-10
 
     def test_refuses_negative_spreading_matrix(self, sir_example):
         net, params, state = sir_example
