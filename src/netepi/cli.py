@@ -1,29 +1,9 @@
 """Command-line front end: simulate / diagnose / perturb / estimate.
 
-A scenario is a single JSON document; file paths inside it are resolved
-relative to the scenario file so a run is reproducible from one directory.
-Exit codes: 0 success, 1 error, 2 estimation ran but the data were not
-identifiable.
-
-Scenario schema (SEIR shown; SIR omits beta_e/sigma and the e seeds):
-
-    {
-      "model": "seir",
-      "n": 20,
-      "network": "net.csv",            // edge-list, or "layers": [...] extras
-      "params": {"beta_e": 0.04, "beta": 0.06, "sigma": 0.4,
-                 "gamma": 0.3, "h": 1.0},
-      "initial": {"seeds": {"e": {"1": 0.02, "2": 0.03}, "p": {"1": 0.01}}},
-      "steps": 100,
-      "noise": {"e_slope": 0.015, "e_floor": 0.0001,
-                "x_slope": 0.008, "x_floor": 0.00001,
-                "seed": 0, "start_k": 14},
-      "seed": 0
-    }
-
-Parameter values may be scalars, per-node lists, or a path to a text file
-with one value per line. "initial" may instead give explicit "s"/"e"/"p"/"r"
-lists.
+A scenario is a single JSON document, checked against the tables below;
+file paths inside it are resolved relative to the scenario file so a run is
+reproducible from one directory. Exit codes: 0 success, 1 error, 2
+estimation ran but the data were not identifiable.
 """
 
 from __future__ import annotations
@@ -32,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -51,132 +32,151 @@ class ScenarioError(ValueError):
     pass
 
 
-def _object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{where} must be a JSON object")
-    return value
+def _number(v) -> bool:
+    # a bool is an int to Python, not to JSON
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _require(mapping, key: str, where: str):
-    if key not in _object(mapping, where):
-        raise ScenarioError(f"{where} missing {key!r}")
-    return mapping[key]
+def _numbers(v) -> bool:
+    return _number(v) or isinstance(v, list) and all(map(_number, v))
 
 
-def _finite(name: str, value):
-    if not np.all(np.isfinite(value)):
-        raise ScenarioError(f"{name} is NaN or infinite")
-    return value
+# a rate may name a text file of its per-node values, one a line
+_RATE = "a number or a list of numbers, or a file name"
 
-
-# the JSON type of a scalar key; a bool is an int to Python, not to JSON
+# each JSON type a value may have, by the words that name it in an error
 _TYPES = {
-    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "a number": _number,
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
     "a boolean": lambda v: isinstance(v, bool),
     "a list": lambda v: isinstance(v, list),
+    "a JSON object": lambda v: isinstance(v, dict),
+    "any JSON value": lambda v: True,
+    "'sir' or 'seir'": lambda v: v in ("sir", "seir"),
+    "a number or a list of numbers": _numbers,
+    _RATE: lambda v: _numbers(v) or isinstance(v, str),
 }
 
+# One table per JSON object: key -> (JSON type, required, None or the range
+# (least, greatest) of its numbers). Rate bounds are left to
+# dynamics.check_assumption, vector lengths to the code that uses them.
+_AT_LEAST_0, _LEVEL = (0, math.inf), (0, 1)
+_SCENARIO = {
+    "model": ("'sir' or 'seir'", True, None),
+    "n": ("an integer", True, (1, math.inf)),
+    "network": ("a string", True, None),
+    "layers": ("a list", False, None),
+    "params": ("a JSON object", True, None),
+    "initial": ("a JSON object", False, None),
+    "steps": ("an integer", False, _AT_LEAST_0),
+    "seed": ("any JSON value", False, None),  # the default noise seed, checked as that
+    "noise": ("a JSON object", False, None),
+}
+_SIR_PARAMS = {"beta": (_RATE, True, None), "gamma": (_RATE, True, None),
+               "h": ("a number", False, None)}
+_PARAMS = {
+    "sir": _SIR_PARAMS,
+    "seir": {"beta_e": (_RATE, True, None), **_SIR_PARAMS, "sigma": (_RATE, True, None),
+             "layer_beta_e": ("a list", False, None), "layer_beta": ("a list", False, None)},
+}
+_COMPARTMENTS = {"sir": ("s", "p", "r"), "seir": ("s", "e", "p", "r")}
+_LEVELS = {model: {c: ("a number or a list of numbers", True, _LEVEL) for c in comps}
+           for model, comps in _COMPARTMENTS.items()}
+_INITIAL_SEEDS = {"seeds": ("a JSON object", True, None)}
+_SEEDS = {model: {c: ("a JSON object", False, None) for c in comps[1:]}
+          for model, comps in _COMPARTMENTS.items()}
+# the noise model's fields, typed by their defaults; its numbers are >= 0
+_NOISE = {f.name: ({bool: "a boolean", int: "an integer", float: "a number"}[type(f.default)],
+                   False, None if isinstance(f.default, bool) else _AT_LEAST_0)
+          for f in dataclasses.fields(estimation.NoiseModel)}
 
-def _typed(value, kind: str, name: str):
+
+def _walk(obj, table: dict, where: str, label: str) -> dict:
+    """``obj`` if it is a JSON object whose keys are all in ``table``, that
+    has every required key, and whose values ``_check`` accepts; else a
+    ScenarioError. ``where`` names the object, ``label`` prefixes its keys."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where} must be a JSON object")
+    unknown = sorted(set(obj) - set(table))
+    if unknown:
+        raise ScenarioError(f"{where} has unknown keys {unknown}")
+    for key, (kind, required, bounds) in table.items():
+        if key in obj:
+            _check(obj[key], kind, bounds, f"{label} {key!r}")
+        elif required:
+            raise ScenarioError(f"{where} missing {key!r}")
+    return obj
+
+
+def _check(value, kind: str, bounds, name: str):
+    """``value`` if it has the JSON type ``kind``, its numbers are finite and
+    lie within ``bounds`` (if given); else a ScenarioError naming it."""
     if not _TYPES[kind](value):
         raise ScenarioError(f"{name} must be {kind}")
+    xs = value if isinstance(value, list) else [value]
+    if any(isinstance(x, float) and not math.isfinite(x) for x in xs):
+        raise ScenarioError(f"{name} is NaN or infinite")
+    if bounds and not all(bounds[0] <= x <= bounds[1] for x in xs):
+        least, greatest = bounds
+        raise ScenarioError(f"{name} must be " + (f">= {least}" if greatest == math.inf
+                                                  else f"in [{least}, {greatest}]"))
     return value
 
 
-def _vector(value, n: int, name: str) -> np.ndarray:
-    """A number, repeated n times, or a list of numbers."""
-    if _TYPES["a number"](value):
-        return np.full(n, float(value))
-    if isinstance(value, list) and all(map(_TYPES["a number"], value)):
-        return np.asarray(value, dtype=float)
-    raise ScenarioError(f"{name} must be a number or a list of numbers")
-
-
-def _resolve(value, base: Path, n: int, name: str) -> np.ndarray:
-    if isinstance(value, str):
-        value = [float(x) for x in (base / value).read_text().split()]
-    return _finite(f"parameter {name!r}", _vector(value, n, f"parameter {name!r}"))
+def _rate(value, base: Path, key: str, n: int) -> np.ndarray:
+    """A rate as a per-node vector; one given as a file name is the list of
+    the numbers in that file, one a line."""
+    name = f"parameter {key!r}"
+    if isinstance(_check(value, _RATE, None, name), str):
+        value = _check([float(x) for x in (base / value).read_text().split()], _RATE, None, name)
+    return dynamics._as_vector(value, n, name)
 
 
 def load_scenario(path: str | Path) -> dict:
-    """Read and check a scenario: a missing key, a value of the wrong JSON
-    type, a NaN or infinite parameter or initial level, a seed node outside
-    0..n-1 or an unknown noise key is a ``ScenarioError`` naming it."""
+    """Read a scenario and check it against the tables above: an unknown or
+    missing key, a value of the wrong JSON type, a NaN or infinite number, a
+    number out of its range or a seed node outside 0..n-1 is a
+    ``ScenarioError`` naming it."""
     path = Path(path)
-    sc = json.loads(path.read_text())
     base = path.parent
-    model = _require(sc, "model", "scenario")
-    if model not in ("sir", "seir"):
-        raise ScenarioError("scenario 'model' must be 'sir' or 'seir'")
-    n = _typed(_require(sc, "n", "scenario"), "an integer", "scenario 'n'")
-    net_path = base / _typed(_require(sc, "network", "scenario"), "a string", "scenario 'network'")
-    if not net_path.exists():
-        raise ScenarioError(f"network file not found: {net_path}")
-    with open(net_path) as fh:
-        layers = []
-        for lp in _typed(sc.get("layers", []), "a list", "scenario 'layers'"):
-            lpath = base / _typed(lp, "a string", "scenario 'layers' entry")
-            if not lpath.exists():
-                raise ScenarioError(f"layer file not found: {lpath}")
-            layers.append(graph.load_network(lpath.read_text(), n).adjacency)
-        net = graph.load_network(fh, n)
-        if layers:
-            net = graph.Network(net.adjacency, layers=tuple(layers))
-    p = _require(sc, "params", "scenario")
-    needed = ("beta", "gamma") if model == "sir" else ("beta_e", "beta", "sigma", "gamma")
-    rates = {k: _resolve(_require(p, k, "params"), base, n, k) for k in needed}
-    h = float(_finite("parameter 'h'", _typed(p.get("h", 1.0), "a number", "parameter 'h'")))
-    if model == "sir":
-        params = dynamics.SirParams(**rates, h=h)
-    else:
-        layer_rates = {k: tuple(_resolve(v, base, n, k)
-                                for v in _typed(p.get(k, []), "a list", f"parameter {k!r}"))
-                       for k in ("layer_beta_e", "layer_beta")}
-        params = dynamics.SeirParams(**rates, h=h, **layer_rates)
-    initial = _build_initial(_object(sc.get("initial", {}), "scenario 'initial'"), model, n)
-    noise = None
-    if "noise" in sc:
-        nz = dict(_object(sc["noise"], "scenario 'noise'"))
-        nz.setdefault("seed", sc.get("seed", 0))
-        unknown = set(nz) - {f.name for f in dataclasses.fields(estimation.NoiseModel)}
-        if unknown:
-            raise ScenarioError(f"noise has unknown keys {sorted(unknown)}")
-        for key, value in nz.items():
-            kind = ("a boolean" if key == "param_is_std" else
-                    "an integer" if key in ("seed", "start_k") else "a number")
-            _typed(value, kind, f"noise {key!r}")
-        noise = estimation.NoiseModel(**nz)
+    sc = _walk(json.loads(path.read_text()), _SCENARIO, "scenario", "scenario")
+    model, n = sc["model"], sc["n"]
+    layers = [_check(f, "a string", None, "scenario 'layers' entry") for f in sc.get("layers", [])]
+    net, *extra = [graph.load_network((base / f).read_text(), n) for f in [sc["network"], *layers]]
+    if extra:
+        net = graph.Network(net.adjacency, layers=tuple(x.adjacency for x in extra))
+    p = _walk(sc["params"], _PARAMS[model], "params", "parameter")
+    rates = {k: tuple(_rate(x, base, k, n) for x in v) if k.startswith("layer_")
+             else _rate(v, base, k, n) for k, v in p.items() if k != "h"}
+    params = (dynamics.SirParams if model == "sir" else dynamics.SeirParams)(
+        **rates, h=float(p.get("h", 1.0)))
+    noise = _walk({"seed": sc.get("seed", 0), **sc.get("noise", {})}, _NOISE, "noise", "noise")
     return {
         "model": model,
         "net": net,
         "params": params,
-        "initial": initial,
-        "steps": _typed(sc.get("steps", 0), "an integer", "scenario 'steps'"),
-        "noise": noise,
+        "initial": _initial(sc.get("initial", {}), model, n),
+        "steps": sc.get("steps", 0),
+        "noise": estimation.NoiseModel(**noise) if "noise" in sc else None,
     }
 
 
-def _build_initial(spec: dict, model: str, n: int) -> dynamics.EpidemicState:
-    comps = ("s", "p", "r") if model == "sir" else ("s", "e", "p", "r")
-    if "seeds" in spec:
-        vals = {c: np.zeros(n) for c in comps if c != "s"}
-        for comp, seeds in _object(spec["seeds"], "initial 'seeds'").items():
-            if comp not in vals:
-                raise ScenarioError(f"cannot seed compartment {comp!r} for model {model}")
-            for node, level in _object(seeds, f"seeds {comp!r}").items():
-                if not 0 <= int(node) < n:
-                    raise ScenarioError(f"seed node {node} out of range for n={n}")
-                level = _typed(level, "a number", f"initial {comp!r} level")
-                vals[comp][int(node)] = _finite(f"initial {comp!r} level", level)
-        s = 1.0 - sum(vals.values())
-        return dynamics.EpidemicState(s=s, **{c: vals[c] for c in vals})
-    arrays = {c: _vector(_require(spec, c, "initial state"), n, f"initial {c!r}") for c in comps}
-    for c, arr in arrays.items():
-        _finite(f"initial {c!r}", arr)
-    e = arrays.pop("e", None)
-    return dynamics.EpidemicState(e=e, **arrays)
+def _initial(spec: dict, model: str, n: int) -> dynamics.EpidemicState:
+    """The levels of every compartment, or seeds: levels at some nodes of the
+    compartments other than s, which takes the rest."""
+    if "seeds" not in spec:
+        levels = _walk(spec, _LEVELS[model], "initial state", "initial")
+        return dynamics.EpidemicState(**{c: dynamics._as_vector(v, n, f"initial {c!r}")
+                                         for c, v in levels.items()})
+    seeds = _walk(spec, _INITIAL_SEEDS, "initial", "initial")["seeds"]
+    vals = {c: np.zeros(n) for c in _COMPARTMENTS[model][1:]}
+    for comp, levels in _walk(seeds, _SEEDS[model], "seeds", "seeds").items():
+        for node, level in levels.items():
+            if not (node.isdecimal() and int(node) < n):
+                raise ScenarioError(f"seed node {node} out of range for n={n}")
+            vals[comp][int(node)] = _check(level, "a number", _LEVEL, f"initial {comp!r} level")
+    return dynamics.EpidemicState(s=1.0 - sum(vals.values()), **vals)
 
 
 def cmd_simulate(args) -> int:
@@ -204,55 +204,45 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_diagnose(args) -> int:
+def _inputs(args) -> tuple:
+    """The scenario, the trajectory read with its step size, and the output
+    directory, created, of a diagnose, perturb or estimate run."""
     sc = load_scenario(args.scenario)
-    traj = dynamics.trajectory_from_csv(Path(args.trajectory).read_text(),
-                                        h=sc["params"].h)
-    report = spectral.convergence_diagnostics(traj, sc["params"], sc["net"])
+    traj = dynamics.trajectory_from_csv(Path(args.trajectory).read_text(), h=sc["params"].h)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    return sc, traj, out
+
+
+def cmd_diagnose(args) -> int:
+    sc, traj, out = _inputs(args)
+    report = spectral.convergence_diagnostics(traj, sc["params"], sc["net"])
     (out / "lambda.csv").write_text(spectral.report_to_csv(report))
     (out / "convergence.json").write_text(spectral.report_to_json(report))
     return EXIT_OK
 
 
 def cmd_perturb(args) -> int:
-    sc = load_scenario(args.scenario)
-    if sc["noise"] is None:
-        print("scenario has no noise model", file=sys.stderr)
-        return EXIT_ERROR
+    sc, traj, out = _inputs(args)
     noise = sc["noise"]
+    if noise is None:
+        raise ScenarioError("scenario has no noise model")
     if args.seed is not None:
         noise = dataclasses.replace(noise, seed=args.seed)
-    traj = dynamics.trajectory_from_csv(Path(args.trajectory).read_text(),
-                                        h=sc["params"].h)
     measured = estimation.apply_noise(traj, noise)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "measured.csv").write_text(dynamics.trajectory_to_csv(measured))
-    sidecar = {
-        "seed": noise.seed,
-        "start_k": noise.start_k,
-        "e_slope": noise.e_slope,
-        "e_floor": noise.e_floor,
-        "x_slope": noise.x_slope,
-        "x_floor": noise.x_floor,
-        "param_is_std": noise.param_is_std,
-    }
+    # seed and start_k lead, the other fields follow in their order
+    sidecar = {"seed": noise.seed, "start_k": noise.start_k, **dataclasses.asdict(noise)}
     (out / "noise.json").write_text(json.dumps(sidecar, indent=2))
     return EXIT_OK
 
 
 def cmd_estimate(args) -> int:
-    sc = load_scenario(args.scenario)
-    traj = dynamics.trajectory_from_csv(Path(args.trajectory).read_text(),
-                                        h=sc["params"].h)
+    sc, traj, out = _inputs(args)
     if traj.kind != sc["model"]:
         raise ScenarioError(f"scenario model {sc['model']!r} does not match "
                             f"the {traj.kind!r} trajectory")
     report = estimation.estimate_pipeline(traj, sc["net"], node=args.node)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "estimate.json").write_text(estimation.report_to_json(report))
     if report.verdict is not None and not report.verdict.identifiable:
         print("data not identifiable: " + ", ".join(report.verdict.failed_conditions),
@@ -301,7 +291,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ScenarioError, ValueError, OSError, json.JSONDecodeError,
+    except (ValueError, OSError, OverflowError, MemoryError,
             spectral.PowerIterationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import (SeirParams, SirParams, Trajectory, _operator,
+from .dynamics import (SUM_TOL, SeirParams, SirParams, Trajectory, _operator,
                        _pressure, simulate)
 from .graph import Network
 
@@ -92,6 +92,8 @@ class NoiseModel:
     def __post_init__(self):
         if min(self.e_slope, self.e_floor, self.x_slope, self.x_floor) < 0:
             raise ValueError("noise slopes and floors must be >= 0")
+        if self.start_k < 0:
+            raise ValueError("noise start_k must be >= 0")
 
 
 def _g(s: np.ndarray, x: np.ndarray, net: Network) -> np.ndarray:
@@ -290,7 +292,9 @@ def solve_least_squares(sys: RegressionSystem,
 def apply_noise(traj: Trajectory, model: NoiseModel) -> Trajectory:
     """Measured trajectory: Gaussian perturbations on e, p, r from step
     ``start_k`` on (earlier steps are dropped), clamped to [0, 1], with s
-    recomputed from the conservation law. Deterministic under the seed."""
+    recomputed from the conservation law. Deterministic under the seed.
+    Those e, p, r levels must lie in [0, 1] up to SUM_TOL; their rows need
+    not sum to 1."""
     if traj.kind != "seir":
         raise ValueError("noise model applies to SEIR trajectories")
     if model.start_k >= len(traj):
@@ -298,10 +302,14 @@ def apply_noise(traj: Trajectory, model: NoiseModel) -> Trajectory:
     rng = np.random.default_rng(model.seed)
 
     def scale(x: np.ndarray, slope: float, floor: float) -> np.ndarray:
-        second = slope * x + floor
+        second = slope * np.clip(x, 0.0, 1.0) + floor
         return second if model.param_is_std else np.sqrt(second)
 
     e, p, r = (x[model.start_k:] for x in (traj.e, traj.p, traj.r))
+    for name, x in zip("epr", (e, p, r)):
+        # written so that NaN fails too
+        if not np.all((x >= -SUM_TOL) & (x <= 1 + SUM_TOL)):
+            raise ValueError(f"trajectory {name!r} level outside [0, 1] or NaN")
     # one draw per step for e, then p, then r: the order of the random stream
     z = rng.normal(0.0, 1.0, size=(len(e), 3, traj.n))
     e = np.clip(e + z[:, 0] * scale(e, model.e_slope, model.e_floor), 0.0, 1.0)

@@ -160,14 +160,15 @@ def _edge_error(lines: list[str], n: int) -> NetworkError:
 
 
 def save_network(net: Network) -> str:
-    """Serialize a Network back to edge-list text (round-trips bit-exactly)."""
-    lines = []
-    for i in range(net.n):
-        for j in range(net.n):
-            w = net.adjacency[i, j]
-            if w != 0.0:
-                lines.append(f"{i},{j},{float(w)!r}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Serialize a Network back to edge-list text (round-trips bit-exactly).
+    An edge list holds one matrix, so a network with transport layers is
+    refused rather than written without them."""
+    if net.layers:
+        raise NetworkError(f"cannot write a network with {len(net.layers)} transport "
+                           "layers as one edge list")
+    rows, cols = np.nonzero(net.adjacency)
+    return "".join(f"{i},{j},{w!r}\n" for i, j, w in
+                   zip(rows.tolist(), cols.tolist(), net.adjacency[rows, cols].tolist()))
 
 
 def neighbors(net: Network, i: int) -> set[int]:

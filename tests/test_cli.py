@@ -483,3 +483,84 @@ class TestScenarioParsing:
         (tmp_path / "net.csv").write_text("# no edges\n\n")
         assert run("simulate", "--scenario", sc, "--out", tmp_path / "out") == 0
         assert capsys.readouterr().err == ""
+
+
+class TestScenarioSchema:
+    """Every JSON object of a scenario refuses keys it does not know, and each
+    number has a least value (levels also a greatest)."""
+
+    def test_misspelt_steps_refused(self, tmp_path, capsys):
+        sc = write_scenario(tmp_path, model="sir")
+        data = json.loads(sc.read_text())
+        data["stesp"] = data.pop("steps")
+        sc.write_text(json.dumps(data))
+        assert run("simulate", "--scenario", sc, "--out", tmp_path / "out") == 1
+        assert "'stesp'" in error_line(capsys)
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("model,edit,message", [
+        ("sir", lambda d: d["params"].update(sigma=0.4), "params has unknown keys ['sigma']"),
+        ("sir", lambda d: d["initial"].update(s=1.0), "initial has unknown keys ['s']"),
+        ("sir", lambda d: d["initial"]["seeds"].update(e={}), "seeds has unknown keys ['e']"),
+        ("sir", lambda d: d.update(initial={"s": 1.0, "p": 0.0, "r": 0.0, "x": 0.0}),
+         "initial state has unknown keys ['x']"),
+        ("seir", lambda d: d.update(n=0), "scenario 'n' must be >= 1"),
+        ("seir", lambda d: d.update(steps=-1), "scenario 'steps' must be >= 0"),
+        ("seir", lambda d: d["initial"]["seeds"]["p"].update({"1": 1.5}),
+         "initial 'p' level must be in [0, 1]"),
+        ("sir", lambda d: d.update(initial={"s": 1.5, "p": -0.5, "r": 0}),
+         "initial 's' must be in [0, 1]"),
+        ("seir", lambda d: d["initial"]["seeds"]["e"].update({"x": 0.1}), "seed node x"),
+        ("seir", lambda d: d.update(noise={"start_k": -2}), "noise 'start_k' must be >= 0"),
+        ("seir", lambda d: d.update(noise={"x_floor": -1e-5}), "noise 'x_floor' must be >= 0"),
+        ("seir", lambda d: d.update(seed=-1), "noise 'seed' must be >= 0"),
+        ("seir", lambda d: d.update(model="sis"), "scenario 'model' must be 'sir' or 'seir'"),
+    ], ids=["params", "initial", "seeds", "levels", "n", "steps", "seed_level",
+            "explicit_level", "seed_node", "start_k", "noise_floor", "seed", "model"])
+    def test_refused(self, tmp_path, capsys, model, edit, message):
+        sc = write_scenario(tmp_path, model=model, steps=3)
+        data = json.loads(sc.read_text())
+        edit(data)
+        sc.write_text(json.dumps(data))
+        assert run("simulate", "--no-strict", "--scenario", sc, "--out", tmp_path / "out") == 1
+        assert message in error_line(capsys)
+
+    def test_negative_start_k_refused_by_perturb(self, tmp_path, capsys):
+        sc = write_scenario(tmp_path, steps=5, noise={"start_k": -2})
+        (tmp_path / "out").mkdir()
+        text = "k,node,s,e,p,r\n" + "".join(f"{k},{i},1,0,0,0\n" for k in range(6)
+                                            for i in range(20))
+        (tmp_path / "out" / "trajectory.csv").write_text(text)
+        assert run("perturb", "--scenario", sc, "--out", tmp_path / "out",
+                   "--trajectory", tmp_path / "out" / "trajectory.csv") == 1
+        assert "'start_k'" in error_line(capsys)
+        assert not (tmp_path / "out" / "measured.csv").exists()
+
+    def test_network_too_large_to_allocate(self, tmp_path, capsys):
+        # a dense 1e8 x 1e8 adjacency: the allocation fails at once
+        sc = write_scenario(tmp_path, model="sir", n=100000000)
+        assert run("simulate", "--scenario", sc, "--out", tmp_path / "out") == 1
+        assert "Unable to allocate" in error_line(capsys)
+
+
+class TestPerturbInput:
+    def test_level_out_of_range_refused(self, tmp_path, capsys):
+        sc = write_scenario(tmp_path, steps=4, noise={"start_k": 0})
+        assert run("simulate", "--scenario", sc, "--out", tmp_path / "out") == 0
+        traj = tmp_path / "out" / "trajectory.csv"
+        lines = traj.read_text().splitlines()
+        row = lines[25].split(",")
+        row[3] = "-1"
+        lines[25] = ",".join(row)
+        traj.write_text("\n".join(lines) + "\n")
+        assert run("perturb", "--scenario", sc, "--out", tmp_path / "noisy",
+                   "--trajectory", traj) == 1
+        assert "'e' level outside [0, 1]" in error_line(capsys)
+        assert not (tmp_path / "noisy" / "measured.csv").exists()
+
+    def test_no_noise_model(self, tmp_path, capsys):
+        sc = write_scenario(tmp_path, steps=2)
+        assert run("simulate", "--scenario", sc, "--out", tmp_path / "out") == 0
+        assert run("perturb", "--scenario", sc, "--out", tmp_path / "out",
+                   "--trajectory", tmp_path / "out" / "trajectory.csv") == 1
+        assert "no noise model" in error_line(capsys)

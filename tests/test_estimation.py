@@ -344,6 +344,36 @@ class TestApplyNoise:
         with pytest.raises(ValueError):
             NoiseModel(e_slope=-1.0)
 
+    def test_rejects_negative_start_k(self):
+        # a negative start_k would slice the last states from the end
+        with pytest.raises(ValueError, match="start_k"):
+            NoiseModel(start_k=-2)
+
+    @pytest.mark.parametrize("comp,value", [("e", -1.0), ("p", 2.0), ("r", np.nan),
+                                            ("e", -1e-8)])
+    def test_rejects_level_out_of_range(self, seir_traj, comp, value):
+        _, _, traj = seir_traj
+        levels = {c: getattr(traj, c).copy() for c in ("s", "e", "p", "r")}
+        levels[comp][1, 0] = value
+        with pytest.raises(ValueError, match=f"'{comp}' level outside"):
+            apply_noise(Trajectory(**levels, h=traj.h), NoiseModel())
+
+    def test_level_within_tolerance_scaled_as_clipped(self, seir_traj):
+        _, _, traj = seir_traj
+        levels = {c: getattr(traj, c).copy() for c in ("s", "e", "p", "r")}
+        levels["e"][:, 0] = -1e-12  # with no floor, the scale of e itself is sqrt(< 0)
+        levels["p"][:, 0] = 1 + 1e-12
+        out = apply_noise(Trajectory(**levels, h=traj.h), NoiseModel(e_floor=0.0, seed=4))
+        assert np.isfinite(out.p).all()
+        assert not out.e[:, 0].any()  # a zero scale: e stays put, clamped to 0
+
+    def test_rows_need_not_sum_to_one(self, seir_traj):
+        # measured data with the exposed column zeroed, as a blind estimate feeds
+        _, _, traj = seir_traj
+        blind = Trajectory(s=traj.s, e=np.zeros_like(traj.e), p=traj.p, r=traj.r, h=traj.h)
+        out = apply_noise(blind, NoiseModel(e_slope=0.0, e_floor=0.0, seed=2))
+        assert not out.e.any()
+
 
 class TestEstimatePipeline:
     def test_noiseless_exact_recovery(self, seir_traj):

@@ -54,6 +54,24 @@ class TestLoadNetwork:
         again = load_network(save_network(net), 5)
         assert np.array_equal(again.adjacency, net.adjacency)
 
+    def test_save_row_major_repr(self):
+        a = np.zeros((3, 3))
+        a[2, 0], a[0, 2], a[0, 1] = 0.1 + 0.2, 1.0, 5e-324
+        assert save_network(Network(a)) == "0,1,5e-324\n0,2,1.0\n2,0,0.30000000000000004\n"
+        assert save_network(Network(np.zeros((2, 2)))) == ""
+        # the same bytes as a row-major scan of every entry
+        rng = np.random.default_rng(3)
+        for n in (1, 4, 9):
+            a = np.where(rng.random((n, n)) < 0.4, rng.random((n, n)), 0.0)
+            lines = [f"{i},{j},{float(a[i, j])!r}" for i in range(n) for j in range(n)
+                     if a[i, j] != 0.0]
+            assert save_network(Network(a)) == "".join(line + "\n" for line in lines)
+
+    def test_save_refuses_layers(self):
+        a = np.eye(2)
+        with pytest.raises(NetworkError, match="transport layers"):
+            save_network(Network(a, layers=(a,)))
+
 
 class TestNetworkType:
     def test_rejects_negative(self):
