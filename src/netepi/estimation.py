@@ -289,6 +289,15 @@ def solve_least_squares(sys: RegressionSystem,
                           non_unique=rank < q.shape[1])
 
 
+def _check_levels(e: np.ndarray | None, p: np.ndarray, r: np.ndarray) -> None:
+    """Refuse e, p or r levels that are NaN or outside [0, 1] beyond SUM_TOL;
+    e is None for SIR. s is not checked, nor are the row sums."""
+    for name, x in zip("epr", (e, p, r)):
+        # written so that NaN fails too
+        if x is not None and not np.all((x >= -SUM_TOL) & (x <= 1 + SUM_TOL)):
+            raise ValueError(f"trajectory {name!r} level outside [0, 1] or NaN")
+
+
 def apply_noise(traj: Trajectory, model: NoiseModel) -> Trajectory:
     """Measured trajectory: Gaussian perturbations on e, p, r from step
     ``start_k`` on (earlier steps are dropped), clamped to [0, 1], with s
@@ -306,10 +315,7 @@ def apply_noise(traj: Trajectory, model: NoiseModel) -> Trajectory:
         return second if model.param_is_std else np.sqrt(second)
 
     e, p, r = (x[model.start_k:] for x in (traj.e, traj.p, traj.r))
-    for name, x in zip("epr", (e, p, r)):
-        # written so that NaN fails too
-        if not np.all((x >= -SUM_TOL) & (x <= 1 + SUM_TOL)):
-            raise ValueError(f"trajectory {name!r} level outside [0, 1] or NaN")
+    _check_levels(e, p, r)
     # one draw per step for e, then p, then r: the order of the random stream
     z = rng.normal(0.0, 1.0, size=(len(e), 3, traj.n))
     e = np.clip(e + z[:, 0] * scale(e, model.e_slope, model.e_floor), 0.0, 1.0)
@@ -329,7 +335,9 @@ def estimate_pipeline(measured: Trajectory, net: Network,
                       node: int | None = None) -> EstimateReport:
     """Identifiability check, system assembly and pseudoinverse solve for the
     model of ``measured``; when the data are identifiable, a re-simulation
-    from the first measured state scores the fit."""
+    from the first measured state scores the fit. The e, p and r levels
+    must lie in [0, 1] up to SUM_TOL."""
+    _check_levels(measured.e, measured.p, measured.r)
     verdict = check_identifiability(measured, net, node)
     report = solve_least_squares(build_regression(measured, net, node), verdict=verdict)
     if not verdict.identifiable:

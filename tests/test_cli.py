@@ -543,6 +543,26 @@ class TestScenarioSchema:
         assert "Unable to allocate" in error_line(capsys)
 
 
+class TestEstimateInput:
+    @pytest.mark.parametrize("steps", [4, 30])
+    def test_level_out_of_range_refused(self, tmp_path, capsys, steps):
+        # one r of 1e20 on a 5-node ring: the regression would return
+        # estimates of order 1e18..1e21 at T = 4 and overflow at T = 30
+        (tmp_path / "ring.csv").write_text("".join(f"{i},{(i + 1) % 5},1.0\n" for i in range(5)))
+        sc = write_scenario(tmp_path, steps=steps, n=5, network="ring.csv")
+        assert run("simulate", "--scenario", sc, "--out", tmp_path / "out") == 0
+        traj = tmp_path / "out" / "trajectory.csv"
+        lines = traj.read_text().splitlines()
+        row = lines[8].split(",")
+        row[5] = "1e20"
+        lines[8] = ",".join(row)
+        traj.write_text("\n".join(lines) + "\n")
+        assert run("estimate", "--scenario", sc, "--out", tmp_path / "est",
+                   "--trajectory", traj) == 1
+        assert "'r' level outside [0, 1]" in error_line(capsys)
+        assert not (tmp_path / "est" / "estimate.json").exists()
+
+
 class TestPerturbInput:
     def test_level_out_of_range_refused(self, tmp_path, capsys):
         sc = write_scenario(tmp_path, steps=4, noise={"start_k": 0})

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netepi import (EpidemicState, Network, SeirParams, SirParams,
                     build_spreading_matrix, convergence_diagnostics,
@@ -188,12 +190,12 @@ class TestMatrixFreeSolve:
             assert np.abs(lam - _dense_roots(traj, params, net)).max() <= 1e-12
 
     def test_each_state_stops_at_its_own_convergence(self, monkeypatch):
-        # s falls from 0.95 to 0: fresh states converge in tens of iterations,
-        # while at s = 0 the roots 1 - h*sigma and 1 - h*gamma are 0.02 apart
-        # and take hundreds
+        # s falls from 0.95 to 0.001: fresh states converge in tens of
+        # iterations, while near s = 0 the roots close in on 1 - h*sigma and
+        # 1 - h*gamma, 0.02 apart, and take hundreds
         net = Network(np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]]))
         params = SeirParams(beta_e=0.2, beta=0.25, sigma=0.3, gamma=0.32, h=1.0)
-        s = np.repeat(np.linspace(0.95, 0.0, 40)[:, None], 3, axis=1)
+        s = np.repeat(np.linspace(0.95, 0.001, 40)[:, None], 3, axis=1)
         traj = fabricated_seir(np.zeros((40, 3)), np.zeros((40, 3)), 1 - s)
         rows = []
         solve = spectral._power_iteration
@@ -212,6 +214,40 @@ class TestMatrixFreeSolve:
         # alone for over half of the 500+
         assert rows.count(40) < 60 and len(rows) > 500
         assert rows.index(1) < len(rows) // 2
+
+    def test_zero_susceptibles_solved_on_their_own_blocks(self, monkeypatch):
+        # the states of test_each_state_stops_at_its_own_convergence, down to
+        # s = 0: there every block is a singleton, so that state's root is its
+        # diagonal entry 1 - h*sigma, exactly, and it enters no power iteration
+        net = Network(np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]]))
+        params = SeirParams(beta_e=0.2, beta=0.25, sigma=0.3, gamma=0.32, h=1.0)
+        s = np.repeat(np.linspace(0.95, 0.0, 40)[:, None], 3, axis=1)
+        traj = fabricated_seir(np.zeros((40, 3)), np.zeros((40, 3)), 1 - s)
+        rows, labelled = [], []
+        solve, label = spectral._power_iteration, spectral._components
+
+        def counted_solve(apply, data, size):
+            rows.append(len(data[0]))
+            return solve(apply, data, size)
+
+        def counted_label(*args):
+            labelled.append(args)
+            return label(*args)
+
+        monkeypatch.setattr(spectral, "_power_iteration", counted_solve)
+        monkeypatch.setattr(spectral, "_components", counted_label)
+        lam = convergence_diagnostics(traj, params, net).lambda_seq
+        assert lam[-1] == 0.7
+        for state, val in zip(traj.states, lam):
+            m = build_spreading_matrix(state, params, net).m
+            assert abs(val - np.abs(np.linalg.eigvals(m)).max()) <= 1e-12
+        assert rows == [39]
+        # one labelling per set of nodes with s = 0: none, and all three
+        assert len(labelled) == 2
+        labelled.clear()
+        positive = fabricated_seir(np.zeros((39, 3)), np.zeros((39, 3)), 1 - s[:-1])
+        convergence_diagnostics(positive, params, net)
+        assert len(labelled) == 1
 
     def test_reducible_network_matches_eigvals(self):
         # two strongly connected rings joined by one-way edges, so M is block
@@ -255,11 +291,23 @@ class TestMatrixFreeSolve:
             m = build_spreading_matrix(st, params, two_node_net).m
             assert abs(val - np.abs(np.linalg.eigvals(m)).max()) <= 1e-12
 
+    def test_defective_block_below_the_state_root(self):
+        # two nodes with self-loops and no edge between them: at node 0,
+        # s = 0 and sigma = gamma leave the root 0.7 of {e_0, p_0} defective,
+        # while the state's root, 1.07, is node 1's
+        net = Network(np.diag([1.0, 1.0]))
+        rates = np.array([0.3, 0.1])
+        params = SeirParams(beta_e=0.2, beta=0.25, sigma=rates, gamma=rates, h=1.0)
+        traj = fabricated_seir(np.zeros((2, 2)), np.zeros((2, 2)), [[1.0, 0.5], [1.0, 0.5]])
+        lam = convergence_diagnostics(traj, params, net).lambda_seq
+        for state, val in zip(traj.states, lam):
+            m = build_spreading_matrix(state, params, net).m
+            assert abs(val - np.abs(np.linalg.eigvals(m)).max()) <= 1e-12
+
     def test_roots_as_s_falls_to_zero(self):
-        # test_each_state_stops_at_its_own_convergence with sigma = gamma: at
-        # s = 0 the blocks split into the nodes' e and p, and the root
-        # 1 - h*sigma, shared by p_i and the e_i it reaches, is defective, so
-        # the unsplit iteration would stall
+        # test_zero_susceptibles_solved_on_their_own_blocks with sigma = gamma:
+        # at s = 0 the blocks split into the nodes' e and p, and the root
+        # 1 - h*sigma, shared by p_i and the e_i it reaches, is defective
         net = Network(np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]]))
         params = SeirParams(beta_e=0.2, beta=0.25, sigma=0.3, gamma=0.3, h=1.0)
         s = np.repeat(np.linspace(0.95, 0.0, 40)[:, None], 3, axis=1)
@@ -269,6 +317,39 @@ class TestMatrixFreeSolve:
         assert time.perf_counter() - start < 1.0
         for st, val in zip(traj.states, lam):
             m = build_spreading_matrix(st, params, net).m
+            assert abs(val - np.abs(np.linalg.eigvals(m)).max()) <= 1e-10
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**31),
+           st.sampled_from(["sir", "seir"]), st.booleans())
+    def test_roots_over_mixed_zero_sets(self, n, seed, kind, tie):
+        # a random, often reducible, network and states whose nodes with
+        # s = 0 differ, so one call solves several groups of blocks; with
+        # tie, sigma = gamma and a node with s = 0 has a defective root
+        rng = np.random.default_rng(seed)
+        a = (rng.random((n, n)) < 0.4) * rng.uniform(0.2, 1.0, (n, n))
+        rowmax = max(a.sum(axis=1).max(), 1.0)
+        gamma = rng.uniform(0.1, 0.9, n)
+        if kind == "sir":
+            params = SirParams(beta=rng.uniform(0.05, 0.9, n) / rowmax, gamma=gamma, h=1.0)
+        else:
+            total, split = rng.uniform(0.05, 0.9, n) / rowmax, rng.uniform(0.1, 0.9, n)
+            sigma = gamma if tie else rng.uniform(0.1, 1.0, n)
+            params = SeirParams(beta_e=total * split, beta=total * (1 - split),
+                                sigma=sigma, gamma=gamma, h=1.0)
+        steps = int(rng.integers(2, 9))
+        s = rng.uniform(0.1, 1.0, (steps, n))
+        s[1:][rng.random((steps - 1, n)) < 0.4] = 0.0
+        s[1, rng.integers(n)] = 0.0  # state 0 has s > 0 everywhere, state 1 not
+        zero = np.zeros((steps, n))
+        traj = (Trajectory(s=s, p=zero, r=1 - s, h=1.0) if kind == "sir"
+                else fabricated_seir(zero, zero, 1 - s))
+        net = Network(a)
+        start = time.perf_counter()
+        lam = convergence_diagnostics(traj, params, net).lambda_seq
+        assert time.perf_counter() - start < 1.0
+        for state, val in zip(traj.states, lam):
+            m = build_spreading_matrix(state, params, net).m
             assert abs(val - np.abs(np.linalg.eigvals(m)).max()) <= 1e-10
 
     def test_refuses_negative_spreading_matrix(self, sir_example):
