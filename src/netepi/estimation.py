@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -108,6 +109,14 @@ def _g(s: np.ndarray, x: np.ndarray, net: Network) -> np.ndarray:
     return s * _pressure(op, (x[:, :, None],))[:, :, 0]
 
 
+def _window_g(traj: Trajectory, net: Network):
+    """g(x) = _g over the window's first T states for compartment ``x`` ("e"
+    or "p"), computed on first use and kept, so that the identifiability
+    check and the regression of one estimate share it. Its callers check
+    ``_transitions`` before they call it."""
+    return cache(lambda x: _g(traj.s[:traj.transitions], getattr(traj, x)[:traj.transitions], net))
+
+
 def _transitions(traj: Trajectory) -> int:
     if traj.transitions < 1:
         raise ValueError("need at least one transition (T >= 1)")
@@ -151,7 +160,7 @@ def _nonzero_conditions(conditions, nodes: np.ndarray) -> tuple[dict, list]:
     return witnesses, failed
 
 
-def _check_sir(traj: Trajectory, net: Network, node: int | None) -> IdentifiabilityVerdict:
+def _check_sir(traj: Trajectory, net: Network, node: int | None, g) -> IdentifiabilityVerdict:
     """Some p != 0 and some (S A p) entry != 0 over the window. Per node, the
     same restricted to node i: the source results state no per-node SIR
     theorem, so this is the direct per-node translation."""
@@ -159,7 +168,7 @@ def _check_sir(traj: Trajectory, net: Network, node: int | None) -> Identifiabil
     nodes = _nodes(net, node)
     names = ("p_nonzero", "sAp_nonzero") if node is None else ("p_i_nonzero", "g_i_p_nonzero")
     witnesses, failed = _nonzero_conditions(
-        zip(names, (traj.p[:t], _g(traj.s[:t], traj.p[:t], net))), nodes)
+        zip(names, (traj.p[:t], g("p"))), nodes)
     if node is not None:
         witnesses = {name: {"k": w["k"], "value": w["value"]} for name, w in witnesses.items()}
     return IdentifiabilityVerdict(identifiable=not failed, witnesses=witnesses,
@@ -189,7 +198,7 @@ def _nonproportional_witness(ge: np.ndarray, gp: np.ndarray, nodes: np.ndarray) 
             "lhs": float(lhs[j]), "rhs": float(rhs[j])}
 
 
-def _check_seir(traj: Trajectory, net: Network, node: int | None) -> IdentifiabilityVerdict:
+def _check_seir(traj: Trajectory, net: Network, node: int | None, g) -> IdentifiabilityVerdict:
     """Nonzero p, nonzero e, and a non-proportional pair of (g(e), g(p))
     values. Per node this requires T > 1; network-wide n > 1 and T > 0."""
     nodes = _nodes(net, node)
@@ -203,8 +212,7 @@ def _check_seir(traj: Trajectory, net: Network, node: int | None) -> Identifiabi
                                       failed_conditions=("horizon_T>1",))
     witnesses, failed = _nonzero_conditions(
         (("p_nonzero", traj.p[:t]), ("e_nonzero", traj.e[:t])), nodes)
-    pair = _nonproportional_witness(_g(traj.s[:t], traj.e[:t], net),
-                                    _g(traj.s[:t], traj.p[:t], net), nodes)
+    pair = _nonproportional_witness(g("e"), g("p"), nodes)
     if pair is None:
         failed.append("g_pair_nonproportional")
     else:
@@ -219,14 +227,15 @@ def check_identifiability(traj: Trajectory, net: Network,
     ``build_regression`` to have full column rank, checked on the window of
     ``traj``; the model follows ``traj.kind``. ``node`` restricts them to one
     node. Each condition met gets a witness, each one failed is named."""
-    return (_check_sir if traj.kind == "sir" else _check_seir)(traj, net, node)
+    check = _check_sir if traj.kind == "sir" else _check_seir
+    return check(traj, net, node, _window_g(traj, net))
 
 
-def _regression_sir(traj: Trajectory, net: Network, node: int | None) -> RegressionSystem:
+def _regression_sir(traj: Trajectory, net: Network, node: int | None, g) -> RegressionSystem:
     nodes = _nodes(net, node)
     t = _transitions(traj)
     h = traj.h
-    a_col = h * _g(traj.s[:t], traj.p[:t], net)[:, nodes].ravel()
+    a_col = h * g("p")[:, nodes].ravel()
     b_col = h * traj.p[:t, nodes].ravel()
     zeros = np.zeros_like(a_col)
     q = np.block([[a_col[:, None], -b_col[:, None]],
@@ -238,12 +247,12 @@ def _regression_sir(traj: Trajectory, net: Network, node: int | None) -> Regress
                             t=t, node=node)
 
 
-def _regression_seir(traj: Trajectory, net: Network, node: int | None) -> RegressionSystem:
+def _regression_seir(traj: Trajectory, net: Network, node: int | None, g) -> RegressionSystem:
     t = _transitions(traj)
     nodes = _nodes(net, node)
     h = traj.h
-    ae = h * _g(traj.s[:t], traj.e[:t], net)[:, nodes].ravel()
-    be = h * _g(traj.s[:t], traj.p[:t], net)[:, nodes].ravel()
+    ae = h * g("e")[:, nodes].ravel()
+    be = h * g("p")[:, nodes].ravel()
     ce = h * traj.e[:t, nodes].ravel()
     de = h * traj.p[:t, nodes].ravel()
     z = np.zeros(len(ae))
@@ -264,7 +273,8 @@ def build_regression(traj: Trajectory, net: Network,
     the steps of ``traj`` into Q theta = delta; the model follows
     ``traj.kind``. SIR stacks the p- and r-updates, unknowns (beta, gamma);
     SEIR stacks the e-, p- and r-updates, unknowns (beta_e, beta, sigma, gamma)."""
-    return (_regression_sir if traj.kind == "sir" else _regression_seir)(traj, net, node)
+    build = _regression_sir if traj.kind == "sir" else _regression_seir
+    return build(traj, net, node, _window_g(traj, net))
 
 
 def solve_least_squares(sys: RegressionSystem,
@@ -338,8 +348,11 @@ def estimate_pipeline(measured: Trajectory, net: Network,
     from the first measured state scores the fit. The e, p and r levels
     must lie in [0, 1] up to SUM_TOL."""
     _check_levels(measured.e, measured.p, measured.r)
-    verdict = check_identifiability(measured, net, node)
-    report = solve_least_squares(build_regression(measured, net, node), verdict=verdict)
+    g = _window_g(measured, net)
+    sir = measured.kind == "sir"
+    verdict = (_check_sir if sir else _check_seir)(measured, net, node, g)
+    system = (_regression_sir if sir else _regression_seir)(measured, net, node, g)
+    report = solve_least_squares(system, verdict=verdict)
     if not verdict.identifiable:
         return report
     # the estimates come in the order of the parameter fields

@@ -65,6 +65,16 @@ class Network:
         return self.adjacency.shape[0]
 
 
+def _loaded(a: np.ndarray) -> Network:
+    """A Network over ``a``, a float n x n array already checked and owned by
+    the caller, filled in directly: it is only set read-only, not copied and
+    checked again as ``Network(a)`` would."""
+    a.setflags(write=False)
+    net = object.__new__(Network)
+    net.__dict__.update(adjacency=a, layers=())
+    return net
+
+
 # one edge-list record: node i is influenced by node j with weight w
 EDGE = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 
@@ -83,7 +93,7 @@ def load_network(source: Iterable[str] | str, n: int) -> Network:
     """
     lines = source.splitlines() if isinstance(source, str) else list(source)
     if next(_records(lines, "#"), None) is None:  # np.loadtxt would warn
-        return Network(np.zeros((n, n)))
+        return _loaded(np.zeros((n, n)))
     try:
         rec = _read_table(lines, EDGE, "#", "#")
     except ValueError:
@@ -94,7 +104,7 @@ def load_network(source: Iterable[str] | str, n: int) -> Network:
         a[i, j] = w
         # the weights are positive, so a repeated (i, j) leaves fewer nonzeros
         if np.count_nonzero(a) == len(rec):
-            return Network(a)
+            return _loaded(a)
     raise _edge_error(lines, n)
 
 
@@ -196,7 +206,7 @@ def is_irreducible(m: np.ndarray) -> bool:
 
 def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Strongly connected component label (0, 1, ...) of each of the ``n``
-    nodes of the digraph with edges rows[k] -> cols[k], ``rows`` ascending.
+    nodes of the digraph with edges rows[k] -> cols[k], in any order.
 
     Tarjan's algorithm ("Depth-first search and linear graph algorithms",
     SIAM J. Comput. 1972) with an explicit stack; the components come out in
@@ -204,7 +214,8 @@ def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """
     start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=start[1:])
-    start, succ = start.tolist(), np.asarray(cols).tolist()
+    succ = np.asarray(cols)[np.argsort(rows, kind="stable")]
+    start, succ = start.tolist(), succ.tolist()
     index, low, label, at = [-1] * n, [0] * n, [-1] * n, [0] * n
     path, work, count = [], [], 0  # work: the DFS stack of (node, its remaining edges)
     order = itertools.count()

@@ -19,6 +19,27 @@ from s, the rates and the adjacency, so its memory is the (T+1) x 2n
 iterates (SEIR; (T+1) x n for SIR) besides the adjacency. A reducible
 matrix is solved per strongly connected block of its off-diagonal pattern;
 its Perron root is the largest of the blocks' roots.
+
+Each iteration multiplies the rows still iterating by each layer's
+adjacency A. The dense product reads all n*n entries of A however few rows
+remain. The edge product gathers the rows' columns at A's nonzero entries,
+weights them and sums each column's run (np.take, then np.add.reduceat), so
+its cost grows with nnz(A) times the rows. It runs where
+8 * nnz(A) * rows < n*n, else the dense one does. Measured with 1 BLAS
+thread on 2 vCPUs at n = 2000 and 24 059 edges (ms per product):
+
+    rows    dense   edge
+    1       1.33    0.09
+    4       2.73    0.47
+    16      4.71    1.90
+    36      7.41    4.00
+    162     26.9    26.2
+
+At n = 300 (1% dense) A stays in cache and the dense product wins at every
+row count, by 3-20x at n = 20. The rule keeps every network of n <= 20 with
+density >= 0.2 dense; at n = 300 and 1% it takes the edges below 10 rows,
+where they cost up to 1.7x the dense product's 10-60 us. The edges are read
+once per call and also give the block labelling.
 """
 
 from __future__ import annotations
@@ -29,7 +50,7 @@ from functools import partial
 
 import numpy as np
 
-from .dynamics import (EpidemicState, SirParams, Trajectory, _prepare,
+from .dynamics import (SUM_TOL, EpidemicState, SirParams, Trajectory, _prepare,
                        _pressure_jacobian)
 from .graph import Network, _components
 
@@ -153,7 +174,9 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> np.ndarray:
                     v*(1 - h*gamma)             + sum_l (x*beta_l) A_l]
 
     with one (c*b, n) @ (n, n) product per layer for the c compartments of
-    the b unconverged rows. A state's root is the largest over the strongly
+    the b unconverged rows, taken over the layer's edges when
+    8 * nnz(A_l) * c*b < n*n and dense otherwise (see the module docstring).
+    A state's root is the largest over the strongly
     connected blocks of its own pattern; nodes with s = 0 contribute no
     infection edges. A singleton block's root is its diagonal entry."""
     pr, op = _prepare(params, traj, net)
@@ -162,7 +185,9 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> np.ndarray:
     sir = isinstance(pr, SirParams)
     comps = len(op[0][1])
     size = comps * n
-    layers = [(a, np.stack(r)) for a, r in op]  # rates as (comps, n)
+    # (A_l, rates as (comps, n), A_l's edges), the edges read once for both
+    # the products and the block labelling
+    layers = [(a, np.stack(r), _column_edges(a)) for a, r in op]
     keep = 1 - h * pr.gamma if sir else np.concatenate([1 - h * pr.sigma, 1 - h * pr.gamma])
     keep_shifted = keep + SHIFT
     h_sigma = None if sir else h * pr.sigma
@@ -170,8 +195,8 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> np.ndarray:
     def apply(w, hs_rows):
         x = (w[:, :n] * hs_rows)[:, None, :]
         out = None
-        for a, r in layers:
-            y = (x * r).reshape(-1, n) @ a
+        for a, r, edges in layers:
+            y = _left_product((x * r).reshape(-1, n), a, edges)
             out = y if out is None else out + y
         out = out.reshape(len(w), size)
         out += w * keep_shifted
@@ -180,9 +205,9 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> np.ndarray:
         return out
 
     diag = np.tile(keep, (len(hs), 1))
-    diag[:, :n] += hs * sum(r[0] * np.diagonal(a) for a, r in layers)
+    diag[:, :n] += hs * sum(r[0] * np.diagonal(a) for a, r, _ in layers)
     # M >= 0 follows from these (each written so that NaN fails too)
-    if not (np.all(hs >= 0) and all(np.all(r >= 0) for _, r in layers)
+    if not (np.all(hs >= 0) and all(np.all(r >= 0) for _, r, _ in layers)
             and np.all(diag >= 0) and (sir or np.all(h_sigma >= 0))):
         raise ValueError("spreading matrix must be nonnegative (h*s, the rates, "
                          "h*sigma and its diagonal must be >= 0)")
@@ -194,20 +219,53 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> np.ndarray:
     # where sigma_i != 0. The states are grouped by their nodes with s = 0
     # (hashing, not sorting, the rows), and each group's blocks are labelled
     # once.
-    pattern = np.zeros((n, comps, n), dtype=bool)
-    for a, r in layers:
-        pattern |= (a != 0)[:, None, :] & (r != 0).T[:, :, None]
+    infection = [(src, c * n + dst, r[c][src] != 0)
+                 for _, r, (src, dst, _, _) in layers for c in range(comps)]
     link = np.zeros(0, dtype=np.intp) if sir else np.flatnonzero(pr.sigma != 0)
     groups: dict[bytes, list[int]] = {}
     for k, zero in enumerate(hs == 0):
         groups.setdefault(zero.tobytes(), []).append(k)
     roots = np.empty(len(hs))
     for ks in map(np.array, groups.values()):
-        rows, cols = np.nonzero(pattern.reshape(n, size) & (hs[ks[0]] != 0)[:, None])
-        labels = _components(size, np.concatenate([rows, link + n]),
-                             np.concatenate([cols, link]))
+        live = hs[ks[0]] != 0
+        src, dst = [link + n], [link]
+        for i, j, rated in infection:
+            on = rated & live[i]
+            src.append(i[on])
+            dst.append(j[on])
+        labels = _components(size, np.concatenate(src), np.concatenate(dst))
         roots[ks] = _block_roots(apply, labels, diag[ks], hs[ks]).max(axis=1)
     return roots
+
+
+def _column_edges(a: np.ndarray) -> tuple:
+    """The nonzero entries a[i, j] of a square matrix in column order (j
+    ascending, then i): their rows i, columns j and values, and the index of
+    the first entry of each nonempty column."""
+    i, j = np.divmod(np.flatnonzero(a), len(a))
+    order = np.argsort(j, kind="stable")
+    i, j = i[order], j[order]
+    return i, j, a[i, j], np.flatnonzero(np.diff(j, prepend=-1))
+
+
+def _left_product(x: np.ndarray, a: np.ndarray, edges: tuple) -> np.ndarray:
+    """x @ a for x (rows, n), given a's ``_column_edges``: over the edges
+    where 8 * nnz(a) * rows < n*n, dense otherwise."""
+    n = len(a)
+    if 8 * len(edges[0]) * len(x) < n * n:
+        return _edge_product(x, edges, n)
+    return x @ a
+
+
+def _edge_product(x: np.ndarray, edges: tuple, n: int) -> np.ndarray:
+    """x @ a over a's ``_column_edges``: x's columns gathered at the edges'
+    rows, weighted, and summed over each column's run."""
+    rows, cols, weights, starts = edges
+    out = np.zeros((len(x), n))
+    # reduceat over an empty run would return the next entry, so only the
+    # nonempty columns are summed; an edgeless a leaves out zero
+    out[:, cols[starts]] = np.add.reduceat(np.take(x, rows, axis=1) * weights, starts, axis=1)
+    return out
 
 
 def _block_roots(apply, labels: np.ndarray, diag: np.ndarray,
@@ -238,9 +296,13 @@ def _restricted(apply, idx: np.ndarray, size: int, w: np.ndarray, *data) -> np.n
 def convergence_diagnostics(traj: Trajectory, params, net: Network) -> ConvergenceReport:
     """Per-step dominant eigenvalues and decay diagnostics for a simulated run;
     the eigenvalues come from the left action of the spreading matrices, which
-    are never formed."""
+    are never formed. An s level above 1 by more than SUM_TOL, or NaN, is
+    refused."""
     if len(traj) < 2:
         raise ValueError("trajectory too short for diagnostics (< 2 states)")
+    # written so that NaN fails too
+    if not np.all(traj.s <= 1 + SUM_TOL):
+        raise ValueError("trajectory 's' level above 1 or NaN")
     lambdas = _trajectory_roots(traj, params, net)
     below = np.flatnonzero(lambdas < 1.0)
     k_bar = int(below[0]) if below.size else None

@@ -174,6 +174,7 @@ class TestDiagnose:
     @pytest.mark.parametrize("row,replaced,message", [
         ("0,0,0.5,,0.5,0", 0, "duplicate"),  # a second row for step 0, node 0
         ("0,1,nan,,0,0", 1, "finite"),
+        ("0,1,1e20,,0,0", 1, "'s' level above 1"),
     ])
     def test_malformed_rows_rejected(self, tmp_path, capsys, row, replaced, message):
         sc = write_scenario(tmp_path, model="sir")
@@ -183,6 +184,7 @@ class TestDiagnose:
         assert run("diagnose", "--scenario", sc, "--out", tmp_path / "diag",
                    "--trajectory", tmp_path / "bad.csv") == 1
         assert message in error_line(capsys)
+        assert not (tmp_path / "diag" / "lambda.csv").exists()
 
     def test_power_iteration_failure(self, tmp_path, capsys):
         # a weak coupling keeps the network irreducible; the spreading matrix

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from netepi import (Network, SeirParams, SirParams, Trajectory,
+from netepi import (Network, SeirParams, SirParams, Trajectory, estimation,
                     apply_noise, build_regression, check_identifiability,
                     estimate_pipeline, g_value, simulate, solve_least_squares)
 from netepi.estimation import (NONZERO_TOL, NoiseModel, _g, _nonproportional_witness,
@@ -382,6 +382,23 @@ class TestEstimatePipeline:
         assert rep.estimates == pytest.approx([0.04, 0.06, 0.4, 0.3], rel=1e-8)
         assert rep.trajectory_errors is not None
         assert max(rep.trajectory_errors.values()) < 1e-10
+
+    def test_g_computed_once_per_compartment(self, monkeypatch, seir_traj, sir_traj):
+        # the identifiability check and the regression share each g(x)
+        calls = []
+
+        def counted(s, x, net):
+            calls.append(len(s))
+            return _g(s, x, net)
+
+        monkeypatch.setattr(estimation, "_g", counted)
+        for (net, _, traj), computed in ((seir_traj, 2), (sir_traj, 1)):
+            calls.clear()
+            rep = estimate_pipeline(traj, net)
+            assert calls == [traj.transitions] * computed
+            assert rep.verdict == check_identifiability(traj, net)
+            system = build_regression(traj, net)
+            assert np.array_equal(rep.estimates, solve_least_squares(system).estimates)
 
     def test_not_identifiable_no_resimulation(self, two_node_net):
         traj = fabricated_seir(

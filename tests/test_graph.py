@@ -54,6 +54,16 @@ class TestLoadNetwork:
         again = load_network(save_network(net), 5)
         assert np.array_equal(again.adjacency, net.adjacency)
 
+    def test_loaded_adjacency_read_only_and_as_parsed(self):
+        text = "0,1,0.5\n2,0,1.5\n1,1,2.0\n"
+        net = load_network(text, 3)
+        assert np.array_equal(net.adjacency, load_network_oracle(text, 3).adjacency)
+        assert net.adjacency.dtype == float and net.layers == ()
+        with pytest.raises(ValueError):
+            net.adjacency[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            load_network("", 2).adjacency[0, 0] = 1.0
+
     def test_save_row_major_repr(self):
         a = np.zeros((3, 3))
         a[2, 0], a[0, 2], a[0, 1] = 0.1 + 0.2, 1.0, 5e-324
@@ -90,6 +100,13 @@ class TestNetworkType:
         net = Network(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             net.adjacency[0, 0] = 1.0
+
+    def test_copies_its_arrays(self):
+        a, layer = np.zeros((2, 2)), np.ones((2, 2))
+        net = Network(a, layers=(layer,))
+        a[0, 1] = layer[0, 1] = 5.0
+        assert net.adjacency[0, 1] == 0.0 and net.layers[0][0, 1] == 1.0
+        assert a.flags.writeable and layer.flags.writeable
 
 
 class TestNeighbors:

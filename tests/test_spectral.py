@@ -277,6 +277,15 @@ class TestMatrixFreeSolve:
         traj = simulate(seeded_state(3, "seir", p_seeds=[(0, 0.1)]), params, net, 10)
         assert np.all(convergence_diagnostics(traj, params, net).lambda_seq == 0.5)
 
+    def test_zero_rate_cuts_the_ring(self):
+        # a ring 0 -> 1 -> 2 -> 0 whose node 0 spreads nothing (beta_0 = 0):
+        # the pattern is a chain, and with homogeneous gamma M's root 0.8 is
+        # defective, so the blocks must follow the rates, not the adjacency
+        net = Network(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        params = SirParams(beta=np.array([0.0, 0.3, 0.3]), gamma=0.2, h=1.0)
+        traj = simulate(seeded_state(3, "sir", p_seeds=[(1, 0.1)]), params, net, 5)
+        assert np.all(convergence_diagnostics(traj, params, net).lambda_seq == 0.8)
+
     def test_block_split_by_zero_susceptibles(self, two_node_net):
         # 0 <-> 1 is one block while s > 0; at s = 0 the infection edges
         # vanish and, with sigma = gamma, the root 0.7 is defective
@@ -375,6 +384,141 @@ class TestMatrixFreeSolve:
         assert peak < 8 * (2 * n) ** 2, f"peak {peak / 2**20:.1f} MB"
 
 
+def _edge_case(kind):
+    """(net, params, traj) on n = 8 nodes for the edge-product tests."""
+    rng = np.random.default_rng({"sir": 81, "seir": 82, "layered": 83, "empty_columns": 84,
+                                 "edgeless_layer": 85, "zero_sets": 86}[kind])
+    n = 8
+    net = random_irreducible_network(rng, n)
+    if kind == "layered":
+        net, params = random_layered_seir(rng, n)
+    elif kind == "edgeless_layer":
+        net = Network(net.adjacency, layers=(np.zeros((n, n)),))
+        pr = random_seir_params(rng, net)
+        params = SeirParams(beta_e=pr.beta_e, beta=pr.beta, sigma=pr.sigma, gamma=pr.gamma,
+                            h=1.0, layer_beta_e=(np.full(n, 0.1),), layer_beta=(np.full(n, 0.1),))
+    else:
+        if kind == "empty_columns":
+            # nodes 0, 3 and 7 influence nobody: the first, an inner and the
+            # last column are empty
+            a = net.adjacency.copy()
+            a[:, [0, 3, n - 1]] = 0.0
+            net = Network(a)
+        params = (random_sir_params if kind == "sir" else random_seir_params)(rng, net)
+    model = "sir" if kind == "sir" else "seir"
+    if kind == "zero_sets":
+        # s = 0 on different nodes from state to state: several groups of blocks
+        s = rng.uniform(0.1, 1.0, (6, n))
+        s[1:][rng.random((5, n)) < 0.4] = 0.0
+        s[1, 2] = 0.0
+        zero = np.zeros((6, n))
+        return net, params, fabricated_seir(zero, zero, 1 - s)
+    initial = seeded_state(n, model, e_seeds=[] if model == "sir" else [(1, 0.05)],
+                           p_seeds=[(2, 0.03)])
+    return net, params, simulate(initial, params, net, 20)
+
+
+def _forced_roots(monkeypatch, product, net, params, traj):
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_left_product", product)
+        return convergence_diagnostics(traj, params, net).lambda_seq
+
+
+def _edges_only(x, a, edges):
+    return spectral._edge_product(x, edges, len(a))
+
+
+def _dense_only(x, a, edges):
+    return x @ a
+
+
+class TestEdgeProduct:
+    """The left product over a layer's edges, which ``_left_product`` picks
+    for sparse adjacencies and few rows, against the dense one."""
+
+    def test_kernel_matches_dense(self):
+        rng = np.random.default_rng(87)
+        mats = [np.zeros((5, 5)), np.diag([0.0, 2.0, 0.0])]
+        for kind in ("sir", "empty_columns", "edgeless_layer"):
+            net = _edge_case(kind)[0]
+            mats += [net.adjacency, *net.layers]
+        for _ in range(20):
+            n = int(rng.integers(1, 30))
+            mats.append((rng.random((n, n)) < rng.uniform(0.0, 0.3)) * rng.random((n, n)))
+        for a in mats:
+            edges = spectral._column_edges(a)
+            for rows in (1, 3, 16):
+                x = rng.random((rows, len(a)))
+                assert np.abs(spectral._edge_product(x, edges, len(a)) - x @ a).max(
+                    initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["sir", "seir", "layered", "empty_columns",
+                                      "edgeless_layer", "zero_sets"])
+    def test_roots_match_dense_and_eigvals(self, monkeypatch, kind):
+        net, params, traj = _edge_case(kind)
+        lam = _forced_roots(monkeypatch, _edges_only, net, params, traj)
+        dense = _forced_roots(monkeypatch, _dense_only, net, params, traj)
+        assert np.abs(lam - dense).max() <= 1e-12
+        for state, val in zip(traj.states, lam):
+            m = build_spreading_matrix(state, params, net).m
+            assert abs(val - np.abs(np.linalg.eigvals(m)).max()) <= 1e-10
+
+    @staticmethod
+    def _ring(rng, n, density):
+        """Directed ring plus random edges, at about ``density`` in all."""
+        a = (rng.random((n, n)) < density - 1 / n) * rng.uniform(0.2, 1.0, (n, n))
+        a[(np.arange(n) + 1) % n, np.arange(n)] = rng.uniform(0.2, 1.0, n)
+        return Network(a)
+
+    @staticmethod
+    def _edge_rows(monkeypatch):
+        """The row counts of the edge products run from now on."""
+        rows, product = [], spectral._edge_product
+
+        def recorded(x, edges, n):
+            rows.append(len(x))
+            return product(x, edges, n)
+
+        monkeypatch.setattr(spectral, "_edge_product", recorded)
+        return rows
+
+    def test_rule_picks_edges_at_n_300(self, monkeypatch):
+        rng = np.random.default_rng(88)
+        net = self._ring(rng, 300, 0.01)
+        for params in (random_sir_params(rng, net), random_seir_params(rng, net)):
+            kind = "sir" if isinstance(params, SirParams) else "seir"
+            initial = seeded_state(300, kind, p_seeds=[(0, 0.05)])
+            traj = simulate(initial, params, net, 1)
+            rows = self._edge_rows(monkeypatch)
+            lam = convergence_diagnostics(traj, params, net).lambda_seq
+            assert rows and rows[0] == len(traj) * (1 if kind == "sir" else 2)
+            dense = _forced_roots(monkeypatch, _dense_only, net, params, traj)
+            assert np.abs(lam - dense).max() <= 1e-12
+            for state, val in zip(traj.states, lam):
+                m = build_spreading_matrix(state, params, net).m
+                assert abs(val - np.abs(np.linalg.eigvals(m)).max()) <= 1e-10
+
+    def test_rule_keeps_small_dense_networks_dense(self, monkeypatch):
+        rng = np.random.default_rng(89)
+        a = np.zeros(400)
+        a[rng.choice(400, 80, replace=False)] = rng.uniform(0.2, 1.0, 80)
+        net = Network(a.reshape(20, 20))  # density 0.2
+        params = random_seir_params(rng, net)
+        traj = simulate(seeded_state(20, "seir", p_seeds=[(0, 0.05)]), params, net, 40)
+        rows = self._edge_rows(monkeypatch)
+        convergence_diagnostics(traj, params, net)
+        assert rows == []
+
+    def test_rule_picks_edges_for_a_sparse_2000_node_ring(self, monkeypatch):
+        rng = np.random.default_rng(90)
+        net = self._ring(rng, 2000, 0.0055)
+        params = random_seir_params(rng, net)
+        traj = simulate(seeded_state(2000, "seir", e_seeds=[(0, 0.05)]), params, net, 1)
+        rows = self._edge_rows(monkeypatch)
+        convergence_diagnostics(traj, params, net)
+        assert rows[0] == 4 and set(rows) <= {2, 4}
+
+
 class TestConvergenceDiagnostics:
     def test_no_infection_rate_undefined(self, two_node_net):
         params = SeirParams(beta_e=0.04, beta=0.06, sigma=0.4, gamma=0.3, h=1.0)
@@ -412,6 +556,21 @@ class TestConvergenceDiagnostics:
         # residual susceptibles keep the terminal value a few e-3 above the limit
         limit = max(1 - 0.9, 1 - 0.25)
         assert limit - 1e-9 <= report.lambda_seq[-1] <= limit + 5e-3
+
+    @pytest.mark.parametrize("level", [1e20, np.nan, 1 + 2e-9])
+    def test_refuses_s_above_one(self, two_node_net, level):
+        # an s of 1e20 made the infection edges dwarf the shift, and power
+        # iteration ended in "did not converge"
+        params = SeirParams(beta_e=0.2, beta=0.25, sigma=0.3, gamma=0.3, h=1.0)
+        traj = fabricated_seir(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
+        s = traj.s.copy()
+        s[0, 1] = level
+        with pytest.raises(ValueError, match="'s' level above 1 or NaN"):
+            convergence_diagnostics(Trajectory(s=s, e=traj.e, p=traj.p, r=traj.r, h=1.0),
+                                    params, two_node_net)
+        s[0, 1] = 1 + 1e-10  # within SUM_TOL
+        convergence_diagnostics(Trajectory(s=s, e=traj.e, p=traj.p, r=traj.r, h=1.0),
+                                params, two_node_net)
 
     def test_too_short(self, seir_example):
         net, params, state = seir_example
