@@ -26,7 +26,6 @@ __all__ = [
     "IdentifiabilityVerdict",
     "EstimateReport",
     "NoiseModel",
-    "g_value",
     "check_identifiability",
     "build_regression",
     "solve_least_squares",
@@ -130,18 +129,6 @@ def _nodes(net: Network, node: int | None) -> np.ndarray:
     if not (0 <= node < net.n):
         raise ValueError(f"node {node} out of range for n={net.n}")
     return np.array([node])
-
-
-def g_value(traj: Trajectory, net: Network, i: int, k: int, x: str) -> float:
-    """s_i^k times the weighted neighbor sum of compartment ``x`` ("e" or "p")."""
-    if not (0 <= k < len(traj)):
-        raise IndexError("step index out of range")
-    if not (0 <= i < net.n):
-        raise IndexError("node index out of range")
-    vec = traj.p if x == "p" else traj.e
-    if vec is None:
-        raise ValueError(f"compartment {x!r} not present in this trajectory")
-    return float(_g(traj.s[k:k + 1], vec[k:k + 1], net)[0, i])
 
 
 def _nonzero_conditions(conditions, nodes: np.ndarray) -> tuple[dict, list]:

@@ -18,8 +18,6 @@ __all__ = [
     "Network",
     "NetworkError",
     "load_network",
-    "save_network",
-    "neighbors",
     "is_irreducible",
 ]
 
@@ -167,25 +165,6 @@ def _edge_error(lines: list[str], n: int) -> NetworkError:
             return NetworkError(f"line {lineno}: duplicate edge ({i},{j})")
         seen.add((i, j))
     return NetworkError("malformed edge list")
-
-
-def save_network(net: Network) -> str:
-    """Serialize a Network back to edge-list text (round-trips bit-exactly).
-    An edge list holds one matrix, so a network with transport layers is
-    refused rather than written without them."""
-    if net.layers:
-        raise NetworkError(f"cannot write a network with {len(net.layers)} transport "
-                           "layers as one edge list")
-    rows, cols = np.nonzero(net.adjacency)
-    return "".join(f"{i},{j},{w!r}\n" for i, j, w in
-                   zip(rows.tolist(), cols.tolist(), net.adjacency[rows, cols].tolist()))
-
-
-def neighbors(net: Network, i: int) -> set[int]:
-    """Indices j with adjacency[i, j] > 0 (nodes that influence i)."""
-    if not (0 <= i < net.n):
-        raise NetworkError(f"node index {i} out of range for n={net.n}")
-    return set(np.flatnonzero(net.adjacency[i] > 0).tolist())
 
 
 def is_irreducible(m: np.ndarray) -> bool:

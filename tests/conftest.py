@@ -107,6 +107,37 @@ def fabricated_seir(e, p, r, h=1.0):
 # ---------------------------------------------------------------------------
 # Independent oracles.
 
+def save_network(net):
+    """Edge-list text of a network, one ``i,j,weight`` line per nonzero entry
+    in row-major order, weights by repr (round-trips bit-exactly through
+    load_network). An edge list holds one matrix, so transport layers are
+    refused."""
+    if net.layers:
+        raise NetworkError(f"cannot write a network with {len(net.layers)} transport "
+                           "layers as one edge list")
+    rows, cols = np.nonzero(net.adjacency)
+    return "".join(f"{i},{j},{w!r}\n" for i, j, w in
+                   zip(rows.tolist(), cols.tolist(), net.adjacency[rows, cols].tolist()))
+
+
+def neighbors(net, i):
+    """Indices j with adjacency[i, j] > 0 (nodes that influence i)."""
+    if not (0 <= i < net.n):
+        raise NetworkError(f"node index {i} out of range for n={net.n}")
+    return set(np.flatnonzero(net.adjacency[i] > 0).tolist())
+
+
+def g_value(traj, net, i, k, x):
+    """s_i^k times the weighted neighbor sum of compartment ``x`` ("e" or
+    "p") at step k, over the base network: one row of A times one state."""
+    if not (0 <= k < len(traj)):
+        raise IndexError("step index out of range")
+    if not (0 <= i < net.n):
+        raise IndexError("node index out of range")
+    vec = traj.p if x == "p" else traj.e
+    return float(traj.s[k, i] * (net.adjacency[i] @ vec[k]))
+
+
 def charpoly_spectral_radius(m):
     """Spectral radius via Faddeev-LeVerrier characteristic-polynomial
     coefficients and companion-matrix root finding; independent of the

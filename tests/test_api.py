@@ -11,8 +11,7 @@ import netepi
 from netepi import dynamics, estimation, graph, spectral
 
 ALL = {
-    graph: {"Network", "NetworkError", "load_network", "save_network", "neighbors",
-            "is_irreducible"},
+    graph: {"Network", "NetworkError", "load_network", "is_irreducible"},
     dynamics: {"SirParams", "SeirParams", "EpidemicState", "Trajectory",
                "AssumptionViolation", "AssumptionReport", "AssumptionError",
                "StateInvariantError", "check_assumption", "step", "simulate",
@@ -21,19 +20,19 @@ ALL = {
                "build_spreading_matrix", "dominant_eigenvalue", "convergence_diagnostics",
                "report_to_csv", "report_to_json"},
     estimation: {"RegressionSystem", "IdentifiabilityVerdict", "EstimateReport",
-                 "NoiseModel", "g_value", "check_identifiability", "build_regression",
+                 "NoiseModel", "check_identifiability", "build_regression",
                  "solve_least_squares", "apply_noise", "estimate_pipeline",
                  "report_to_json"},
 }
 
 PACKAGE = {
-    "Network", "load_network", "save_network", "neighbors", "is_irreducible",
+    "Network", "load_network", "is_irreducible",
     "SirParams", "SeirParams", "EpidemicState", "Trajectory", "check_assumption",
     "step", "simulate", "trajectory_to_csv", "trajectory_from_csv",
     "SpreadingMatrix", "ConvergenceReport", "build_spreading_matrix",
     "dominant_eigenvalue", "convergence_diagnostics",
     "RegressionSystem", "IdentifiabilityVerdict", "EstimateReport", "NoiseModel",
-    "g_value", "check_identifiability", "build_regression", "solve_least_squares",
+    "check_identifiability", "build_regression", "solve_least_squares",
     "apply_noise", "estimate_pipeline",
 }
 

@@ -3,11 +3,11 @@ import pytest
 
 from netepi import (Network, SeirParams, SirParams, Trajectory, estimation,
                     apply_noise, build_regression, check_identifiability,
-                    estimate_pipeline, g_value, simulate, solve_least_squares)
+                    estimate_pipeline, simulate, solve_least_squares)
 from netepi.estimation import (NONZERO_TOL, NoiseModel, _g, _nonproportional_witness,
                                report_to_json)
 
-from conftest import (fabricated_seir, nonproportional_pair_oracle,
+from conftest import (fabricated_seir, g_value, nonproportional_pair_oracle,
                       random_irreducible_network, seeded_state)
 
 

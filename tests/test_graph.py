@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netepi import Network, is_irreducible, load_network, neighbors, save_network
+from netepi import Network, is_irreducible, load_network
 from netepi.graph import NetworkError, _components
 
 from conftest import (brute_force_strongly_connected, load_network_oracle, mutated_text,
-                      read_int_fields_through_float)
+                      neighbors, read_int_fields_through_float, save_network)
 
 
 class TestLoadNetwork:

@@ -384,6 +384,90 @@ class TestMatrixFreeSolve:
         assert peak < 8 * (2 * n) ** 2, f"peak {peak / 2**20:.1f} MB"
 
 
+def _left_actions(monkeypatch, fraction, traj, params, net):
+    """Roots of convergence_diagnostics with DIAGONAL_SHIFT = ``fraction``,
+    and the number of left actions (one per state per iteration) it took."""
+    rows = []
+    solve = spectral._power_iteration
+
+    def counted(apply, data, size):
+        def recorded(w, *d):
+            rows.append(len(w))
+            return apply(w, *d)
+        return solve(recorded, data, size)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_power_iteration", counted)
+        patch.setattr(spectral, "DIAGONAL_SHIFT", fraction)
+        lam = convergence_diagnostics(traj, params, net).lambda_seq
+    return lam, sum(rows)
+
+
+class TestDiagonalShift:
+    @pytest.mark.parametrize("kind", ["sir", "seir", "layered"])
+    def test_shifted_roots_match_eigvals(self, kind):
+        # s from about 1 down to about 0, node by node: the smallest diagonal
+        # entry, and with it the shift, moves from state to state
+        rng = np.random.default_rng({"sir": 91, "seir": 92, "layered": 93}[kind])
+        for _ in range(4):
+            n = int(rng.integers(3, 9))
+            if kind == "layered":
+                net, params = random_layered_seir(rng, n)
+            else:
+                net = random_irreducible_network(rng, n)
+                params = (random_sir_params if kind == "sir" else random_seir_params)(rng, net)
+            s = np.linspace(0.99, 0.01, 30)[:, None] * rng.uniform(0.9, 1.0, n)
+            zero = np.zeros_like(s)
+            traj = (Trajectory(s=s, p=zero, r=1 - s, h=1.0) if kind == "sir"
+                    else fabricated_seir(zero, zero, 1 - s))
+            lam = convergence_diagnostics(traj, params, net).lambda_seq
+            for state, val in zip(traj.states, lam):
+                m = build_spreading_matrix(state, params, net).m
+                assert abs(val - np.abs(np.linalg.eigvals(m)).max()) <= 1e-10
+
+    def test_directed_ring_with_uniform_diagonal(self, monkeypatch):
+        # a weighted directed SIR ring with equal gamma and uniform s: the
+        # block's diagonal is uniform, so a full shift would leave h*s*beta*A,
+        # a weighted permutation whose iteration never settles; the remaining
+        # (1 - DIAGONAL_SHIFT) share of the diagonal keeps it primitive. The
+        # slowest state takes 5 405 iterations at 0.9, a quarter of the cap
+        n = 12
+        a = np.zeros((n, n))
+        a[(np.arange(n) + 1) % n, np.arange(n)] = np.random.default_rng(94).uniform(0.3, 1.5, n)
+        net = Network(a)
+        params = SirParams(beta=0.3, gamma=0.2, h=1.0)
+        s = np.repeat(np.linspace(1.0, 0.01, 12)[:, None], n, axis=1)
+        traj = Trajectory(s=s, p=np.zeros_like(s), r=1 - s, h=1.0)
+        monkeypatch.setattr(spectral, "POWER_MAX_ITER", 20_000)
+        lam = convergence_diagnostics(traj, params, net).lambda_seq
+        for state, val in zip(traj.states, lam):
+            m = build_spreading_matrix(state, params, net).m
+            assert abs(val - np.abs(np.linalg.eigvals(m)).max()) <= 1e-10
+        monkeypatch.setattr(spectral, "DIAGONAL_SHIFT", 1.0)
+        with pytest.raises(PowerIterationError):
+            convergence_diagnostics(traj, params, net)
+
+    def test_shift_cuts_left_actions(self, monkeypatch):
+        # a sweep-like SEIR run: n = 12, 80 steps, a directed ring plus 20%
+        # extra edges, and mid-range rates of the benchmark's sweep. Over 30
+        # such networks the shift took 47-56% of the unshifted left actions
+        rng = np.random.default_rng(95)
+        n = 12
+        a = (rng.random((n, n)) < 0.2) * rng.uniform(0.2, 1.0, (n, n))
+        np.fill_diagonal(a, 0.0)
+        a[(np.arange(n) + 1) % n, np.arange(n)] = rng.uniform(0.2, 1.0, n)
+        net = Network(a)
+        rowmax = a.sum(axis=1).max()
+        params = SeirParams(beta_e=0.275 / rowmax, beta=0.375 / rowmax, sigma=0.45, gamma=0.25,
+                            h=1.0)
+        traj = simulate(seeded_state(n, "seir", e_seeds=[(0, 0.02)], p_seeds=[(5, 0.01)]),
+                        params, net, 80)
+        shifted, actions = _left_actions(monkeypatch, spectral.DIAGONAL_SHIFT, traj, params, net)
+        plain, plain_actions = _left_actions(monkeypatch, 0.0, traj, params, net)
+        assert np.abs(shifted - plain).max() <= 1e-12
+        assert actions <= 0.6 * plain_actions, (actions, plain_actions)
+
+
 def _edge_case(kind):
     """(net, params, traj) on n = 8 nodes for the edge-product tests."""
     rng = np.random.default_rng({"sir": 81, "seir": 82, "layered": 83, "empty_columns": 84,
