@@ -19,11 +19,13 @@ from s, the rates and the adjacency, so its memory is the (T+1) x 2n
 iterates (SEIR; (T+1) x n for SIR) besides the adjacency. A reducible
 matrix is solved per strongly connected block of its off-diagonal pattern;
 its Perron root is the largest of the blocks' roots. Each block iterates on
-M - alpha*I, alpha a share DIAGONAL_SHIFT < 1 of the block's smallest
-diagonal entry in that state, and alpha is added back to the root: less
-than half the iterations (see DIAGONAL_SHIFT for the measurement and why it
-stays below 1). ``dominant_eigenvalue`` iterates on M itself: it is the
-independent check the matrix-free solve is tested against.
+M - alpha*I and alpha is added back to the root. alpha is at most a share
+DIAGONAL_SHIFT < 1 of the block's smallest diagonal entry, and at most what
+a lower bound on the real parts of the block's eigenvalues allows, so that
+a block with eigenvalues far left of its diagonal (a bipartite network,
+say) is not slowed (see DIAGONAL_SHIFT). ``dominant_eigenvalue`` iterates
+on M itself: it is the independent check the matrix-free solve is tested
+against.
 
 Each iteration multiplies the rows still iterating by each layer's
 adjacency A. The dense product reads all n*n entries of A however few rows
@@ -79,20 +81,37 @@ POWER_MAX_ITER = 100_000
 # power iteration runs on M + SHIFT*I, which breaks the period-2 oscillation
 # of patterns like permutation matrices; the roots are shifted back
 SHIFT = 1e-8
-# convergence_diagnostics iterates each block on M - alpha*I, alpha =
-# DIAGONAL_SHIFT times the block's smallest diagonal entry for that state:
-# its eigenvalues move by -alpha, and the ratio |lambda_2| / lambda_1 that
-# sets the iteration count falls where lambda_2 lies near the positive real
-# axis. Below 1, a (1 - DIAGONAL_SHIFT) share of the diagonal remains and
-# keeps an irreducible block primitive; at 1 a uniform diagonal would
-# vanish and leave a periodic block, e.g. a permutation, that SHIFT is too
-# small to break. Left actions over one pass of the bench's sweep-small
-# diagnose inputs (seed 1): 1 662 517 unshifted, 780 191 at 0.8, 676 870 at
-# 0.9, 637 253 at 0.95. On one weighted directed SIR ring with equal gamma
-# (n = 12, 40 states), where the remaining diagonal is all that keeps the
-# block aperiodic: 160 195 unshifted, 40 720 at 0.9, 43 862 at 0.95 and
-# 124 100 at 0.99.
-DIAGONAL_SHIFT = 0.9
+# convergence_diagnostics iterates each block on M - alpha*I, one alpha >= 0
+# per state, and adds alpha back to the root. The eigenvalues move by
+# -alpha, so the ratio |lambda_2 - alpha| / (lambda_1 - alpha) that sets the
+# iteration count falls where the eigenvalues other than lambda_1 lie near
+# the diagonal, and rises where one lies far left of it. The gain thus
+# depends on the block's coupling being weaker than its diagonal: g, the
+# smallest eigenvalue of diag(M_jj) - N for the off-diagonal part N, is
+# positive. Every state of the bench's inputs has it. A bipartite block
+# whose coupling exceeds its diagonal lacks it: on an undirected SIR star
+# with equal gamma, 0.9 times the diagonal took 6 to 8 times the
+# iterations, and at h*gamma = 0.999 failed to converge. So alpha is the
+# smaller of
+#  - DIAGONAL_SHIFT times the block's smallest diagonal entry: M - alpha*I
+#    keeps a positive diagonal, hence stays nonnegative and primitive;
+#  - 2*g*l / (l + g) for a lower bound l on lambda_1, the largest shift
+#    under which no real eigenvalue's ratio |lambda - alpha| /
+#    (lambda_1 - alpha) exceeds |lambda| / lambda_1 (0 where g <= 0).
+# g is bounded below by min_j (M_jj - (w N)_j / w_j), a scaled Gershgorin
+# bound on the real parts of the eigenvalues, and l by max M_jj and by the
+# Collatz-Wielandt bound min_j (w M)_j / w_j, over the positive iterates w
+# of SHIFT_PROBE + 1 left actions of N + diag(max(M_jj) - M_jj), whose limit
+# gives g itself. g is well left of the leftmost eigenvalue where N's
+# spectrum lies near 0 apart from its root (about 0.24 against 0.41 on the
+# bench's SEIR rings near s = 1), so the bound keeps only part of the gain.
+# Iterations over one pass of the bench's sweep-small diagnose inputs
+# (seed 1), probe actions excluded: 25 255 unshifted; 11 693, 10 630,
+# 10 255 and 10 087 at DIAGONAL_SHIFT = 0.8, 0.9, 0.95 and 1; 9 326 with
+# alpha = 0.9 times the smallest diagonal entry alone. SHIFT_PROBE = 3 gave
+# 11 754 at 0.9, 15 gave 10 499.
+DIAGONAL_SHIFT = 0.95
+SHIFT_PROBE = 8
 
 
 class PowerIterationError(RuntimeError):
@@ -158,7 +177,7 @@ def _power_iteration(apply, data: tuple, size: int) -> tuple:
     ``apply(w, *data) = w M + SHIFT*w``, on the iterates ``w`` (B, size); row i
     of each ``data`` array belongs to matrix i. ``convergence_diagnostics``
     passes each block as M - alpha*I, nonnegative too, and adds alpha back
-    to the roots (``_block_roots``).
+    to the roots (``_block_roots``, DIAGONAL_SHIFT).
 
     The iteration runs on all matrices at once; each stops once its iterate
     moves by at most POWER_RTOL in the 1-norm, and then leaves ``w`` and
@@ -213,14 +232,15 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> np.ndarray:
     keep_shifted = keep + SHIFT
     h_sigma = None if sir else h * pr.sigma
 
-    def apply(w, hs_rows):
+    def apply(w, hs_rows, alpha):
+        # the left action of M - alpha*I, alpha one value per state
         x = (w[:, :n] * hs_rows)[:, None, :]
         out = None
         for a, r, edges in layers:
             y = _left_product((x * r).reshape(-1, n), a, edges)
             out = y if out is None else out + y
         out = out.reshape(len(w), size)
-        out += w * keep_shifted
+        out += w * (keep_shifted - alpha[:, None])
         if not sir:
             out[:, :n] += h_sigma * w[:, n:]
         return out
@@ -294,8 +314,8 @@ def _block_roots(apply, labels: np.ndarray, diag: np.ndarray,
     """Perron roots, (states, blocks), of the diagonal blocks of the states
     ``hs`` for the strongly connected blocks ``labels`` of their pattern: a
     singleton block's root is its diagonal entry, the others come from power
-    iteration on the block less DIAGONAL_SHIFT times its smallest diagonal
-    entry. A state's root is the largest of them."""
+    iteration on the block less alpha*I (``_diagonal_shift``). A state's
+    root is the largest of them."""
     size = len(labels)
     sizes = np.bincount(labels)
     roots = np.empty((len(hs), len(sizes)))
@@ -304,19 +324,34 @@ def _block_roots(apply, labels: np.ndarray, diag: np.ndarray,
     for block in np.flatnonzero(sizes > 1):
         idx = np.flatnonzero(labels == block)
         act = apply if idx.size == size else partial(_restricted, apply, idx, size)
-        # the diagonal was checked to be >= 0, so M - alpha*I stays nonnegative
-        alpha = DIAGONAL_SHIFT * diag[:, idx].min(axis=1)
-        roots[:, block] = _power_iteration(partial(_shifted, act), (hs, alpha),
-                                           idx.size)[0] + alpha
+        alpha = _diagonal_shift(act, hs, diag[:, idx])
+        roots[:, block] = _power_iteration(act, (hs, alpha), idx.size)[0] + alpha
     return roots
 
 
-def _shifted(apply, w: np.ndarray, hs: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Left action of M - alpha*I, alpha one value per state, through that
-    of M."""
-    out = apply(w, hs)
-    out -= alpha[:, None] * w
-    return out
+def _diagonal_shift(act, hs: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """The shift alpha, one per state, of an irreducible block with left
+    action ``act`` and diagonal ``diag`` (states, size), checked >= 0: the
+    smaller of DIAGONAL_SHIFT * min(diag) and 2*g*l / (l + g), g and l the
+    lower bounds on the smallest eigenvalue of diag(M) - N and on lambda_1
+    that SHIFT_PROBE + 1 left actions give (see DIAGONAL_SHIFT)."""
+    top = diag.max(axis=1, keepdims=True)
+    w, unshifted = np.ones_like(diag), np.zeros(len(hs))
+    g, lam = np.full(len(hs), -np.inf), top[:, 0]
+    # an iterate with a zero entry (underflow) gives NaN ratios, which fmax
+    # skips; g stays -inf, and alpha 0, where no iterate gave a bound
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(SHIFT_PROBE + 1):
+            wm = act(w, hs, unshifted) - SHIFT * w
+            ratio = wm / w
+            g = np.fmax(g, (2 * diag - ratio).min(axis=1))
+            lam = np.fmax(lam, ratio.min(axis=1))
+            # the next iterate, w (N + diag(top - diag)), is >= 0
+            w = wm + w * (top - 2 * diag)
+            w /= w.sum(axis=1, keepdims=True)
+        g = np.maximum(g, 0.0)
+        # g <= min(diag) <= lam, so 0/0 only where the cap is 0 too
+        return np.fmin(DIAGONAL_SHIFT * diag.min(axis=1), 2 * g * lam / (lam + g))
 
 
 def _restricted(apply, idx: np.ndarray, size: int, w: np.ndarray, *data) -> np.ndarray:

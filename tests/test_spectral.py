@@ -386,21 +386,25 @@ class TestMatrixFreeSolve:
 
 def _left_actions(monkeypatch, fraction, traj, params, net):
     """Roots of convergence_diagnostics with DIAGONAL_SHIFT = ``fraction``,
-    and the number of left actions (one per state per iteration) it took."""
-    rows = []
-    solve = spectral._power_iteration
+    and the left actions (one per state per iteration) that its power
+    iteration and its shift bounds took."""
+    rows = {"power": 0, "probe": 0}
+    solve, shift = spectral._power_iteration, spectral._diagonal_shift
 
-    def counted(apply, data, size):
+    def counting(key, apply):
         def recorded(w, *d):
-            rows.append(len(w))
+            rows[key] += len(w)
             return apply(w, *d)
-        return solve(recorded, data, size)
+        return recorded
 
     with monkeypatch.context() as patch:
-        patch.setattr(spectral, "_power_iteration", counted)
+        patch.setattr(spectral, "_power_iteration",
+                      lambda apply, *a: solve(counting("power", apply), *a))
+        patch.setattr(spectral, "_diagonal_shift",
+                      lambda act, *a: shift(counting("probe", act), *a))
         patch.setattr(spectral, "DIAGONAL_SHIFT", fraction)
         lam = convergence_diagnostics(traj, params, net).lambda_seq
-    return lam, sum(rows)
+    return lam, rows["power"], rows["probe"]
 
 
 class TestDiagonalShift:
@@ -428,9 +432,7 @@ class TestDiagonalShift:
     def test_directed_ring_with_uniform_diagonal(self, monkeypatch):
         # a weighted directed SIR ring with equal gamma and uniform s: the
         # block's diagonal is uniform, so a full shift would leave h*s*beta*A,
-        # a weighted permutation whose iteration never settles; the remaining
-        # (1 - DIAGONAL_SHIFT) share of the diagonal keeps it primitive. The
-        # slowest state takes 5 405 iterations at 0.9, a quarter of the cap
+        # a weighted permutation whose iteration never settles
         n = 12
         a = np.zeros((n, n))
         a[(np.arange(n) + 1) % n, np.arange(n)] = np.random.default_rng(94).uniform(0.3, 1.5, n)
@@ -438,19 +440,47 @@ class TestDiagonalShift:
         params = SirParams(beta=0.3, gamma=0.2, h=1.0)
         s = np.repeat(np.linspace(1.0, 0.01, 12)[:, None], n, axis=1)
         traj = Trajectory(s=s, p=np.zeros_like(s), r=1 - s, h=1.0)
-        monkeypatch.setattr(spectral, "POWER_MAX_ITER", 20_000)
-        lam = convergence_diagnostics(traj, params, net).lambda_seq
+        lam, actions, _ = _left_actions(monkeypatch, spectral.DIAGONAL_SHIFT, traj, params, net)
         for state, val in zip(traj.states, lam):
             m = build_spreading_matrix(state, params, net).m
             assert abs(val - np.abs(np.linalg.eigvals(m)).max()) <= 1e-10
-        monkeypatch.setattr(spectral, "DIAGONAL_SHIFT", 1.0)
-        with pytest.raises(PowerIterationError):
-            convergence_diagnostics(traj, params, net)
+        assert actions <= _left_actions(monkeypatch, 0.0, traj, params, net)[1]
+
+    @pytest.mark.parametrize("h_gamma", [0.5, 0.999])
+    @pytest.mark.parametrize("shape", ["star", "even_ring"])
+    def test_bipartite_blocks_not_slowed(self, monkeypatch, shape, h_gamma):
+        # SIR with equal gamma on an undirected bipartite network: M is
+        # d*I + h*beta*diag(s)*A with d = 1 - h*gamma, and diag(s)*A has a
+        # spectrum symmetric about 0, so M has the eigenvalue d - mu next to
+        # lambda_1 = d + mu. Shifting by 0.9*d slowed every state with
+        # mu > d (about 8x on the star at h*gamma = 0.5) and ran past
+        # POWER_MAX_ITER at h*gamma = 0.999; the bound leaves those states
+        # unshifted
+        n = 10
+        a = np.zeros((n, n))
+        if shape == "star":
+            a[0, 1:] = a[1:, 0] = 1.0
+            beta = 0.5
+        else:
+            a[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+            a += a.T
+            beta = 0.6
+        net = Network(a)
+        params = SirParams(beta=beta, gamma=h_gamma, h=1.0)
+        s = np.linspace(1.0, 0.0, 11)[:, None] * np.random.default_rng(96).uniform(0.7, 1.0, n)
+        traj = Trajectory(s=s, p=np.zeros_like(s), r=1 - s, h=1.0)
+        lam, actions, _ = _left_actions(monkeypatch, spectral.DIAGONAL_SHIFT, traj, params, net)
+        plain, plain_actions, _ = _left_actions(monkeypatch, 0.0, traj, params, net)
+        for state, val in zip(traj.states, lam):
+            m = build_spreading_matrix(state, params, net).m
+            assert abs(val - np.abs(np.linalg.eigvals(m)).max()) <= 1e-10
+        assert actions <= plain_actions, (actions, plain_actions)
 
     def test_shift_cuts_left_actions(self, monkeypatch):
         # a sweep-like SEIR run: n = 12, 80 steps, a directed ring plus 20%
         # extra edges, and mid-range rates of the benchmark's sweep. Over 30
-        # such networks the shift took 47-56% of the unshifted left actions
+        # such networks the shift and its bounds took 64-78% of the unshifted
+        # left actions, this one 70%
         rng = np.random.default_rng(95)
         n = 12
         a = (rng.random((n, n)) < 0.2) * rng.uniform(0.2, 1.0, (n, n))
@@ -462,10 +492,11 @@ class TestDiagonalShift:
                             h=1.0)
         traj = simulate(seeded_state(n, "seir", e_seeds=[(0, 0.02)], p_seeds=[(5, 0.01)]),
                         params, net, 80)
-        shifted, actions = _left_actions(monkeypatch, spectral.DIAGONAL_SHIFT, traj, params, net)
-        plain, plain_actions = _left_actions(monkeypatch, 0.0, traj, params, net)
+        shifted, actions, probe = _left_actions(monkeypatch, spectral.DIAGONAL_SHIFT, traj,
+                                                params, net)
+        plain, plain_actions, _ = _left_actions(monkeypatch, 0.0, traj, params, net)
         assert np.abs(shifted - plain).max() <= 1e-12
-        assert actions <= 0.6 * plain_actions, (actions, plain_actions)
+        assert actions + probe <= 0.75 * plain_actions, (actions, probe, plain_actions)
 
 
 def _edge_case(kind):
