@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -251,7 +252,10 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(prog="netepi",
                                      description="Networked SIR/SEIR simulation and estimation")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -10,6 +10,36 @@ SEIR adds an exposed compartment fed by pressure from both e and p, summed
 over the base network and any transport layers. All compartments stay in
 [0, 1] and sum to 1 per node as long as the well-posedness inequalities hold
 (see check_assumption).
+
+The infection operator (``_operator``) is the one reader of a network's
+matrices: stepping, check_assumption, spectral's spreading matrix and
+Perron solve, and estimation's regression columns g = s * (A x) all go
+through it. A product with a matrix A of order n runs over A's edge table
+(graph.Network.edges, its nonzero entries in row-major order) where
+EDGE_FACTOR * nnz(A) * rows < n*n, and reads the dense A otherwise. The
+edge product gathers x at the edges' columns, weights it and sums each
+row's run in column order (np.take, then np.add.reduceat), so its cost
+grows with nnz(A) times the rows, and its bytes do not depend on the
+order of the edge-list records. The right product A x of a (B, n) stack
+is B matrix-vector products, each reading A, so it counts one row
+whatever B is, and ``_operator`` picks the product once per layer.
+spectral's left product x A is one (B, n) @ (n, n) product and counts B
+rows, picked per product. Measured with 1 BLAS thread on 2 vCPUs at
+n = 2000 and 24 059 edges (ms per product, best of 40):
+
+    rows    A x: dense   edge     x A: dense   edge
+    1       1.10         0.063    1.14         0.065
+    4       4.58         0.28     2.49         0.28
+    16      17.8         1.08     3.61         1.10
+    35      41.9         3.19     5.66         2.41
+    72      86.6         4.99     9.06         5.13
+    162     193          18.2     18.2         18.3
+
+At n = 300 (1% dense) A stays in cache and the dense left product wins at
+every row count, by 3-20x at n = 20. The rule keeps every network of
+n <= 20 with density >= 0.2 dense, on the products ``a @ x`` per vector,
+bit for bit; at n = 300 and 1% the left product takes the edges below 10
+rows, where they cost up to 1.7x the dense product's 10-60 us.
 """
 
 from __future__ import annotations
@@ -224,31 +254,61 @@ class AssumptionReport:
 # ---------------------------------------------------------------------------
 # The infection operator: the one place that reads ``net.layers``.
 
+# a product with a matrix A of order n runs over A's edge table where
+# EDGE_FACTOR * nnz(A) * rows < n*n (see the module docstring)
+EDGE_FACTOR = 8
+
+
 def _operator(net: Network, rates: tuple) -> tuple:
-    """Pairs (A_l, rates_l) over the base network (l = 0) and each transport
-    layer, defining the infection pressure on the nodes
+    """Triples (A_l, A_l's edge table or None, rates_l) over the base network
+    (l = 0) and each transport layer, defining the infection pressure on the
+    nodes
 
         pressure(x) = sum_l sum_c rates_l[c] * (A_l @ x_c)
 
-    for compartment levels x = (x_c). ``rates`` must cover every layer, so a
-    model without layer rates is refused on a layered network."""
+    for compartment levels x = (x_c); the table is given where A_l x runs
+    over it (EDGE_FACTOR). ``rates`` must cover every layer, so a model
+    without layer rates is refused on a layered network."""
     mats = (net.adjacency,) + net.layers
     if len(rates) != len(mats):
         raise ValueError(f"rates are given for {len(rates) - 1} transport layers, "
                          f"the network has {len(mats) - 1}")
-    return tuple(zip(mats, rates))
+    return tuple((a, edges if EDGE_FACTOR * len(edges[0]) < net.n ** 2 else None, r)
+                 for a, edges, r in zip(mats, net.edges, rates))
 
 
 def _pressure(op: tuple, xs: tuple) -> np.ndarray:
     """pressure(x) for the operator ``op``. Each x_c is a length-n vector, or
-    a (T, n, 1) stack of column vectors when the rates are scalars. The rates
-    multiply after the product, in layer-then-compartment order."""
-    return reduce(np.add, (rate * (a @ x) for a, rates in op for rate, x in zip(rates, xs)))
+    a (T, n) stack of them when the rates are scalars. The rates multiply
+    after the product, in layer-then-compartment order."""
+    return reduce(np.add, (rate * _product(a, edges, x)
+                           for a, edges, rates in op for rate, x in zip(rates, xs)))
+
+
+def _product(a: np.ndarray, edges: tuple | None, x: np.ndarray) -> np.ndarray:
+    """a @ x for a length-n vector x, or a @ x_k for each row x_k of a (T, n)
+    stack: over a's edge table unless it is None, else one dense
+    matrix-vector product per vector."""
+    if edges is not None:
+        return _edge_product(x, edges)
+    return a @ x if x.ndim == 1 else (a @ x[:, :, None])[:, :, 0]
+
+
+def _edge_product(x: np.ndarray, edges: tuple) -> np.ndarray:
+    """a @ x_k for each row x_k of x (or for x, a vector) over a's edge table:
+    x's entries gathered at the edges' columns, weighted, and summed over
+    each row's run in column order."""
+    rows, cols, weights, starts = edges
+    out = np.zeros(x.shape)
+    # reduceat over an empty run would return the next entry, so only the
+    # nonempty rows are summed; an edgeless a leaves out zero
+    out[..., rows[starts]] = np.add.reduceat(np.take(x, cols, axis=-1) * weights, starts, axis=-1)
+    return out
 
 
 def _pressure_jacobian(op: tuple, c: int) -> np.ndarray:
     """d pressure / d x_c = sum_l diag(rates_l[c]) A_l."""
-    return reduce(np.add, (rates[c][:, None] * a for a, rates in op))
+    return reduce(np.add, (rates[c][:, None] * a for a, _, rates in op))
 
 
 def _report(checks: list) -> AssumptionReport:

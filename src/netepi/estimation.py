@@ -104,8 +104,7 @@ def _g(s: np.ndarray, x: np.ndarray, net: Network) -> np.ndarray:
         op = _operator(net, ((1.0,),))
     except ValueError as exc:
         raise ValueError(f"estimation does not model transport layers: {exc}") from exc
-    # a stack of column vectors: the per-step matrix-vector products, bit for bit
-    return s * _pressure(op, (x[:, :, None],))[:, :, 0]
+    return s * _pressure(op, (x,))
 
 
 def _window_g(traj: Trajectory, net: Network):

@@ -3,6 +3,12 @@
 Convention: ``adjacency[i, j]`` is the weight with which node j influences
 node i. Edge-list records ``i,j,weight`` populate ``adjacency[i, j]``, i.e.
 "j influences i". All neighbor sums in the dynamics run over row i.
+
+Each matrix of a Network also has an edge table, its nonzero entries in
+row-major order (``Network.edges``), which the products with a sparse
+matrix run over (``dynamics._operator``). It is kept on the Network:
+scanned from the matrix on first use, or, for a loaded network, sorted from
+the parsed records.
 """
 
 from __future__ import annotations
@@ -10,6 +16,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -62,14 +69,31 @@ class Network:
     def n(self) -> int:
         return self.adjacency.shape[0]
 
+    @cached_property
+    def edges(self) -> tuple:
+        """The edge table of the adjacency and of each layer, in that order:
+        the nonzero entries a[i, j] in row-major order (i, then j ascending)
+        as (rows i, columns j, weights a[i, j], the index of the first entry
+        of each nonempty row). Computed on first use and kept."""
+        tables = []
+        for m in (self.adjacency, *self.layers):
+            i, j = np.divmod(np.flatnonzero(m), self.n)
+            tables.append(_edge_table(i, j, m[i, j]))
+        return tuple(tables)
 
-def _loaded(a: np.ndarray) -> Network:
+
+def _edge_table(i: np.ndarray, j: np.ndarray, w: np.ndarray) -> tuple:
+    """The edge table of the entries w at (i, j), given in row-major order."""
+    return i, j, w, np.flatnonzero(np.diff(i, prepend=-1))
+
+
+def _loaded(a: np.ndarray, edges: tuple) -> Network:
     """A Network over ``a``, a float n x n array already checked and owned by
-    the caller, filled in directly: it is only set read-only, not copied and
-    checked again as ``Network(a)`` would."""
+    the caller, with its edge table ``edges``, filled in directly: it is only
+    set read-only, not copied and checked again as ``Network(a)`` would."""
     a.setflags(write=False)
     net = object.__new__(Network)
-    net.__dict__.update(adjacency=a, layers=())
+    net.__dict__.update(adjacency=a, layers=(), edges=(edges,))
     return net
 
 
@@ -87,22 +111,24 @@ def load_network(source: Iterable[str] | str, n: int) -> Network:
 
     The records are parsed in one np.loadtxt call and checked as arrays; only
     when a check fails are they scanned line by line, to name the first bad
-    line.
+    line. Sorted row-major, they are also the network's edge table, so the
+    n*n entries are never scanned for it.
     """
     lines = source.splitlines() if isinstance(source, str) else list(source)
-    if next(_records(lines, "#"), None) is None:  # np.loadtxt would warn
-        return _loaded(np.zeros((n, n)))
-    try:
-        rec = _read_table(lines, EDGE, "#", "#")
-    except ValueError:
-        raise _edge_error(lines, n) from None
-    i, j, w = rec["i"], rec["j"], rec["w"]
-    if np.all((0 <= i) & (i < n) & (0 <= j) & (j < n) & (w > 0) & (w < np.inf)):
+    rec = np.zeros(0, EDGE)
+    if next(_records(lines, "#"), None) is not None:  # else np.loadtxt would warn
+        try:
+            rec = _read_table(lines, EDGE, "#", "#")
+        except ValueError:
+            raise _edge_error(lines, n) from None
+    order = np.lexsort((rec["j"], rec["i"]))
+    i, j, w = (rec[field][order] for field in "ijw")
+    # sorted, a repeated (i, j) is a run
+    if (np.all((0 <= i) & (i < n) & (0 <= j) & (j < n) & (w > 0) & (w < np.inf))
+            and not np.any((np.diff(i) == 0) & (np.diff(j) == 0))):
         a = np.zeros((n, n))
         a[i, j] = w
-        # the weights are positive, so a repeated (i, j) leaves fewer nonzeros
-        if np.count_nonzero(a) == len(rec):
-            return _loaded(a)
+        return _loaded(a, _edge_table(i, j, w))
     raise _edge_error(lines, n)
 
 

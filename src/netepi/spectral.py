@@ -28,25 +28,11 @@ on M itself: it is the independent check the matrix-free solve is tested
 against.
 
 Each iteration multiplies the rows still iterating by each layer's
-adjacency A. The dense product reads all n*n entries of A however few rows
-remain. The edge product gathers the rows' columns at A's nonzero entries,
-weights them and sums each column's run (np.take, then np.add.reduceat), so
-its cost grows with nnz(A) times the rows. It runs where
-8 * nnz(A) * rows < n*n, else the dense one does. Measured with 1 BLAS
-thread on 2 vCPUs at n = 2000 and 24 059 edges (ms per product):
-
-    rows    dense   edge
-    1       1.33    0.09
-    4       2.73    0.47
-    16      4.71    1.90
-    36      7.41    4.00
-    162     26.9    26.2
-
-At n = 300 (1% dense) A stays in cache and the dense product wins at every
-row count, by 3-20x at n = 20. The rule keeps every network of n <= 20 with
-density >= 0.2 dense; at n = 300 and 1% it takes the edges below 10 rows,
-where they cost up to 1.7x the dense product's 10-60 us. The edges are read
-once per call and also give the block labelling.
+adjacency A: over A's edges in column order, the edge table of A's
+transpose sorted from the network's once per call, where
+EDGE_FACTOR * nnz(A) * rows < n*n, else with the dense A (see the dynamics
+module docstring for the rule and its measurements). The edges also give
+the block labelling.
 """
 
 from __future__ import annotations
@@ -57,9 +43,9 @@ from functools import partial
 
 import numpy as np
 
-from .dynamics import (SUM_TOL, EpidemicState, SirParams, Trajectory, _prepare,
-                       _pressure_jacobian)
-from .graph import Network, _components
+from .dynamics import (EDGE_FACTOR, SUM_TOL, EpidemicState, SirParams, Trajectory,
+                       _edge_product, _prepare, _pressure_jacobian)
+from .graph import Network, _components, _edge_table
 
 __all__ = [
     "SpreadingMatrix",
@@ -215,19 +201,20 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> np.ndarray:
 
     with one (c*b, n) @ (n, n) product per layer for the c compartments of
     the b unconverged rows, taken over the layer's edges when
-    8 * nnz(A_l) * c*b < n*n and dense otherwise (see the module docstring).
-    A state's root is the largest over the strongly
+    EDGE_FACTOR * nnz(A_l) * c*b < n*n and dense otherwise (see the module
+    docstring). A state's root is the largest over the strongly
     connected blocks of its own pattern; nodes with s = 0 contribute no
     infection edges. A singleton block's root is its diagonal entry."""
     pr, op = _prepare(params, traj, net)
     n, h = net.n, pr.h
     hs = h * traj.s
     sir = isinstance(pr, SirParams)
-    comps = len(op[0][1])
+    comps = len(op[0][2])
     size = comps * n
-    # (A_l, rates as (comps, n), A_l's edges), the edges read once for both
-    # the products and the block labelling
-    layers = [(a, np.stack(r), _column_edges(a)) for a, r in op]
+    # (A_l, rates as (comps, n), A_l's edges in column order), the edges
+    # taken once for both the products and the block labelling
+    layers = [(a, np.stack(r), _column_edges(edges))
+              for (a, _, r), edges in zip(op, net.edges)]
     keep = 1 - h * pr.gamma if sir else np.concatenate([1 - h * pr.sigma, 1 - h * pr.gamma])
     keep_shifted = keep + SHIFT
     h_sigma = None if sir else h * pr.sigma
@@ -261,7 +248,7 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> np.ndarray:
     # (hashing, not sorting, the rows), and each group's blocks are labelled
     # once.
     infection = [(src, c * n + dst, r[c][src] != 0)
-                 for _, r, (src, dst, _, _) in layers for c in range(comps)]
+                 for _, r, (dst, src, _, _) in layers for c in range(comps)]
     link = np.zeros(0, dtype=np.intp) if sir else np.flatnonzero(pr.sigma != 0)
     groups: dict[bytes, list[int]] = {}
     for k, zero in enumerate(hs == 0):
@@ -279,34 +266,21 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> np.ndarray:
     return roots
 
 
-def _column_edges(a: np.ndarray) -> tuple:
-    """The nonzero entries a[i, j] of a square matrix in column order (j
-    ascending, then i): their rows i, columns j and values, and the index of
-    the first entry of each nonempty column."""
-    i, j = np.divmod(np.flatnonzero(a), len(a))
-    order = np.argsort(j, kind="stable")
-    i, j = i[order], j[order]
-    return i, j, a[i, j], np.flatnonzero(np.diff(j, prepend=-1))
+def _column_edges(edges: tuple) -> tuple:
+    """A matrix's edges in column order (j ascending, then i), from its edge
+    table: the edge table of its transpose."""
+    rows, cols, weights, _ = edges
+    order = np.argsort(cols, kind="stable")
+    return _edge_table(cols[order], rows[order], weights[order])
 
 
 def _left_product(x: np.ndarray, a: np.ndarray, edges: tuple) -> np.ndarray:
     """x @ a for x (rows, n), given a's ``_column_edges``: over the edges
-    where 8 * nnz(a) * rows < n*n, dense otherwise."""
+    where EDGE_FACTOR * nnz(a) * rows < n*n, dense otherwise."""
     n = len(a)
-    if 8 * len(edges[0]) * len(x) < n * n:
-        return _edge_product(x, edges, n)
+    if EDGE_FACTOR * len(edges[0]) * len(x) < n * n:
+        return _edge_product(x, edges)
     return x @ a
-
-
-def _edge_product(x: np.ndarray, edges: tuple, n: int) -> np.ndarray:
-    """x @ a over a's ``_column_edges``: x's columns gathered at the edges'
-    rows, weighted, and summed over each column's run."""
-    rows, cols, weights, starts = edges
-    out = np.zeros((len(x), n))
-    # reduceat over an empty run would return the next entry, so only the
-    # nonempty columns are summed; an edgeless a leaves out zero
-    out[:, cols[starts]] = np.add.reduceat(np.take(x, rows, axis=1) * weights, starts, axis=1)
-    return out
 
 
 def _block_roots(apply, labels: np.ndarray, diag: np.ndarray,

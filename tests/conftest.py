@@ -120,13 +120,6 @@ def save_network(net):
                    zip(rows.tolist(), cols.tolist(), net.adjacency[rows, cols].tolist()))
 
 
-def neighbors(net, i):
-    """Indices j with adjacency[i, j] > 0 (nodes that influence i)."""
-    if not (0 <= i < net.n):
-        raise NetworkError(f"node index {i} out of range for n={net.n}")
-    return set(np.flatnonzero(net.adjacency[i] > 0).tolist())
-
-
 def g_value(traj, net, i, k, x):
     """s_i^k times the weighted neighbor sum of compartment ``x`` ("e" or
     "p") at step k, over the base network: one row of A times one state."""

@@ -102,6 +102,28 @@ class TestSimulate:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
+    def test_record_order_keeps_bytes(self, tmp_path):
+        # a 300-node network at 1% steps over its edges, summed row by row in
+        # column order whatever the order of the records
+        rng = np.random.default_rng(12)
+        n = 300
+        a = np.where(rng.random((n, n)) < 0.01, rng.uniform(0.2, 1.0, (n, n)), 0.0)
+        a[(np.arange(n) + 1) % n, np.arange(n)] = rng.uniform(0.2, 1.0, n)
+        rows, cols = np.nonzero(a)
+        lines = [f"{i},{j},{w!r}\n"
+                 for i, j, w in zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist())]
+        outputs = []
+        for name, order in (("sorted", lines), ("shuffled", rng.permutation(lines).tolist())):
+            d = tmp_path / name
+            d.mkdir()
+            sc = write_scenario(d, steps=20, n=n, params={
+                "beta_e": 0.3 / a.sum(axis=1).max(), "beta": 0.4 / a.sum(axis=1).max(),
+                "sigma": 0.4, "gamma": 0.2, "h": 1.0})
+            (d / "net.csv").write_text("".join(order))
+            assert run("simulate", "--scenario", sc, "--out", d / "out") == 0
+            outputs.append((d / "out" / "trajectory.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 class TestGoldenBytes:
     """sha256 of the CLI outputs for fixed scenarios; a refactor of the step

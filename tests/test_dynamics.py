@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netepi import (EpidemicState, Network, SeirParams, SirParams,
-                    check_assumption, simulate, step,
-                    trajectory_from_csv, trajectory_to_csv)
+                    check_assumption, dynamics, estimation, load_network, simulate,
+                    spectral, step, trajectory_from_csv, trajectory_to_csv)
 from netepi.dynamics import AssumptionError, StateInvariantError, Trajectory
 
-from conftest import (random_irreducible_network, random_seir_params,
+from conftest import (random_irreducible_network, random_layered_seir, random_seir_params,
                       random_simplex_state, random_sir_params, seeded_state,
                       seir_step_oracle, sir_step_oracle, trajectory_from_csv_oracle,
                       mutated_text, read_int_fields_through_float)
@@ -205,6 +205,114 @@ class TestSeirMultilayer:
             simulate(state, params, layered, 0, strict=False)
         with pytest.raises(ValueError, match="transport layers"):
             check_assumption(params, layered)
+
+
+def sparse_ring(rng, n, edges):
+    """Directed ring plus random off-ring edges, ``edges`` in all, weights in [0.2, 1)."""
+    a = np.zeros((n, n))
+    a[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
+    extra = rng.choice(np.flatnonzero(a.ravel() == 0), edges - n, replace=False)
+    a.ravel()[extra] = 1.0
+    return a * rng.uniform(0.2, 1.0, (n, n))
+
+
+def _edge_shapes(monkeypatch):
+    """The shapes of the x of every right product over edges run from now on."""
+    shapes, product = [], dynamics._edge_product
+
+    def recorded(x, edges):
+        shapes.append(x.shape)
+        return product(x, edges)
+
+    monkeypatch.setattr(dynamics, "_edge_product", recorded)
+    return shapes
+
+
+class TestEdgeOperator:
+    """The right product A x over a layer's edge table, which ``_operator``
+    picks for sparse layers, against the dense one."""
+
+    def test_kernel_matches_dense(self):
+        rng = np.random.default_rng(91)
+        a = random_irreducible_network(rng, 8).adjacency.copy()
+        a[[0, 3, 7]] = 0.0  # nodes 0, 3 and 7 have no neighbours: empty rows
+        layered, _ = random_layered_seir(rng, 6)
+        nets = [Network(a), Network(np.zeros((5, 5))), Network(np.ones((1, 1))),
+                Network(np.zeros((1, 1))), layered,
+                Network(a, layers=(np.zeros((8, 8)),))]
+        for _ in range(20):
+            n = int(rng.integers(1, 30))
+            nets.append(Network((rng.random((n, n)) < rng.uniform(0.0, 0.3)) * rng.random((n, n))))
+        for net in nets:
+            for m, edges in zip((net.adjacency, *net.layers), net.edges, strict=True):
+                v = rng.random(net.n)
+                assert np.abs(dynamics._edge_product(v, edges) - m @ v).max() <= 1e-12
+                for rows in (1, 3, 35):
+                    x = rng.random((rows, net.n))
+                    assert np.abs(dynamics._edge_product(x, edges) - x @ m.T).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["sir", "seir", "layered"])
+    def test_forced_edges_match_dense(self, monkeypatch, kind):
+        rng = np.random.default_rng({"sir": 92, "seir": 93, "layered": 94}[kind])
+        n = 12
+        if kind == "layered":
+            net, params = random_layered_seir(rng, n)
+        else:
+            net = random_irreducible_network(rng, n)
+            params = (random_sir_params if kind == "sir" else random_seir_params)(rng, net)
+        model = "sir" if kind == "sir" else "seir"
+        initial = seeded_state(n, model, e_seeds=[] if model == "sir" else [(1, 0.05)],
+                               p_seeds=[(2, 0.03)])
+        base = Network(net.adjacency)
+        dense = simulate(initial, params, net, 40)
+        g_dense = [estimation._g(dense.s, x, base) for x in (dense.p, dense.e) if x is not None]
+        shapes = _edge_shapes(monkeypatch)
+        assert all(edges is None for _, edges, _ in dynamics._operator(net, params.rates))
+        monkeypatch.setattr(dynamics, "EDGE_FACTOR", 0)
+        edged = simulate(initial, params, net, 40)
+        g_edged = [estimation._g(edged.s, x, base) for x in (edged.p, edged.e) if x is not None]
+        assert shapes
+        for comp in ("s", "e", "p", "r"):
+            if getattr(dense, comp) is not None:
+                assert np.abs(getattr(edged, comp) - getattr(dense, comp)).max() <= 1e-14
+        for ge, gd in zip(g_edged, g_dense, strict=True):
+            assert np.abs(ge - gd).max() <= 1e-14
+
+    def test_rule_keeps_small_dense_networks_dense(self):
+        # the 20-node golden ring of the CLI tests: 60 edges, 8 * 60 >= 400
+        ring = load_network("".join(f"{i},{j},1.0\n" for i in range(20)
+                                    for j in sorted({i, (i + 1) % 20, (i - 1) % 20})), 20)
+        rng = np.random.default_rng(95)
+        nets = [ring]
+        for n in range(6, 21):
+            a = np.zeros(n * n)
+            a[rng.choice(n * n, int(np.ceil(0.2 * n * n)), replace=False)] = 1.0
+            nets.append(Network(a.reshape(n, n), layers=(a.reshape(n, n),)))
+        for net in nets:
+            rates = ((1.0, 1.0),) * (1 + len(net.layers))
+            assert all(edges is None for _, edges, _ in dynamics._operator(net, rates))
+
+    def test_rule_picks_edges_for_a_sparse_2000_node_ring(self, monkeypatch):
+        rng = np.random.default_rng(96)
+        n = 2000
+        net = Network(sparse_ring(rng, n, 24_000))  # 0.6%
+        params = random_seir_params(rng, net)
+        shapes = _edge_shapes(monkeypatch)
+        traj = simulate(seeded_state(n, "seir", e_seeds=[(0, 0.05)]), params, net, 35)
+        # two products (e and p) a step, plus the row sums of check_assumption
+        assert shapes == [(n,)] * (2 + 2 * 35)
+        del shapes[:]
+        estimation._g(traj.s[:35], traj.e[:35], net)
+        assert shapes == [(35, n)]
+        # the Perron solve's left product takes the edges below
+        # n*n / (8 * 24 000) = 20.8 rows
+        edges = spectral._column_edges(net.edges[0])
+        rows = []
+        monkeypatch.setattr(spectral, "_edge_product",
+                            lambda x, edges: rows.append(len(x)) or x @ net.adjacency)
+        for b in (1, 20, 21, 72):
+            spectral._left_product(rng.random((b, n)), net.adjacency, edges)
+        assert rows == [1, 20]
 
 
 class TestSimulate:

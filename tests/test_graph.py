@@ -9,7 +9,7 @@ from netepi import Network, is_irreducible, load_network
 from netepi.graph import NetworkError, _components
 
 from conftest import (brute_force_strongly_connected, load_network_oracle, mutated_text,
-                      neighbors, read_int_fields_through_float, save_network)
+                      read_int_fields_through_float, save_network)
 
 
 class TestLoadNetwork:
@@ -64,23 +64,32 @@ class TestLoadNetwork:
         with pytest.raises(ValueError):
             load_network("", 2).adjacency[0, 0] = 1.0
 
-    def test_save_row_major_repr(self):
-        a = np.zeros((3, 3))
-        a[2, 0], a[0, 2], a[0, 1] = 0.1 + 0.2, 1.0, 5e-324
-        assert save_network(Network(a)) == "0,1,5e-324\n0,2,1.0\n2,0,0.30000000000000004\n"
-        assert save_network(Network(np.zeros((2, 2)))) == ""
-        # the same bytes as a row-major scan of every entry
-        rng = np.random.default_rng(3)
-        for n in (1, 4, 9):
-            a = np.where(rng.random((n, n)) < 0.4, rng.random((n, n)), 0.0)
-            lines = [f"{i},{j},{float(a[i, j])!r}" for i in range(n) for j in range(n)
-                     if a[i, j] != 0.0]
-            assert save_network(Network(a)) == "".join(line + "\n" for line in lines)
+    def test_edge_table_sorted_from_records(self):
+        # the records, in any order, give the table a row-major scan of the
+        # adjacency gives, without that scan
+        rng = np.random.default_rng(11)
+        cases = [np.zeros((3, 3)), np.ones((1, 1)), np.zeros((1, 1))]
+        for n in (2, 5, 9, 30):
+            a = np.where(rng.random((n, n)) < 0.3, rng.random((n, n)), 0.0)
+            a[n // 2] = 0.0  # an empty row
+            cases.append(a)
+        for a in cases:
+            scanned = Network(a).edges
+            lines = save_network(Network(a)).splitlines()
+            for order in (lines, rng.permutation(lines).tolist()):
+                net = load_network("\n".join(order), len(a))
+                assert "edges" in vars(net)
+                for mine, theirs in zip(net.edges, scanned, strict=True):
+                    for x, y in zip(mine, theirs, strict=True):
+                        assert x.dtype == y.dtype and np.array_equal(x, y)
 
-    def test_save_refuses_layers(self):
-        a = np.eye(2)
-        with pytest.raises(NetworkError, match="transport layers"):
-            save_network(Network(a, layers=(a,)))
+    def test_edge_table_of_layers(self):
+        a, layer = np.array([[0.0, 2.0], [3.0, 0.0]]), np.array([[0.0, 0.0], [0.5, 4.0]])
+        (rows, cols, w, starts), (lrows, lcols, lw, lstarts) = Network(a, layers=(layer,)).edges
+        assert rows.tolist() == [0, 1] and cols.tolist() == [1, 0] and w.tolist() == [2.0, 3.0]
+        assert starts.tolist() == [0, 1]
+        assert lrows.tolist() == [1, 1] and lcols.tolist() == [0, 1] and lw.tolist() == [0.5, 4.0]
+        assert lstarts.tolist() == [0]
 
 
 class TestNetworkType:
@@ -107,32 +116,6 @@ class TestNetworkType:
         a[0, 1] = layer[0, 1] = 5.0
         assert net.adjacency[0, 1] == 0.0 and net.layers[0][0, 1] == 1.0
         assert a.flags.writeable and layer.flags.writeable
-
-
-class TestNeighbors:
-    def test_read_off_row(self):
-        net = Network(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert neighbors(net, 0) == {1}
-
-    def test_self_loop(self):
-        net = Network(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        assert neighbors(net, 0) == {0}
-
-    def test_isolated(self):
-        net = Network(np.zeros((2, 2)))
-        assert neighbors(net, 0) == set()
-
-    def test_out_of_range(self):
-        net = Network(np.zeros((2, 2)))
-        with pytest.raises(NetworkError):
-            neighbors(net, 2)
-
-    def test_matches_positive_entries_exactly(self):
-        rng = np.random.default_rng(3)
-        a = np.where(rng.random((6, 6)) < 0.5, rng.random((6, 6)), 0.0)
-        net = Network(a)
-        for i in range(6):
-            assert neighbors(net, i) == {j for j in range(6) if a[i, j] > 0}
 
 
 class TestIsIrreducible:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from netepi import (EpidemicState, Network, SeirParams, SirParams,
                     build_spreading_matrix, convergence_diagnostics,
-                    dominant_eigenvalue, simulate, spectral, step)
+                    dominant_eigenvalue, dynamics, simulate, spectral, step)
 from netepi.dynamics import Trajectory
 from netepi.spectral import PowerIterationError, report_to_csv, report_to_json
 
@@ -540,7 +540,7 @@ def _forced_roots(monkeypatch, product, net, params, traj):
 
 
 def _edges_only(x, a, edges):
-    return spectral._edge_product(x, edges, len(a))
+    return dynamics._edge_product(x, edges)
 
 
 def _dense_only(x, a, edges):
@@ -561,10 +561,10 @@ class TestEdgeProduct:
             n = int(rng.integers(1, 30))
             mats.append((rng.random((n, n)) < rng.uniform(0.0, 0.3)) * rng.random((n, n)))
         for a in mats:
-            edges = spectral._column_edges(a)
+            edges = spectral._column_edges(Network(a).edges[0])
             for rows in (1, 3, 16):
                 x = rng.random((rows, len(a)))
-                assert np.abs(spectral._edge_product(x, edges, len(a)) - x @ a).max(
+                assert np.abs(dynamics._edge_product(x, edges) - x @ a).max(
                     initial=0.0) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["sir", "seir", "layered", "empty_columns",
@@ -590,9 +590,9 @@ class TestEdgeProduct:
         """The row counts of the edge products run from now on."""
         rows, product = [], spectral._edge_product
 
-        def recorded(x, edges, n):
+        def recorded(x, edges):
             rows.append(len(x))
-            return product(x, edges, n)
+            return product(x, edges)
 
         monkeypatch.setattr(spectral, "_edge_product", recorded)
         return rows
