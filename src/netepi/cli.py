@@ -144,9 +144,10 @@ def load_scenario(path: str | Path) -> dict:
     sc = _walk(json.loads(path.read_text()), _SCENARIO, "scenario", "scenario")
     model, n = sc["model"], sc["n"]
     layers = [_check(f, "a string", None, "scenario 'layers' entry") for f in sc.get("layers", [])]
-    net, *extra = [graph.load_network((base / f).read_text(), n) for f in [sc["network"], *layers]]
-    if extra:
-        net = graph.Network(net.adjacency, layers=tuple(x.adjacency for x in extra))
+    nets = [graph.load_network((base / f).read_text(), n) for f in [sc["network"], *layers]]
+    # one network over the loaded matrices, keeping the edge tables sorted
+    # from their records
+    net = graph._loaded(tuple(x.adjacency for x in nets), tuple(x.edges[0] for x in nets))
     p = _walk(sc["params"], _PARAMS[model], "params", "parameter")
     rates = {k: tuple(_rate(x, base, k, n) for x in v) if k.startswith("layer_")
              else _rate(v, base, k, n) for k, v in p.items() if k != "h"}

@@ -40,6 +40,47 @@ every row count, by 3-20x at n = 20. The rule keeps every network of
 n <= 20 with density >= 0.2 dense, on the products ``a @ x`` per vector,
 bit for bit; at n = 300 and 1% the left product takes the edges below 10
 rows, where they cost up to 1.7x the dense product's 10-60 us.
+
+trajectory_to_csv writes each level exactly as '%.17g' % x does, but has
+Python's % format integers, not doubles: '%.17g' runs Gay's correctly
+rounded dtoa ("Correctly rounded binary-decimal and decimal-binary
+conversions", 1990), which takes its bignum path for 17 digits. For
+FAST_LEAST <= |x| < FAST_BOUND (1e-24 and 1e16), numpy finds the decimal
+exponent X and the 17-digit integer D = round(|x| * 10**(16 - X)) (_digits):
+
+- X is floor(log10 |x|), moved by one where |x| * 10**(16 - X) falls
+  outside [1e16, 1e17): log10 rounds to the power for the doubles just
+  below it, such as 1e-23.
+- 10**k, k = 16 - X <= 41, is a pair of doubles built from Python ints at
+  import: the power rounded, and the rest. 5**k has at most 96 bits, so the
+  pair is exact.
+- |x| times the rounded power is formed without error by Dekker's product
+  ("A floating-point technique for extending the available precision",
+  Numer. Math. 1971), on Veltkamp's 26-bit halves; |x| times the rest is
+  added, and a two-sum gives s + t with |t| <= ulp(s)/2. Only that product
+  and that addition round, each by at most half an ulp of a number below
+  32: s + t is off by less than 3e-15 of a last-digit unit.
+- s >= 1e16 > 2**53 is a whole number, so D = s + rint(t), and D = 1e17
+  means X + 1 and D = 1e16 (1e-14 rounds up so). A t within TIE_GUARD =
+  1e-9 of a half is never decided here: np.rint breaks an exact tie (such
+  as 2**-25's) to even as dtoa does, but the guard keeps the rounding away
+  from the error above.
+
+D without its trailing zeros, M of L digits, takes one template piece from a
+table built at import and keyed by (X, L, sign), such as '0.00%d' (M) or
+'%d.%015de-07' (M's first digit and the rest). Zero is '0' or '-0'; a
+value outside the range, not finite or near a tie goes into the template as
+the literal '%.17g' % x. The rows' 'k,node,' come from per-step and
+per-node strings, and one ''.join and one % give the file. Per call, with 1
+BLAS thread on 2 vCPUs, best of 9, against one '%.17g' template over every
+value (tests/conftest.py; ms):
+
+    trajectory (SEIR unless named)   values      text      '%.17g'   digits
+    n = 2000, T = 35                 288 000     6.4 MB    151       66.3
+    n = 2000, T = 35, noisy          248 000     4.0 MB    97.4      47.5
+    n = 2000, T = 200                1 608 000   36.6 MB   863       396
+    n = 20, T = 80                   6 480       0.14 MB   3.18      1.43
+    n = 20, T = 80, SIR              4 860       0.11 MB   2.59      1.10
 """
 
 from __future__ import annotations
@@ -400,14 +441,158 @@ def simulate(initial: EpidemicState, params, net: Network, steps: int,
     return Trajectory(s=s, p=p, r=r, e=e, h=pr.h)
 
 
+# ---------------------------------------------------------------------------
+# The trajectory CSV writer: '%.17g' text from integer digits (module docstring).
+
+# |x| in [FAST_LEAST, FAST_BOUND) is formatted from its digits: its decimal
+# exponent X, and log10's first estimate of it, lie in [X_LEAST, X_MOST].
+# Any other value, and one within TIE_GUARD last-digit units of a rounding
+# tie, is '%.17g' % x
+FAST_LEAST, FAST_BOUND = 1e-24, 1e16
+X_LEAST, X_MOST = -25, 16
+TIE_GUARD = 1e-9
+_SPLITTER = 2.0 ** 27 + 1  # Veltkamp's split of a double into two 26-bit halves
+
+
+def _split(a: np.ndarray) -> tuple:
+    """(high, low) halves of each entry of ``a``, of at most 26 bits each."""
+    c = _SPLITTER * a
+    high = c - (c - a)
+    return high, a - high
+
+
+# 10**(16 - X) for X = X_MOST, X_MOST - 1, ..., X_LEAST as two doubles, the
+# power rounded (with its halves) and the rest, both from Python ints
+_POWERS = [10 ** k for k in range(16 - X_MOST, 16 - X_LEAST + 1)]
+_POWER = np.array([float(p) for p in _POWERS])
+_POWER_REST = np.array([float(p - int(float(p))) for p in _POWERS])
+_POWER_HALVES = _split(_POWER)
+
+
+def _scaled(a: np.ndarray, x: np.ndarray) -> tuple:
+    """(s, t) with a * 10**(16 - x) = s + t within 3e-15 units and
+    |t| <= ulp(s)/2: Dekker's exact product with the rounded power, plus a
+    times the rest."""
+    i = X_MOST - x
+    hi = a * _POWER[i]
+    (ah, al), bh, bl = _split(a), _POWER_HALVES[0][i], _POWER_HALVES[1][i]
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl + a * _POWER_REST[i]
+    s = hi + lo
+    return s, lo - (s - hi)
+
+
+def _digits(a: np.ndarray) -> tuple:
+    """For each a in [FAST_LEAST, FAST_BOUND): its decimal exponent X, the
+    17-digit integer D = round(a * 10**(16 - X)) and whether D is certain
+    (a is not within TIE_GUARD of a rounding tie)."""
+    x = np.floor(np.log10(a)).astype(np.int64)
+    s, t = _scaled(a, x)
+    # log10 may be one off near a power of ten; a * 10**(16 - X) must lie
+    # in [1e16, 1e17)
+    low = (s < 1e16) | ((s == 1e16) & (t < 0))
+    high = (s > 1e17) | ((s == 1e17) & (t >= 0))
+    off = np.flatnonzero(low | high)
+    if off.size:
+        x[off] += np.where(low[off], -1, 1)
+        s[off], t[off] = _scaled(a[off], x[off])
+    # s >= 1e16 > 2**53 is a whole number: the rounding is t's
+    r = np.rint(t)
+    d = s.astype(np.int64) + r.astype(np.int64)
+    certain = np.abs(np.abs(t - r) - 0.5) >= TIE_GUARD
+    up = d == 10 ** 17  # rounded up to the next power of ten
+    x[up] += 1
+    d[up] = 10 ** 16
+    return x, d, certain
+
+
+def _piece(x: int, length: int) -> tuple[str, int]:
+    """'%.17g''s text of a positive value with decimal exponent x and
+    ``length`` significant digits M, as a template of M (one %d), or of
+    M // 10**w and M % 10**w (two); with that w, 0 for one."""
+    if x < -4:
+        if length == 1:
+            return f"%de{x:+03d}", 0
+        return f"%d.%0{length - 1}de{x:+03d}", length - 1
+    if x < 0:
+        return "0." + "0" * (-x - 1) + "%d", 0
+    if length <= x + 1:
+        return "%d" + "0" * (x + 1 - length), 0
+    return f"%d.%0{length - x - 1}d", length - x - 1
+
+
+# The template piece of each key ((X - X_LEAST) * 17 + length - 1) * 2 + sign,
+# then of 0, -0 and a literal's placeholder, with the 10**w of its split
+_KEYED = [("-" * neg + form, 10 ** w) for x in range(X_LEAST, X_MOST + 1)
+          for length in range(1, 18) for form, w in [_piece(x, length)] for neg in (0, 1)]
+_ZERO, _LITERAL = len(_KEYED), len(_KEYED) + 2
+_KEYED += [("0", 1), ("-0", 1), ("", 1)]
+# each piece with each ending of a field: the next field's comma, the
+# comma and SIR's blank e, or the end of the row
+_ENDINGS = (",", ",,", "\n")
+_PIECES = np.array([[form + end for form, _ in _KEYED] for end in _ENDINGS], dtype=object)
+_ARGS = np.array([form.count("%") for form, _ in _KEYED])
+_DIVISOR = np.array([divisor for _, divisor in _KEYED], dtype=np.int64)
+
+# values per block of _keys: 8192 doubles are 64 kB a temporary; a whole
+# 288k-value trajectory at once took 1.9x as long
+BLOCK = 2 ** 13
+
+
+def _keys(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The template key of each value of ``v`` and the args of its piece, as
+    an (N, 2) int array of which the first _ARGS[key] of each row are used.
+    Taken BLOCK values at a time, so that the temporaries stay in cache."""
+    keys = np.empty(len(v), dtype=np.int64)
+    args = np.empty((len(v), 2), dtype=np.int64)
+    for start in range(0, len(v), BLOCK):
+        part = slice(start, start + BLOCK)
+        keys[part], args[part] = _block_keys(v[part])
+    return keys, args
+
+
+def _block_keys(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_keys of one block."""
+    neg = np.signbit(v).astype(np.int64)
+    a = np.abs(v)
+    keys = np.where(v == 0, _ZERO + neg, _LITERAL)
+    fast = np.flatnonzero((a >= FAST_LEAST) & (a < FAST_BOUND))
+    x, m, certain = _digits(a[fast])
+    # M: D without its trailing zeros
+    length = np.full(len(m), 17)
+    zeros = np.flatnonzero(m % 10 == 0)
+    while zeros.size:
+        m[zeros] //= 10
+        length[zeros] -= 1
+        zeros = zeros[m[zeros] % 10 == 0]
+    keys[fast] = np.where(certain, ((x - X_LEAST) * 17 + length - 1) * 2 + neg[fast], _LITERAL)
+    args = np.zeros((len(v), 2), dtype=np.int64)
+    args[fast, 0], args[fast, 1] = np.divmod(m, _DIVISOR[keys[fast]])
+    return keys, args
+
+
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """CSV "k,node,s,e,p,r"; e left blank for SIR; 17 significant digits."""
-    steps, n = traj.s.shape
+    """CSV "k,node,s,e,p,r"; e left blank for SIR; each level as '%.17g'
+    formats it, from its digits (module docstring)."""
     comps = [traj.s, traj.p, traj.r] if traj.e is None else [traj.s, traj.e, traj.p, traj.r]
-    table = np.column_stack([np.repeat(np.arange(steps), n), np.tile(np.arange(n), steps)]
-                            + [c.ravel() for c in comps])
-    row = "%d,%d,%.17g," + ("" if traj.e is None else "%.17g") + ",%.17g,%.17g\n"
-    return "k,node,s,e,p,r\n" + (row * len(table)) % tuple(table.ravel().tolist())
+    v = np.stack(comps, axis=-1)
+    keys, args = _keys(v.ravel())
+    template = _template(v, keys.reshape(v.shape), [1, 0, 2] if traj.e is None else [0, 0, 0, 2])
+    return template % tuple(args[np.arange(2) < _ARGS[keys, None]].tolist())
+
+
+def _template(v: np.ndarray, keys: np.ndarray, ends: list) -> str:
+    """The header and one row per step and node of the (steps, n, comps)
+    levels ``v``: 'k,node,' and each level's piece by its key, ended as
+    ``ends`` gives per compartment."""
+    steps, n, width = v.shape
+    cells = np.empty((steps, n, 2 + width), dtype=object)
+    cells[:, :, 0] = np.array([f"{k}," for k in range(steps)], dtype=object)[:, None]
+    cells[:, :, 1] = np.array([f"{i}," for i in range(n)], dtype=object)
+    cells[:, :, 2:] = _PIECES[ends, keys]
+    # '%.17g' text holds no '%', so it goes into the template as it is
+    for k, i, c in zip(*np.nonzero(keys == _LITERAL)):
+        cells[k, i, 2 + c] = "%.17g" % v[k, i, c] + _ENDINGS[ends[c]]
+    return "".join(["k,node,s,e,p,r\n"] + cells.ravel().tolist())
 
 
 # one trajectory row; SIR rows leave e blank, so it is read as text there

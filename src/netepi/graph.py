@@ -87,13 +87,15 @@ def _edge_table(i: np.ndarray, j: np.ndarray, w: np.ndarray) -> tuple:
     return i, j, w, np.flatnonzero(np.diff(i, prepend=-1))
 
 
-def _loaded(a: np.ndarray, edges: tuple) -> Network:
-    """A Network over ``a``, a float n x n array already checked and owned by
-    the caller, with its edge table ``edges``, filled in directly: it is only
-    set read-only, not copied and checked again as ``Network(a)`` would."""
-    a.setflags(write=False)
+def _loaded(mats: tuple, tables: tuple) -> Network:
+    """A Network over ``mats``, its adjacency and then its transport layers:
+    float n x n arrays already checked and owned by the caller, with their
+    edge tables ``tables``, filled in directly. The arrays are only set
+    read-only, not copied and checked again as ``Network(...)`` would."""
+    for m in mats:
+        m.setflags(write=False)
     net = object.__new__(Network)
-    net.__dict__.update(adjacency=a, layers=(), edges=(edges,))
+    net.__dict__.update(adjacency=mats[0], layers=tuple(mats[1:]), edges=tuple(tables))
     return net
 
 
@@ -128,7 +130,7 @@ def load_network(source: Iterable[str] | str, n: int) -> Network:
             and not np.any((np.diff(i) == 0) & (np.diff(j) == 0))):
         a = np.zeros((n, n))
         a[i, j] = w
-        return _loaded(a, _edge_table(i, j, w))
+        return _loaded((a,), (_edge_table(i, j, w),))
     raise _edge_error(lines, n)
 
 

@@ -247,6 +247,17 @@ def load_network_oracle(source, n):
     return Network(a)
 
 
+def trajectory_to_csv_oracle(traj):
+    """The writer that formatting from integer digits replaced: one
+    '%.17g' template over a tuple of every value."""
+    steps, n = traj.s.shape
+    comps = [traj.s, traj.p, traj.r] if traj.e is None else [traj.s, traj.e, traj.p, traj.r]
+    table = np.column_stack([np.repeat(np.arange(steps), n), np.tile(np.arange(n), steps)]
+                            + [c.ravel() for c in comps])
+    row = "%d,%d,%.17g," + ("" if traj.e is None else "%.17g") + ",%.17g,%.17g\n"
+    return "k,node,s,e,p,r\n" + (row * len(table)) % tuple(table.ravel().tolist())
+
+
 def trajectory_from_csv_oracle(text, h=1.0):
     """The per-line trajectory reader that np.loadtxt replaced, with one
     addition: a step or node id of at least the row count is refused before

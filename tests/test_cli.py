@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from netepi.cli import build_parser, main
-from netepi.dynamics import trajectory_from_csv
+from netepi import Network, estimation, simulate
+from netepi.cli import build_parser, load_scenario, main
+from netepi.dynamics import trajectory_from_csv, trajectory_to_csv
 
 
 NETWORK_20 = "\n".join(
@@ -123,6 +124,41 @@ class TestSimulate:
             assert run("simulate", "--scenario", sc, "--out", d / "out") == 0
             outputs.append((d / "out" / "trajectory.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+    def test_layered_network_keeps_loaded_edge_tables(self, tmp_path):
+        # the layered network is built over the loaded matrices with the
+        # tables sorted from their records: no rescan, same bytes
+        rng = np.random.default_rng(14)
+        n = 300
+        files = {}
+        for name in ("net.csv", "layer.csv"):
+            a = np.where(rng.random((n, n)) < 0.01, rng.uniform(0.2, 1.0, (n, n)), 0.0)
+            a[(np.arange(n) + 1) % n, np.arange(n)] = rng.uniform(0.2, 1.0, n)
+            rows, cols = np.nonzero(a)
+            files[name] = rng.permutation([f"{i},{j},{w!r}\n" for i, j, w in zip(
+                rows.tolist(), cols.tolist(), a[rows, cols].tolist())]).tolist()
+        sc = write_scenario(tmp_path, steps=15, n=n, layers=["layer.csv"],
+                            noise={"start_k": 3, "seed": 5}, params={
+                                "beta_e": 0.04, "beta": 0.04, "sigma": 0.4, "gamma": 0.2,
+                                "h": 1.0, "layer_beta_e": [0.04], "layer_beta": [0.04]})
+        for name, lines in files.items():
+            (tmp_path / name).write_text("".join(lines))
+        loaded = load_scenario(sc)
+        net = loaded["net"]
+        assert "edges" in vars(net) and len(net.layers) == 1
+        rebuilt = Network(net.adjacency, layers=net.layers)
+        for mine, theirs in zip(net.edges, rebuilt.edges, strict=True):
+            for x, y in zip(mine, theirs, strict=True):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+        out = tmp_path / "out"
+        assert run("simulate", "--scenario", sc, "--out", out) == 0
+        assert run("perturb", "--scenario", sc, "--out", out,
+                   "--trajectory", out / "trajectory.csv") == 0
+        traj = simulate(loaded["initial"], loaded["params"], rebuilt, steps=15)
+        assert (out / "trajectory.csv").read_text() == trajectory_to_csv(traj)
+        measured = estimation.apply_noise(traj, loaded["noise"])
+        assert (out / "measured.csv").read_text() == trajectory_to_csv(measured)
 
 
 class TestGoldenBytes:

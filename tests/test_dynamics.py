@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from netepi import (EpidemicState, Network, SeirParams, SirParams,
                     check_assumption, dynamics, estimation, load_network, simulate,
@@ -14,7 +16,7 @@ from netepi.dynamics import AssumptionError, StateInvariantError, Trajectory
 from conftest import (random_irreducible_network, random_layered_seir, random_seir_params,
                       random_simplex_state, random_sir_params, seeded_state,
                       seir_step_oracle, sir_step_oracle, trajectory_from_csv_oracle,
-                      mutated_text, read_int_fields_through_float)
+                      trajectory_to_csv_oracle, mutated_text, read_int_fields_through_float)
 
 
 class TestAssumptionChecks:
@@ -399,7 +401,7 @@ class TestTrajectoryCsv:
         traj = simulate(state, params, net, 3)
         text = trajectory_to_csv(traj)
         assert text.splitlines()[0] == "k,node,s,e,p,r"
-        assert ",,", text.splitlines()[1]
+        assert ",," in text.splitlines()[1]
         again = trajectory_from_csv(text, h=traj.h)
         assert again.kind == "sir"
         for a, b in zip(traj.states, again.states):
@@ -420,6 +422,101 @@ class TestTrajectoryCsv:
     def test_rejects_inconsistent_rows(self, rows, message):
         with pytest.raises(ValueError, match=message):
             trajectory_from_csv("\n".join(["k,node,s,e,p,r"] + rows))
+
+
+def _written(values):
+    """trajectory_to_csv's text of each value, written as the s levels of
+    one SIR state."""
+    v = np.asarray(values, dtype=float)
+    zeros = np.zeros((1, len(v)))
+    rows = trajectory_to_csv(Trajectory(s=v[None], p=zeros, r=zeros, h=1.0)).splitlines()[1:]
+    return [row.split(",")[2] for row in rows]
+
+
+def _exact_ties():
+    """Doubles whose exact decimal value has 18 significant digits, the last
+    a 5: m * 2**-(k+1) for odd m with m * 5**k / 2 in [1e16, 1e17). The
+    three least and the three greatest m for each k = 16 - X of the fast
+    path."""
+    ties = []
+    for k in range(16 - dynamics.X_MOST, 16 - dynamics.X_LEAST + 1):
+        least = -(-2 * 10 ** 16 // 5 ** k) | 1
+        most = min(-(-2 * 10 ** 17 // 5 ** k), 2 ** 53)
+        odd = range(least, most, 2)
+        ties += [math.ldexp(m, -(k + 1)) for m in sorted({*odd[:3], *odd[-3:]})]
+    return ties
+
+
+def _edge_values():
+    """Values that reach every branch of the writer: powers of ten and their
+    neighbours (log10 one off, the X = -5/-4 and 16/17 notation boundaries,
+    1e-14's round up to the next power of ten), exact rounding ties, the
+    ends of the fast range, zeros, subnormals and non-finite values."""
+    values = [0.99999999999999999, 9.9999999999999999e-5, 2.0 ** -25, 2.0 ** -30,
+              1 - 2 ** -53, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+              0.0, -0.0, math.nan, math.inf, -math.inf, 0.1 + 0.2, 1.5, 123.25, 1e-14]
+    for e in range(-25, 18):
+        for p in {float(f"1e{e}"), 10.0 ** e}:
+            below = np.nextafter(p, 0)
+            values += [p, below, np.nextafter(below, 0), np.nextafter(p, math.inf)]
+    values += _exact_ties()
+    values += [dynamics.FAST_LEAST, np.nextafter(dynamics.FAST_LEAST, 0),
+               dynamics.FAST_BOUND, np.nextafter(dynamics.FAST_BOUND, 0)]
+    return [float(x) for x in values] + [-float(x) for x in values]
+
+
+@st.composite
+def trajectories(draw):
+    """An SIR or SEIR trajectory (n <= 6, T <= 5) of levels spread over many
+    decades; a noisy SEIR one (estimation.apply_noise) has s slightly below
+    0 or above 1 at some nodes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    levels = rng.dirichlet(np.ones(4), size=shape) ** draw(st.sampled_from([1, 3, 30]))
+    levels[rng.random(shape) < 0.2] = 0.0
+    kind = draw(st.sampled_from(["sir", "seir", "noisy"]))
+    traj = Trajectory(s=levels[..., 0], e=None if kind == "sir" else levels[..., 1],
+                      p=levels[..., 2], r=levels[..., 3], h=1.0)
+    if kind == "noisy":
+        traj = estimation.apply_noise(traj, estimation.NoiseModel(seed=draw(st.integers(0, 99))))
+    return traj
+
+
+class TestWriterAgainstTemplateWriter:
+    """The writer against the '%.17g' template writer it replaced (the
+    oracle): byte for byte, value by value."""
+
+    def test_edge_values(self):
+        values = _edge_values()
+        assert _written(values) == ["%.17g" % x for x in values]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.floats(-1e16, 1e16)), min_size=1, max_size=40))
+    def test_drawn_values(self, values):
+        assert _written(values) == ["%.17g" % x for x in values]
+
+    def test_ties_go_in_as_literals(self):
+        # np.rint rounds an exact tie half to even, as '%.17g' does, but a
+        # value within TIE_GUARD of a tie is never decided from the digits
+        ties = np.array(_exact_ties())
+        _, _, certain = dynamics._digits(ties)
+        assert not certain.any()
+        assert _written(ties) == ["%.17g" % x for x in ties.tolist()]
+        _, _, certain = dynamics._digits(np.array([0.1, 1 - 2 ** -53, 0.3]))
+        assert certain.all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(trajectories())
+    def test_drawn_trajectories(self, traj):
+        assert trajectory_to_csv(traj) == trajectory_to_csv_oracle(traj)
+
+    @pytest.mark.parametrize("steps,n", [(36, 300), (3, 2 * dynamics.BLOCK + 5)])
+    def test_trajectories_over_several_blocks(self, steps, n):
+        rng = np.random.default_rng(13)
+        levels = rng.dirichlet(np.ones(4), size=(steps, n)) ** 3
+        traj = Trajectory(s=levels[..., 0], e=levels[..., 1], p=levels[..., 2],
+                          r=levels[..., 3], h=1.0)
+        assert trajectory_to_csv(traj) == trajectory_to_csv_oracle(traj)
 
 
 class TestTrajectoryArrays:
@@ -562,3 +659,12 @@ class TestFloatExtremes:
                           e=None if kind == "sir" else grid[:, ::-1], h=1.0)
         again = trajectory_from_csv(trajectory_to_csv(traj), h=traj.h)
         _same_bits(again, traj)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["sir", "seir"]), st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_drawn_round_trip(self, kind, steps, n, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        s, e, p, r = (data.draw(hnp.arrays(np.float64, (steps, n), elements=finite))
+                      for _ in range(4))
+        traj = Trajectory(s=s, p=p, r=r, e=None if kind == "sir" else e, h=1.0)
+        _same_bits(trajectory_from_csv(trajectory_to_csv(traj)), traj)
