@@ -269,9 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a scenario and write the trajectory")
     common(sim)
-    strict = sim.add_mutually_exclusive_group()
-    strict.add_argument("--strict", dest="strict", action="store_true", default=True)
-    strict.add_argument("--no-strict", dest="strict", action="store_false")
+    sim.add_argument("--no-strict", dest="strict", action="store_false", help="skip simplex checks")
     common(sub.add_parser("diagnose", help="eigenvalue/convergence diagnostics"), with_traj=True)
     perturb = sub.add_parser("perturb", help="inject measurement noise")
     common(perturb, with_traj=True)

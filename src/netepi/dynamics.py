@@ -12,19 +12,18 @@ over the base network and any transport layers. All compartments stay in
 (see check_assumption).
 
 The infection operator (``_operator``) is the one reader of a network's
-matrices: stepping, check_assumption, spectral's spreading matrix and
-Perron solve, and estimation's regression columns g = s * (A x) all go
-through it. A product with a matrix A of order n runs over A's edge table
-(graph.Network.edges, its nonzero entries in row-major order) where
-EDGE_FACTOR * nnz(A) * rows < n*n, and reads the dense A otherwise. The
-edge product gathers x at the edges' columns, weights it and sums each
-row's run in column order (np.take, then np.add.reduceat), so its cost
-grows with nnz(A) times the rows, and its bytes do not depend on the
-order of the edge-list records. The right product A x of a (B, n) stack
-is B matrix-vector products, each reading A, so it counts one row
-whatever B is, and ``_operator`` picks the product once per layer.
-spectral's left product x A is one (B, n) @ (n, n) product and counts B
-rows, picked per product. Measured with 1 BLAS thread on 2 vCPUs at
+matrices and edge tables: stepping, check_assumption, spectral's spreading
+matrix and Perron solve, and estimation's regression columns g = s * (A x)
+all go through it. A product with a matrix A of order n runs over A's edge
+table (graph.Network.edges, its nonzero entries in row-major order) where
+EDGE_FACTOR * nnz(A) * rows < n*n (``_use_edges``), and reads the dense A
+otherwise. The edge product gathers x at the edges' columns, weights it
+and sums each row's run in column order (np.take, then np.add.reduceat),
+so its cost grows with nnz(A) times the rows, and its bytes do not depend
+on the order of the edge-list records. The right product A x of a (B, n)
+stack is B matrix-vector products, each reading A, so it counts one row
+whatever B is. spectral's left product x A is one (B, n) @ (n, n) product
+and counts B rows. Measured with 1 BLAS thread on 2 vCPUs at
 n = 2000 and 24 059 edges (ms per product, best of 40):
 
     rows    A x: dense   edge     x A: dense   edge
@@ -144,6 +143,11 @@ class SirParams:
         """Infection-operator rates: the base network only, acting on p."""
         return ((self.beta,),)
 
+    @property
+    def stages(self) -> tuple:
+        """Progression rates down the chain of infected compartments: p -> r."""
+        return (self.gamma,)
+
 
 @dataclass(frozen=True)
 class SeirParams:
@@ -172,6 +176,11 @@ class SeirParams:
     def rates(self) -> tuple:
         """Infection-operator rates: (beta_e, beta) per network, acting on (e, p)."""
         return ((self.beta_e, self.beta),) + tuple(zip(self.layer_beta_e, self.layer_beta))
+
+    @property
+    def stages(self) -> tuple:
+        """Progression rates down the chain of infected compartments: e -> p -> r."""
+        return (self.sigma, self.gamma)
 
 
 def _validate(s, p, r, e, tol: float) -> None:
@@ -210,8 +219,8 @@ class EpidemicState:
     def kind(self) -> str:
         return "sir" if self.e is None else "seir"
 
-    def validate(self, tol: float = SUM_TOL) -> None:
-        _validate(self.s, self.p, self.r, self.e, tol)
+    def validate(self) -> None:
+        _validate(self.s, self.p, self.r, self.e, SUM_TOL)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -295,27 +304,28 @@ class AssumptionReport:
 # ---------------------------------------------------------------------------
 # The infection operator: the one place that reads ``net.layers``.
 
-# a product with a matrix A of order n runs over A's edge table where
-# EDGE_FACTOR * nnz(A) * rows < n*n (see the module docstring)
-EDGE_FACTOR = 8
+EDGE_FACTOR = 8  # see _use_edges
 
 
 def _operator(net: Network, rates: tuple) -> tuple:
-    """Triples (A_l, A_l's edge table or None, rates_l) over the base network
-    (l = 0) and each transport layer, defining the infection pressure on the
-    nodes
+    """Triples (A_l, A_l's edge table, rates_l) over the base network (l = 0)
+    and each transport layer, defining the infection pressure on the nodes
 
         pressure(x) = sum_l sum_c rates_l[c] * (A_l @ x_c)
 
-    for compartment levels x = (x_c); the table is given where A_l x runs
-    over it (EDGE_FACTOR). ``rates`` must cover every layer, so a model
-    without layer rates is refused on a layered network."""
+    for compartment levels x = (x_c). ``rates`` must cover every layer, so a
+    model without layer rates is refused on a layered network."""
     mats = (net.adjacency,) + net.layers
     if len(rates) != len(mats):
         raise ValueError(f"rates are given for {len(rates) - 1} transport layers, "
                          f"the network has {len(mats) - 1}")
-    return tuple((a, edges if EDGE_FACTOR * len(edges[0]) < net.n ** 2 else None, r)
-                 for a, edges, r in zip(mats, net.edges, rates))
+    return tuple(zip(mats, net.edges, rates))
+
+
+def _use_edges(a: np.ndarray, edges: tuple, rows: int) -> bool:
+    """Whether a product of ``rows`` rows with ``a``, of order n, runs over its
+    edge table ``edges``: EDGE_FACTOR * nnz(a) * rows < n*n (module docstring)."""
+    return EDGE_FACTOR * len(edges[0]) * rows < len(a) ** 2
 
 
 def _pressure(op: tuple, xs: tuple) -> np.ndarray:
@@ -326,11 +336,11 @@ def _pressure(op: tuple, xs: tuple) -> np.ndarray:
                            for a, edges, rates in op for rate, x in zip(rates, xs)))
 
 
-def _product(a: np.ndarray, edges: tuple | None, x: np.ndarray) -> np.ndarray:
+def _product(a: np.ndarray, edges: tuple, x: np.ndarray) -> np.ndarray:
     """a @ x for a length-n vector x, or a @ x_k for each row x_k of a (T, n)
-    stack: over a's edge table unless it is None, else one dense
-    matrix-vector product per vector."""
-    if edges is not None:
+    stack: over a's edge table where ``_use_edges`` takes it for one row,
+    else one dense matrix-vector product per vector."""
+    if _use_edges(a, edges, 1):
         return _edge_product(x, edges)
     return a @ x if x.ndim == 1 else (a @ x[:, :, None])[:, :, 0]
 

@@ -207,49 +207,38 @@ def _check_seir(traj: Trajectory, net: Network, node: int | None, g) -> Identifi
                                   failed_conditions=tuple(failed))
 
 
+# the models' conditions are different theorems, with different witnesses
+_CHECKS = {"sir": _check_sir, "seir": _check_seir}
+
+
 def check_identifiability(traj: Trajectory, net: Network,
                           node: int | None = None) -> IdentifiabilityVerdict:
     """The conditions, necessary and sufficient for the regression of
     ``build_regression`` to have full column rank, checked on the window of
     ``traj``; the model follows ``traj.kind``. ``node`` restricts them to one
     node. Each condition met gets a witness, each one failed is named."""
-    check = _check_sir if traj.kind == "sir" else _check_seir
-    return check(traj, net, node, _window_g(traj, net))
+    return _CHECKS[traj.kind](traj, net, node, _window_g(traj, net))
 
 
-def _regression_sir(traj: Trajectory, net: Network, node: int | None, g) -> RegressionSystem:
-    nodes = _nodes(net, node)
-    t = _transitions(traj)
-    h = traj.h
-    a_col = h * g("p")[:, nodes].ravel()
-    b_col = h * traj.p[:t, nodes].ravel()
-    zeros = np.zeros_like(a_col)
-    q = np.block([[a_col[:, None], -b_col[:, None]],
-                  [zeros[:, None], b_col[:, None]]])
-    dp = np.diff(traj.p, axis=0)[:, nodes].ravel()
-    dr = np.diff(traj.r, axis=0)[:, nodes].ravel()
-    return RegressionSystem(q=q, delta=np.concatenate([dp, dr]),
-                            kind="sir-homog" if node is None else "sir-hetero",
-                            t=t, node=node)
-
-
-def _regression_seir(traj: Trajectory, net: Network, node: int | None, g) -> RegressionSystem:
+def _regression(traj: Trajectory, net: Network, node: int | None, g) -> RegressionSystem:
+    """Q theta = delta over ``traj``'s chain, a block of rows per compartment:
+    block 0 has a column h*g(x) per infected x, and each x passes h*x on to
+    the next, -h*x in its own block and +h*x in the next one."""
     t = _transitions(traj)
     nodes = _nodes(net, node)
-    h = traj.h
-    ae = h * g("e")[:, nodes].ravel()
-    be = h * g("p")[:, nodes].ravel()
-    ce = h * traj.e[:t, nodes].ravel()
-    de = h * traj.p[:t, nodes].ravel()
-    z = np.zeros(len(ae))
-    phi = np.column_stack([ae, be, -ce, z])
-    sig = np.column_stack([z, z, ce, -de])
-    gam = np.column_stack([z, z, z, de])
-    q = np.vstack([phi, sig, gam])
-    delta = np.concatenate([np.diff(x, axis=0)[:, nodes].ravel()
-                            for x in (traj.e, traj.p, traj.r)])
+    chain = ("p", "r") if traj.kind == "sir" else ("e", "p", "r")
+    k = len(chain) - 1
+    rows = t * len(nodes)
+    q = np.zeros((len(chain) * rows, 2 * k))
+    for c, x in enumerate(chain[:-1]):
+        q[:rows, c] = traj.h * g(x)[:, nodes].ravel()
+        passed = traj.h * getattr(traj, x)[:t, nodes].ravel()
+        q[c * rows:(c + 1) * rows, k + c] = -passed
+        q[(c + 1) * rows:(c + 2) * rows, k + c] = passed
+    delta = np.concatenate([np.diff(getattr(traj, x), axis=0)[:, nodes].ravel()
+                            for x in chain])
     return RegressionSystem(q=q, delta=delta,
-                            kind="seir-homog" if node is None else "seir-hetero",
+                            kind=traj.kind + ("-homog" if node is None else "-hetero"),
                             t=t, node=node)
 
 
@@ -259,8 +248,7 @@ def build_regression(traj: Trajectory, net: Network,
     the steps of ``traj`` into Q theta = delta; the model follows
     ``traj.kind``. SIR stacks the p- and r-updates, unknowns (beta, gamma);
     SEIR stacks the e-, p- and r-updates, unknowns (beta_e, beta, sigma, gamma)."""
-    build = _regression_sir if traj.kind == "sir" else _regression_seir
-    return build(traj, net, node, _window_g(traj, net))
+    return _regression(traj, net, node, _window_g(traj, net))
 
 
 def solve_least_squares(sys: RegressionSystem,
@@ -335,9 +323,8 @@ def estimate_pipeline(measured: Trajectory, net: Network,
     must lie in [0, 1] up to SUM_TOL."""
     _check_levels(measured.e, measured.p, measured.r)
     g = _window_g(measured, net)
-    sir = measured.kind == "sir"
-    verdict = (_check_sir if sir else _check_seir)(measured, net, node, g)
-    system = (_regression_sir if sir else _regression_seir)(measured, net, node, g)
+    verdict = _CHECKS[measured.kind](measured, net, node, g)
+    system = _regression(measured, net, node, g)
     report = solve_least_squares(system, verdict=verdict)
     if not verdict.identifiable:
         return report

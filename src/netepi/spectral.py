@@ -1,8 +1,10 @@
 """Spreading-matrix construction, Perron-root computation, and convergence
 diagnostics for simulated epidemics.
 
-The one-step linear map on the infectious coordinates is state dependent:
-for SEIR it is the 2n x 2n block matrix
+The one-step linear map on the infectious coordinates is state dependent.
+It has one block per compartment of the chain whose rates ``params.stages``
+gives (e -> p -> r for SEIR; SIR is the one-stage case p -> r); for SEIR it
+is the 2n x 2n block matrix
 
     [ I + h*diag(s)*Be*A - h*sigma   h*diag(s)*B*A ]
     [ h*sigma                        I - h*gamma   ]
@@ -29,10 +31,10 @@ against.
 
 Each iteration multiplies the rows still iterating by each layer's
 adjacency A: over A's edges in column order, the edge table of A's
-transpose sorted from the network's once per call, where
-EDGE_FACTOR * nnz(A) * rows < n*n, else with the dense A (see the dynamics
-module docstring for the rule and its measurements). The edges also give
-the block labelling.
+transpose sorted once per call from the one ``dynamics._operator`` gives,
+where EDGE_FACTOR * nnz(A) * rows < n*n (``dynamics._use_edges``), else
+with the dense A (see the dynamics module docstring for the rule and its
+measurements). The edges also give the block labelling.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ from functools import partial
 
 import numpy as np
 
-from .dynamics import (EDGE_FACTOR, SUM_TOL, EpidemicState, SirParams, Trajectory,
-                       _edge_product, _prepare, _pressure_jacobian)
+from .dynamics import (SUM_TOL, EpidemicState, Trajectory, _edge_product, _prepare,
+                       _pressure_jacobian, _use_edges)
 from .graph import Network, _components, _edge_table
 
 __all__ = [
@@ -125,18 +127,19 @@ class ConvergenceReport:
 
 def build_spreading_matrix(state: EpidemicState, params, net: Network) -> SpreadingMatrix:
     """Linear map propagating the infectious coordinates one step from
-    ``state``; its infection blocks are diag(s) times the Jacobian of the
-    infection pressure the step uses, transport layers included."""
+    ``state``, one block per compartment of the chain ``params.stages``
+    walks: the first block row holds diag(s) times the Jacobian of the
+    infection pressure the step uses, transport layers included; each stage
+    keeps 1 - h*rate of its compartment and passes h*rate on to the next."""
     pr, op = _prepare(params, state, net)
-    eye = np.eye(net.n)
-    if isinstance(pr, SirParams):
-        m = eye + pr.h * (state.s[:, None] * _pressure_jacobian(op, 0)) - pr.h * np.diag(pr.gamma)
-        return SpreadingMatrix(m=m)
-    sba_e = state.s[:, None] * _pressure_jacobian(op, 0)
-    sba_p = state.s[:, None] * _pressure_jacobian(op, 1)
-    top = np.hstack([eye + pr.h * sba_e - pr.h * np.diag(pr.sigma), pr.h * sba_p])
-    bot = np.hstack([pr.h * np.diag(pr.sigma), eye - pr.h * np.diag(pr.gamma)])
-    return SpreadingMatrix(m=np.vstack([top, bot]))
+    h, eye, k = pr.h, np.eye(net.n), len(pr.stages)
+    blocks = [[np.zeros_like(eye)] * k for _ in range(k)]
+    for c, rate in enumerate(pr.stages):
+        blocks[0][c] = h * (state.s[:, None] * _pressure_jacobian(op, c))
+        blocks[c][c] = eye + blocks[c][c] - h * np.diag(rate)
+        if c + 1 < k:
+            blocks[c + 1][c] = h * np.diag(rate)
+    return SpreadingMatrix(m=np.block(blocks))
 
 
 def dominant_eigenvalue(m: np.ndarray) -> tuple:
@@ -193,31 +196,30 @@ def _power_iteration(apply, data: tuple, size: int) -> tuple:
 def _trajectory_roots(traj: Trajectory, params, net: Network) -> np.ndarray:
     """Perron root of M(s_k) for every step k, without forming any M.
 
-    The left action of all T+1 matrices at once, for iterates w = [u, v]
-    stacked as (T+1, 2n) and x = h*u*s_k (SIR: w = u, no e block), is
+    For iterates w = [w_0, ..., w_{c-1}] over the chain's c compartments at
+    rates rho_c = params.stages[c], stacked as (T+1, c*n), and x = h*w_0*s_k,
+    the left action of all T+1 matrices at once is
 
-        [u, v] M = [u*(1 - h*sigma) + h*sigma*v + sum_l (x*beta_e_l) A_l,
-                    v*(1 - h*gamma)             + sum_l (x*beta_l) A_l]
+        (w M)_c = w_c*(1 - h*rho_c) + h*rho_c*w_{c+1} + sum_l (x*rates_l[c]) A_l
 
-    with one (c*b, n) @ (n, n) product per layer for the c compartments of
-    the b unconverged rows, taken over the layer's edges when
-    EDGE_FACTOR * nnz(A_l) * c*b < n*n and dense otherwise (see the module
-    docstring). A state's root is the largest over the strongly
+    (no w_{c+1} for the last c), one (c*b, n) @ (n, n) product per layer for
+    the b unconverged rows, over the layer's edges where ``_use_edges`` takes
+    them and dense otherwise. A state's root is the largest over the strongly
     connected blocks of its own pattern; nodes with s = 0 contribute no
     infection edges. A singleton block's root is its diagonal entry."""
     pr, op = _prepare(params, traj, net)
     n, h = net.n, pr.h
     hs = h * traj.s
-    sir = isinstance(pr, SirParams)
-    comps = len(op[0][2])
+    comps = len(pr.stages)
     size = comps * n
     # (A_l, rates as (comps, n), A_l's edges in column order), the edges
     # taken once for both the products and the block labelling
-    layers = [(a, np.stack(r), _column_edges(edges))
-              for (a, _, r), edges in zip(op, net.edges)]
-    keep = 1 - h * pr.gamma if sir else np.concatenate([1 - h * pr.sigma, 1 - h * pr.gamma])
+    layers = [(a, np.stack(r), _column_edges(edges)) for a, edges, r in op]
+    rho = np.ravel(pr.stages)
+    keep = 1 - h * rho
     keep_shifted = keep + SHIFT
-    h_sigma = None if sir else h * pr.sigma
+    # each compartment but the last passes h*rho_c of it on to the next
+    h_pass = h * rho[:size - n]
 
     def apply(w, hs_rows, alpha):
         # the left action of M - alpha*I, alpha one value per state
@@ -228,28 +230,26 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> np.ndarray:
             out = y if out is None else out + y
         out = out.reshape(len(w), size)
         out += w * (keep_shifted - alpha[:, None])
-        if not sir:
-            out[:, :n] += h_sigma * w[:, n:]
+        out[:, :size - n] += h_pass * w[:, n:]
         return out
 
     diag = np.tile(keep, (len(hs), 1))
     diag[:, :n] += hs * sum(r[0] * np.diagonal(a) for a, r, _ in layers)
     # M >= 0 follows from these (each written so that NaN fails too)
     if not (np.all(hs >= 0) and all(np.all(r >= 0) for _, r, _ in layers)
-            and np.all(diag >= 0) and (sir or np.all(h_sigma >= 0))):
+            and np.all(diag >= 0) and np.all(h_pass >= 0)):
         raise ValueError("spreading matrix must be nonnegative (h*s, the rates, "
                          "h*sigma and its diagonal must be >= 0)")
 
     # a state's pattern is the digraph on the nodes (c, i) = c*n + i,
-    # compartment c (e then p; p alone for SIR) of node i: infection edges
-    # (0, i) -> (c, j) where h*s_i != 0 and some layer has
-    # rates_l[c][i] * A_l[i, j] != 0, and for SEIR the progression p_i -> e_i
-    # where sigma_i != 0. The states are grouped by their nodes with s = 0
-    # (hashing, not sorting, the rows), and each group's blocks are labelled
-    # once.
+    # compartment c of node i: infection edges (0, i) -> (c, j) where
+    # h*s_i != 0 and some layer has rates_l[c][i] * A_l[i, j] != 0, and the
+    # progression edges (c + 1, i) -> (c, i) where rho_c[i] != 0. The states
+    # are grouped by their nodes with s = 0 (hashing, not sorting, the rows),
+    # and each group's blocks are labelled once.
     infection = [(src, c * n + dst, r[c][src] != 0)
                  for _, r, (dst, src, _, _) in layers for c in range(comps)]
-    link = np.zeros(0, dtype=np.intp) if sir else np.flatnonzero(pr.sigma != 0)
+    link = np.flatnonzero(rho[:size - n] != 0)
     groups: dict[bytes, list[int]] = {}
     for k, zero in enumerate(hs == 0):
         groups.setdefault(zero.tobytes(), []).append(k)
@@ -276,9 +276,8 @@ def _column_edges(edges: tuple) -> tuple:
 
 def _left_product(x: np.ndarray, a: np.ndarray, edges: tuple) -> np.ndarray:
     """x @ a for x (rows, n), given a's ``_column_edges``: over the edges
-    where EDGE_FACTOR * nnz(a) * rows < n*n, dense otherwise."""
-    n = len(a)
-    if EDGE_FACTOR * len(edges[0]) * len(x) < n * n:
+    where ``_use_edges`` takes them for len(x) rows, dense otherwise."""
+    if _use_edges(a, edges, len(x)):
         return _edge_product(x, edges)
     return x @ a
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import strategies as st
 
 from netepi import EpidemicState, Network, SeirParams, SirParams, Trajectory
-from netepi.estimation import NONZERO_TOL
+from netepi.dynamics import _prepare, _pressure_jacobian
+from netepi.estimation import NONZERO_TOL, RegressionSystem, _nodes, _transitions
 from netepi.graph import NetworkError
 
 
@@ -186,6 +187,60 @@ def seir_step_oracle(state, params, net):
         p2[i] = p[i] + h * (pr.sigma[i] * e[i] - pr.gamma[i] * p[i])
         r2[i] = r[i] + h * pr.gamma[i] * p[i]
     return EpidemicState(s=s2, e=e2, p=p2, r=r2)
+
+
+def spreading_matrix_oracle(state, params, net):
+    """The per-model spreading matrix that the chain build replaced: SIR's
+    n x n matrix, SEIR's 2n x 2n one from its four blocks."""
+    pr, op = _prepare(params, state, net)
+    eye = np.eye(net.n)
+    if isinstance(pr, SirParams):
+        return eye + pr.h * (state.s[:, None] * _pressure_jacobian(op, 0)) - pr.h * np.diag(pr.gamma)
+    sba_e = state.s[:, None] * _pressure_jacobian(op, 0)
+    sba_p = state.s[:, None] * _pressure_jacobian(op, 1)
+    top = np.hstack([eye + pr.h * sba_e - pr.h * np.diag(pr.sigma), pr.h * sba_p])
+    bot = np.hstack([pr.h * np.diag(pr.sigma), eye - pr.h * np.diag(pr.gamma)])
+    return np.vstack([top, bot])
+
+
+def regression_sir_oracle(traj, net, node, g):
+    """The SIR regression that the chain regression replaced; ``g`` as
+    estimation._window_g gives it."""
+    nodes = _nodes(net, node)
+    t = _transitions(traj)
+    h = traj.h
+    a_col = h * g("p")[:, nodes].ravel()
+    b_col = h * traj.p[:t, nodes].ravel()
+    zeros = np.zeros_like(a_col)
+    q = np.block([[a_col[:, None], -b_col[:, None]],
+                  [zeros[:, None], b_col[:, None]]])
+    dp = np.diff(traj.p, axis=0)[:, nodes].ravel()
+    dr = np.diff(traj.r, axis=0)[:, nodes].ravel()
+    return RegressionSystem(q=q, delta=np.concatenate([dp, dr]),
+                            kind="sir-homog" if node is None else "sir-hetero",
+                            t=t, node=node)
+
+
+def regression_seir_oracle(traj, net, node, g):
+    """The SEIR regression that the chain regression replaced; ``g`` as
+    estimation._window_g gives it."""
+    t = _transitions(traj)
+    nodes = _nodes(net, node)
+    h = traj.h
+    ae = h * g("e")[:, nodes].ravel()
+    be = h * g("p")[:, nodes].ravel()
+    ce = h * traj.e[:t, nodes].ravel()
+    de = h * traj.p[:t, nodes].ravel()
+    z = np.zeros(len(ae))
+    phi = np.column_stack([ae, be, -ce, z])
+    sig = np.column_stack([z, z, ce, -de])
+    gam = np.column_stack([z, z, z, de])
+    q = np.vstack([phi, sig, gam])
+    delta = np.concatenate([np.diff(x, axis=0)[:, nodes].ravel()
+                            for x in (traj.e, traj.p, traj.r)])
+    return RegressionSystem(q=q, delta=delta,
+                            kind="seir-homog" if node is None else "seir-hetero",
+                            t=t, node=node)
 
 
 def nonproportional_pair_oracle(ge, gp, nodes):

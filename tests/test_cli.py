@@ -163,15 +163,29 @@ class TestSimulate:
 
 class TestGoldenBytes:
     """sha256 of the CLI outputs for fixed scenarios; a refactor of the step
-    kernel, the trajectory storage or the noise draw must keep these bytes."""
+    kernel, the trajectory storage, the noise draw, the Perron solve or the
+    regression must keep these bytes. diagnose reads the clean trajectory;
+    estimate reads it for SIR and the measured one for SEIR."""
 
     DIGESTS = {
         ("sir", "trajectory.csv"):
             "22e63bdfaf66862a0e93fc1d575ac6258f77cf0c3a805d001f825b98633b2613",
+        ("sir", "lambda.csv"):
+            "831864bbd25e052c5e95352d46887477013f4ce0b22bf29c7fc3ae38ea465fbf",
+        ("sir", "convergence.json"):
+            "4e45c82b1c43cca16fc489b6f7f0b8a1e4ddafbb4e7ae27f11778343c3799ae1",
+        ("sir", "estimate.json"):
+            "b7e7ef11860a30a90885a8b15998f13f9030f106bfa30f85634b2da465d9b020",
         ("seir", "trajectory.csv"):
             "8631efb41675f4cee4377ae566c8286fc6b6da7d20d6d533329793739714e82d",
         ("seir", "measured.csv"):
             "f496e69aca7a5bbf6a9c6e745ffbe9bae985bf572b3997a35cd30f7658758061",
+        ("seir", "lambda.csv"):
+            "ca0e82e8b4934c89deff49508a0f7a235de388e4e9e44eb302a59f6d71d62969",
+        ("seir", "convergence.json"):
+            "d696847dcf6d196e7eaafc661533cf864fade0b0a6ecd2b586297d03287c64e7",
+        ("seir", "estimate.json"):
+            "5b2a18d8fe6a89f78323ca111457159e35436b480f4ab25d4511208b1bca5465",
     }
 
     @pytest.mark.parametrize("model", ["sir", "seir"])
@@ -183,9 +197,13 @@ class TestGoldenBytes:
         if model == "seir":
             assert run("perturb", "--scenario", sc, "--out", out,
                        "--trajectory", out / "trajectory.csv") == 0
+        assert run("diagnose", "--scenario", sc, "--out", out,
+                   "--trajectory", out / "trajectory.csv") == 0
+        data = out / ("measured.csv" if model == "seir" else "trajectory.csv")
+        assert run("estimate", "--scenario", sc, "--out", out, "--trajectory", data) == 0
         for (kind, name), digest in self.DIGESTS.items():
             if kind == model:
-                assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+                assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestDiagnose:
@@ -406,6 +424,7 @@ class TestEstimate:
 class TestParser:
     @pytest.mark.parametrize("command,flag", [
         ("simulate", "--seed"), ("diagnose", "--seed"), ("estimate", "--seed"),
+        ("simulate", "--strict"),
         ("diagnose", "--strict"), ("diagnose", "--no-strict"),
         ("perturb", "--strict"), ("perturb", "--no-strict"),
         ("estimate", "--strict"), ("estimate", "--no-strict"),
@@ -421,6 +440,8 @@ class TestParser:
         assert flag in capsys.readouterr().err
 
     def test_kept_flags_accepted(self):
+        args = build_parser().parse_args(["simulate", "--scenario", "s.json", "--out", "o"])
+        assert args.strict is True
         args = build_parser().parse_args(["simulate", "--scenario", "s.json",
                                           "--out", "o", "--no-strict"])
         assert args.strict is False

@@ -269,7 +269,8 @@ class TestEdgeOperator:
         dense = simulate(initial, params, net, 40)
         g_dense = [estimation._g(dense.s, x, base) for x in (dense.p, dense.e) if x is not None]
         shapes = _edge_shapes(monkeypatch)
-        assert all(edges is None for _, edges, _ in dynamics._operator(net, params.rates))
+        assert not any(dynamics._use_edges(a, edges, 1)
+                       for a, edges, _ in dynamics._operator(net, params.rates))
         monkeypatch.setattr(dynamics, "EDGE_FACTOR", 0)
         edged = simulate(initial, params, net, 40)
         g_edged = [estimation._g(edged.s, x, base) for x in (edged.p, edged.e) if x is not None]
@@ -292,7 +293,8 @@ class TestEdgeOperator:
             nets.append(Network(a.reshape(n, n), layers=(a.reshape(n, n),)))
         for net in nets:
             rates = ((1.0, 1.0),) * (1 + len(net.layers))
-            assert all(edges is None for _, edges, _ in dynamics._operator(net, rates))
+            assert not any(dynamics._use_edges(a, edges, 1)
+                           for a, edges, _ in dynamics._operator(net, rates))
 
     def test_rule_picks_edges_for_a_sparse_2000_node_ring(self, monkeypatch):
         rng = np.random.default_rng(96)

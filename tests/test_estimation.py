@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netepi import (Network, SeirParams, SirParams, Trajectory, estimation,
                     apply_noise, build_regression, check_identifiability,
@@ -8,7 +10,8 @@ from netepi.estimation import (NONZERO_TOL, NoiseModel, _g, _nonproportional_wit
                                report_to_json)
 
 from conftest import (fabricated_seir, g_value, nonproportional_pair_oracle,
-                      random_irreducible_network, seeded_state)
+                      random_irreducible_network, regression_seir_oracle,
+                      regression_sir_oracle, seeded_state)
 
 
 @pytest.fixture
@@ -259,6 +262,28 @@ class TestSeirRegression:
         assert sys.q.shape == (6, 4)  # 3T x 4 with T = 2
         theta = np.array([0.04, 0.06, 0.4, 0.3])
         assert sys.q @ theta == pytest.approx(sys.delta, abs=1e-15)
+
+
+class TestChainRegression:
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31),
+           st.sampled_from(["sir", "seir"]), st.integers(min_value=1, max_value=6))
+    def test_matches_per_model_oracles(self, n, seed, kind, steps):
+        # the one regression over the chain, bit for bit the per-model
+        # systems it replaced, network-wide and at one node, on random
+        # levels with some zeros
+        rng = np.random.default_rng(seed)
+        net = Network((rng.random((n, n)) < 0.5) * rng.random((n, n)))
+        levels = rng.random((4, steps + 1, n))
+        levels[rng.random(levels.shape) < 0.3] = 0.0
+        s, e, p, r = levels
+        traj = Trajectory(s=s, e=None if kind == "sir" else e, p=p, r=r, h=rng.uniform(0.1, 2.0))
+        oracle = regression_sir_oracle if kind == "sir" else regression_seir_oracle
+        for node in (None, int(rng.integers(n))):
+            got = build_regression(traj, net, node)
+            want = oracle(traj, net, node, estimation._window_g(traj, net))
+            assert np.array_equal(got.q, want.q) and np.array_equal(got.delta, want.delta)
+            assert (got.kind, got.t, got.node) == (want.kind, want.t, want.node)
 
 
 class TestSolveLeastSquares:

@@ -14,7 +14,7 @@ from netepi.spectral import PowerIterationError, report_to_csv, report_to_json
 
 from conftest import (charpoly_spectral_radius, fabricated_seir, random_irreducible_network,
                       random_layered_seir, random_seir_params, random_sir_params,
-                      random_simplex_state, seeded_state)
+                      random_simplex_state, seeded_state, spreading_matrix_oracle)
 
 
 class TestBuildSpreadingMatrix:
@@ -77,6 +77,34 @@ class TestBuildSpreadingMatrix:
         _, params, state = seir_example
         with pytest.raises(ValueError):
             build_spreading_matrix(state, params, Network(np.zeros((3, 3))))
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**31),
+           st.sampled_from(["sir", "seir", "layered"]))
+    def test_chain_matches_per_model_oracle(self, n, seed, kind):
+        # one block per stage of the chain, bit for bit the per-model build,
+        # on random networks, per-node rates and states, some with s = 0
+        rng = np.random.default_rng(seed)
+
+        def sparse():
+            return (rng.random((n, n)) < 0.5) * rng.random((n, n))
+
+        def rate():
+            return rng.uniform(0.0, 1.0, n)
+
+        layers = (sparse(),) if kind == "layered" else ()
+        net = Network(sparse(), layers=layers)
+        h = rng.uniform(0.1, 2.0)
+        if kind == "sir":
+            params = SirParams(beta=rate(), gamma=rate(), h=h)
+        else:
+            params = SeirParams(beta_e=rate(), beta=rate(), sigma=rate(), gamma=rate(), h=h,
+                                layer_beta_e=tuple(rate() for _ in layers),
+                                layer_beta=tuple(rate() for _ in layers))
+        state = random_simplex_state(rng, n, "sir" if kind == "sir" else "seir")
+        state.s[rng.random(n) < 0.3] = 0.0
+        m = build_spreading_matrix(state, params, net).m
+        assert np.array_equal(m, spreading_matrix_oracle(state, params, net))
 
 
 class TestDominantEigenvalue:
