@@ -129,38 +129,53 @@ def _rate(value, base: Path, key: str, n: int) -> np.ndarray:
     """A rate as a per-node vector; one given as a file name is the list of
     the numbers in that file, one a line."""
     name = f"parameter {key!r}"
-    if isinstance(_check(value, _RATE, None, name), str):
+    if isinstance(value, str):
         value = _check([float(x) for x in (base / value).read_text().split()], _RATE, None, name)
     return dynamics._as_vector(value, n, name)
 
 
+def _document(path: Path) -> dict:
+    """The scenario document at ``path`` checked against the tables above,
+    with its step size ``h``, initial state and noise model (None without a
+    ``noise`` table) filled in; none of the files it names is opened. An
+    unknown or missing key, a value of the wrong JSON type, a NaN or
+    infinite number, a number out of its range or a seed node outside
+    0..n-1 is a ``ScenarioError`` naming it."""
+    sc = _walk(json.loads(path.read_text()), _SCENARIO, "scenario", "scenario")
+    for f in sc.get("layers", []):
+        _check(f, "a string", None, "scenario 'layers' entry")
+    p = _walk(sc["params"], _PARAMS[sc["model"]], "params", "parameter")
+    for key in ("layer_beta_e", "layer_beta"):
+        for x in p.get(key, []):
+            _check(x, _RATE, None, f"parameter {key!r}")
+    noise = _walk({"seed": sc.get("seed", 0), **sc.get("noise", {})}, _NOISE, "noise", "noise")
+    return {**sc, "h": float(p.get("h", 1.0)),
+            "initial": _initial(sc.get("initial", {}), sc["model"], sc["n"]),
+            "noise": estimation.NoiseModel(**noise) if "noise" in sc else None}
+
+
 def load_scenario(path: str | Path) -> dict:
-    """Read a scenario and check it against the tables above: an unknown or
-    missing key, a value of the wrong JSON type, a NaN or infinite number, a
-    number out of its range or a seed node outside 0..n-1 is a
-    ``ScenarioError`` naming it."""
+    """Read a scenario, check it as ``_document`` does, and load the network,
+    layer and rate files it names; a malformed file is a ValueError."""
     path = Path(path)
     base = path.parent
-    sc = _walk(json.loads(path.read_text()), _SCENARIO, "scenario", "scenario")
+    sc = _document(path)
     model, n = sc["model"], sc["n"]
-    layers = [_check(f, "a string", None, "scenario 'layers' entry") for f in sc.get("layers", [])]
-    nets = [graph.load_network((base / f).read_text(), n) for f in [sc["network"], *layers]]
+    nets = [graph.load_network((base / f).read_text(), n)
+            for f in [sc["network"], *sc.get("layers", [])]]
     # one network over the loaded matrices, keeping the edge tables sorted
     # from their records
     net = graph._loaded(tuple(x.adjacency for x in nets), tuple(x.edges[0] for x in nets))
-    p = _walk(sc["params"], _PARAMS[model], "params", "parameter")
     rates = {k: tuple(_rate(x, base, k, n) for x in v) if k.startswith("layer_")
-             else _rate(v, base, k, n) for k, v in p.items() if k != "h"}
-    params = (dynamics.SirParams if model == "sir" else dynamics.SeirParams)(
-        **rates, h=float(p.get("h", 1.0)))
-    noise = _walk({"seed": sc.get("seed", 0), **sc.get("noise", {})}, _NOISE, "noise", "noise")
+             else _rate(v, base, k, n) for k, v in sc["params"].items() if k != "h"}
+    params = (dynamics.SirParams if model == "sir" else dynamics.SeirParams)(**rates, h=sc["h"])
     return {
         "model": model,
         "net": net,
         "params": params,
-        "initial": _initial(sc.get("initial", {}), model, n),
+        "initial": sc["initial"],
         "steps": sc.get("steps", 0),
-        "noise": estimation.NoiseModel(**noise) if "noise" in sc else None,
+        "noise": sc["noise"],
     }
 
 
@@ -190,8 +205,7 @@ def cmd_simulate(args) -> int:
         for v in check.violations:
             print(f"assumption violation: {v}", file=sys.stderr)
         return EXIT_ERROR
-    traj = dynamics.simulate(sc["initial"], sc["params"], sc["net"],
-                             steps=sc["steps"], strict=args.strict)
+    traj = dynamics.simulate(sc["initial"], sc["params"], sc["net"], steps=sc["steps"])
     (out / "trajectory.csv").write_text(dynamics.trajectory_to_csv(traj))
     summary = {
         "model": sc["model"],
@@ -206,18 +220,18 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _inputs(args) -> tuple:
-    """The scenario, the trajectory read with its step size, and the output
-    directory, created, of a diagnose, perturb or estimate run."""
-    sc = load_scenario(args.scenario)
-    traj = dynamics.trajectory_from_csv(Path(args.trajectory).read_text(), h=sc["params"].h)
+def _inputs(args, h: float) -> tuple:
+    """The trajectory of a diagnose, perturb or estimate run, read with the
+    scenario's step size ``h``, and the output directory, created."""
+    traj = dynamics.trajectory_from_csv(Path(args.trajectory).read_text(), h=h)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return sc, traj, out
+    return traj, out
 
 
 def cmd_diagnose(args) -> int:
-    sc, traj, out = _inputs(args)
+    sc = load_scenario(args.scenario)
+    traj, out = _inputs(args, sc["params"].h)
     report = spectral.convergence_diagnostics(traj, sc["params"], sc["net"])
     (out / "lambda.csv").write_text(spectral.report_to_csv(report))
     (out / "convergence.json").write_text(spectral.report_to_json(report))
@@ -225,12 +239,12 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    sc, traj, out = _inputs(args)
+    # the noise needs no network: the scenario's files are left unopened
+    sc = _document(Path(args.scenario))
+    traj, out = _inputs(args, sc["h"])
     noise = sc["noise"]
     if noise is None:
         raise ScenarioError("scenario has no noise model")
-    if args.seed is not None:
-        noise = dataclasses.replace(noise, seed=args.seed)
     measured = estimation.apply_noise(traj, noise)
     (out / "measured.csv").write_text(dynamics.trajectory_to_csv(measured))
     # seed and start_k lead, the other fields follow in their order
@@ -240,7 +254,8 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    sc, traj, out = _inputs(args)
+    sc = load_scenario(args.scenario)
+    traj, out = _inputs(args, sc["params"].h)
     if traj.kind != sc["model"]:
         raise ScenarioError(f"scenario model {sc['model']!r} does not match "
                             f"the {traj.kind!r} trajectory")
@@ -267,13 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
         if with_traj:
             p.add_argument("--trajectory", required=True, help="trajectory CSV input")
 
-    sim = sub.add_parser("simulate", help="run a scenario and write the trajectory")
-    common(sim)
-    sim.add_argument("--no-strict", dest="strict", action="store_false", help="skip simplex checks")
+    common(sub.add_parser("simulate", help="run a scenario and write the trajectory"))
     common(sub.add_parser("diagnose", help="eigenvalue/convergence diagnostics"), with_traj=True)
-    perturb = sub.add_parser("perturb", help="inject measurement noise")
-    common(perturb, with_traj=True)
-    perturb.add_argument("--seed", type=int, default=None, help="override the noise seed")
+    common(sub.add_parser("perturb", help="inject measurement noise"), with_traj=True)
     est = sub.add_parser("estimate", help="recover spread parameters")
     common(est, with_traj=True)
     est.add_argument("--node", type=int, default=None,

@@ -415,33 +415,31 @@ def _kernel(pr, op: tuple, s, p, r, e) -> tuple:
             r + h * pr.gamma * p, e + h * s * iota - h * pr.sigma * e)
 
 
-def step(state: EpidemicState, params, net: Network,
-         strict: bool = True) -> EpidemicState:
-    """One SIR or SEIR step (the model follows the type of ``params``) through
-    the kernel ``simulate`` runs. The parameters are always checked against the
-    well-posedness bounds; ``strict`` also validates ``state`` against the
-    simplex (turn it off for noisy measured data)."""
-    pr, op = _prepare(params, state, net)
-    check_assumption(pr, net).raise_if_violated()
-    if strict:
-        state.validate()
-    s, p, r, e = _kernel(pr, op, state.s, state.p, state.r, state.e)
-    return EpidemicState(s=s, p=p, r=r, e=e)
+def step(state: EpidemicState, params, net: Network) -> EpidemicState:
+    """One SIR or SEIR step (the model follows the type of ``params``): the
+    second state of ``simulate(state, params, net, 1)``, so ``params`` and
+    ``state`` are checked as ``simulate`` checks them. Its vectors are
+    read-only row views, as every ``Trajectory.states`` entry's are."""
+    return simulate(state, params, net, 1).states[1]
 
 
 def simulate(initial: EpidemicState, params, net: Network, steps: int,
              strict: bool = True) -> Trajectory:
     """Run ``steps`` steps from ``initial``; returns steps+1 states.
 
-    With ``strict`` on, parameters are checked once up front and every state
-    is validated against the simplex invariants; drift beyond tolerance
-    aborts, since it signals an implementation bug rather than model behavior.
+    With ``strict`` on, the parameters are checked against the
+    well-posedness bounds and ``initial`` against the simplex before the
+    first step, so a malformed state never reaches the kernel, and every
+    state after the last; drift beyond tolerance aborts, since it signals an
+    implementation bug rather than model behavior. Noisy measured data,
+    whose levels need not sum to 1, are run with ``strict`` off.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     pr, op = _prepare(params, initial, net)
     if strict:
         check_assumption(pr, net).raise_if_violated()
+        initial.validate()
     rows = [(initial.s, initial.p, initial.r, initial.e)]
     for _ in range(steps):
         rows.append(_kernel(pr, op, *rows[-1]))

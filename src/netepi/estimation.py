@@ -66,10 +66,7 @@ class EstimateReport:
 
     def estimates_dict(self) -> dict:
         names = ("beta", "gamma") if self.kind.startswith("sir") else ("beta_e", "beta", "sigma", "gamma")
-        est = np.atleast_2d(self.estimates)
-        if est.shape[0] == 1:
-            return {name: float(v) for name, v in zip(names, est[0])}
-        return {name: est[:, idx].tolist() for idx, name in enumerate(names)}
+        return dict(zip(names, map(float, self.estimates)))
 
 
 @dataclass(frozen=True)
@@ -111,7 +108,10 @@ def _window_g(traj: Trajectory, net: Network):
     """g(x) = _g over the window's first T states for compartment ``x`` ("e"
     or "p"), computed on first use and kept, so that the identifiability
     check and the regression of one estimate share it. Its callers check
-    ``_transitions`` before they call it."""
+    ``_transitions`` before they call it. A trajectory whose node count is
+    not the network's is refused."""
+    if traj.n != net.n:
+        raise ValueError(f"trajectory has {traj.n} nodes, the network {net.n}")
     return cache(lambda x: _g(traj.s[:traj.transitions], getattr(traj, x)[:traj.transitions], net))
 
 
@@ -251,12 +251,12 @@ def build_regression(traj: Trajectory, net: Network,
     return _regression(traj, net, node, _window_g(traj, net))
 
 
-def solve_least_squares(sys: RegressionSystem,
-                        verdict: IdentifiabilityVerdict | None = None) -> EstimateReport:
+def solve_least_squares(sys: RegressionSystem) -> EstimateReport:
     """Minimum-norm least-squares solve with explicit numerical rank.
 
     Singular values below RANK_TOL_FACTOR times the largest column norm are
     treated as zero; rank below the column count sets the non-uniqueness flag.
+    The report carries no identifiability verdict.
     """
     q, delta = sys.q, sys.delta
     if q.size == 0:
@@ -269,7 +269,7 @@ def solve_least_squares(sys: RegressionSystem,
     theta = vt.T @ (s_inv * (u.T @ delta))
     residual = float(np.linalg.norm(q @ theta - delta))
     return EstimateReport(kind=sys.kind, estimates=theta, residual_norm=residual,
-                          rank=rank, verdict=verdict,
+                          rank=rank, verdict=None,
                           non_unique=rank < q.shape[1])
 
 
@@ -308,10 +308,11 @@ def apply_noise(traj: Trajectory, model: NoiseModel) -> Trajectory:
     return Trajectory(s=1.0 - e - p - r, e=e, p=p, r=r, h=traj.h)
 
 
-def _trajectory_errors(measured: Trajectory, resim: Trajectory) -> dict:
-    """Mean absolute error per compartment."""
+def _trajectory_errors(measured: Trajectory, resim: Trajectory, nodes: np.ndarray) -> dict:
+    """Mean absolute error per compartment over the columns ``nodes``."""
     comps = ["s", "p", "r"] + (["e"] if measured.kind == "seir" else [])
-    return {comp: float(np.mean(np.abs((getattr(measured, comp) - getattr(resim, comp)).ravel())))
+    return {comp: float(np.mean(np.abs(getattr(measured, comp) - getattr(resim, comp))[:, nodes]
+                                .ravel()))
             for comp in comps}
 
 
@@ -319,23 +320,19 @@ def estimate_pipeline(measured: Trajectory, net: Network,
                       node: int | None = None) -> EstimateReport:
     """Identifiability check, system assembly and pseudoinverse solve for the
     model of ``measured``; when the data are identifiable, a re-simulation
-    from the first measured state scores the fit. The e, p and r levels
-    must lie in [0, 1] up to SUM_TOL."""
+    from the first measured state scores the fit, over the columns of the
+    nodes estimated. The e, p and r levels must lie in [0, 1] up to SUM_TOL."""
     _check_levels(measured.e, measured.p, measured.r)
     g = _window_g(measured, net)
     verdict = _CHECKS[measured.kind](measured, net, node, g)
     system = _regression(measured, net, node, g)
-    report = solve_least_squares(system, verdict=verdict)
+    report = replace(solve_least_squares(system), verdict=verdict)
     if not verdict.identifiable:
         return report
     # the estimates come in the order of the parameter fields
     params = (SirParams if measured.kind == "sir" else SeirParams)(*report.estimates, h=measured.h)
-    try:
-        resim = simulate(measured.states[0], params, net,
-                         steps=measured.transitions, strict=False)
-    except (ValueError, TypeError):
-        return report
-    return replace(report, trajectory_errors=_trajectory_errors(measured, resim))
+    resim = simulate(measured.states[0], params, net, steps=measured.transitions, strict=False)
+    return replace(report, trajectory_errors=_trajectory_errors(measured, resim, _nodes(net, node)))
 
 
 def report_to_json(report: EstimateReport) -> str:

@@ -176,7 +176,9 @@ def _loadtxt(lines: list[str], dtype: np.dtype, comments: str | None,
 
 def _edge_error(lines: list[str], n: int) -> NetworkError:
     """The error of the first bad record, naming its line; each record is
-    parsed on its own, as load_network parses them all."""
+    parsed on its own, as load_network parses them all. load_network calls
+    it when its parse or its checks of all the records fail, and each of
+    those has a check on one record here, so a bad record is always found."""
     seen = set()
     for lineno, line in _records(lines, "#"):
         if line.partition("#")[0].count(",") != 2:
@@ -192,7 +194,6 @@ def _edge_error(lines: list[str], n: int) -> NetworkError:
         if (i, j) in seen:
             return NetworkError(f"line {lineno}: duplicate edge ({i},{j})")
         seen.add((i, j))
-    return NetworkError("malformed edge list")
 
 
 def is_irreducible(m: np.ndarray) -> bool:

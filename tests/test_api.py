@@ -39,10 +39,9 @@ PACKAGE = {
 # every parameter with a default, over every function and method in the package
 OPTIONS = {
     "cli.common(with_traj)", "cli.main(argv)",
-    "dynamics.step(strict)", "dynamics.simulate(strict)",
-    "dynamics.trajectory_from_csv(h)",
+    "dynamics.simulate(strict)", "dynamics.trajectory_from_csv(h)",
     "estimation.check_identifiability(node)", "estimation.build_regression(node)",
-    "estimation.solve_least_squares(verdict)", "estimation.estimate_pipeline(node)",
+    "estimation.estimate_pipeline(node)",
 }
 
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from netepi import Network, estimation, simulate
+from netepi import Network, SeirParams, estimation, simulate
 from netepi.cli import build_parser, load_scenario, main
 from netepi.dynamics import trajectory_from_csv, trajectory_to_csv
 
@@ -63,6 +63,17 @@ class TestSimulate:
             assert total == pytest.approx(np.ones(20), abs=1e-9)
         summary = json.loads((tmp_path / "out" / "validation.json").read_text())
         assert summary["assumptions_ok"] is True
+
+    @pytest.mark.parametrize("initial,message", [
+        ({"s": 0.5, "e": 0.3, "p": 0.3, "r": 0.2}, "do not sum to 1"),
+        ({"seeds": {"e": {"1": 0.6}, "p": {"1": 0.5}}}, "outside [0, 1]"),
+    ], ids=["levels_sum_1.3", "seeds_above_1"])
+    def test_malformed_initial_state_refused(self, tmp_path, capsys, initial, message):
+        sc = write_scenario(tmp_path, steps=3, initial=initial)
+        assert run("simulate", "--scenario", sc, "--out", tmp_path / "out") == 1
+        assert message in error_line(capsys)
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+        assert not (tmp_path / "out" / "validation.json").exists()
 
     def test_zero_steps(self, tmp_path):
         sc = write_scenario(tmp_path, steps=0)
@@ -331,13 +342,29 @@ class TestPerturb:
         measured = trajectory_from_csv((tmp_path / "out" / "measured.csv").read_text())
         assert len(measured) == 31 - 14
 
-    def test_seed_override(self, tmp_path):
-        sc = write_scenario(tmp_path, steps=10, noise={"start_k": 0, "seed": 1})
-        run("simulate", "--scenario", sc, "--out", tmp_path / "out")
-        run("perturb", "--scenario", sc, "--out", tmp_path / "a",
-            "--trajectory", tmp_path / "out" / "trajectory.csv", "--seed", 9)
-        sidecar = json.loads((tmp_path / "a" / "noise.json").read_text())
-        assert sidecar["seed"] == 9
+
+    def test_scenario_files_left_unopened(self, tmp_path, capsys):
+        sc = write_scenario(tmp_path, steps=10, noise={"start_k": 2, "seed": 1})
+        out = tmp_path / "out"
+        run("simulate", "--scenario", sc, "--out", out)
+        argv = ["perturb", "--scenario", sc, "--trajectory", out / "trajectory.csv", "--out"]
+        assert run(*argv, tmp_path / "a") == 0
+        data = json.loads(sc.read_text())
+        data["layers"] = ["missing.csv"]
+        data["params"].update(beta="missing_rates.txt", layer_beta_e=[0.01],
+                              layer_beta=["missing_rates.txt"])
+        sc.write_text(json.dumps(data))
+        (tmp_path / "net.csv").write_text("not an edge list\n")
+        assert run(*argv, tmp_path / "b") == 0
+        assert ((tmp_path / "b" / "measured.csv").read_bytes()
+                == (tmp_path / "a" / "measured.csv").read_bytes())
+        assert run("simulate", "--scenario", sc, "--out", tmp_path / "c") == 1
+        capsys.readouterr()
+        # the document itself is still checked
+        data["params"]["layer_beta"] = [{"x": 1}]
+        sc.write_text(json.dumps(data))
+        assert run(*argv, tmp_path / "d") == 1
+        assert "parameter 'layer_beta' must be" in error_line(capsys)
 
 
 class TestEstimate:
@@ -404,6 +431,34 @@ class TestEstimate:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "transport layers" in err[0]
 
+    def test_per_node_errors_score_the_node(self, tmp_path):
+        sc = write_scenario(tmp_path, steps=30, noise={"start_k": 14, "seed": 3})
+        out = tmp_path / "out"
+        run("simulate", "--scenario", sc, "--out", out)
+        run("perturb", "--scenario", sc, "--out", out, "--trajectory", out / "trajectory.csv")
+        assert run("estimate", "--scenario", sc, "--out", tmp_path / "est",
+                   "--trajectory", out / "measured.csv", "--node", 1) == 0
+        report = json.loads((tmp_path / "est" / "estimate.json").read_text())
+        measured = trajectory_from_csv((out / "measured.csv").read_text())
+        resim = simulate(measured.states[0], SeirParams(**report["estimates"], h=1.0),
+                         load_scenario(sc)["net"], measured.transitions, strict=False)
+        errors = {c: float(np.mean(np.abs(getattr(measured, c)[:, 1] - getattr(resim, c)[:, 1])))
+                  for c in "sepr"}
+        assert report["trajectory_errors"] == errors
+        assert errors != {c: float(np.mean(np.abs(getattr(measured, c) - getattr(resim, c))))
+                          for c in "sepr"}
+
+    @pytest.mark.parametrize("n_traj,n", [(25, 20), (20, 25)])
+    def test_trajectory_of_other_size_refused(self, tmp_path, capsys, n_traj, n):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        run("simulate", "--scenario", write_scenario(tmp_path / "a", steps=3, n=n_traj),
+            "--out", tmp_path / "out")
+        assert run("estimate", "--scenario", write_scenario(tmp_path / "b", steps=3, n=n),
+                   "--out", tmp_path / "est",
+                   "--trajectory", tmp_path / "out" / "trajectory.csv") == 1
+        assert f"trajectory has {n_traj} nodes, the network {n}" in error_line(capsys)
+
     @pytest.mark.parametrize("node", [99, -1])
     def test_node_out_of_range(self, tmp_path, capsys, node):
         sc = write_scenario(tmp_path, steps=2)
@@ -423,8 +478,9 @@ class TestEstimate:
 
 class TestParser:
     @pytest.mark.parametrize("command,flag", [
-        ("simulate", "--seed"), ("diagnose", "--seed"), ("estimate", "--seed"),
-        ("simulate", "--strict"),
+        ("simulate", "--seed"), ("diagnose", "--seed"), ("perturb", "--seed"),
+        ("estimate", "--seed"),
+        ("simulate", "--strict"), ("simulate", "--no-strict"),
         ("diagnose", "--strict"), ("diagnose", "--no-strict"),
         ("perturb", "--strict"), ("perturb", "--no-strict"),
         ("estimate", "--strict"), ("estimate", "--no-strict"),
@@ -440,14 +496,9 @@ class TestParser:
         assert flag in capsys.readouterr().err
 
     def test_kept_flags_accepted(self):
-        args = build_parser().parse_args(["simulate", "--scenario", "s.json", "--out", "o"])
-        assert args.strict is True
-        args = build_parser().parse_args(["simulate", "--scenario", "s.json",
-                                          "--out", "o", "--no-strict"])
-        assert args.strict is False
-        args = build_parser().parse_args(["perturb", "--scenario", "s.json", "--out",
-                                          "o", "--trajectory", "t.csv", "--seed", "3"])
-        assert args.seed == 3
+        args = build_parser().parse_args(["estimate", "--scenario", "s.json", "--out",
+                                          "o", "--trajectory", "t.csv", "--node", "3"])
+        assert args.node == 3
 
 
 class TestScenarioParsing:
@@ -512,7 +563,7 @@ class TestScenarioParsing:
         edit(data)
         sc.write_text(json.dumps(data))
         capsys.readouterr()
-        assert run("simulate", "--no-strict", "--scenario", sc, "--out", tmp_path / "bad") == 1
+        assert run("simulate", "--scenario", sc, "--out", tmp_path / "bad") == 1
         assert message in error_line(capsys)
         assert not (tmp_path / "bad" / "trajectory.csv").exists()
         assert run("diagnose", "--scenario", sc, "--out", tmp_path / "diag",
@@ -603,7 +654,7 @@ class TestScenarioSchema:
         data = json.loads(sc.read_text())
         edit(data)
         sc.write_text(json.dumps(data))
-        assert run("simulate", "--no-strict", "--scenario", sc, "--out", tmp_path / "out") == 1
+        assert run("simulate", "--scenario", sc, "--out", tmp_path / "out") == 1
         assert message in error_line(capsys)
 
     def test_negative_start_k_refused_by_perturb(self, tmp_path, capsys):

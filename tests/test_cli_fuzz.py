@@ -2,6 +2,9 @@
 through ``cli.main``. Whatever the input, the exit code is 0, 1 or 2 and no
 exception or warning escapes; a refusal (exit 1) prints exactly one
 ``error:`` line, or from ``simulate`` only ``assumption violation:`` lines.
+``simulate`` validates every state against the simplex, the initial one
+before the first step, so a mutated initial state off the simplex is one
+more refusal.
 
 Sizes stay at n <= 8 and steps <= 5: every run allocates a dense n x n
 adjacency, so no mutation may draw a large n.
@@ -73,9 +76,7 @@ def run_all(d: Path, scenario, trajectory: str, commands):
     (d / "trajectory.csv").write_text(trajectory)
     for command in commands:
         argv = [command, "--scenario", str(d / "scenario.json"), "--out", str(d / command)]
-        if command == "simulate":
-            argv.append("--no-strict")
-        else:
+        if command != "simulate":
             argv += ["--trajectory", str(d / "trajectory.csv")]
         check_exit(argv, command)
 

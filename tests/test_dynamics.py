@@ -103,7 +103,6 @@ class TestSirStep:
                             r=np.zeros(2))
         with pytest.raises(StateInvariantError):
             step(bad, params, net)
-        step(bad, params, net, strict=False)  # opt-out for measured data
 
     def test_seir_state_rejected(self, seir_example):
         net, _, state = seir_example
@@ -150,6 +149,55 @@ class TestSeirStep:
         nxt = step(state, params, two_node_net)
         assert nxt.s == pytest.approx(state.s, abs=1e-15)
         assert nxt.e == pytest.approx((1 - 0.4) * state.e, abs=1e-15)
+
+
+class TestStepIsSimulate:
+    """step is the second state of a one-step simulate, checked as simulate
+    checks its input."""
+
+    @pytest.mark.parametrize("example", ["sir_example", "seir_example"])
+    def test_same_bytes_as_simulate(self, request, example):
+        net, params, state = request.getfixturevalue(example)
+        nxt = step(state, params, net)
+        ref = simulate(state, params, net, 1).states[1]
+        for comp in ("s", "e", "p", "r"):
+            a, b = getattr(nxt, comp), getattr(ref, comp)
+            assert (a is None) == (b is None) == (comp == "e" and example == "sir_example")
+            if a is not None:
+                assert a.tobytes() == b.tobytes() and not a.flags.writeable
+
+    @pytest.mark.parametrize("levels", [
+        {"s": [0.9, 1.0], "p": [0.3, 0.0], "r": [0.0, 0.0]},
+        {"s": [0.9, 1.0], "p": [np.nan, 0.0], "r": [0.0, 0.0]},
+        {"s": [-0.2, 1.0], "p": [1.2, 0.0], "r": [0.0, 0.0]},
+    ], ids=["sum", "nan", "outside"])
+    def test_malformed_state_never_reaches_kernel(self, monkeypatch, sir_example, levels):
+        net, params, _ = sir_example
+        calls = []
+        monkeypatch.setattr(dynamics, "_kernel", lambda *args: calls.append(args))
+        bad = EpidemicState(**{c: np.array(v) for c, v in levels.items()})
+        with pytest.raises(StateInvariantError):
+            step(bad, params, net)
+        with pytest.raises(StateInvariantError):
+            simulate(bad, params, net, 3)
+        assert calls == []
+
+    def test_params_of_neither_type_refused(self, sir_example):
+        net, _, state = sir_example
+        for params in ({"beta": 0.5, "gamma": 0.2, "h": 0.1}, None):
+            with pytest.raises(TypeError, match="SirParams or SeirParams"):
+                step(state, params, net)
+
+    def test_negative_steps_refused(self, sir_example):
+        net, params, state = sir_example
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            simulate(state, params, net, -1)
+
+    def test_compartments_of_unequal_length_refused(self):
+        with pytest.raises(ValueError, match="share one length"):
+            EpidemicState(s=np.ones(3), p=np.zeros(2), r=np.zeros(3))
+        with pytest.raises(ValueError, match="share one length"):
+            EpidemicState(s=np.ones(2), e=np.zeros(3), p=np.zeros(2), r=np.zeros(2))
 
 
 class TestSeirMultilayer:

@@ -75,6 +75,16 @@ class TestSirHomogIdentifiability:
         verdict = check_identifiability(traj, Network(np.zeros((2, 2))))
         assert verdict.failed_conditions == ("sAp_nonzero",)
 
+    def test_per_node_witnesses_carry_no_node(self, sir_example):
+        net, params, state = sir_example
+        traj = simulate(state, params, net, 3)
+        verdict = check_identifiability(traj, net, node=0)
+        assert verdict.identifiable
+        assert verdict.witnesses["p_i_nonzero"] == {"k": 0, "value": pytest.approx(0.1)}
+        w = verdict.witnesses["g_i_p_nonzero"]
+        assert set(w) == {"k", "value"} and w["k"] == 1
+        assert w["value"] == pytest.approx(g_value(traj, net, 0, 1, "p"), rel=1e-12)
+
 
 class TestSeirIdentifiability:
     def test_two_step_witness(self, seir_traj):
@@ -473,6 +483,32 @@ class TestEstimatePipeline:
         _, _, sir = sir_traj
         with pytest.raises(ValueError, match="transport layers"):
             estimate_pipeline(sir, layered)
+
+    def test_single_state_refused(self, seir_example):
+        net, params, state = seir_example
+        traj = simulate(state, params, net, 0)
+        for call in (check_identifiability, build_regression, estimate_pipeline):
+            with pytest.raises(ValueError, match="at least one transition"):
+                call(traj, net)
+
+    @pytest.mark.parametrize("n", [30, 50])
+    def test_network_of_other_size_refused(self, n):
+        # sparse rings, whose products run over the edge tables: a larger
+        # trajectory than the network once gave estimates with exit 0
+        def ring(size):
+            a = np.zeros((size, size))
+            a[np.arange(size), (np.arange(size) + 1) % size] = 1.0
+            a[(np.arange(size) + 1) % size, np.arange(size)] = 0.5
+            return Network(a)
+
+        params = SeirParams(beta_e=0.1, beta=0.2, sigma=0.4, gamma=0.3, h=1.0)
+        traj = simulate(seeded_state(40, "seir", e_seeds=[(1, 0.05)], p_seeds=[(2, 0.02)]),
+                        params, ring(40), 5)
+        net = ring(n)
+        for call in (check_identifiability, build_regression, estimate_pipeline):
+            for node in (None, 0):
+                with pytest.raises(ValueError, match=f"trajectory has 40 nodes, the network {n}"):
+                    call(traj, net, node=node)
 
     def test_report_json_round_trip(self, seir_traj):
         import json

@@ -128,6 +128,10 @@ class TestIsIrreducible:
     def test_complete(self):
         assert is_irreducible(np.ones((2, 2)))
 
+    @pytest.mark.parametrize("entry,expected", [(0.0, False), (0.5, True)])
+    def test_one_node(self, entry, expected):
+        assert is_irreducible(np.array([[entry]])) is expected
+
     def test_rejects_nonsquare(self):
         with pytest.raises(NetworkError):
             is_irreducible(np.zeros((2, 3)))

@@ -126,6 +126,13 @@ class TestDominantEigenvalue:
         with pytest.raises(ValueError):
             dominant_eigenvalue(np.array([[0.0, -1.0], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 2, 3), (0, 0), (3, 0, 0), (2, 2, 2, 2), (3,)],
+                             ids=["nonsquare", "nonsquare_stack", "empty", "empty_stack",
+                                  "4d", "vector"])
+    def test_rejects_shape(self, shape):
+        with pytest.raises(ValueError, match="square and nonempty"):
+            dominant_eigenvalue(np.ones(shape))
+
     def test_rejects_nan_entry(self):
         with pytest.raises(ValueError, match="nonnegative"):
             dominant_eigenvalue(np.array([[0.5, np.nan], [0.1, 0.5]]))
