@@ -69,7 +69,7 @@ _SCENARIO = {
     "network": ("a string", True, None),
     "layers": ("a list", False, None),
     "params": ("a JSON object", True, None),
-    "initial": ("a JSON object", False, None),
+    "initial": ("a JSON object", True, None),
     "steps": ("an integer", False, _AT_LEAST_0),
     "seed": ("any JSON value", False, None),  # the default noise seed, checked as that
     "noise": ("a JSON object", False, None),
@@ -150,7 +150,7 @@ def _document(path: Path) -> dict:
             _check(x, _RATE, None, f"parameter {key!r}")
     noise = _walk({"seed": sc.get("seed", 0), **sc.get("noise", {})}, _NOISE, "noise", "noise")
     return {**sc, "h": float(p.get("h", 1.0)),
-            "initial": _initial(sc.get("initial", {}), sc["model"], sc["n"]),
+            "initial": _initial(sc["initial"], sc["model"], sc["n"]),
             "noise": estimation.NoiseModel(**noise) if "noise" in sc else None}
 
 

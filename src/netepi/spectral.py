@@ -14,22 +14,55 @@ transport layers; for SIR it is the n x n matrix I + h*diag(s)*B*A - h*gamma
 acting on p alone. Its dominant eigenvalue drops below 1 once enough
 susceptibles are depleted, after which the infection decays geometrically.
 
-``build_spreading_matrix`` forms the matrix for one state.
-``convergence_diagnostics`` never does: it runs power iteration on all the
-states of a trajectory at once through the matrices' left action, computed
-from s, the rates and the adjacency, so its memory is the (T+1) x 2n
-iterates (SEIR; (T+1) x n for SIR) besides the adjacency. A reducible
-matrix is solved per strongly connected block of its off-diagonal pattern;
-its Perron root is the largest of the blocks' roots. Each block iterates on
-M - alpha*I and alpha is added back to the root. alpha is at most a share
-DIAGONAL_SHIFT < 1 of the block's smallest diagonal entry, and at most what
-a lower bound on the real parts of the block's eigenvalues allows, so that
-a block with eigenvalues far left of its diagonal (a bipartite network,
-say) is not slowed (see DIAGONAL_SHIFT). ``dominant_eigenvalue`` iterates
-on M itself: it is the independent check the matrix-free solve is tested
-against.
+``build_spreading_matrix`` forms the matrix for one state, or the stack of
+a trajectory's matrices. ``convergence_diagnostics`` runs power iteration on
+all the states of a trajectory at once, through the matrices' left action
+computed from s, the rates and the adjacency. A reducible matrix is solved
+per strongly connected block of its off-diagonal pattern; its Perron root
+is the largest of the blocks' roots. ``dominant_eigenvalue`` iterates on M
+itself from the uniform vector: it is the independent check the trajectory
+solve is tested against. The solve has two regimes, split by the node count
+n (the crossover below):
 
-Each iteration multiplies the rows still iterating by each layer's
+- n <= DENSE_NODES: numpy's per-call overhead dominates at these sizes, so
+  the solve spends flops to save calls. It forms the states' matrices,
+  CHUNK_ENTRIES entries at a time at most, squares each block's stack
+  SQUARINGS times (one stacked product each), and takes the left vectors of
+  (M + SHIFT*I)^(2^SQUARINGS) by power iteration; that power has M's Perron
+  vector and the ratio |lambda_2| / lambda_1 raised to the 32nd power
+  (repeated squaring; Golub and Van Loan, *Matrix Computations*, 7.3). The
+  matrix-free iteration on M itself, from those vectors, then gives each
+  root by the same POWER_RTOL test, mostly after one left action. Over the
+  9 072 states of the bench's sweep-small diagnose inputs (seed 1) the
+  roots lie within 9.1e-15 of ``np.linalg.eigvals`` (median 1.2e-15),
+  against 5.5e-13 (median 6.4e-14) for the matrix-free regime.
+- n > DENSE_NODES: no matrix is formed, so the memory is the (T+1) x 2n
+  iterates (SEIR; (T+1) x n for SIR) besides the adjacency. Each block
+  iterates from the uniform vector on M - alpha*I and alpha is added back
+  to the root. alpha is at most a share DIAGONAL_SHIFT < 1 of the block's
+  smallest diagonal entry, and at most what a lower bound on the real parts
+  of the block's eigenvalues allows, so that a block with eigenvalues far
+  left of its diagonal (a bipartite network, say) is not slowed (see
+  DIAGONAL_SHIFT).
+
+Milliseconds per ``convergence_diagnostics`` call, matrix-free -> dense, on
+the bench's ring networks (4 per size, T = 80, sweep-small's rates; median
+of 12 alternating rounds, 1 BLAS thread, 2 vCPUs):
+
+    n     SIR           SEIR
+    8     3.6 -> 1.6    4.8 -> 1.4
+    12    3.9 -> 1.8    4.9 -> 2.2
+    16    4.3 -> 2.3    6.0 -> 3.4
+    20    4.1 -> 3.0    6.3 -> 5.1
+    24    4.4 -> 3.7    7.1 -> 7.0
+    28    4.5 -> 4.5    7.6 -> 9.1
+    32    4.5 -> 5.0    7.7 -> 12.0
+    40    3.1 -> 5.3    13.3 -> 29.6
+
+The squarings cost O((c*n)^3) per state, so the dense regime loses past
+n = 24 for SEIR and n = 28 for SIR.
+
+Each left action multiplies the rows still iterating by each layer's
 adjacency A: over A's edges in column order, the edge table of A's
 transpose sorted once per call from the one ``dynamics._operator`` gives,
 where EDGE_FACTOR * nnz(A) * rows < n*n (``dynamics._use_edges``), else
@@ -69,11 +102,13 @@ POWER_MAX_ITER = 100_000
 # power iteration runs on M + SHIFT*I, which breaks the period-2 oscillation
 # of patterns like permutation matrices; the roots are shifted back
 SHIFT = 1e-8
-# convergence_diagnostics iterates each block on M - alpha*I, one alpha >= 0
-# per state, and adds alpha back to the root. The eigenvalues move by
-# -alpha, so the ratio |lambda_2 - alpha| / (lambda_1 - alpha) that sets the
-# iteration count falls where the eigenvalues other than lambda_1 lie near
-# the diagonal, and rises where one lies far left of it. The gain thus
+# The shift and its probe serve the matrix-free regime only (networks of
+# more than DENSE_NODES nodes): there convergence_diagnostics iterates each
+# block on M - alpha*I, one alpha >= 0 per state, and adds alpha back to the
+# root. The eigenvalues move by -alpha, so the ratio |lambda_2 - alpha| /
+# (lambda_1 - alpha) that sets the iteration count falls where the
+# eigenvalues other than lambda_1 lie near the diagonal, and rises where one
+# lies far left of it. The gain thus
 # depends on the block's coupling being weaker than its diagonal: g, the
 # smallest eigenvalue of diag(M_jj) - N for the off-diagonal part N, is
 # positive. Every state of the bench's inputs has it. A bipartite block
@@ -100,6 +135,20 @@ SHIFT = 1e-8
 # 11 754 at 0.9, 15 gave 10 499.
 DIAGONAL_SHIFT = 0.95
 SHIFT_PROBE = 8
+# convergence_diagnostics forms the matrices of the states of networks of at
+# most DENSE_NODES nodes (the crossover in the module docstring), and starts
+# their power iteration from the vectors of (M + SHIFT*I)^(2^SQUARINGS).
+# Seconds for the 112 sweep-small diagnose inputs (seed 1), median of 7
+# alternating rounds: 0.78 matrix-free; 0.57, 0.44, 0.38, 0.35, 0.34 and
+# 0.38 for 2 to 7 squarings, 4 to 7 within the host's noise.
+DENSE_NODES = 24
+SQUARINGS = 5
+# states are formed CHUNK_ENTRIES matrix entries at a time at most. On a
+# T = 20 000, n = 20 SEIR run the tracemalloc peak was 63.3 MB matrix-free,
+# and 18, 23, 35 and 59 MB with chunks of 2**18 to 2**21 entries, all within
+# the host's noise of one another in time (1.0-1.5 s); unchunked, one stack
+# alone is 256 MB
+CHUNK_ENTRIES = 2**20
 
 
 class PowerIterationError(RuntimeError):
@@ -125,21 +174,31 @@ class ConvergenceReport:
     p_norms: np.ndarray
 
 
-def build_spreading_matrix(state: EpidemicState, params, net: Network) -> SpreadingMatrix:
+def build_spreading_matrix(state: EpidemicState | Trajectory, params,
+                           net: Network) -> SpreadingMatrix:
     """Linear map propagating the infectious coordinates one step from
     ``state``, one block per compartment of the chain ``params.stages``
     walks: the first block row holds diag(s) times the Jacobian of the
     infection pressure the step uses, transport layers included; each stage
-    keeps 1 - h*rate of its compartment and passes h*rate on to the next."""
+    keeps 1 - h*rate of its compartment and passes h*rate on to the next.
+    For a Trajectory, the ``(T+1, N, N)`` stack of its states' maps."""
     pr, op = _prepare(params, state, net)
-    h, eye, k = pr.h, np.eye(net.n), len(pr.stages)
-    blocks = [[np.zeros_like(eye)] * k for _ in range(k)]
+    return SpreadingMatrix(m=_spreading_stack(pr, op, state.s))
+
+
+def _spreading_stack(pr, op: tuple, s: np.ndarray) -> np.ndarray:
+    """``build_spreading_matrix`` on resolved parameters and their operator,
+    for the s levels of one state (n,) or of a stack of states (B, n)."""
+    h, n, k = pr.h, s.shape[-1], len(pr.stages)
+    full = partial(np.broadcast_to, shape=s.shape + (n,))
+    eye = np.eye(n)
+    blocks = [[full(0.0)] * k for _ in range(k)]
     for c, rate in enumerate(pr.stages):
-        blocks[0][c] = h * (state.s[:, None] * _pressure_jacobian(op, c))
-        blocks[c][c] = eye + blocks[c][c] - h * np.diag(rate)
+        blocks[0][c] = h * (s[..., :, None] * _pressure_jacobian(op, c))
+        blocks[c][c] = full(eye + blocks[c][c] - h * np.diag(rate))
         if c + 1 < k:
-            blocks[c + 1][c] = h * np.diag(rate)
-    return SpreadingMatrix(m=np.block(blocks))
+            blocks[c + 1][c] = full(h * np.diag(rate))
+    return np.block(blocks)
 
 
 def dominant_eigenvalue(m: np.ndarray) -> tuple:
@@ -152,7 +211,8 @@ def dominant_eigenvalue(m: np.ndarray) -> tuple:
         raise ValueError("matrix must be square and nonempty, or a stack of them")
     if not np.all(m >= 0):  # written so that NaN fails too
         raise ValueError("matrix must be nonnegative")
-    lam, vec = _power_iteration(_dense_action, (m if m.ndim == 3 else m[None],), m.shape[-1])
+    ms = m if m.ndim == 3 else m[None]
+    lam, vec = _power_iteration(_dense_action, (ms,), _uniform(len(ms), m.shape[-1]))
     return (lam, vec) if m.ndim == 3 else (lam[0], vec[0])
 
 
@@ -160,20 +220,26 @@ def _dense_action(w: np.ndarray, ms: np.ndarray) -> np.ndarray:
     return (w[:, None, :] @ ms)[:, 0] + SHIFT * w
 
 
-def _power_iteration(apply, data: tuple, size: int) -> tuple:
+def _uniform(b: int, size: int) -> np.ndarray:
+    return np.full((b, size), 1.0 / size)
+
+
+def _power_iteration(apply, data: tuple, w: np.ndarray) -> tuple:
     """Perron roots and left vectors (unit 1-norm) of B nonnegative matrices
-    M of order ``size``, given by the left action of the shifted matrices,
-    ``apply(w, *data) = w M + SHIFT*w``, on the iterates ``w`` (B, size); row i
-    of each ``data`` array belongs to matrix i. ``convergence_diagnostics``
-    passes each block as M - alpha*I, nonnegative too, and adds alpha back
-    to the roots (``_block_roots``, DIAGONAL_SHIFT).
+    M, given by the left action of the shifted matrices,
+    ``apply(w, *data) = w M + SHIFT*w``, on the iterates ``w`` (B, order),
+    started from the given nonnegative ``w`` (left unchanged); row i of each
+    ``data`` array belongs to matrix i. The matrix-free path of
+    ``convergence_diagnostics`` passes each block as M - alpha*I,
+    nonnegative too, and adds alpha back to the roots (``_block_roots``,
+    DIAGONAL_SHIFT).
 
     The iteration runs on all matrices at once; each stops once its iterate
     moves by at most POWER_RTOL in the 1-norm, and then leaves ``w`` and
     ``data``, so the arrays shrink only as members converge."""
-    b = len(data[0])
-    lam, vec, todo = np.empty(b), np.empty((b, size)), np.arange(b)
-    w = np.full((b, size), 1.0 / size)
+    b = len(w)
+    lam, vec, todo = np.empty(b), np.empty_like(w), np.arange(b)
+    w = w.copy()
     for _ in range(POWER_MAX_ITER):
         nxt = apply(w, *data)
         norm = nxt.sum(axis=1, keepdims=True)  # 1-norm (entries are >= 0), at least SHIFT
@@ -194,7 +260,8 @@ def _power_iteration(apply, data: tuple, size: int) -> tuple:
 
 
 def _trajectory_roots(traj: Trajectory, params, net: Network) -> np.ndarray:
-    """Perron root of M(s_k) for every step k, without forming any M.
+    """Perron root of M(s_k) for every step k; M is formed only for networks
+    of at most DENSE_NODES nodes, to start the iteration (``_squared_start``).
 
     For iterates w = [w_0, ..., w_{c-1}] over the chain's c compartments at
     rates rho_c = params.stages[c], stacked as (T+1, c*n), and x = h*w_0*s_k,
@@ -254,6 +321,8 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> np.ndarray:
     for k, zero in enumerate(hs == 0):
         groups.setdefault(zero.tobytes(), []).append(k)
     roots = np.empty(len(hs))
+    dense = n <= DENSE_NODES
+    chunk = max(1, CHUNK_ENTRIES // size**2) if dense else len(hs)
     for ks in map(np.array, groups.values()):
         live = hs[ks[0]] != 0
         src, dst = [link + n], [link]
@@ -262,7 +331,9 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> np.ndarray:
             src.append(i[on])
             dst.append(j[on])
         labels = _components(size, np.concatenate(src), np.concatenate(dst))
-        roots[ks] = _block_roots(apply, labels, diag[ks], hs[ks]).max(axis=1)
+        for rows in np.split(ks, range(chunk, len(ks), chunk)):
+            ms = _spreading_stack(pr, op, traj.s[rows]) if dense else None
+            roots[rows] = _block_roots(apply, labels, diag[rows], hs[rows], ms).max(axis=1)
     return roots
 
 
@@ -282,12 +353,14 @@ def _left_product(x: np.ndarray, a: np.ndarray, edges: tuple) -> np.ndarray:
     return x @ a
 
 
-def _block_roots(apply, labels: np.ndarray, diag: np.ndarray,
-                 hs: np.ndarray) -> np.ndarray:
+def _block_roots(apply, labels: np.ndarray, diag: np.ndarray, hs: np.ndarray,
+                 ms: np.ndarray | None) -> np.ndarray:
     """Perron roots, (states, blocks), of the diagonal blocks of the states
     ``hs`` for the strongly connected blocks ``labels`` of their pattern: a
     singleton block's root is its diagonal entry, the others come from power
-    iteration on the block less alpha*I (``_diagonal_shift``). A state's
+    iteration on the block. With the states' matrices ``ms``, it runs on the
+    block itself from ``_squared_start``'s vectors; without, on the block
+    less alpha*I (``_diagonal_shift``) from the uniform vector. A state's
     root is the largest of them."""
     size = len(labels)
     sizes = np.bincount(labels)
@@ -297,9 +370,30 @@ def _block_roots(apply, labels: np.ndarray, diag: np.ndarray,
     for block in np.flatnonzero(sizes > 1):
         idx = np.flatnonzero(labels == block)
         act = apply if idx.size == size else partial(_restricted, apply, idx, size)
-        alpha = _diagonal_shift(act, hs, diag[:, idx])
-        roots[:, block] = _power_iteration(act, (hs, alpha), idx.size)[0] + alpha
+        if ms is None:
+            alpha = _diagonal_shift(act, hs, diag[:, idx])
+            start = _uniform(len(hs), idx.size)
+        else:
+            alpha = np.zeros(len(hs))
+            start = _squared_start(ms if idx.size == size else ms[:, idx[:, None], idx])
+        roots[:, block] = _power_iteration(act, (hs, alpha), start)[0] + alpha
     return roots
+
+
+def _squared_start(block: np.ndarray) -> np.ndarray:
+    """Left Perron vectors of a stack of irreducible blocks M, from power
+    iteration on P = (M + SHIFT*I)^(2^SQUARINGS), which has them too: each
+    squaring is one stacked product and squares the ratio |lambda_2| /
+    lambda_1 that sets the iteration count. P is rescaled to a largest entry
+    of 1 after each squaring, or its root could fall below the SHIFT the
+    iteration adds (lambda_1 = 0.5 gives 2e-10 after five). ``block`` is
+    overwritten."""
+    order = np.arange(block.shape[-1])
+    block[:, order, order] += SHIFT
+    for _ in range(SQUARINGS):
+        block = block @ block
+        block *= 1 / block.max(axis=(1, 2), keepdims=True)
+    return _power_iteration(_dense_action, (block,), _uniform(len(block), len(order)))[1]
 
 
 def _diagonal_shift(act, hs: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -337,7 +431,8 @@ def _restricted(apply, idx: np.ndarray, size: int, w: np.ndarray, *data) -> np.n
 def convergence_diagnostics(traj: Trajectory, params, net: Network) -> ConvergenceReport:
     """Per-step dominant eigenvalues and decay diagnostics for a simulated run;
     the eigenvalues come from the left action of the spreading matrices, which
-    are never formed. An s level above 1 by more than SUM_TOL, or NaN, is
+    are formed only on networks of at most DENSE_NODES nodes (see the module
+    docstring). An s level above 1 by more than SUM_TOL, or NaN, is
     refused."""
     if len(traj) < 2:
         raise ValueError("trajectory too short for diagnostics (< 2 states)")

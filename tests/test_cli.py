@@ -182,7 +182,7 @@ class TestGoldenBytes:
         ("sir", "trajectory.csv"):
             "22e63bdfaf66862a0e93fc1d575ac6258f77cf0c3a805d001f825b98633b2613",
         ("sir", "lambda.csv"):
-            "831864bbd25e052c5e95352d46887477013f4ce0b22bf29c7fc3ae38ea465fbf",
+            "3b34fa2f31a88a3184f92b96e5e5d5fa3730500fb767ab52467f6c0fa81aa85c",
         ("sir", "convergence.json"):
             "4e45c82b1c43cca16fc489b6f7f0b8a1e4ddafbb4e7ae27f11778343c3799ae1",
         ("sir", "estimate.json"):
@@ -192,7 +192,7 @@ class TestGoldenBytes:
         ("seir", "measured.csv"):
             "f496e69aca7a5bbf6a9c6e745ffbe9bae985bf572b3997a35cd30f7658758061",
         ("seir", "lambda.csv"):
-            "ca0e82e8b4934c89deff49508a0f7a235de388e4e9e44eb302a59f6d71d62969",
+            "13426c1e1a2cd97d1cefec6e9fdc6fdcac5825978e1f3295e37164dc13aac244",
         ("seir", "convergence.json"):
             "d696847dcf6d196e7eaafc661533cf864fade0b0a6ecd2b586297d03287c64e7",
         ("seir", "estimate.json"):
@@ -667,6 +667,22 @@ class TestScenarioSchema:
                    "--trajectory", tmp_path / "out" / "trajectory.csv") == 1
         assert "'start_k'" in error_line(capsys)
         assert not (tmp_path / "out" / "measured.csv").exists()
+
+    def test_missing_initial_named_by_every_command(self, tmp_path, capsys):
+        # the key is required: without it, every command names it instead of
+        # the 's' of an empty initial state
+        sc = write_scenario(tmp_path, steps=3, noise={"start_k": 1})
+        out = tmp_path / "out"
+        assert run("simulate", "--scenario", sc, "--out", out) == 0
+        data = json.loads(sc.read_text())
+        del data["initial"]
+        sc.write_text(json.dumps(data))
+        capsys.readouterr()
+        for command in ("simulate", "diagnose", "perturb", "estimate"):
+            extra = [] if command == "simulate" else ["--trajectory", out / "trajectory.csv"]
+            assert run(command, "--scenario", sc, "--out", tmp_path / command, *extra) == 1
+            assert error_line(capsys) == "error: scenario missing 'initial'", command
+            assert not (tmp_path / command).exists()
 
     def test_network_too_large_to_allocate(self, tmp_path, capsys):
         # a dense 1e8 x 1e8 adjacency: the allocation fails at once

@@ -106,6 +106,25 @@ class TestBuildSpreadingMatrix:
         m = build_spreading_matrix(state, params, net).m
         assert np.array_equal(m, spreading_matrix_oracle(state, params, net))
 
+    @pytest.mark.parametrize("kind", ["sir", "seir", "layered"])
+    def test_trajectory_stack_matches_per_state(self, kind):
+        # the (T+1, N, N) stack of a Trajectory, bit for bit the per-state build
+        rng = np.random.default_rng({"sir": 11, "seir": 12, "layered": 13}[kind])
+        for _ in range(5):
+            n = int(rng.integers(1, 12))
+            if kind == "layered":
+                net, params = random_layered_seir(rng, n)
+            else:
+                net = random_irreducible_network(rng, n)
+                params = (random_sir_params if kind == "sir" else random_seir_params)(rng, net)
+            initial = seeded_state(n, "sir" if kind == "sir" else "seir",
+                                   p_seeds=[(0, 0.05)])
+            traj = simulate(initial, params, net, 12)
+            stack = build_spreading_matrix(traj, params, net).m
+            assert stack.shape == (13, *build_spreading_matrix(initial, params, net).m.shape)
+            assert np.array_equal(stack, np.stack([build_spreading_matrix(st, params, net).m
+                                                   for st in traj.states]))
+
 
 class TestDominantEigenvalue:
     def test_triangular(self):
@@ -208,7 +227,8 @@ class TestMatrixFreeSolve:
         def refuse(*args):
             raise AssertionError("convergence_diagnostics built a spreading matrix")
 
-        monkeypatch.setattr(spectral, "build_spreading_matrix", refuse)
+        # the matrix-free path, which networks of more than DENSE_NODES nodes take
+        monkeypatch.setattr(spectral, "DENSE_NODES", 0)
         rng = np.random.default_rng({"sir": 61, "seir": 62, "layered": 63}[kind])
         for _ in range(5):
             n = int(rng.integers(2, 10))
@@ -221,7 +241,9 @@ class TestMatrixFreeSolve:
                                    e_seeds=[] if kind == "sir" else [(0, 0.05)],
                                    p_seeds=[(1 % n, 0.02)])
             traj = simulate(initial, params, net, 60)
-            lam = convergence_diagnostics(traj, params, net).lambda_seq
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral, "_spreading_stack", refuse)
+                lam = convergence_diagnostics(traj, params, net).lambda_seq
             assert np.abs(lam - _dense_roots(traj, params, net)).max() <= 1e-12
 
     def test_each_state_stops_at_its_own_convergence(self, monkeypatch):
@@ -235,12 +257,13 @@ class TestMatrixFreeSolve:
         rows = []
         solve = spectral._power_iteration
 
-        def counted(apply, data, size):
+        def counted(apply, data, start):
             def recorded(w, *d):
                 rows.append(len(w))
                 return apply(w, *d)
-            return solve(recorded, data, size)
+            return solve(recorded, data, start)
 
+        monkeypatch.setattr(spectral, "DENSE_NODES", 0)
         monkeypatch.setattr(spectral, "_power_iteration", counted)
         lam = convergence_diagnostics(traj, params, net).lambda_seq
         assert np.abs(lam - _dense_roots(traj, params, net)).max() <= 1e-12
@@ -261,14 +284,15 @@ class TestMatrixFreeSolve:
         rows, labelled = [], []
         solve, label = spectral._power_iteration, spectral._components
 
-        def counted_solve(apply, data, size):
+        def counted_solve(apply, data, start):
             rows.append(len(data[0]))
-            return solve(apply, data, size)
+            return solve(apply, data, start)
 
         def counted_label(*args):
             labelled.append(args)
             return label(*args)
 
+        monkeypatch.setattr(spectral, "DENSE_NODES", 0)
         monkeypatch.setattr(spectral, "_power_iteration", counted_solve)
         monkeypatch.setattr(spectral, "_components", counted_label)
         lam = convergence_diagnostics(traj, params, net).lambda_seq
@@ -527,11 +551,176 @@ class TestDiagonalShift:
                             h=1.0)
         traj = simulate(seeded_state(n, "seir", e_seeds=[(0, 0.02)], p_seeds=[(5, 0.01)]),
                         params, net, 80)
+        monkeypatch.setattr(spectral, "DENSE_NODES", 0)
         shifted, actions, probe = _left_actions(monkeypatch, spectral.DIAGONAL_SHIFT, traj,
                                                 params, net)
         plain, plain_actions, _ = _left_actions(monkeypatch, 0.0, traj, params, net)
         assert np.abs(shifted - plain).max() <= 1e-12
         assert actions + probe <= 0.75 * plain_actions, (actions, probe, plain_actions)
+
+
+def _roots_and_stacks(monkeypatch, traj, params, net):
+    """convergence_diagnostics' roots and the stacks of matrices it built."""
+    built, stack = [], spectral._spreading_stack
+
+    def recorded(*args):
+        built.append(stack(*args))
+        return built[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_spreading_stack", recorded)
+        lam = convergence_diagnostics(traj, params, net).lambda_seq
+    return lam, built
+
+
+def _checked_dense_roots(monkeypatch, traj, params, net):
+    """convergence_diagnostics' roots, checked to come from the dense path:
+    it built the states' matrices, as chunks of CHUNK_ENTRIES at most."""
+    lam, built = _roots_and_stacks(monkeypatch, traj, params, net)
+    assert sum(map(len, built)) == len(traj)
+    assert all(m.size <= max(spectral.CHUNK_ENTRIES, m[0].size) for m in built)
+    return lam
+
+
+def _eigvals_gap(traj, params, net, lam):
+    """The largest |lambda - eigvals root| over the states."""
+    ms = build_spreading_matrix(traj, params, net).m
+    return np.abs(lam - np.abs(np.linalg.eigvals(ms)).max(axis=1)).max()
+
+
+class TestDenseSolve:
+    """States of up to DENSE_NODES nodes: power iteration on each block
+    itself, started from the vectors of the block's repeated square."""
+
+    @pytest.mark.parametrize("kind", ["sir", "seir", "layered"])
+    def test_trajectories_match_eigvals(self, monkeypatch, kind):
+        rng = np.random.default_rng({"sir": 101, "seir": 102, "layered": 103}[kind])
+        for _ in range(6):
+            n = int(rng.integers(2, spectral.DENSE_NODES + 1))
+            if kind == "layered":
+                net, params = random_layered_seir(rng, n)
+            else:
+                net = random_irreducible_network(rng, n)
+                params = (random_sir_params if kind == "sir" else random_seir_params)(rng, net)
+            initial = seeded_state(n, "sir" if kind == "sir" else "seir",
+                                   e_seeds=[] if kind == "sir" else [(0, 0.05)],
+                                   p_seeds=[(1, 0.02)])
+            traj = simulate(initial, params, net, 60)
+            lam = _checked_dense_roots(monkeypatch, traj, params, net)
+            assert _eigvals_gap(traj, params, net, lam) <= 5e-14
+
+    @pytest.mark.parametrize("case", ["seir_low", "sir_near_zero"])
+    def test_tiny_roots(self, monkeypatch, case):
+        # the 32nd power of M + SHIFT*I falls far below SHIFT (lambda = 0.5
+        # gives 2e-10, lambda = 2e-6 gives 1e-186), where power iteration on
+        # it only moves with the SHIFT it adds and returns its uniform start;
+        # the squarings rescale it. No self-loops: the built diagonal
+        # 1 + h*s*beta*a_ii - h*gamma would lose digits against 1 - h*gamma
+        rng = np.random.default_rng(104)
+        a = random_irreducible_network(rng, 12).adjacency.copy()
+        np.fill_diagonal(a, 0.0)
+        net = Network(a)
+        rowmax = a.sum(axis=1).max()
+        if case == "seir_low":
+            params = SeirParams(beta_e=0.04 / rowmax, beta=0.08 / rowmax, sigma=0.7, gamma=0.75,
+                                h=1.0)
+            s = np.linspace(1.0, 0.05, 30)[:, None] * rng.uniform(0.8, 1.0, 12)
+            zero = np.zeros_like(s)
+            traj = fabricated_seir(zero, zero, 1 - s)
+        else:
+            params = SirParams(beta=1e-6 / rowmax, gamma=1 - 1e-6, h=1.0)
+            s = np.linspace(1.0, 0.05, 30)[:, None] * rng.uniform(0.8, 1.0, 12)
+            traj = Trajectory(s=s, p=np.zeros_like(s), r=1 - s, h=1.0)
+        lam = _checked_dense_roots(monkeypatch, traj, params, net)
+        assert 0 < lam.min() and lam.max() <= (0.5 if case == "seir_low" else 3e-6)
+        assert _eigvals_gap(traj, params, net, lam) <= 5e-14 * lam.min()
+
+    @pytest.mark.parametrize("h_gamma", [0.5, 0.999])
+    def test_bipartite_star(self, monkeypatch, h_gamma):
+        # g <= 0: M has the eigenvalue d - mu next to lambda_1 = d + mu
+        # (test_bipartite_blocks_not_slowed), which the bounded shift is for.
+        # At h*gamma = 0.999 their ratio is 0.9985 (0.953 in the 32nd power),
+        # so each stage stops on POWER_RTOL with an alternating error in its
+        # iterate, which leaves the root 9.3e-13 off, as on the matrix-free path
+        n = 10
+        a = np.zeros((n, n))
+        a[0, 1:] = a[1:, 0] = 1.0
+        net = Network(a)
+        params = SirParams(beta=0.5, gamma=h_gamma, h=1.0)
+        s = np.linspace(1.0, 0.0, 11)[:, None] * np.random.default_rng(96).uniform(0.7, 1.0, n)
+        traj = Trajectory(s=s, p=np.zeros_like(s), r=1 - s, h=1.0)
+        lam = _checked_dense_roots(monkeypatch, traj, params, net)
+        assert _eigvals_gap(traj, params, net, lam) <= (5e-14 if h_gamma == 0.5 else 1e-12)
+
+    @pytest.mark.parametrize("kind", ["sir", "seir"])
+    def test_directed_chain(self, monkeypatch, kind):
+        # a reducible pattern: each node's compartments are a block of their own
+        n = 6
+        a = np.zeros((n, n))
+        a[np.arange(1, n), np.arange(n - 1)] = np.linspace(0.5, 1.0, n - 1)
+        net = Network(a)
+        rates = np.linspace(0.2, 0.5, n)
+        params = (SirParams(beta=0.3, gamma=rates, h=1.0) if kind == "sir" else
+                  SeirParams(beta_e=0.1, beta=0.2, sigma=rates[::-1], gamma=rates, h=1.0))
+        traj = simulate(seeded_state(n, kind, p_seeds=[(0, 0.1)]), params, net, 20)
+        lam = _checked_dense_roots(monkeypatch, traj, params, net)
+        assert _eigvals_gap(traj, params, net, lam) <= 5e-14
+
+    @pytest.mark.parametrize("test", [
+        "test_reducible_network_matches_eigvals", "test_defective_chain",
+        "test_zero_rate_cuts_the_ring", "test_block_split_by_zero_susceptibles",
+        "test_defective_block_below_the_state_root", "test_roots_as_s_falls_to_zero"])
+    def test_split_cases_take_dense_path(self, monkeypatch, two_node_net, test):
+        # TestMatrixFreeSolve's block-split cases, all of up to DENSE_NODES
+        # nodes, each state built for the dense path
+        built, stack = [], spectral._spreading_stack
+
+        def recorded(pr, op, s):
+            built.append(len(s))
+            return stack(pr, op, s)
+
+        monkeypatch.setattr(spectral, "_spreading_stack", recorded)
+        args = (two_node_net,) if test == "test_block_split_by_zero_susceptibles" else ()
+        getattr(TestMatrixFreeSolve(), test)(*args)
+        assert built
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_node_limit_boundary(self, monkeypatch, offset):
+        # DENSE_NODES nodes take the dense path, one more the matrix-free one;
+        # both agree with eigvals
+        n = spectral.DENSE_NODES + offset
+        rng = np.random.default_rng(105)
+        net = random_irreducible_network(rng, n, extra_prob=0.1)
+        params = random_seir_params(rng, net)
+        traj = simulate(seeded_state(n, "seir", e_seeds=[(0, 0.05)]), params, net, 40)
+        lam, built = _roots_and_stacks(monkeypatch, traj, params, net)
+        assert bool(built) == (offset == 0)
+        assert _eigvals_gap(traj, params, net, lam) <= (5e-14 if offset == 0 else 1e-12)
+
+    def test_long_run_memory_chunked(self):
+        # T = 20 000 states of an n = 20 SEIR run: unchunked, the stack alone
+        # would be 256 MB; the matrix-free regime (DENSE_NODES = 0) peaks at
+        # 63.3 MB on this input, the chunked dense one at 35.8 MB
+        rng = np.random.default_rng(106)
+        n = 20
+        a = (rng.random((n, n)) < 0.2) * rng.uniform(0.2, 1.0, (n, n))
+        np.fill_diagonal(a, 0.0)
+        a[(np.arange(n) + 1) % n, np.arange(n)] = rng.uniform(0.2, 1.0, n)
+        rowmax = a.sum(axis=1).max()
+        net = Network(a)
+        params = SeirParams(beta_e=0.27 / rowmax, beta=0.37 / rowmax, sigma=0.45, gamma=0.25,
+                            h=1.0)
+        traj = simulate(seeded_state(n, "seir", e_seeds=[(0, 0.02)]), params, net, 20_000)
+        tracemalloc.start()
+        try:
+            lam = convergence_diagnostics(traj, params, net).lambda_seq
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 63 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        picks = np.arange(0, len(traj), 997)
+        ms = np.stack([build_spreading_matrix(traj.states[k], params, net).m for k in picks])
+        assert np.abs(lam[picks] - np.abs(np.linalg.eigvals(ms)).max(axis=1)).max() <= 5e-14
 
 
 def _edge_case(kind):
