@@ -206,7 +206,7 @@ def cmd_simulate(args) -> int:
             print(f"assumption violation: {v}", file=sys.stderr)
         return EXIT_ERROR
     traj = dynamics.simulate(sc["initial"], sc["params"], sc["net"], steps=sc["steps"])
-    (out / "trajectory.csv").write_text(dynamics.trajectory_to_csv(traj))
+    dynamics._write_trajectory(out / "trajectory.csv", traj)
     summary = {
         "model": sc["model"],
         "steps": sc["steps"],
@@ -222,8 +222,9 @@ def cmd_simulate(args) -> int:
 
 def _inputs(args, h: float) -> tuple:
     """The trajectory of a diagnose, perturb or estimate run, read with the
-    scenario's step size ``h``, and the output directory, created."""
-    traj = dynamics.trajectory_from_csv(Path(args.trajectory).read_text(), h=h)
+    scenario's step size ``h`` (from its levels file where that matches),
+    and the output directory, created."""
+    traj = dynamics._read_trajectory(Path(args.trajectory), h)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return traj, out
@@ -246,7 +247,7 @@ def cmd_perturb(args) -> int:
     if noise is None:
         raise ScenarioError("scenario has no noise model")
     measured = estimation.apply_noise(traj, noise)
-    (out / "measured.csv").write_text(dynamics.trajectory_to_csv(measured))
+    dynamics._write_trajectory(out / "measured.csv", measured)
     # seed and start_k lead, the other fields follow in their order
     sidecar = {"seed": noise.seed, "start_k": noise.start_k, **dataclasses.asdict(noise)}
     (out / "noise.json").write_text(json.dumps(sidecar, indent=2))

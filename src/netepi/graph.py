@@ -123,14 +123,19 @@ def load_network(source: Iterable[str] | str, n: int) -> Network:
             rec = _read_table(lines, EDGE, "#", "#")
         except ValueError:
             raise _edge_error(lines, n) from None
-    order = np.lexsort((rec["j"], rec["i"]))
-    i, j, w = (rec[field][order] for field in "ijw")
-    # sorted, a repeated (i, j) is a run
-    if (np.all((0 <= i) & (i < n) & (0 <= j) & (j < n) & (w > 0) & (w < np.inf))
-            and not np.any((np.diff(i) == 0) & (np.diff(j) == 0))):
+    i, j, w = rec["i"], rec["j"], rec["w"]
+    if np.all((0 <= i) & (i < n) & (0 <= j) & (j < n) & (w > 0) & (w < np.inf)):
+        # allocated first: an n for which it succeeds has n*n within int64
         a = np.zeros((n, n))
-        a[i, j] = w
-        return _loaded((a,), (_edge_table(i, j, w),))
+        # the key i*n + j sorts row-major; the stable sort (timsort) takes
+        # one pass over records already in that order. Sorted, a repeated
+        # (i, j) is a run of equal keys
+        key = i * n + j
+        order = np.argsort(key, kind="stable")
+        if not np.any(np.diff(key[order]) == 0):
+            i, j, w = i[order], j[order], w[order]
+            a[i, j] = w
+            return _loaded((a,), (_edge_table(i, j, w),))
     raise _edge_error(lines, n)
 
 

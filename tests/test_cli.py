@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from netepi import Network, SeirParams, estimation, simulate
+from netepi import Network, SeirParams, dynamics, estimation, simulate
 from netepi.cli import build_parser, load_scenario, main
 from netepi.dynamics import trajectory_from_csv, trajectory_to_csv
 
@@ -73,6 +73,7 @@ class TestSimulate:
         assert run("simulate", "--scenario", sc, "--out", tmp_path / "out") == 1
         assert message in error_line(capsys)
         assert not (tmp_path / "out" / "trajectory.csv").exists()
+        assert not (tmp_path / "out" / "trajectory.csv.levels").exists()
         assert not (tmp_path / "out" / "validation.json").exists()
 
     def test_zero_steps(self, tmp_path):
@@ -88,6 +89,8 @@ class TestSimulate:
         sc.write_text(json.dumps(data))
         assert run("simulate", "--scenario", sc, "--out", tmp_path / "out") == 1
         assert "assumption violation" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+        assert not (tmp_path / "out" / "trajectory.csv.levels").exists()
 
     def test_nan_level_rejected(self, tmp_path, capsys):
         sc = write_scenario(tmp_path)
@@ -97,6 +100,7 @@ class TestSimulate:
         assert run("simulate", "--scenario", sc, "--out", tmp_path / "out") == 1
         assert "NaN" in error_line(capsys)
         assert not (tmp_path / "out" / "trajectory.csv").exists()
+        assert not (tmp_path / "out" / "trajectory.csv.levels").exists()
 
     def test_missing_network_file(self, tmp_path):
         sc = write_scenario(tmp_path)
@@ -199,22 +203,67 @@ class TestGoldenBytes:
             "5b2a18d8fe6a89f78323ca111457159e35436b480f4ab25d4511208b1bca5465",
     }
 
+    @pytest.mark.parametrize("cached", [True, False], ids=["levels", "parsed"])
     @pytest.mark.parametrize("model", ["sir", "seir"])
-    def test_output_digests(self, tmp_path, model):
+    def test_output_digests(self, tmp_path, monkeypatch, model, cached):
+        # once reading every trajectory from its levels file, with the CSV
+        # parser refused, once with the levels files deleted before each
+        # reading command
         noise = {"start_k": 14, "seed": 3} if model == "seir" else None
         sc = write_scenario(tmp_path, model=model, steps=30, noise=noise)
         out = tmp_path / "out"
+        if cached:
+            monkeypatch.setattr(dynamics, "trajectory_from_csv", None)
+
+        def reading(*argv):
+            if not cached:
+                for levels in out.glob("*.levels"):
+                    levels.unlink()
+            return run(*argv, "--scenario", sc, "--out", out)
+
         assert run("simulate", "--scenario", sc, "--out", out) == 0
+        assert (out / "trajectory.csv.levels").is_file()
         if model == "seir":
-            assert run("perturb", "--scenario", sc, "--out", out,
-                       "--trajectory", out / "trajectory.csv") == 0
-        assert run("diagnose", "--scenario", sc, "--out", out,
-                   "--trajectory", out / "trajectory.csv") == 0
+            assert reading("perturb", "--trajectory", out / "trajectory.csv") == 0
+            assert (out / "measured.csv.levels").is_file()
+        assert reading("diagnose", "--trajectory", out / "trajectory.csv") == 0
         data = out / ("measured.csv" if model == "seir" else "trajectory.csv")
-        assert run("estimate", "--scenario", sc, "--out", out, "--trajectory", data) == 0
+        assert reading("estimate", "--trajectory", data) == 0
         for (kind, name), digest in self.DIGESTS.items():
             if kind == model:
                 assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+class TestTrajectoryFiles:
+    """The trajectory CSV is read as bytes: decoded as UTF-8 where its levels
+    file does not match."""
+
+    def test_crlf_line_endings_read_the_same(self, tmp_path):
+        sc = write_scenario(tmp_path, model="sir", steps=12)
+        lf = tmp_path / "out" / "trajectory.csv"
+        assert run("simulate", "--scenario", sc, "--out", lf.parent) == 0
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        a, b = (dynamics._read_trajectory(path, 1.0) for path in (lf, crlf))
+        for name in ("s", "p", "r"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        outputs = []
+        for name, path in (("lf", lf), ("crlf", crlf)):
+            for command in ("diagnose", "estimate"):
+                assert run(command, "--scenario", sc, "--out", tmp_path / name,
+                           "--trajectory", path) == 0
+            outputs.append({f.name: f.read_bytes() for f in (tmp_path / name).iterdir()})
+        assert sorted(outputs[0]) == ["convergence.json", "estimate.json", "lambda.csv"]
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", ["diagnose", "perturb", "estimate"])
+    def test_not_utf8_refused(self, tmp_path, capsys, command):
+        sc = write_scenario(tmp_path, steps=3, noise={"start_k": 0})
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"k,node,s,e,p,r\n0,0,0.9\xff,0,0.1,0\n")
+        assert run(command, "--scenario", sc, "--out", tmp_path / "out",
+                   "--trajectory", bad) == 1
+        assert "can't decode byte 0xff" in error_line(capsys)
 
 
 class TestDiagnose:
@@ -667,6 +716,7 @@ class TestScenarioSchema:
                    "--trajectory", tmp_path / "out" / "trajectory.csv") == 1
         assert "'start_k'" in error_line(capsys)
         assert not (tmp_path / "out" / "measured.csv").exists()
+        assert not (tmp_path / "out" / "measured.csv.levels").exists()
 
     def test_missing_initial_named_by_every_command(self, tmp_path, capsys):
         # the key is required: without it, every command names it instead of
@@ -725,6 +775,7 @@ class TestPerturbInput:
                    "--trajectory", traj) == 1
         assert "'e' level outside [0, 1]" in error_line(capsys)
         assert not (tmp_path / "noisy" / "measured.csv").exists()
+        assert not (tmp_path / "noisy" / "measured.csv.levels").exists()
 
     def test_no_noise_model(self, tmp_path, capsys):
         sc = write_scenario(tmp_path, steps=2)
@@ -732,3 +783,5 @@ class TestPerturbInput:
         assert run("perturb", "--scenario", sc, "--out", tmp_path / "out",
                    "--trajectory", tmp_path / "out" / "trajectory.csv") == 1
         assert "no noise model" in error_line(capsys)
+        assert not (tmp_path / "out" / "measured.csv").exists()
+        assert not (tmp_path / "out" / "measured.csv.levels").exists()

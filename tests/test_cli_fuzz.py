@@ -6,6 +6,10 @@ exception or warning escapes; a refusal (exit 1) prints exactly one
 before the first step, so a mutated initial state off the simplex is one
 more refusal.
 
+A trajectory that netepi wrote has a levels file beside it, which the
+reading commands trust while it holds the digest of the CSV's bytes; a
+corrupted, truncated or deleted levels file is one more input.
+
 Sizes stay at n <= 8 and steps <= 5: every run allocates a dense n x n
 adjacency, so no mutation may draw a large n.
 """
@@ -138,3 +142,29 @@ def test_trajectory_mutations(data):
     with tempfile.TemporaryDirectory() as tmp:
         run_all(Path(tmp), MEASURED, "\n".join(lines) + "\n",
                 ["diagnose", "perturb", "estimate"])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.data())
+def test_levels_file_mutations(data):
+    text = TRAJECTORIES["seir"]
+    kind = data.draw(st.sampled_from(["delete", "truncate", "flip", "garbage", "append"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        dynamics._write_trajectory(d / "trajectory.csv", dynamics.trajectory_from_csv(text))
+        levels = d / "trajectory.csv.levels"
+        blob = levels.read_bytes()
+        if kind == "delete":
+            levels.unlink()
+        elif kind == "truncate":
+            levels.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+        elif kind == "flip":
+            at = data.draw(st.integers(0, len(blob) - 1))
+            bits = data.draw(st.integers(1, 255))
+            levels.write_bytes(blob[:at] + bytes([blob[at] ^ bits]) + blob[at + 1:])
+        elif kind == "garbage":
+            levels.write_bytes(data.draw(st.binary(max_size=len(blob) + 8)))
+        else:
+            levels.write_bytes(blob + data.draw(st.binary(min_size=1, max_size=16)))
+        # the same CSV bytes: the digest still matches where it was left whole
+        run_all(d, MEASURED, text, ["diagnose", "perturb", "estimate"])

@@ -1,6 +1,12 @@
+import hashlib
+import io
+import logging
 import math
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -718,3 +724,171 @@ class TestFloatExtremes:
                       for _ in range(4))
         traj = Trajectory(s=s, p=p, r=r, e=None if kind == "sir" else e, h=1.0)
         _same_bits(trajectory_from_csv(trajectory_to_csv(traj)), traj)
+
+
+# ---------------------------------------------------------------------------
+# The levels file beside a trajectory CSV.
+
+def _written_pair(tmp: Path, traj: Trajectory) -> tuple[Path, Path]:
+    """The CSV and levels file _write_trajectory writes for ``traj`` in ``tmp``."""
+    path = tmp / "trajectory.csv"
+    dynamics._write_trajectory(path, traj)
+    return path, tmp / "trajectory.csv.levels"
+
+
+def _levels_file(digest: bytes, levels: np.ndarray, **save) -> bytes:
+    """A levels file of ``digest`` and the .npy bytes np.save gives ``levels``."""
+    buf = io.BytesIO()
+    np.save(buf, levels, **save)
+    return digest + buf.getvalue()
+
+
+def _parsed(path: Path, h: float = 1.0) -> Trajectory:
+    return trajectory_from_csv(path.read_text(), h)
+
+
+def _reads(monkeypatch, path: Path) -> tuple[Trajectory, int]:
+    """_read_trajectory of ``path`` and how many times it parsed the CSV."""
+    calls = []
+    parse = dynamics.trajectory_from_csv
+    monkeypatch.setattr(dynamics, "trajectory_from_csv",
+                        lambda text, h: calls.append(1) or parse(text, h))
+    return dynamics._read_trajectory(path, 1.0), len(calls)
+
+
+_SPECIAL = [x for x in _edge_values() if math.isfinite(x)]
+_UNPICKLED = []
+
+
+def _unpickle_trap():
+    _UNPICKLED.append(1)
+
+
+class _Trap:
+    """An object whose unpickling leaves a mark in _UNPICKLED."""
+
+    def __reduce__(self):
+        return _unpickle_trap, ()
+
+
+class TestLevelsFile:
+    """A hit returns the parsed levels bit for bit; every other case parses."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["sir", "seir"]), st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_hit_is_the_parse_bit_for_bit(self, kind, steps, n, data):
+        # +-0, subnormals, the ends of the fast range and exact ties among them
+        values = st.sampled_from(_SPECIAL) | st.floats(allow_nan=False, allow_infinity=False)
+        s, e, p, r = (data.draw(hnp.arrays(np.float64, (steps, n), elements=values))
+                      for _ in range(4))
+        traj = Trajectory(s=s, p=p, r=r, e=None if kind == "sir" else e, h=0.5)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, levels = _written_pair(Path(tmp), traj)
+            assert levels.read_bytes()[:32] == hashlib.sha256(path.read_bytes()).digest()
+            with mock.patch.object(dynamics, "trajectory_from_csv", side_effect=AssertionError):
+                got = dynamics._read_trajectory(path, 0.5)
+            want = _parsed(path, 0.5)
+        _same_bits(got, want)
+        _same_bits(got, traj)
+        assert got.h == 0.5 and not got.s.flags.writeable
+
+    def test_edited_digit_is_parsed(self, tmp_path, monkeypatch, seir_example):
+        net, params, state = seir_example
+        path, _ = _written_pair(tmp_path, simulate(state, params, net, 4))
+        text = path.read_text()
+        at = text.index("0.9") + 2
+        path.write_text(text[:at] + ("1" if text[at] == "0" else "0") + text[at + 1:])
+        got, parses = _reads(monkeypatch, path)
+        assert parses == 1
+        _same_bits(got, _parsed(path))
+
+    @pytest.mark.parametrize("cut", [0, 16, 32, 40, 100, 160, -8, -1])
+    def test_truncated_file_is_a_miss(self, tmp_path, monkeypatch, seir_example, cut):
+        net, params, state = seir_example
+        path, levels = _written_pair(tmp_path, simulate(state, params, net, 4))
+        levels.write_bytes(levels.read_bytes()[:cut])
+        got, parses = _reads(monkeypatch, path)
+        assert parses == 1
+        _same_bits(got, _parsed(path))
+
+    @pytest.mark.parametrize("garbage", ["all", "payload", "trailing"])
+    def test_garbage_is_a_miss(self, tmp_path, monkeypatch, sir_example, garbage):
+        net, params, state = sir_example
+        path, levels = _written_pair(tmp_path, simulate(state, params, net, 4))
+        data = levels.read_bytes()
+        noise = np.random.default_rng(2).bytes(len(data))
+        levels.write_bytes({"all": noise, "payload": data[:32] + noise[32:],
+                            "trailing": data + b"\0"}[garbage])
+        got, parses = _reads(monkeypatch, path)
+        assert parses == 1
+        _same_bits(got, _parsed(path))
+
+    @pytest.mark.parametrize("shape,save", [
+        ((5, 5, 2), {}), ((2, 5, 2), {}), ((4, 10), {}), ((1, 4, 5, 2), {}),
+        ((4, 0, 2), {}), ((4, 5, 0), {}),
+        ((4, 5, 2), {"dtype": np.float32}), ((4, 5, 2), {"dtype": ">f8"}),
+        ((4, 5, 2), {"order": "F"}),
+    ], ids=["c5", "c2", "2d", "4d", "no_steps", "no_nodes", "float32", "big_endian", "fortran"])
+    def test_wrongly_shaped_payload_is_a_miss(self, tmp_path, monkeypatch, seir_example,
+                                              shape, save):
+        net, params, state = seir_example
+        path, levels = _written_pair(tmp_path, simulate(state, params, net, 4))
+        payload = np.stack(dynamics._compartments(_parsed(path))).ravel()
+        payload = np.resize(payload, shape).astype(save.get("dtype", np.float64))
+        if save.get("order") == "F":
+            payload = np.asfortranarray(payload)
+        levels.write_bytes(_levels_file(levels.read_bytes()[:32], payload))
+        got, parses = _reads(monkeypatch, path)
+        assert parses == 1
+        _same_bits(got, _parsed(path))
+
+    def test_object_array_is_never_unpickled(self, tmp_path, monkeypatch, sir_example):
+        net, params, state = sir_example
+        path, levels = _written_pair(tmp_path, simulate(state, params, net, 4))
+        payload = np.empty((3, 5, 2), dtype=object)
+        payload[...] = _Trap()
+        levels.write_bytes(_levels_file(levels.read_bytes()[:32], payload, allow_pickle=True))
+        _UNPICKLED.clear()
+        got, parses = _reads(monkeypatch, path)
+        assert parses == 1 and _UNPICKLED == []
+        _same_bits(got, _parsed(path))
+        # np.load with pickles allowed would run the trap
+        with open(levels, "rb") as f:
+            f.seek(32)
+            np.load(f, allow_pickle=True)
+        assert _UNPICKLED
+
+    def test_missing_file_is_a_miss_logged(self, tmp_path, monkeypatch, caplog, sir_example):
+        net, params, state = sir_example
+        path, levels = _written_pair(tmp_path, simulate(state, params, net, 4))
+        levels.unlink()
+        with caplog.at_level(logging.DEBUG, logger="netepi"):
+            got, parses = _reads(monkeypatch, path)
+        assert parses == 1
+        _same_bits(got, _parsed(path))
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+        assert "trajectory.csv.levels not used" in caplog.records[0].getMessage()
+
+    def test_matching_digest_with_nan_refused(self, tmp_path, seir_example):
+        net, params, state = seir_example
+        path, levels = _written_pair(tmp_path, simulate(state, params, net, 4))
+        payload = np.stack(dynamics._compartments(_parsed(path)))
+        payload[2, 3, 1] = math.nan
+        levels.write_bytes(_levels_file(levels.read_bytes()[:32], payload))
+        with pytest.raises(ValueError, match="^trajectory values must be finite$"):
+            dynamics._read_trajectory(path, 1.0)
+        # the same message as the CSV path's
+        with pytest.raises(ValueError, match="^trajectory values must be finite$"):
+            trajectory_from_csv("k,node,s,e,p,r\n0,0,nan,0,0,1\n")
+
+    def test_unwritable_levels_file_left_out(self, tmp_path, monkeypatch, sir_example):
+        # a directory in its place: the CSV is written, the levels file is
+        # not, and the CSV is parsed
+        net, params, state = sir_example
+        traj = simulate(state, params, net, 4)
+        (tmp_path / "trajectory.csv.levels").mkdir()
+        dynamics._write_trajectory(tmp_path / "trajectory.csv", traj)
+        assert (tmp_path / "trajectory.csv").read_text() == trajectory_to_csv(traj)
+        got, parses = _reads(monkeypatch, tmp_path / "trajectory.csv")
+        assert parses == 1
+        _same_bits(got, traj)

@@ -40,6 +40,10 @@ class TestLoadNetwork:
     def test_duplicate_edge(self):
         with pytest.raises(NetworkError, match="duplicate"):
             load_network("0,1,1.0\n0,1,2.0", 2)
+        # apart in the records, neighbours once sorted: the error names the
+        # second one's line
+        with pytest.raises(NetworkError, match=r"^line 4: duplicate edge \(1,0\)$"):
+            load_network("1,0,1.0\n0,1,1.0\n1,1,1.0\n1,0,2.0\n", 2)
 
     def test_malformed_record(self):
         with pytest.raises(NetworkError):
@@ -79,6 +83,7 @@ class TestLoadNetwork:
             for order in (lines, rng.permutation(lines).tolist()):
                 net = load_network("\n".join(order), len(a))
                 assert "edges" in vars(net)
+                assert net.adjacency.tobytes() == a.tobytes()
                 for mine, theirs in zip(net.edges, scanned, strict=True):
                     for x, y in zip(mine, theirs, strict=True):
                         assert x.dtype == y.dtype and np.array_equal(x, y)
