@@ -214,16 +214,47 @@ def is_irreducible(m: np.ndarray) -> bool:
     n = m.shape[0]
     if n == 1:
         return bool(m[0, 0] > 0)
-    return bool(_components(n, *np.nonzero(m > 0)).max() == 0)
+    return bool(_tarjan(n, *np.nonzero(m > 0)).max() == 0)
+
+
+# the one-block check of _components gives up after REACH_PASSES passes in
+# either direction, each one step of breadth-first search from node 0
+REACH_PASSES = 32
 
 
 def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Strongly connected component label (0, 1, ...) of each of the ``n``
     nodes of the digraph with edges rows[k] -> cols[k], in any order.
 
-    Tarjan's algorithm ("Depth-first search and linear graph algorithms",
-    SIAM J. Comput. 1972) with an explicit stack; the components come out in
-    reverse topological order. Reversing every edge leaves them unchanged.
+    A digraph in which node 0 reaches every node and every node reaches
+    node 0 is one component, all labelled 0; the two searches run as array
+    passes over the edges (``_reaches_all``). Any other digraph, or one of
+    greater depth than REACH_PASSES, is labelled by ``_tarjan``."""
+    if n and _reaches_all(n, rows, cols) and _reaches_all(n, cols, rows):
+        return np.zeros(n, dtype=np.int64)
+    return _tarjan(n, rows, cols)
+
+
+def _reaches_all(n: int, tails: np.ndarray, heads: np.ndarray) -> bool:
+    """Whether node 0 reaches all ``n`` nodes along the edges tails[k] ->
+    heads[k] within REACH_PASSES passes, each of which marks the heads of
+    the edges whose tails are marked."""
+    marked = np.zeros(n, dtype=bool)
+    marked[0] = True
+    count = 1
+    for _ in range(REACH_PASSES):
+        marked[heads[marked[tails]]] = True
+        count, before = np.count_nonzero(marked), count
+        if count in (n, before):
+            return count == n
+    return False
+
+
+def _tarjan(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``_components`` by Tarjan's algorithm ("Depth-first search and linear
+    graph algorithms", SIAM J. Comput. 1972) with an explicit stack; the
+    components come out in reverse topological order. Reversing every edge
+    leaves them unchanged.
     """
     start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=start[1:])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netepi import Network, is_irreducible, load_network
+from netepi import Network, graph, is_irreducible, load_network
 from netepi.graph import NetworkError, _components
 
 from conftest import (brute_force_strongly_connected, load_network_oracle, mutated_text,
@@ -167,12 +167,48 @@ class TestComponents:
         assert np.array_equal(np.unique(labels), np.arange(labels.max() + 1))
 
     def test_long_path_without_recursion(self):
-        # a 5000-node chain is 5000 singleton components; a 5000-node ring is one
+        # a 5000-node chain is 5000 singleton components; a 5000-node ring is
+        # one, deeper than the one-block check's passes, so Tarjan labels it
         n = 5000
         chain = np.arange(n - 1)
         assert np.unique(_components(n, chain, chain + 1)).size == n
         ring = np.arange(n)
         assert np.all(_components(n, ring, (ring + 1) % n) == 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=2**31))
+    def test_one_block_check_agrees_with_tarjan(self, n, seed):
+        # the check labels a digraph all 0 without Tarjan exactly where
+        # Tarjan finds one component (a depth below 9 is within its passes)
+        rng = np.random.default_rng(seed)
+        pattern = rng.random((n, n)) < rng.uniform(0.05, 0.6)
+        rows, cols = np.nonzero(pattern)
+        want = graph._tarjan(n, rows, cols)
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph, "_tarjan", lambda *args: calls.append(args) or want)
+            labels = _components(n, rows, cols)
+        assert np.array_equal(labels, want)
+        assert (not calls) == (want.max() == 0)
+
+    def test_reducible_pattern_falls_through_to_tarjan(self, monkeypatch):
+        # node 0 reaches every node of the chain 0 -> 1 -> 2 -> 3, and the
+        # backward search from it reaches none
+        calls, tarjan = [], graph._tarjan
+        monkeypatch.setattr(graph, "_tarjan", lambda *args: calls.append(args) or tarjan(*args))
+        chain = np.arange(3)
+        assert graph._reaches_all(4, chain, chain + 1)
+        assert sorted(_components(4, chain, chain + 1)) == [0, 1, 2, 3]
+        assert len(calls) == 1
+
+    def test_is_irreducible_runs_tarjan_alone(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("is_irreducible ran the one-block check")
+
+        monkeypatch.setattr(graph, "_reaches_all", refuse)
+        ring = np.roll(np.eye(6), 1, axis=1)
+        assert is_irreducible(ring)
+        assert not is_irreducible(np.triu(np.ones((6, 6))))
 
 
 def _without_comments(text):

@@ -53,3 +53,25 @@ def test_report_pairs_runs_by_workload_and_seed(tmp_path):
                                          ["peak_rss_mb", "met"]]
     assert rows[0][-3:] == ["10/10", "yes", "ok"]
     assert rows[2][-3:] == ["0/10", "no", "ok"]
+
+
+def test_claim_names_the_pair_nearest_the_medians_and_pools_setup(tmp_path):
+    def run(side, seed, diagnose, setup):
+        doc = {"workload": "w", "seed": seed, "failed": 0,
+               "metrics": {"diagnose_s": diagnose}, "raw_metrics": {"diagnose_s": diagnose},
+               "setup_runs_raw": setup}
+        path = tmp_path / f"{side}{seed}.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    spec = {"end_to_end": [{"name": "diagnose_s", "better": "lower", "bound": 0.25}]}
+    # medians 1.0 and 0.6; seed 3 sits on both, seed 2 on the parent's alone
+    readings = {1: (0.9, 0.5), 2: (1.0, 0.8), 3: (1.0, 0.6), 4: (1.2, 0.6), 5: (1.1, 0.7)}
+    parent = pairs.load([run("p", s, p, [0.3, 0.5]) for s, (p, _) in readings.items()])
+    change = pairs.load([run("c", s, c, [0.4, 0.4, 0.6]) for s, (_, c) in readings.items()])
+    lines = pairs.report(parent, change, spec, claim="diagnose_s")
+    assert lines[-2] == ("  setup_runs_raw pooled: parent 0.4 [0.3, 0.5] (10 runs), "
+                         "change 0.4 [0.4, 0.6] (15 runs)")
+    assert lines[-1] == ("  pair to commit for diagnose_s: seed 3 (parent 1, change 0.6; "
+                         "medians 1, 0.6)")
+    assert not any("pair to commit" in line for line in pairs.report(parent, change, spec))

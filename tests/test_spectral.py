@@ -1,3 +1,5 @@
+import logging
+import re
 import time
 import tracemalloc
 
@@ -427,19 +429,25 @@ class TestMatrixFreeSolve:
         with pytest.raises(ValueError, match="nonnegative"):
             convergence_diagnostics(negative, params, net)
 
-    def test_memory_stays_below_one_dense_matrix(self):
+    @pytest.mark.parametrize("krylov", [False, True])
+    def test_memory_stays_below_one_dense_matrix(self, monkeypatch, krylov):
+        # T = 60: unchunked, the Krylov bases of the 61 states would take
+        # 61 * (KRYLOV_STEPS + 1) * 2n entries, 24 MB, besides the iterates
         n = 1000
+        monkeypatch.setattr(spectral, "KRYLOV_NODES", n - 1 if krylov else n)
         rng = np.random.default_rng(71)
         net = random_irreducible_network(rng, n, extra_prob=0.005)
         params = random_seir_params(rng, net)
         traj = simulate(seeded_state(n, "seir", e_seeds=[(0, 0.05)], p_seeds=[(1, 0.02)]),
-                        params, net, 2)
+                        params, net, 60)
+        blocks = _spy(monkeypatch, "_krylov_roots")
         tracemalloc.start()
         try:
             convergence_diagnostics(traj, params, net)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert bool(blocks) == krylov
         assert peak < 8 * (2 * n) ** 2, f"peak {peak / 2**20:.1f} MB"
 
 
@@ -557,6 +565,205 @@ class TestDiagonalShift:
         plain, plain_actions, _ = _left_actions(monkeypatch, 0.0, traj, params, net)
         assert np.abs(shifted - plain).max() <= 1e-12
         assert actions + probe <= 0.75 * plain_actions, (actions, probe, plain_actions)
+
+
+def _krylov(monkeypatch):
+    """Send networks of more than DENSE_NODES nodes to the Krylov solve."""
+    monkeypatch.setattr(spectral, "KRYLOV_NODES", spectral.DENSE_NODES)
+
+
+def _spy(monkeypatch, name):
+    """The argument tuples of every call to spectral.``name`` from now on."""
+    calls, func = [], getattr(spectral, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return func(*args)
+
+    monkeypatch.setattr(spectral, name, recorded)
+    return calls
+
+
+def _checked_against_eigvals(traj, params, net, bound):
+    """convergence_diagnostics' roots, checked within ``bound`` (relative to
+    the smallest root) of ``np.linalg.eigvals``."""
+    lam = convergence_diagnostics(traj, params, net).lambda_seq
+    assert _eigvals_gap(traj, params, net, lam) <= bound * lam.min()
+    return lam
+
+
+class TestKrylovSolve:
+    """Networks of more than KRYLOV_NODES nodes: batched Arnoldi on each
+    block's left action. Every case here has more than DENSE_NODES nodes and
+    lowers KRYLOV_NODES to DENSE_NODES, so that small networks take it."""
+
+    @pytest.mark.parametrize("kind", ["sir", "seir", "layered"])
+    def test_matches_eigvals_without_building(self, monkeypatch, kind):
+        _krylov(monkeypatch)
+        rng = np.random.default_rng({"sir": 111, "seir": 112, "layered": 113}[kind])
+        for _ in range(2):
+            n = int(rng.integers(spectral.DENSE_NODES + 1, 40))
+            if kind == "layered":
+                net, params = random_layered_seir(rng, n)
+            else:
+                net = random_irreducible_network(rng, n, extra_prob=0.1)
+                params = (random_sir_params if kind == "sir" else random_seir_params)(rng, net)
+            initial = seeded_state(n, "sir" if kind == "sir" else "seir",
+                                   e_seeds=[] if kind == "sir" else [(0, 0.05)],
+                                   p_seeds=[(1, 0.02)])
+            traj = simulate(initial, params, net, 40)
+            built = _spy(monkeypatch, "_spreading_stack")
+            lam = convergence_diagnostics(traj, params, net).lambda_seq
+            assert not built
+            assert _eigvals_gap(traj, params, net, lam) <= 1e-12 * lam.min()
+
+    def test_breakdown_mid_cycle_while_others_run_on(self, monkeypatch):
+        # an undirected ring of unit weights has equal column sums, so with
+        # uniform s the uniform start is a left eigenvector: those states
+        # break down at their first step, and leave the arrays of the
+        # others, whose s varies and which run on to their residual test
+        _krylov(monkeypatch)
+        n = 30
+        a = np.zeros((n, n))
+        a[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+        a += a.T
+        net = Network(a)
+        params = SirParams(beta=0.2, gamma=0.3, h=1.0)
+        rng = np.random.default_rng(114)
+        s = rng.uniform(0.3, 1.0, (8, n))
+        s[[1, 4, 5]] = [[0.9], [0.5], [0.2]]
+        traj = Trajectory(s=s, p=np.zeros_like(s), r=1 - s, h=1.0)
+        ritz = _spy(monkeypatch, "_ritz")
+        lam = _checked_against_eigvals(traj, params, net, 1e-13)
+        assert np.allclose(lam[[1, 4, 5]], 0.7 + 0.2 * 2 * np.array([0.9, 0.5, 0.2]),
+                           rtol=1e-15, atol=0)
+        # the first check is the breakdown, at one step for all 8 states;
+        # the next has the 5 others alone
+        assert [h.shape for (h,) in ritz[:2]] == [(8, 2, 1), (5, 5, 4)]
+
+    def test_directed_ring_with_uniform_diagonal_grows_its_cycle(self, monkeypatch):
+        # TestDiagonalShift's ring above DENSE_NODES: M = d*I + h*beta*s*W for
+        # a weighted cyclic permutation W, whose eigenvalues lie on a circle
+        # about d; restarts after KRYLOV_STEPS steps barely resolve them, so
+        # the cycle grows to the ring's order, where the space is invariant
+        _krylov(monkeypatch)
+        n = 30
+        a = np.zeros((n, n))
+        a[(np.arange(n) + 1) % n, np.arange(n)] = np.random.default_rng(94).uniform(0.3, 1.5, n)
+        net = Network(a)
+        params = SirParams(beta=0.3, gamma=0.2, h=1.0)
+        s = np.repeat(np.linspace(1.0, 0.01, 12)[:, None], n, axis=1)
+        traj = Trajectory(s=s, p=np.zeros_like(s), r=1 - s, h=1.0)
+        cycles = _spy(monkeypatch, "_arnoldi")
+        _checked_against_eigvals(traj, params, net, 1e-12)
+        lengths = [args[3] for args in cycles]
+        assert lengths[0] == spectral.KRYLOV_STEPS and max(lengths) == n
+
+    @pytest.mark.parametrize("h_gamma", [0.5, 0.999])
+    def test_undirected_star_closed_form(self, monkeypatch, h_gamma):
+        # SIR with equal gamma on an undirected star: M = d*I + h*beta*diag(s)*A
+        # with d = 1 - h*gamma has the root d + h*beta*sqrt(s_0 * sum_j s_j)
+        # and the eigenvalue d - h*beta*sqrt(...) next to it, on which power
+        # iteration's stopping rule leaves an error near 1e-12 at
+        # h*gamma = 0.999 (TestDenseSolve.test_bipartite_star); the Krylov
+        # space of the star has order 3 at most, so its Ritz value is exact
+        _krylov(monkeypatch)
+        n, beta = 30, 0.5
+        a = np.zeros((n, n))
+        a[0, 1:] = a[1:, 0] = 1.0
+        net = Network(a)
+        params = SirParams(beta=beta, gamma=h_gamma, h=1.0)
+        s = np.linspace(1.0, 0.0, 11)[:, None] * np.random.default_rng(96).uniform(0.7, 1.0, n)
+        traj = Trajectory(s=s, p=np.zeros_like(s), r=1 - s, h=1.0)
+        lam = convergence_diagnostics(traj, params, net).lambda_seq
+        exact = 1 - h_gamma + beta * np.sqrt(s[:, 0] * s[:, 1:].sum(axis=1))
+        assert np.all(np.abs(lam - exact) <= 1e-14 * exact)
+
+    def test_unconverged_solve_raises_with_its_residual(self, monkeypatch):
+        _krylov(monkeypatch)
+        monkeypatch.setattr(spectral, "KRYLOV_RTOL", 0.0)
+        monkeypatch.setattr(spectral, "POWER_MAX_ITER", spectral.KRYLOV_STEPS)
+        rng = np.random.default_rng(115)
+        net = random_irreducible_network(rng, 30, extra_prob=0.1)
+        params = random_seir_params(rng, net)
+        traj = simulate(seeded_state(30, "seir", e_seeds=[(0, 0.05)]), params, net, 5)
+        with pytest.raises(PowerIterationError, match="Krylov solve did not converge") as exc:
+            convergence_diagnostics(traj, params, net)
+        assert 0 < exc.value.residual < 1e-3
+
+    @pytest.mark.parametrize("kind", ["sir", "seir"])
+    def test_reducible_network_matches_eigvals(self, monkeypatch, kind):
+        # TestMatrixFreeSolve's two rings joined one way, above DENSE_NODES:
+        # each block is solved through the restricted left action
+        _krylov(monkeypatch)
+        rng = np.random.default_rng({"sir": 116, "seir": 117}[kind])
+        n = 14
+        a = np.zeros((2 * n, 2 * n))
+        a[:n, :n] = random_irreducible_network(rng, n).adjacency
+        a[n:, n:] = random_irreducible_network(rng, n).adjacency
+        a[n:, :n] = (rng.random((n, n)) < 0.1) * rng.random((n, n))
+        net = Network(a)
+        params = (random_sir_params if kind == "sir" else random_seir_params)(rng, net)
+        traj = simulate(seeded_state(2 * n, kind, p_seeds=[(n + 1, 0.05)]), params, net, 30)
+        blocks = _spy(monkeypatch, "_krylov_roots")
+        _checked_against_eigvals(traj, params, net, 1e-12)
+        assert len(blocks) == 2 and {args[2] for args in blocks} == {n * (kind == "sir" or 2)}
+
+    @pytest.mark.parametrize("tie", [False, True])
+    def test_zero_susceptibles_match_eigvals(self, monkeypatch, tie):
+        # s = 0 at different nodes from state to state, so one call solves
+        # several groups of blocks; with tie, sigma = gamma and a node with
+        # s = 0 has a defective root 1 - h*sigma, which stays out of the solve
+        _krylov(monkeypatch)
+        rng = np.random.default_rng(118 + tie)
+        n = 28
+        net = random_irreducible_network(rng, n, extra_prob=0.1)
+        pr = random_seir_params(rng, net)
+        params = SeirParams(beta_e=pr.beta_e, beta=pr.beta, sigma=pr.gamma if tie else pr.sigma,
+                            gamma=pr.gamma, h=1.0)
+        s = rng.uniform(0.1, 1.0, (8, n))
+        s[1:][rng.random((7, n)) < 0.3] = 0.0
+        s[-1] = 0.0
+        zero = np.zeros_like(s)
+        lam = _checked_against_eigvals(fabricated_seir(zero, zero, 1 - s), params, net, 1e-10)
+        assert lam[-1] == np.max(1 - params.sigma)
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_node_limit_boundary(self, monkeypatch, caplog, offset):
+        # KRYLOV_NODES nodes take power iteration, one more the Krylov solve
+        monkeypatch.setattr(spectral, "KRYLOV_NODES", 30)
+        n = 30 + offset
+        rng = np.random.default_rng(119)
+        net = random_irreducible_network(rng, n, extra_prob=0.1)
+        params = random_sir_params(rng, net)
+        traj = simulate(seeded_state(n, "sir", p_seeds=[(0, 0.05)]), params, net, 20)
+        with caplog.at_level(logging.DEBUG, logger="netepi"):
+            lam = convergence_diagnostics(traj, params, net).lambda_seq
+        assert ("krylov regime" if offset else "power regime") in caplog.text
+        assert _eigvals_gap(traj, params, net, lam) <= 1e-12
+
+
+class TestSolveLog:
+    """convergence_diagnostics logs its solve once per call, at DEBUG."""
+
+    @pytest.mark.parametrize("regime", ["squaring", "krylov"])
+    def test_one_line_per_call(self, monkeypatch, caplog, regime):
+        n = 12 if regime == "squaring" else 30
+        if regime == "krylov":
+            _krylov(monkeypatch)
+        rng = np.random.default_rng(120)
+        net = random_irreducible_network(rng, n)
+        params = random_seir_params(rng, net)
+        traj = simulate(seeded_state(n, "seir", e_seeds=[(0, 0.05)]), params, net, 20)
+        with caplog.at_level(logging.DEBUG, logger="netepi"):
+            convergence_diagnostics(traj, params, net)
+        (record,) = [r for r in caplog.records if r.name == "netepi.spectral"]
+        assert record.levelno == logging.DEBUG
+        match = re.fullmatch(r"perron solve: (\w+) regime, (\d+) states, (\d+) left actions, "
+                             r"worst relative residual (\S+)", record.getMessage())
+        assert match and match[1] == regime and int(match[2]) == len(traj)
+        tol = spectral.POWER_RTOL if regime == "squaring" else spectral.KRYLOV_RTOL
+        assert int(match[3]) >= len(traj) and 0 <= float(match[4]) <= tol
 
 
 def _roots_and_stacks(monkeypatch, traj, params, net):

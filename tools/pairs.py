@@ -1,6 +1,7 @@
 """Compare alternating parent and change runs of ``bench/run.py``.
 
-    python3 tools/pairs.py --parent P1.json P2.json ... --change C1.json C2.json ...
+    python3 tools/pairs.py --parent P1.json P2.json ... --change C1.json C2.json ... \
+        [--claim METRIC]
 
 Each file is a result file that ``bench/run.py --out`` wrote. Runs pair up by
 workload and seed. For each workload and each end-to-end metric of
@@ -15,6 +16,13 @@ BENCHMARK.json, the table gives, once for the host-speed adjusted
   parent's interquartile range;
 - ``bound``: ``WORSE`` where the change's median is worse than the
   parent's by more than the metric's relative bound, else ``ok``.
+
+Where the runs hold their raw set-up repetitions (``setup_runs_raw``), each
+side's repetitions are also pooled over the runs, with their median and
+quartiles, so that a ``setup_s`` verdict can be read against them. With
+``--claim METRIC``, each workload also names the pair to commit: the seed
+whose parent and change readings of the adjusted METRIC lie nearest their
+sides' medians (the smallest sum of the two relative distances).
 
 Quartiles are ``statistics.quantiles(..., n=4)`` with its default
 (exclusive) method. Standard library only.
@@ -37,6 +45,7 @@ def parse_args(argv=None):
     p.add_argument("--parent", nargs="+", type=Path, required=True)
     p.add_argument("--change", nargs="+", type=Path, required=True)
     p.add_argument("--spec", type=Path, default=ROOT / "BENCHMARK.json")
+    p.add_argument("--claim", metavar="METRIC", help="name the pair to commit for METRIC")
     return p.parse_args(argv)
 
 
@@ -71,7 +80,15 @@ def compare(parent: list[float], change: list[float], lower: bool, bound: float)
             "worse": worse > bound}
 
 
-def report(parent_runs: dict, change_runs: dict, spec: dict) -> list[str]:
+def nearest_pair(parent: list[float], change: list[float]) -> int:
+    """The index of the pair whose readings lie nearest their sides' medians."""
+    pm, cm = statistics.median(parent), statistics.median(change)
+    return min(range(len(parent)),
+               key=lambda i: abs(parent[i] - pm) / abs(pm) + abs(change[i] - cm) / abs(cm))
+
+
+def report(parent_runs: dict, change_runs: dict, spec: dict,
+           claim: str | None = None) -> list[str]:
     lines = []
     shared = sorted(set(parent_runs) & set(change_runs))
     unpaired = sorted(set(parent_runs) ^ set(change_runs))
@@ -100,6 +117,19 @@ def report(parent_runs: dict, change_runs: dict, spec: dict) -> list[str]:
                     f"{_spread(r['change']):>28s} {ratio:13.3f} "
                     f"{r['won']:>3d}/{r['pairs']:<2d} {'yes' if r['claim'] else 'no':>5s} "
                     f"{'WORSE' if r['worse'] else 'ok':>5s}")
+        pooled = [[x for k in keys for x in runs[k].get("setup_runs_raw", [])]
+                  for runs in (parent_runs, change_runs)]
+        if all(pooled):
+            lines.append(f"  setup_runs_raw pooled: parent {_spread(quartiles(pooled[0]))} "
+                         f"({len(pooled[0])} runs), change {_spread(quartiles(pooled[1]))} "
+                         f"({len(pooled[1])} runs)")
+        if claim is not None:
+            p = [parent_runs[k]["metrics"][claim] for k in keys]
+            c = [change_runs[k]["metrics"][claim] for k in keys]
+            i = nearest_pair(p, c)
+            lines.append(f"  pair to commit for {claim}: seed {keys[i][1]} "
+                         f"(parent {p[i]:.4g}, change {c[i]:.4g}; medians "
+                         f"{statistics.median(p):.4g}, {statistics.median(c):.4g})")
     return lines
 
 
@@ -110,7 +140,7 @@ def _spread(q: tuple[float, float, float]) -> str:
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads(args.spec.read_text())
-    print("\n".join(report(load(args.parent), load(args.change), spec)))
+    print("\n".join(report(load(args.parent), load(args.change), spec, args.claim)))
     return 0
 
 
