@@ -156,13 +156,13 @@ def _document(path: Path) -> dict:
 
 def load_scenario(path: str | Path) -> dict:
     """Read a scenario, check it as ``_document`` does, and load the network,
-    layer and rate files it names; a malformed file is a ValueError."""
+    layer and rate files it names; a malformed file is a ValueError. Each
+    network file is read through its edge-table sidecar (graph._read_network)."""
     path = Path(path)
     base = path.parent
     sc = _document(path)
     model, n = sc["model"], sc["n"]
-    nets = [graph.load_network((base / f).read_text(), n)
-            for f in [sc["network"], *sc.get("layers", [])]]
+    nets = [graph._read_network(base / f, n) for f in [sc["network"], *sc.get("layers", [])]]
     # one network over the loaded matrices, keeping the edge tables sorted
     # from their records
     net = graph._loaded(tuple(x.adjacency for x in nets), tuple(x.edges[0] for x in nets))

@@ -20,19 +20,23 @@ EDGE_FACTOR * nnz(A) * rows < n*n (``_use_edges``), and reads the dense A
 otherwise. The edge product gathers x at the edges' columns, weights it
 and sums each row's run in column order (np.take, then np.add.reduceat),
 so its cost grows with nnz(A) times the rows, and its bytes do not depend
-on the order of the edge-list records. The right product A x of a (B, n)
-stack is B matrix-vector products, each reading A, so it counts one row
-whatever B is. spectral's left product x A is one (B, n) @ (n, n) product
-and counts B rows. Measured with 1 BLAS thread on 2 vCPUs at
-n = 2000 and 24 059 edges (ms per product, best of 40):
+on the order of the edge-list records. It takes a stack EDGE_BLOCK = 16
+rows at a time, so that its (rows, nnz) temporaries stay in cache; each
+row's bytes are those of one pass over the whole stack. The right product
+A x of a (B, n) stack is B matrix-vector products, each reading A, so it
+counts one row whatever B is. spectral's left product x A is one
+(B, n) @ (n, n) product and counts B rows. Measured with 1 BLAS thread on
+2 vCPUs (4 MB of L2 cache each) at n = 2000 and 24 059 edges (ms per
+product, best of 40 in two rounds; "one pass" is A x over the edges
+without blocks):
 
-    rows    A x: dense   edge     x A: dense   edge
-    1       1.10         0.063    1.14         0.065
-    4       4.58         0.28     2.49         0.28
-    16      17.8         1.08     3.61         1.10
-    35      41.9         3.19     5.66         2.41
-    72      86.6         4.99     9.06         5.13
-    162     193          18.2     18.2         18.3
+    rows    A x: dense   edge     x A: dense   edge     one pass
+    1       1.21         0.068    1.26         0.066    0.063
+    4       4.87         0.29     2.53         0.43     0.29
+    16      18.9         1.06     3.76         1.12     1.08
+    35      42.3         2.40     5.65         2.39     2.34
+    72      86.7         4.93     9.02         4.89     4.89
+    162     192          10.9     18.3         10.9     20.5
 
 At n = 300 (1% dense) A stays in cache and the dense left product wins at
 every row count, by 3-20x at n = 20. The rule keeps every network of
@@ -85,30 +89,25 @@ Reading the CSV back costs about as much as writing it: its 17-digit
 levels take the bignum path of correctly rounded decimal-to-binary
 conversion, and trajectory_from_csv reads 310-330 ns a level. So the
 commands do not parse the CSVs netepi wrote. _write_trajectory writes a
-levels file beside each one: the SHA-256 of the CSV's bytes, then an .npy
-payload (format 1.0) of the (c, T+1, n) float64 levels, s, e, p, r in that
-order (SIR has no e).
-_read_trajectory takes the levels from it while that digest is the CSV's,
-as Python's hash-based .pyc files are trusted only while their source's
-hash matches (PEP 552), and parses the CSV in every other case. '%.17g'
-reads back bit for bit, so both give the same levels. Per call, with 1 BLAS
-thread on 2 vCPUs, best of 7 (ms):
+levels file beside each one, a sidecar (graph module docstring) whose
+payload is the (c, T+1, n) float64 levels, s, e, p, r in that order (SIR
+has no e). _read_trajectory takes the levels from it while its digest is
+that of the CSV's bytes and of the payload, and parses the CSV in every
+other case. '%.17g' reads back bit for bit, so both give the same levels.
+Per call, with 1 BLAS thread on 2 vCPUs, best of 7 over four runs (ms):
 
     trajectory (SEIR)     CSV       levels file   write: CSV   + levels   read: parse   hit
-    n = 2000, T = 35      6.4 MB    2.3 MB        79.7         85.8       89.5          6.3
-    n = 2000, T = 200     36.6 MB   12.9 MB       479          503        529           41.4
-    n = 20, T = 80        0.14 MB   0.05 MB       1.88         2.17       1.91          0.15
+    n = 2000, T = 35      6.4 MB    2.3 MB        83.4         94.1       88.7          8.35
+    n = 2000, T = 200     36.6 MB   12.9 MB       471          507        481           47.9
+    n = 20, T = 80        0.14 MB   0.05 MB       1.67         2.10       1.68          0.17
 
-Most of a hit is the SHA-256 of the CSV's bytes: about 26 ms of the 41 at
-T = 200.
+Most of a hit is the SHA-256 of the CSV's bytes and of the payload: about
+34 ms of the 48 at T = 200.
 """
 
 from __future__ import annotations
 
 import hashlib
-import logging
-import math
-import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from pathlib import Path
@@ -116,9 +115,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Network, _read_table, _records
-
-log = logging.getLogger(__name__)
+from .graph import Network, _read_sidecar, _read_table, _records, _write_sidecar
 
 __all__ = [
     "SirParams",
@@ -333,6 +330,7 @@ class AssumptionReport:
 # The infection operator: the one place that reads ``net.layers``.
 
 EDGE_FACTOR = 8  # see _use_edges
+EDGE_BLOCK = 16  # rows per pass of _edge_product
 
 
 def _operator(net: Network, rates: tuple) -> tuple:
@@ -374,9 +372,18 @@ def _product(a: np.ndarray, edges: tuple, x: np.ndarray) -> np.ndarray:
 
 
 def _edge_product(x: np.ndarray, edges: tuple) -> np.ndarray:
-    """a @ x_k for each row x_k of x (or for x, a vector) over a's edge table:
-    x's entries gathered at the edges' columns, weighted, and summed over
-    each row's run in column order."""
+    """a @ x_k for each row x_k of x (or for x, a vector) over a's edge table,
+    EDGE_BLOCK rows of x at a time (_edge_pass), so that the (rows, nnz)
+    temporaries stay in cache; each row's bytes are those of one pass."""
+    if x.ndim == 2 and len(x) > EDGE_BLOCK:
+        return np.concatenate([_edge_pass(x[k:k + EDGE_BLOCK], edges)
+                               for k in range(0, len(x), EDGE_BLOCK)])
+    return _edge_pass(x, edges)
+
+
+def _edge_pass(x: np.ndarray, edges: tuple) -> np.ndarray:
+    """_edge_product in one pass: x's entries gathered at the edges' columns,
+    weighted, and summed over each row's run in column order."""
     rows, cols, weights, starts = edges
     out = np.zeros(x.shape)
     # reduceat over an empty run would return the next entry, so only the
@@ -706,11 +713,6 @@ def _row_error(lines: list[str], exc: ValueError) -> ValueError:
 # ---------------------------------------------------------------------------
 # The levels file beside a trajectory CSV that netepi wrote (module docstring).
 
-# the header np.lib.format.write_array gives a C-order little-endian float64
-# 3-d array in .npy format 1.0, with its two-byte length and padding
-_HEADER = re.compile(rb"\x93NUMPY\x01\x00..\{'descr': '<f8', 'fortran_order': False, "
-                     rb"'shape': \((\d+), (\d+), (\d+)\), \} *\n", re.DOTALL)
-
 
 def _levels_path(path: Path) -> Path:
     return path.with_name(path.name + ".levels")
@@ -718,32 +720,22 @@ def _levels_path(path: Path) -> Path:
 
 def _write_trajectory(path: Path, traj: Trajectory) -> None:
     """Write ``traj`` to ``path`` as trajectory_to_csv's text, then its
-    levels file: the SHA-256 of the CSV's bytes and an .npy payload of the
-    (c, T+1, n) levels (_compartments). The CSV goes first, so that a write
-    stopped between the two leaves a digest that does not match. A levels
-    file that cannot be written is logged and left out."""
+    levels file: a sidecar (graph._write_sidecar) of the (c, T+1, n) levels
+    (_compartments). The CSV goes first, so that a write stopped between the
+    two leaves a digest that does not match."""
     data = trajectory_to_csv(traj).encode()
     path.write_bytes(data)
-    levels = _levels_path(path)
-    try:
-        # a new file, not the old one overwritten: ext4 writes a file
-        # truncated and rewritten in place back to disk at close, which for
-        # metro-large's two levels files measured 3.9 MB of writeback a pass
-        levels.unlink(missing_ok=True)
-        with open(levels, "wb") as f:
-            f.write(hashlib.sha256(data).digest())
-            np.lib.format.write_array(f, np.stack(_compartments(traj)), version=(1, 0))
-    except OSError as exc:
-        log.debug("levels file %s not written: %s", levels, exc)
+    _write_sidecar(_levels_path(path), hashlib.sha256(data), np.stack(_compartments(traj)))
 
 
 def _read_trajectory(path: Path, h: float) -> Trajectory:
-    """The trajectory CSV at ``path``, with step size ``h``: its levels file's
-    levels while that file holds the SHA-256 of the CSV's bytes and a
-    well-formed payload, else trajectory_from_csv of the CSV as UTF-8. The
-    levels are checked as the parsed ones are: all finite."""
+    """The trajectory CSV at ``path``, with step size ``h``: the levels of its
+    levels file while that is a sidecar of the CSV's bytes (graph._read_sidecar)
+    holding c = 3 (SIR) or 4 (SEIR) compartments and T+1, n >= 1, else
+    trajectory_from_csv of the CSV as UTF-8. The levels are checked as the
+    parsed ones are: all finite."""
     data = path.read_bytes()
-    levels = _cached_levels(_levels_path(path), hashlib.sha256(data).digest())
+    levels = _read_sidecar(_levels_path(path), hashlib.sha256(data), np.float64, 3, _levels)
     if levels is None:
         return trajectory_from_csv(data.decode(), h)
     if not np.isfinite(levels).all():
@@ -752,27 +744,8 @@ def _read_trajectory(path: Path, h: float) -> Trajectory:
                       e=levels[1] if len(levels) == 4 else None, h=h)
 
 
-def _cached_levels(path: Path, digest: bytes) -> np.ndarray | None:
-    """The (c, T+1, n) levels of the levels file at ``path`` if it starts
-    with ``digest`` and then holds _HEADER with c 3 (SIR) or 4 (SEIR) and
-    T+1, n >= 1, and exactly that many values; else None, logged. Only a
-    header of that one form is read, so no pickle and no other header is
-    ever parsed, and no shape is allocated that the file does not hold."""
-    try:
-        with open(path, "rb") as f:
-            if f.read(len(digest)) != digest:
-                raise ValueError("its digest is not the CSV's")
-            payload = f.read()
-        header = _HEADER.match(payload)
-        if header is None:
-            raise ValueError("its payload is not a float64 (c, T+1, n) array")
-        shape = tuple(map(int, header.groups()))
-        if shape[0] not in (3, 4) or min(shape) < 1:
-            raise ValueError(f"its levels have shape {shape}")
-        levels = np.frombuffer(payload, "<f8", offset=header.end())
-        if levels.size != math.prod(shape):
-            raise ValueError(f"it holds {levels.size} levels, not those of shape {shape}")
-    except (OSError, ValueError) as exc:
-        log.debug("levels file %s not used: %s", path, exc)
-        return None
-    return levels.reshape(shape)
+def _levels(levels: np.ndarray) -> np.ndarray:
+    """``levels`` if their shape is that of a trajectory's (c, T+1, n)."""
+    if levels.shape[0] not in (3, 4) or min(levels.shape) < 1:
+        raise ValueError(f"its levels have shape {levels.shape}")
+    return levels

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from netepi import Network, SeirParams, dynamics, estimation, simulate
+from netepi import Network, SeirParams, dynamics, estimation, graph, simulate
 from netepi.cli import build_parser, load_scenario, main
 from netepi.dynamics import trajectory_from_csv, trajectory_to_csv
 
@@ -206,9 +206,10 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("cached", [True, False], ids=["levels", "parsed"])
     @pytest.mark.parametrize("model", ["sir", "seir"])
     def test_output_digests(self, tmp_path, monkeypatch, model, cached):
-        # once reading every trajectory from its levels file, with the CSV
-        # parser refused, once with the levels files deleted before each
-        # reading command
+        # once reading every trajectory from its levels file and, after
+        # simulate, the network from its edge-table sidecar, with both
+        # parsers refused; once with the levels files and the sidecar
+        # deleted before each reading command
         noise = {"start_k": 14, "seed": 3} if model == "seir" else None
         sc = write_scenario(tmp_path, model=model, steps=30, noise=noise)
         out = tmp_path / "out"
@@ -217,12 +218,15 @@ class TestGoldenBytes:
 
         def reading(*argv):
             if not cached:
-                for levels in out.glob("*.levels"):
-                    levels.unlink()
+                for sidecar in [*out.glob("*.levels"), *tmp_path.glob("*.edges")]:
+                    sidecar.unlink()
             return run(*argv, "--scenario", sc, "--out", out)
 
         assert run("simulate", "--scenario", sc, "--out", out) == 0
         assert (out / "trajectory.csv.levels").is_file()
+        assert [f.name for f in tmp_path.glob("*.edges")] == ["net.csv.edges"]
+        if cached:
+            monkeypatch.setattr(graph, "load_network", None)
         if model == "seir":
             assert reading("perturb", "--trajectory", out / "trajectory.csv") == 0
             assert (out / "measured.csv.levels").is_file()

@@ -8,7 +8,9 @@ more refusal.
 
 A trajectory that netepi wrote has a levels file beside it, which the
 reading commands trust while it holds the digest of the CSV's bytes; a
-corrupted, truncated or deleted levels file is one more input.
+corrupted, truncated or deleted levels file is one more input. So is the
+edge-table sidecar netepi writes beside a network file, and whatever is
+done to it, a command exits and reports as it does without one.
 
 Sizes stay at n <= 8 and steps <= 5: every run allocates a dense n x n
 adjacency, so no mutation may draw a large n.
@@ -26,7 +28,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netepi import dynamics
+from netepi import dynamics, graph
 from netepi.cli import load_scenario, main
 
 N, STEPS = 5, 4
@@ -63,7 +65,13 @@ def paths(obj, prefix=()):
             yield from paths(value, prefix + (key,))
 
 
-def check_exit(argv, command):
+def outcome(d: Path, command: str) -> tuple:
+    """The exit code and stderr lines of ``command`` on the scenario and
+    trajectory in ``d``, checked: 0, 1 or 2, and a refusal (1) prints one
+    ``error:`` line, or from ``simulate`` only ``assumption violation:`` lines."""
+    argv = [command, "--scenario", str(d / "scenario.json"), "--out", str(d / command)]
+    if command != "simulate":
+        argv += ["--trajectory", str(d / "trajectory.csv")]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         rc = main(argv)
@@ -72,6 +80,7 @@ def check_exit(argv, command):
     if rc == 1 and not (command == "simulate" and lines and
                         all(line.startswith("assumption violation: ") for line in lines)):
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return rc, lines
 
 
 def run_all(d: Path, scenario, trajectory: str, commands):
@@ -79,10 +88,7 @@ def run_all(d: Path, scenario, trajectory: str, commands):
     (d / "scenario.json").write_text(json.dumps(scenario))
     (d / "trajectory.csv").write_text(trajectory)
     for command in commands:
-        argv = [command, "--scenario", str(d / "scenario.json"), "--out", str(d / command)]
-        if command != "simulate":
-            argv += ["--trajectory", str(d / "trajectory.csv")]
-        check_exit(argv, command)
+        outcome(d, command)
 
 
 def trajectory_text(model: str) -> str:
@@ -144,27 +150,67 @@ def test_trajectory_mutations(data):
                 ["diagnose", "perturb", "estimate"])
 
 
+def mutated(blob: bytes, kind: str, data) -> bytes | None:
+    """``blob`` kept, deleted (None), truncated, with bits flipped in one
+    byte, replaced by garbage or with bytes appended, as ``kind`` names."""
+    if kind == "keep":
+        return blob
+    if kind == "delete":
+        return None
+    if kind == "truncate":
+        return blob[:data.draw(st.integers(0, len(blob) - 1))]
+    if kind == "flip":
+        at = data.draw(st.integers(0, len(blob) - 1))
+        return blob[:at] + bytes([blob[at] ^ data.draw(st.integers(1, 255))]) + blob[at + 1:]
+    if kind == "garbage":
+        return data.draw(st.binary(max_size=len(blob) + 8))
+    return blob + data.draw(st.binary(min_size=1, max_size=16))
+
+
+SIDECAR_MUTATIONS = st.sampled_from(["keep", "delete", "truncate", "flip", "garbage", "append"])
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(st.data())
-def test_levels_file_mutations(data):
+@given(SIDECAR_MUTATIONS, st.data())
+def test_levels_file_mutations(kind, data):
     text = TRAJECTORIES["seir"]
-    kind = data.draw(st.sampled_from(["delete", "truncate", "flip", "garbage", "append"]))
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         dynamics._write_trajectory(d / "trajectory.csv", dynamics.trajectory_from_csv(text))
         levels = d / "trajectory.csv.levels"
-        blob = levels.read_bytes()
-        if kind == "delete":
-            levels.unlink()
-        elif kind == "truncate":
-            levels.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
-        elif kind == "flip":
-            at = data.draw(st.integers(0, len(blob) - 1))
-            bits = data.draw(st.integers(1, 255))
-            levels.write_bytes(blob[:at] + bytes([blob[at] ^ bits]) + blob[at + 1:])
-        elif kind == "garbage":
-            levels.write_bytes(data.draw(st.binary(max_size=len(blob) + 8)))
-        else:
-            levels.write_bytes(blob + data.draw(st.binary(min_size=1, max_size=16)))
+        blob = mutated(levels.read_bytes(), kind, data)
+        levels.unlink()
+        if blob is not None:
+            levels.write_bytes(blob)
         # the same CSV bytes: the digest still matches where it was left whole
         run_all(d, MEASURED, text, ["diagnose", "perturb", "estimate"])
+
+
+# a SIR scenario whose n may be smaller than the network's: then every
+# command that loads the network refuses it
+EDGES_SCENARIO = dict(SCENARIOS["sir"], params={"beta": 0.2, "gamma": 0.3, "h": 1.0},
+                      initial={"s": 0.9, "p": 0.1, "r": 0})
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(SIDECAR_MUTATIONS, st.sampled_from([(EDGES_SCENARIO, N), (EDGES_SCENARIO, 3),
+                                           (SCENARIOS["seir"], N)]), st.data())
+def test_edges_file_mutations(kind, case, data):
+    scenario, n = case
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "net.csv").write_text(NETWORK)
+        (d / "scenario.json").write_text(json.dumps(dict(scenario, n=n)))
+        (d / "trajectory.csv").write_text(TRAJECTORIES[scenario["model"]])
+        edges = d / "net.csv.edges"
+        graph._read_network(d / "net.csv", N)
+        blob = mutated(edges.read_bytes(), kind, data)
+        for command in ("simulate", "diagnose", "estimate"):
+            seen = []
+            # a miss writes the sidecar anew, so each run starts from its own
+            for sidecar in (blob, None):
+                edges.unlink(missing_ok=True)
+                if sidecar is not None:
+                    edges.write_bytes(sidecar)
+                seen.append(outcome(d, command))
+            assert seen[0] == seen[1], (command, seen)

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 import logging
 import math
 import tempfile
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from netepi import (EpidemicState, Network, SeirParams, SirParams,
-                    check_assumption, dynamics, estimation, load_network, simulate,
+                    check_assumption, cli, dynamics, estimation, graph, load_network, simulate,
                     spectral, step, trajectory_from_csv, trajectory_to_csv)
 from netepi.dynamics import AssumptionError, StateInvariantError, Trajectory
 
@@ -306,6 +307,21 @@ class TestEdgeOperator:
                 for rows in (1, 3, 35):
                     x = rng.random((rows, net.n))
                     assert np.abs(dynamics._edge_product(x, edges) - x @ m.T).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 16, 17, 40]), st.integers(1, 30), st.floats(0.0, 0.5),
+           st.integers(0, 2**32 - 1))
+    def test_blocks_match_one_pass_bit_for_bit(self, rows, n, density, seed):
+        # EDGE_BLOCK rows at a time against the whole stack in one pass: each
+        # row sums the same edges in the same order, so the bytes agree
+        rng = np.random.default_rng(seed)
+        m = (rng.random((n, n)) < density) * rng.random((n, n))
+        m[rng.random(n) < 0.2] = 0.0  # some empty rows
+        edges = Network(m).edges[0]
+        x = rng.standard_normal((rows, n))
+        one_pass = dynamics._edge_pass(x, edges)
+        assert dynamics._edge_product(x, edges).tobytes() == one_pass.tobytes()
+        assert dynamics._edge_product(x[0], edges).tobytes() == one_pass[0].tobytes()
 
     @pytest.mark.parametrize("kind", ["sir", "seir", "layered"])
     def test_forced_edges_match_dense(self, monkeypatch, kind):
@@ -736,11 +752,12 @@ def _written_pair(tmp: Path, traj: Trajectory) -> tuple[Path, Path]:
     return path, tmp / "trajectory.csv.levels"
 
 
-def _levels_file(digest: bytes, levels: np.ndarray, **save) -> bytes:
-    """A levels file of ``digest`` and the .npy bytes np.save gives ``levels``."""
+def _levels_file(csv: bytes, levels: np.ndarray, **save) -> bytes:
+    """A levels file of the CSV bytes ``csv`` with the .npy bytes np.save
+    gives ``levels``: their digest, as _write_sidecar makes it, then those."""
     buf = io.BytesIO()
     np.save(buf, levels, **save)
-    return digest + buf.getvalue()
+    return hashlib.sha256(csv + buf.getvalue()).digest() + buf.getvalue()
 
 
 def _parsed(path: Path, h: float = 1.0) -> Trajectory:
@@ -784,7 +801,8 @@ class TestLevelsFile:
         traj = Trajectory(s=s, p=p, r=r, e=None if kind == "sir" else e, h=0.5)
         with tempfile.TemporaryDirectory() as tmp:
             path, levels = _written_pair(Path(tmp), traj)
-            assert levels.read_bytes()[:32] == hashlib.sha256(path.read_bytes()).digest()
+            blob = levels.read_bytes()
+            assert blob[:32] == hashlib.sha256(path.read_bytes() + blob[32:]).digest()
             with mock.patch.object(dynamics, "trajectory_from_csv", side_effect=AssertionError):
                 got = dynamics._read_trajectory(path, 0.5)
             want = _parsed(path, 0.5)
@@ -837,7 +855,7 @@ class TestLevelsFile:
         payload = np.resize(payload, shape).astype(save.get("dtype", np.float64))
         if save.get("order") == "F":
             payload = np.asfortranarray(payload)
-        levels.write_bytes(_levels_file(levels.read_bytes()[:32], payload))
+        levels.write_bytes(_levels_file(path.read_bytes(), payload))
         got, parses = _reads(monkeypatch, path)
         assert parses == 1
         _same_bits(got, _parsed(path))
@@ -847,7 +865,7 @@ class TestLevelsFile:
         path, levels = _written_pair(tmp_path, simulate(state, params, net, 4))
         payload = np.empty((3, 5, 2), dtype=object)
         payload[...] = _Trap()
-        levels.write_bytes(_levels_file(levels.read_bytes()[:32], payload, allow_pickle=True))
+        levels.write_bytes(_levels_file(path.read_bytes(), payload, allow_pickle=True))
         _UNPICKLED.clear()
         got, parses = _reads(monkeypatch, path)
         assert parses == 1 and _UNPICKLED == []
@@ -874,7 +892,7 @@ class TestLevelsFile:
         path, levels = _written_pair(tmp_path, simulate(state, params, net, 4))
         payload = np.stack(dynamics._compartments(_parsed(path)))
         payload[2, 3, 1] = math.nan
-        levels.write_bytes(_levels_file(levels.read_bytes()[:32], payload))
+        levels.write_bytes(_levels_file(path.read_bytes(), payload))
         with pytest.raises(ValueError, match="^trajectory values must be finite$"):
             dynamics._read_trajectory(path, 1.0)
         # the same message as the CSV path's
@@ -892,3 +910,136 @@ class TestLevelsFile:
         got, parses = _reads(monkeypatch, tmp_path / "trajectory.csv")
         assert parses == 1
         _same_bits(got, traj)
+
+
+# ---------------------------------------------------------------------------
+# The edge-table sidecar beside a network file.
+
+def _edges_scenario(tmp: Path, n: int, layers: int) -> Path:
+    """A SEIR scenario of ``n`` nodes on net.csv with ``layers`` transport
+    layers layer0.csv, ...; the network files are left to the caller."""
+    sc = {"model": "seir", "n": n, "network": "net.csv", "steps": 3,
+          "layers": [f"layer{k}.csv" for k in range(layers)],
+          "params": {"beta_e": 0.1, "beta": 0.1, "sigma": 0.4, "gamma": 0.3,
+                     "layer_beta_e": [0.05] * layers, "layer_beta": [0.05] * layers},
+          "initial": {"seeds": {"p": {"0": 0.01}}}}
+    (tmp / "scenario.json").write_text(json.dumps(sc))
+    return tmp / "scenario.json"
+
+
+def _same_network(a: Network, b: Network) -> None:
+    mats = [(a.adjacency, b.adjacency)] + list(zip(a.layers, b.layers, strict=True))
+    for x, y in mats:
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    for x, y in zip(a.edges, b.edges, strict=True):
+        for u, v in zip(x, y, strict=True):  # rows, columns, weights, starts
+            assert u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+
+
+class TestEdgesFile:
+    """A network file's sidecar: a hit gives the parse's network bit for bit,
+    whatever the scenario's n, and every other case parses."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2), st.data())
+    def test_hit_is_the_parse_bit_for_bit(self, n, layers, data):
+        # records in any order, with comments, blank lines and weights of
+        # every magnitude; the cached load must never parse
+        weights = st.floats(min_value=5e-324, max_value=1e300)
+        texts = []
+        for _ in range(1 + layers):
+            cells = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                       unique=True, max_size=n * n))
+            texts.append("# i,j,w\n\n" + "".join(f"{i},{j},{data.draw(weights)!r}\n"
+                                                 for i, j in cells))
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            for name, text in zip(["net.csv"] + [f"layer{k}.csv" for k in range(layers)], texts):
+                (d / name).write_text(text)
+            sc = _edges_scenario(d, n, layers)
+            parsed = cli.load_scenario(sc)["net"]
+            assert (d / "net.csv.edges").is_file()
+            with mock.patch.object(graph, "load_network", side_effect=AssertionError):
+                cached = cli.load_scenario(sc)["net"]
+        _same_network(cached, parsed)
+        want = [load_network(text, n) for text in texts]
+        _same_network(parsed, graph._loaded(tuple(x.adjacency for x in want),
+                                            tuple(x.edges[0] for x in want)))
+
+    def test_file_written_under_a_larger_n_refused_as_parsed(self, tmp_path, caplog):
+        path = tmp_path / "net.csv"
+        path.write_text("0,1,0.5\n6,7,1.5\n1,0,2.0\n")
+        big = graph._read_network(path, 8)
+        sidecar = (tmp_path / "net.csv.edges").read_bytes()
+        with pytest.raises(graph.NetworkError) as parsed:
+            load_network(path.read_text(), 5)
+        assert str(parsed.value) == "line 2: index out of range for n=5"
+        with caplog.at_level(logging.DEBUG, logger="netepi"):
+            with pytest.raises(graph.NetworkError) as cached:
+                graph._read_network(path, 5)
+        assert str(cached.value) == str(parsed.value)
+        assert "out of range for n=5" in caplog.records[0].getMessage()
+        # left as it was, and still a hit for n = 8 and above
+        assert (tmp_path / "net.csv.edges").read_bytes() == sidecar
+        with mock.patch.object(graph, "load_network", side_effect=AssertionError):
+            _same_network(graph._read_network(path, 8), big)
+            assert graph._read_network(path, 9).adjacency[:8, :8].tobytes() == \
+                big.adjacency.tobytes()
+
+    @pytest.mark.parametrize("forged", ["out_of_order", "repeated", "zero_weight", "nan_weight",
+                                        "negative_index", "float_payload"])
+    def test_forged_payload_with_its_digest_is_a_miss(self, tmp_path, forged):
+        # a payload whose digest was made for it passes the digest check;
+        # the array checks still send it to the parser
+        path = tmp_path / "net.csv"
+        path.write_text("0,1,0.5\n1,2,1.5\n2,0,2.0\n")
+        want = graph._read_network(path, 3)
+        rec = np.load(io.BytesIO((tmp_path / "net.csv.edges").read_bytes()[32:]))
+        if forged == "out_of_order":
+            rec = rec[::-1]
+        elif forged == "repeated":
+            rec[1] = rec[0]
+        elif forged == "zero_weight":
+            rec["w"][2] = 0.0
+        elif forged == "nan_weight":
+            rec["w"][2] = math.nan
+        elif forged == "negative_index":
+            rec["j"][0] = -1
+        else:
+            rec = np.stack([rec["i"], rec["j"], rec["w"]]).astype(float)
+        (tmp_path / "net.csv.edges").unlink()
+        graph._write_sidecar(tmp_path / "net.csv.edges", hashlib.sha256(path.read_bytes()), rec)
+        parses = []
+        parse = graph.load_network
+        with mock.patch.object(graph, "load_network",
+                               side_effect=lambda text, n: parses.append(1) or parse(text, n)):
+            _same_network(graph._read_network(path, 3), want)
+        assert parses == [1]
+
+    def test_unwritable_directory_is_a_logged_miss(self, tmp_path, monkeypatch, caplog, capsys):
+        # a directory that refuses new files: root ignores a chmod, so the
+        # refusal is made by failing every write opened in it
+        d = tmp_path / "ro"
+        d.mkdir()
+        (d / "net.csv").write_text("".join(f"{i},{(i + 1) % 4},1.0\n" for i in range(4)))
+        sc = _edges_scenario(d, 4, 0)
+        builtin_open = open
+
+        def refusing(file, mode="r", *args, **kwargs):
+            if "w" in mode and Path(file).parent == d:
+                raise PermissionError(13, "Permission denied", str(file))
+            return builtin_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(graph, "open", refusing, raising=False)
+        out = tmp_path / "out"
+        with caplog.at_level(logging.DEBUG, logger="netepi"):
+            for command in ("simulate", "diagnose"):
+                argv = [command, "--scenario", str(sc), "--out", str(out)]
+                if command == "diagnose":
+                    argv += ["--trajectory", str(out / "trajectory.csv")]
+                assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert not (d / "net.csv.edges").exists()
+        logged = [(r.levelno, " not used: " in r.getMessage(), " not written: " in r.getMessage())
+                  for r in caplog.records if "net.csv.edges" in r.getMessage()]
+        assert logged == [(logging.DEBUG, True, False), (logging.DEBUG, False, True)] * 2
