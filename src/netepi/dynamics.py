@@ -48,8 +48,8 @@ trajectory_to_csv writes each level exactly as '%.17g' % x does, but has
 Python's % format integers, not doubles: '%.17g' runs Gay's correctly
 rounded dtoa ("Correctly rounded binary-decimal and decimal-binary
 conversions", 1990), which takes its bignum path for 17 digits. For
-FAST_LEAST <= |x| < FAST_BOUND (1e-24 and 1e16), numpy finds the decimal
-exponent X and the 17-digit integer D = round(|x| * 10**(16 - X)) (_digits):
+FAST_LEAST <= |x| < 1e16, numpy finds the decimal exponent X and the
+17-digit integer D = round(|x| * 10**(16 - X)) (_digits):
 
 - X is floor(log10 |x|), moved by one where |x| * 10**(16 - X) falls
   outside [1e16, 1e17): log10 rounds to the power for the doubles just
@@ -69,23 +69,41 @@ exponent X and the 17-digit integer D = round(|x| * 10**(16 - X)) (_digits):
   as 2**-25's) to even as dtoa does, but the guard keeps the rounding away
   from the error above.
 
-D without its trailing zeros, M of L digits, takes one template piece from a
-table built at import and keyed by (X, L, sign), such as '0.00%d' (M) or
-'%d.%015de-07' (M's first digit and the rest). Zero is '0' or '-0'; a
-value outside the range, not finite or near a tie goes into the template as
-the literal '%.17g' % x. The rows' 'k,node,' come from per-step and
-per-node strings, and one ''.join and one % give the file. Per call, with 1
-BLAS thread on 2 vCPUs, best of 9, against one '%.17g' template over every
-value (tests/conftest.py; ms):
+The writer builds the bytes of BLOCK = 2048 rows at a time in numpy arrays,
+with a NUL byte wherever there is no text. A row is 'k,' and 'node,', each
+from a per-step or per-node table and padded to the longest, and then, from
+the next multiple of 8 bytes, eight 4-byte words per level:
 
-    trajectory (SEIR unless named)   values      text      '%.17g'   digits
-    n = 2000, T = 35                 288 000     6.4 MB    151       66.3
-    n = 2000, T = 35, noisy          248 000     4.0 MB    97.4      47.5
-    n = 2000, T = 200                1 608 000   36.6 MB   863       396
-    n = 20, T = 80                   6 480       0.14 MB   3.18      1.43
-    n = 20, T = 80, SIR              4 860       0.11 MB   2.59      1.10
+    words 0-1   the head, by (X, sign, first digit, more digits or not):
+                '-', then 'd', 'd.', '0.d' to '0.000d' (X = -1 to -4) or,
+                for 0, '0'
+    words 2-5   D's other 16 digits as four 4-digit chunks from '0000' to
+                '9999', or from the same table with the trailing zeros
+                NUL'd where every later chunk is 0: D drops its trailing
+                zeros without a loop
+    word 6      the exponent where X < -4, 'e-05' to 'e-25'
+    word 7      the field's ending: ',', ',,' (before SIR's blank e) or '\\n'
 
-Reading the CSV back costs about as much as writing it: its 17-digit
+That covers 0, -0 and FAST_LEAST <= |x| < FAST_BOUND = 10, where X <= 0
+('0.000123', '1.5', '2.5e-07'); _digits runs on 1.0 in place of any other
+value. Every other level, below 1e-24 or from 10 up, not finite or near a
+tie, is '%.17g' % x, at most 24 bytes, over words 0-6. Each block goes
+through bytes.translate(None, b'\\0'), which drops the NULs, and the pieces
+are joined: on the 10.4 MB of all 72 000 rows of metro's trajectory, that
+took 8.6 ms, and numpy's boolean compress of the same bytes 14.7 ms. Per
+call, with 1 BLAS thread on 2 vCPUs, best of 9, the three interleaved (ms):
+one '%.17g' template over every value (tests/conftest.py), the writer this
+one replaced (one template piece per level keyed by X, digit count and
+sign, filled in by one %), and this writer:
+
+    trajectory (SEIR unless named)   values      text      '%.17g'   template   words
+    n = 2000, T = 35                 288 000     6.4 MB    197       86.2       35.6
+    n = 2000, T = 35, noisy          248 000     5.7 MB    154       69.6       29.2
+    n = 2000, T = 200                1 608 000   36.6 MB   1040      472        227
+    n = 20, T = 80                   6 480       0.14 MB   3.41      1.57       0.79
+    n = 20, T = 80, SIR              4 860       0.11 MB   2.70      1.28       0.66
+
+Reading the CSV back costs more than writing it: its 17-digit
 levels take the bignum path of correctly rounded decimal-to-binary
 conversion, and trajectory_from_csv reads 310-330 ns a level. So the
 commands do not parse the CSVs netepi wrote. _write_trajectory writes a
@@ -94,12 +112,13 @@ payload is the (c, T+1, n) float64 levels, s, e, p, r in that order (SIR
 has no e). _read_trajectory takes the levels from it while its digest is
 that of the CSV's bytes and of the payload, and parses the CSV in every
 other case. '%.17g' reads back bit for bit, so both give the same levels.
-Per call, with 1 BLAS thread on 2 vCPUs, best of 7 over four runs (ms):
+Per call, with 1 BLAS thread on 2 vCPUs (ms): the writes best of 9, the
+reads, not measured again, best of 7 over four runs:
 
     trajectory (SEIR)     CSV       levels file   write: CSV   + levels   read: parse   hit
-    n = 2000, T = 35      6.4 MB    2.3 MB        83.4         94.1       88.7          8.35
-    n = 2000, T = 200     36.6 MB   12.9 MB       471          507        481           47.9
-    n = 20, T = 80        0.14 MB   0.05 MB       1.67         2.10       1.68          0.17
+    n = 2000, T = 35      6.4 MB    2.3 MB        38.1         45.6       88.7          8.35
+    n = 2000, T = 200     36.6 MB   12.9 MB       244          288        481           47.9
+    n = 20, T = 80        0.14 MB   0.05 MB       1.00         1.37       1.68          0.17
 
 Most of a hit is the SHA-256 of the CSV's bytes and of the payload: about
 34 ms of the 48 at T = 200.
@@ -108,6 +127,7 @@ Most of a hit is the SHA-256 of the CSV's bytes and of the payload: about
 from __future__ import annotations
 
 import hashlib
+import logging
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from pathlib import Path
@@ -132,6 +152,8 @@ __all__ = [
     "trajectory_to_csv",
     "trajectory_from_csv",
 ]
+
+log = logging.getLogger(__name__)
 
 SUM_TOL = 1e-9
 
@@ -485,13 +507,14 @@ def simulate(initial: EpidemicState, params, net: Network, steps: int,
 
 
 # ---------------------------------------------------------------------------
-# The trajectory CSV writer: '%.17g' text from integer digits (module docstring).
+# The trajectory CSV writer: '%.17g' text from integer digits, in NUL-padded
+# words (module docstring).
 
-# |x| in [FAST_LEAST, FAST_BOUND) is formatted from its digits: its decimal
-# exponent X, and log10's first estimate of it, lie in [X_LEAST, X_MOST].
-# Any other value, and one within TIE_GUARD last-digit units of a rounding
-# tie, is '%.17g' % x
-FAST_LEAST, FAST_BOUND = 1e-24, 1e16
+# |x| in [FAST_LEAST, FAST_BOUND) is written from its digits, and so is 0.
+# _digits takes |x| up to 1e16: its decimal exponent X, and log10's first
+# estimate of it, lie in [X_LEAST, X_MOST]. Any other value, and one within
+# TIE_GUARD last-digit units of a rounding tie, is '%.17g' % x
+FAST_LEAST, FAST_BOUND = 1e-24, 10.0
 X_LEAST, X_MOST = -25, 16
 TIE_GUARD = 1e-9
 _SPLITTER = 2.0 ** 27 + 1  # Veltkamp's split of a double into two 26-bit halves
@@ -525,7 +548,7 @@ def _scaled(a: np.ndarray, x: np.ndarray) -> tuple:
 
 
 def _digits(a: np.ndarray) -> tuple:
-    """For each a in [FAST_LEAST, FAST_BOUND): its decimal exponent X, the
+    """For each a in [FAST_LEAST, 1e16): its decimal exponent X, the
     17-digit integer D = round(a * 10**(16 - X)) and whether D is certain
     (a is not within TIE_GUARD of a rounding tie)."""
     x = np.floor(np.log10(a)).astype(np.int64)
@@ -534,8 +557,8 @@ def _digits(a: np.ndarray) -> tuple:
     # in [1e16, 1e17)
     low = (s < 1e16) | ((s == 1e16) & (t < 0))
     high = (s > 1e17) | ((s == 1e17) & (t >= 0))
-    off = np.flatnonzero(low | high)
-    if off.size:
+    off = low | high
+    if off.any():
         x[off] += np.where(low[off], -1, 1)
         s[off], t[off] = _scaled(a[off], x[off])
     # s >= 1e16 > 2**53 is a whole number: the rounding is t's
@@ -548,69 +571,68 @@ def _digits(a: np.ndarray) -> tuple:
     return x, d, certain
 
 
-def _piece(x: int, length: int) -> tuple[str, int]:
-    """'%.17g''s text of a positive value with decimal exponent x and
-    ``length`` significant digits M, as a template of M (one %d), or of
-    M // 10**w and M % 10**w (two); with that w, 0 for one."""
-    if x < -4:
-        if length == 1:
-            return f"%de{x:+03d}", 0
-        return f"%d.%0{length - 1}de{x:+03d}", length - 1
-    if x < 0:
-        return "0." + "0" * (-x - 1) + "%d", 0
-    if length <= x + 1:
-        return "%d" + "0" * (x + 1 - length), 0
-    return f"%d.%0{length - x - 1}d", length - x - 1
+# Each level is 32 bytes, NUL where there is no text: the head (sign, '0.'
+# and the zeros of 0.000d, the first digit and its '.'), 16 more digits as
+# four 4-digit chunks, the exponent and the field's ending. A level's slot is
+# its X - X_LEAST, or ZERO_SLOT for 0 and -0
+_SLOTS = [*range(X_LEAST, 1), None]
+ZERO_SLOT = len(_SLOTS) - 1
 
 
-# The template piece of each key ((X - X_LEAST) * 17 + length - 1) * 2 + sign,
-# then of 0, -0 and a literal's placeholder, with the 10**w of its split
-_KEYED = [("-" * neg + form, 10 ** w) for x in range(X_LEAST, X_MOST + 1)
-          for length in range(1, 18) for form, w in [_piece(x, length)] for neg in (0, 1)]
-_ZERO, _LITERAL = len(_KEYED), len(_KEYED) + 2
-_KEYED += [("0", 1), ("-0", 1), ("", 1)]
-# each piece with each ending of a field: the next field's comma, the
-# comma and SIR's blank e, or the end of the row
-_ENDINGS = (",", ",,", "\n")
-_PIECES = np.array([[form + end for form, _ in _KEYED] for end in _ENDINGS], dtype=object)
-_ARGS = np.array([form.count("%") for form, _ in _KEYED])
-_DIVISOR = np.array([divisor for _, divisor in _KEYED], dtype=np.int64)
-
-# values per block of _keys: 8192 doubles are 64 kB a temporary; a whole
-# 288k-value trajectory at once took 1.9x as long
-BLOCK = 2 ** 13
+def _head(x: int | None, lead: int, more: int) -> str:
+    """The text before the chunks of a level's magnitude, of decimal exponent
+    x (None for zero), first digit ``lead`` and ``more`` digits after it; a
+    sign goes in front."""
+    if x is None:
+        return "0"
+    return "0." + "0" * (-x - 1) + str(lead) if -4 <= x < 0 else str(lead) + "." * more
 
 
-def _keys(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The template key of each value of ``v`` and the args of its piece, as
-    an (N, 2) int array of which the first _ARGS[key] of each row are used.
-    Taken BLOCK values at a time, so that the temporaries stay in cache."""
-    keys = np.empty(len(v), dtype=np.int64)
-    args = np.empty((len(v), 2), dtype=np.int64)
-    for start in range(0, len(v), BLOCK):
-        part = slice(start, start + BLOCK)
-        keys[part], args[part] = _block_keys(v[part])
-    return keys, args
+def _words(strings: list[str], size: int) -> np.ndarray:
+    """``strings`` NUL-padded to ``size`` bytes, as 4-byte words."""
+    return np.array(strings, dtype=f"S{size}").view(np.uint32)
 
 
-def _block_keys(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_keys of one block."""
-    neg = np.signbit(v).astype(np.int64)
-    a = np.abs(v)
-    keys = np.where(v == 0, _ZERO + neg, _LITERAL)
-    fast = np.flatnonzero((a >= FAST_LEAST) & (a < FAST_BOUND))
-    x, m, certain = _digits(a[fast])
-    # M: D without its trailing zeros
-    length = np.full(len(m), 17)
-    zeros = np.flatnonzero(m % 10 == 0)
-    while zeros.size:
-        m[zeros] //= 10
-        length[zeros] -= 1
-        zeros = zeros[m[zeros] % 10 == 0]
-    keys[fast] = np.where(certain, ((x - X_LEAST) * 17 + length - 1) * 2 + neg[fast], _LITERAL)
-    args = np.zeros((len(v), 2), dtype=np.int64)
-    args[fast, 0], args[fast, 1] = np.divmod(m, _DIVISOR[keys[fast]])
-    return keys, args
+# by ((slot * 2 + sign) * 10 + first digit) * 2 + more; by the chunk, and by
+# 10**4 + the chunk without its trailing zeros; by slot; the next field's
+# comma, that and SIR's blank e, and the row's end
+_HEAD = _words(["-" * neg + _head(x, lead, more) for x in _SLOTS for neg in (0, 1)
+                for lead in range(10) for more in (0, 1)], 8).view(np.uint64)
+_CHUNK = _words([f"{c:04d}".rstrip("0" * trim) for trim in (0, 1) for c in range(10 ** 4)], 4)
+_EXPONENT = _words([f"e{x:+03d}" if x is not None and x < -4 else "" for x in _SLOTS], 4)
+_ENDING = _words([",", ",,", "\n"], 4)
+
+# rows per block of trajectory_to_csv: 2048 SEIR rows are 8192 levels, so
+# that the temporaries stay in cache
+BLOCK = 2 ** 11
+
+
+def _from_digits(v: np.ndarray) -> tuple:
+    """Whether each level of ``v`` is written from its digits (zero, or in
+    [FAST_LEAST, FAST_BOUND) and not near a tie), its slot and its 17-digit D.
+    _digits runs on 1.0 in place of any other value."""
+    a, zero = np.abs(v), v == 0
+    fast = (a >= FAST_LEAST) & (a < FAST_BOUND)
+    x, d, certain = _digits(np.where(fast, a, 1.0))
+    return certain & (fast | zero), np.where(zero, ZERO_SLOT, x - X_LEAST), d
+
+
+def _fill(words: np.ndarray, v: np.ndarray) -> None:
+    """The head, chunks and exponent of each level of ``v`` into its first
+    7 words of ``words``, an 8-byte aligned (m, c, 8) uint32 array (module
+    docstring)."""
+    digits, slot, d = _from_digits(v)
+    q = [d // 10 ** k for k in (16, 12, 8, 4)] + [d]  # D's first 1, 5, 9, 13 and 17 digits
+    words.view(np.uint64)[..., 0] = _HEAD[((slot * 2 + np.signbit(v)) * 10 + q[0]) * 2
+                                          + (q[0] * 10 ** 16 != d)]
+    for j in range(4):
+        # chunk j, without its trailing zeros where every later chunk is 0
+        chunk = q[j + 1] - 10 ** 4 * q[j]
+        zeros = q[j + 1] * 10 ** (12 - 4 * j) == d
+        words[..., 2 + j] = _CHUNK[chunk + 10 ** 4 * zeros]
+    words[..., 6] = _EXPONENT[slot]
+    if not digits.all():
+        words[~digits, :7] = _words(["%.17g" % x for x in v[~digits].tolist()], 28).reshape(-1, 7)
 
 
 def _compartments(traj: Trajectory) -> list[np.ndarray]:
@@ -621,25 +643,23 @@ def _compartments(traj: Trajectory) -> list[np.ndarray]:
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV "k,node,s,e,p,r"; e left blank for SIR; each level as '%.17g'
     formats it, from its digits (module docstring)."""
-    v = np.stack(_compartments(traj), axis=-1)
-    keys, args = _keys(v.ravel())
-    template = _template(v, keys.reshape(v.shape), [1, 0, 2] if traj.e is None else [0, 0, 0, 2])
-    return template % tuple(args[np.arange(2) < _ARGS[keys, None]].tolist())
-
-
-def _template(v: np.ndarray, keys: np.ndarray, ends: list) -> str:
-    """The header and one row per step and node of the (steps, n, comps)
-    levels ``v``: 'k,node,' and each level's piece by its key, ended as
-    ``ends`` gives per compartment."""
-    steps, n, width = v.shape
-    cells = np.empty((steps, n, 2 + width), dtype=object)
-    cells[:, :, 0] = np.array([f"{k}," for k in range(steps)], dtype=object)[:, None]
-    cells[:, :, 1] = np.array([f"{i}," for i in range(n)], dtype=object)
-    cells[:, :, 2:] = _PIECES[ends, keys]
-    # '%.17g' text holds no '%', so it goes into the template as it is
-    for k, i, c in zip(*np.nonzero(keys == _LITERAL)):
-        cells[k, i, 2 + c] = "%.17g" % v[k, i, c] + _ENDINGS[ends[c]]
-    return "".join(["k,node,s,e,p,r\n"] + cells.ravel().tolist())
+    v = np.stack([c.ravel() for c in _compartments(traj)], axis=-1)
+    # a row: 'k,' and 'node,' NUL-padded to the longest of each, then from
+    # the next multiple of 8 bytes, 8 words per level
+    ids = [np.array([f"{i}," for i in range(count)], dtype="S") for count in traj.s.shape]
+    start = -(-(ids[0].itemsize + ids[1].itemsize) // 8) * 8
+    rows = np.zeros(min(BLOCK, len(v)), dtype={
+        "names": ["k", "node", "levels"], "offsets": [0, ids[0].itemsize, start],
+        "formats": [ids[0].dtype, ids[1].dtype, (np.uint32, (v.shape[1], 8))]})
+    rows["levels"][..., 7] = _ENDING[[1, 0, 2] if traj.e is None else [0, 0, 0, 2]]
+    pieces = ["k,node,s,e,p,r\n"]
+    for first in range(0, len(v), BLOCK):
+        block = rows[:len(v) - first]
+        step, node = np.divmod(np.arange(first, first + len(block)), traj.n)
+        block["k"], block["node"] = ids[0][step], ids[1][node]
+        _fill(block["levels"], v[first:first + len(block)])
+        pieces.append(block.tobytes().translate(None, b"\0").decode())
+    return "".join(pieces)
 
 
 # one trajectory row; SIR rows leave e blank, so it is read as text there
@@ -722,10 +742,18 @@ def _write_trajectory(path: Path, traj: Trajectory) -> None:
     """Write ``traj`` to ``path`` as trajectory_to_csv's text, then its
     levels file: a sidecar (graph._write_sidecar) of the (c, T+1, n) levels
     (_compartments). The CSV goes first, so that a write stopped between the
-    two leaves a digest that does not match."""
+    two leaves a digest that does not match. Logs one DEBUG line: the path,
+    the CSV's bytes, the levels and how many of them went through '%.17g'."""
     data = trajectory_to_csv(traj).encode()
     path.write_bytes(data)
-    _write_sidecar(_levels_path(path), hashlib.sha256(data), np.stack(_compartments(traj)))
+    levels = np.stack(_compartments(traj))
+    _write_sidecar(_levels_path(path), hashlib.sha256(data), levels)
+    if log.isEnabledFor(logging.DEBUG):
+        # counted again, n levels at a time, so that only a debugging run pays
+        literals = sum(np.count_nonzero(~_from_digits(row)[0])
+                       for row in levels.reshape(-1, traj.n))
+        log.debug("trajectory %s: %d bytes, %d levels, %d written by '%%.17g'",
+                  path, len(data), levels.size, literals)
 
 
 def _read_trajectory(path: Path, h: float) -> Trajectory:

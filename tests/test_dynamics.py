@@ -590,6 +590,39 @@ class TestWriterAgainstTemplateWriter:
                           r=levels[..., 3], h=1.0)
         assert trajectory_to_csv(traj) == trajectory_to_csv_oracle(traj)
 
+    @pytest.mark.parametrize("kind", ["sir", "seir"])
+    @pytest.mark.parametrize("steps,n", [
+        (1, dynamics.BLOCK - 1), (1, dynamics.BLOCK), (1, dynamics.BLOCK + 1),
+        (dynamics.BLOCK + 1, 1), (101, 3), (2, 1000), (101, 1001), (3, 0)])
+    def test_block_boundaries_and_id_widths(self, kind, steps, n):
+        # one row short of a block, a block and one row past it; 'k,' and
+        # 'node,' of 2 to 5 bytes each, 6 to 9 together; no rows at all
+        rng = np.random.default_rng(steps * n)
+        levels = rng.dirichlet(np.ones(4), size=(steps, n)) ** 3
+        levels[rng.random(levels.shape) < 0.1] = 0.0
+        traj = Trajectory(s=levels[..., 0], e=None if kind == "sir" else levels[..., 1],
+                          p=levels[..., 2], r=levels[..., 3], h=1.0)
+        assert trajectory_to_csv(traj) == trajectory_to_csv_oracle(traj)
+
+    @pytest.mark.parametrize("kind", ["sir", "seir"])
+    def test_mostly_literals(self, kind):
+        # values below 1e-24, in [1, 10) and from 10 up, exact ties, -0 and
+        # the negative s that apply_noise leaves where e + p + r is near 1
+        rng = np.random.default_rng(22)
+        third = np.full((6, 50), 0.333)
+        noisy = estimation.apply_noise(Trajectory(s=1 - 3 * third, e=third, p=third, r=third,
+                                                  h=1.0), estimation.NoiseModel(seed=3))
+        negatives = noisy.s[noisy.s < 0]
+        assert negatives.size > 50
+        pool = np.concatenate([10.0 ** rng.uniform(-320, -24.01, 400), rng.uniform(1, 10, 200),
+                               10.0 ** rng.uniform(1, 308, 400), _exact_ties(),
+                               np.full(50, -0.0), np.zeros(50), negatives])
+        levels = rng.choice(pool, size=(5, 80, 4))
+        assert np.mean(~dynamics._from_digits(levels)[0]) > 0.6
+        traj = Trajectory(s=levels[..., 0], e=None if kind == "sir" else levels[..., 1],
+                          p=levels[..., 2], r=levels[..., 3], h=1.0)
+        assert trajectory_to_csv(traj) == trajectory_to_csv_oracle(traj)
+
 
 class TestTrajectoryArrays:
     def test_states_are_read_only_row_views(self, seir_example):
@@ -886,6 +919,18 @@ class TestLevelsFile:
         _same_bits(got, _parsed(path))
         assert [r.levelno for r in caplog.records] == [logging.DEBUG]
         assert "trajectory.csv.levels not used" in caplog.records[0].getMessage()
+
+    def test_write_logs_one_debug_line(self, tmp_path, caplog):
+        # 1e-30, 12.5 and the exact tie 2**-25 go through '%.17g'; 0.5, 0
+        # and -0 are written from their digits
+        s = np.array([[0.5, 1e-30, 12.5], [2.0 ** -25, 0.0, -0.0]])
+        traj = Trajectory(s=s, p=np.zeros((2, 3)), r=np.zeros((2, 3)), h=1.0)
+        path = tmp_path / "trajectory.csv"
+        with caplog.at_level(logging.DEBUG, logger="netepi"):
+            dynamics._write_trajectory(path, traj)
+        size = path.stat().st_size
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.DEBUG, f"trajectory {path}: {size} bytes, 18 levels, 3 written by '%.17g'")]
 
     def test_matching_digest_with_nan_refused(self, tmp_path, seir_example):
         net, params, state = seir_example
