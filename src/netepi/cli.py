@@ -196,6 +196,11 @@ def _initial(spec: dict, model: str, n: int) -> dynamics.EpidemicState:
     return dynamics.EpidemicState(s=1.0 - sum(vals.values()), **vals)
 
 
+def _write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, in place (graph._write_file)."""
+    graph._write_file(path, [text.encode()])
+
+
 def cmd_simulate(args) -> int:
     sc = load_scenario(args.scenario)
     out = Path(args.out)
@@ -215,7 +220,7 @@ def cmd_simulate(args) -> int:
         "simplex_tolerance": dynamics.SUM_TOL,
         "states": len(traj),
     }
-    (out / "validation.json").write_text(json.dumps(summary, indent=2))
+    _write(out / "validation.json", json.dumps(summary, indent=2))
     log.info("wrote %s", out / "trajectory.csv")
     return EXIT_OK
 
@@ -234,8 +239,8 @@ def cmd_diagnose(args) -> int:
     sc = load_scenario(args.scenario)
     traj, out = _inputs(args, sc["params"].h)
     report = spectral.convergence_diagnostics(traj, sc["params"], sc["net"])
-    (out / "lambda.csv").write_text(spectral.report_to_csv(report))
-    (out / "convergence.json").write_text(spectral.report_to_json(report))
+    _write(out / "lambda.csv", spectral.report_to_csv(report))
+    _write(out / "convergence.json", spectral.report_to_json(report))
     return EXIT_OK
 
 
@@ -250,7 +255,7 @@ def cmd_perturb(args) -> int:
     dynamics._write_trajectory(out / "measured.csv", measured)
     # seed and start_k lead, the other fields follow in their order
     sidecar = {"seed": noise.seed, "start_k": noise.start_k, **dataclasses.asdict(noise)}
-    (out / "noise.json").write_text(json.dumps(sidecar, indent=2))
+    _write(out / "noise.json", json.dumps(sidecar, indent=2))
     return EXIT_OK
 
 
@@ -261,7 +266,7 @@ def cmd_estimate(args) -> int:
         raise ScenarioError(f"scenario model {sc['model']!r} does not match "
                             f"the {traj.kind!r} trajectory")
     report = estimation.estimate_pipeline(traj, sc["net"], node=args.node)
-    (out / "estimate.json").write_text(estimation.report_to_json(report))
+    _write(out / "estimate.json", estimation.report_to_json(report))
     if report.verdict is not None and not report.verdict.identifiable:
         print("data not identifiable: " + ", ".join(report.verdict.failed_conditions),
               file=sys.stderr)

@@ -112,13 +112,14 @@ payload is the (c, T+1, n) float64 levels, s, e, p, r in that order (SIR
 has no e). _read_trajectory takes the levels from it while its digest is
 that of the CSV's bytes and of the payload, and parses the CSV in every
 other case. '%.17g' reads back bit for bit, so both give the same levels.
-Per call, with 1 BLAS thread on 2 vCPUs (ms): the writes best of 9, the
+Per call, with 1 BLAS thread on 2 vCPUs (ms): the writes over the files of
+an earlier write (graph._write_file), best of 9 in each of three runs, the
 reads, not measured again, best of 7 over four runs:
 
     trajectory (SEIR)     CSV       levels file   write: CSV   + levels   read: parse   hit
-    n = 2000, T = 35      6.4 MB    2.3 MB        38.1         45.6       88.7          8.35
-    n = 2000, T = 200     36.6 MB   12.9 MB       244          288        481           47.9
-    n = 20, T = 80        0.14 MB   0.05 MB       1.00         1.37       1.68          0.17
+    n = 2000, T = 35      6.4 MB    2.3 MB        36.2         44.1       88.7          8.35
+    n = 2000, T = 200     36.6 MB   12.9 MB       223          263        481           47.9
+    n = 20, T = 80        0.14 MB   0.05 MB       0.92         1.15       1.68          0.17
 
 Most of a hit is the SHA-256 of the CSV's bytes and of the payload: about
 34 ms of the 48 at T = 200.
@@ -135,7 +136,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Network, _read_sidecar, _read_table, _records, _write_sidecar
+from .graph import (Network, _read_sidecar, _read_table, _records, _write_file,
+                    _write_sidecar)
 
 __all__ = [
     "SirParams",
@@ -745,7 +747,7 @@ def _write_trajectory(path: Path, traj: Trajectory) -> None:
     two leaves a digest that does not match. Logs one DEBUG line: the path,
     the CSV's bytes, the levels and how many of them went through '%.17g'."""
     data = trajectory_to_csv(traj).encode()
-    path.write_bytes(data)
+    _write_file(path, [data])
     levels = np.stack(_compartments(traj))
     _write_sidecar(_levels_path(path), hashlib.sha256(data), levels)
     if log.isEnabledFor(logging.DEBUG):

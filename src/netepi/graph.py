@@ -35,6 +35,31 @@ thread on 2 vCPUs, best of 15 (ms):
 
 Of a hit at n = 2000, the SHA-256 of the two files takes about 1 ms and
 the dense n x n adjacency (zeroed, then the weights scattered in) 1.5 ms.
+
+Every file netepi writes, the CLI's outputs and both sidecars, goes through
+one writer (``_write_file``): it opens the file without truncating it,
+writes the new bytes over the old ones and then cuts off any old bytes
+beyond them. The file stays the same one, as with a truncating write: a symlink
+is written through, and every name of a hard link reads the new bytes.
+Truncating to zero first (Path.write_bytes, open(path, "wb")) costs more on
+ext4: the file's blocks are freed, and a file truncated to zero and written
+again is written back to disk at its close (the auto_da_alloc heuristic of
+Documentation/admin-guide/ext4.rst). Per write of the same bytes over an
+existing file on ext4 (mounted with discard), 2 vCPUs, in us, the least
+over four runs of the best of 300 (the host's speed moved a run's figures
+by up to 1.5x, and the truncating 6.4 MB write's up to 4x); the unlinked
+file of the middle column is one whose writeback has not started yet, as
+the sidecars' were between passes:
+
+    size      Path.write_bytes   unlink, then open "wb"   in place, then cut
+    100 B     92                 18                       10
+    5 kB      90                 22                       11
+    140 kB    143                61                       16
+    6.4 MB    1796               1527                     654
+
+On the bench's passes the in-place writes cut what reaches the disk within
+a pass from 21.7 to 0.44 MB on sweep-small and from 12.2 to 0.07 MB on
+metro-large (tools/writeback.py).
 """
 
 from __future__ import annotations
@@ -44,6 +69,7 @@ import io
 import itertools
 import logging
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -271,7 +297,21 @@ def _edge_error(lines: list[str], n: int) -> NetworkError:
 
 
 # ---------------------------------------------------------------------------
-# Sidecars: beside a file netepi reads, what parsing it gave (module docstring).
+# Output files and sidecars (module docstring).
+
+
+def _write_file(path: Path, pieces: Iterable) -> None:
+    """Write the bytes-like ``pieces`` to ``path``, one after another, as the
+    file's whole content: over the old bytes in place, with no truncation
+    first, and then the file cut to their length where it was longer. So it
+    stays the same file (a link is written through, and every name of a hard
+    link reads the new bytes); a new file gets mode 0o666 & ~umask, as
+    open(path, "wb") gives. A file that cannot be cut and has no length,
+    such as /dev/null or a pipe, is written as open(path, "wb") writes it."""
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.writelines(pieces)
+        if os.fstat(f.fileno()).st_size > f.tell():
+            f.truncate()
 
 
 @cache
@@ -299,13 +339,7 @@ def _write_sidecar(path: Path, key, array: np.ndarray) -> None:
     for piece in payload:
         key.update(piece)
     try:
-        # a new file, not the old one overwritten: ext4 writes a file
-        # truncated and rewritten in place back to disk at close, which for
-        # metro-large's two levels files measured 3.9 MB of writeback a pass
-        path.unlink(missing_ok=True)
-        with open(path, "wb") as f:
-            f.write(key.digest())
-            f.writelines(payload)
+        _write_file(path, [key.digest(), *payload])
     except OSError as exc:
         log.debug("sidecar %s not written: %s", path, exc)
 

@@ -118,6 +118,24 @@ class TestSimulate:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
+    def test_shorter_run_over_longer_outputs(self, tmp_path, monkeypatch):
+        # a T = 10 run into a T = 80 run's directory rewrites each file in
+        # place and cuts it to a fresh run's bytes; diagnose then reads the
+        # levels file, with the CSV parser refused
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert run("simulate", "--scenario", write_scenario(tmp_path, steps=80), "--out", out) == 0
+        inodes = {f.name: f.stat().st_ino for f in out.iterdir()}
+        sc = write_scenario(tmp_path, steps=10)
+        for d in (out, fresh):
+            assert run("simulate", "--scenario", sc, "--out", d) == 0
+        assert sorted(inodes) == ["trajectory.csv", "trajectory.csv.levels", "validation.json"]
+        for name, inode in inodes.items():
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+            assert (out / name).stat().st_ino == inode, name
+        monkeypatch.setattr(dynamics, "trajectory_from_csv", None)
+        assert run("diagnose", "--scenario", sc, "--out", out,
+                   "--trajectory", out / "trajectory.csv") == 0
+
     def test_record_order_keeps_bytes(self, tmp_path):
         # a 300-node network at 1% steps over its edges, summed row by row in
         # column order whatever the order of the records

@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import math
+import os
 import tempfile
 import tracemalloc
 import warnings
@@ -554,6 +555,18 @@ def trajectories(draw):
     return traj
 
 
+def _same_rows(text: str, want: str) -> None:
+    """Assert that the CSV ``text`` is ``want``, failing on the first row in
+    which they differ, with its index and both rows: pytest's diff of two
+    whole texts of megabytes runs for minutes."""
+    rows, want_rows = text.splitlines(keepends=True), want.splitlines(keepends=True)
+    for k, (row, want_row) in enumerate(zip(rows, want_rows)):
+        if row != want_row:
+            pytest.fail(f"row {k} differs: {row!r}, not {want_row!r}")
+    if len(rows) != len(want_rows):
+        pytest.fail(f"{len(rows)} rows, not {len(want_rows)}")
+
+
 class TestWriterAgainstTemplateWriter:
     """The writer against the '%.17g' template writer it replaced (the
     oracle): byte for byte, value by value."""
@@ -580,7 +593,7 @@ class TestWriterAgainstTemplateWriter:
     @settings(max_examples=300, deadline=None)
     @given(trajectories())
     def test_drawn_trajectories(self, traj):
-        assert trajectory_to_csv(traj) == trajectory_to_csv_oracle(traj)
+        _same_rows(trajectory_to_csv(traj), trajectory_to_csv_oracle(traj))
 
     @pytest.mark.parametrize("steps,n", [(36, 300), (3, 2 * dynamics.BLOCK + 5)])
     def test_trajectories_over_several_blocks(self, steps, n):
@@ -588,7 +601,7 @@ class TestWriterAgainstTemplateWriter:
         levels = rng.dirichlet(np.ones(4), size=(steps, n)) ** 3
         traj = Trajectory(s=levels[..., 0], e=levels[..., 1], p=levels[..., 2],
                           r=levels[..., 3], h=1.0)
-        assert trajectory_to_csv(traj) == trajectory_to_csv_oracle(traj)
+        _same_rows(trajectory_to_csv(traj), trajectory_to_csv_oracle(traj))
 
     @pytest.mark.parametrize("kind", ["sir", "seir"])
     @pytest.mark.parametrize("steps,n", [
@@ -602,7 +615,7 @@ class TestWriterAgainstTemplateWriter:
         levels[rng.random(levels.shape) < 0.1] = 0.0
         traj = Trajectory(s=levels[..., 0], e=None if kind == "sir" else levels[..., 1],
                           p=levels[..., 2], r=levels[..., 3], h=1.0)
-        assert trajectory_to_csv(traj) == trajectory_to_csv_oracle(traj)
+        _same_rows(trajectory_to_csv(traj), trajectory_to_csv_oracle(traj))
 
     @pytest.mark.parametrize("kind", ["sir", "seir"])
     def test_mostly_literals(self, kind):
@@ -621,7 +634,7 @@ class TestWriterAgainstTemplateWriter:
         assert np.mean(~dynamics._from_digits(levels)[0]) > 0.6
         traj = Trajectory(s=levels[..., 0], e=None if kind == "sir" else levels[..., 1],
                           p=levels[..., 2], r=levels[..., 3], h=1.0)
-        assert trajectory_to_csv(traj) == trajectory_to_csv_oracle(traj)
+        _same_rows(trajectory_to_csv(traj), trajectory_to_csv_oracle(traj))
 
 
 class TestTrajectoryArrays:
@@ -920,6 +933,30 @@ class TestLevelsFile:
         assert [r.levelno for r in caplog.records] == [logging.DEBUG]
         assert "trajectory.csv.levels not used" in caplog.records[0].getMessage()
 
+    def test_untrimmed_shorter_file_is_a_logged_miss(self, tmp_path, monkeypatch, caplog,
+                                                     seir_example):
+        # a shorter levels file written over a longer one and not cut to its
+        # length, as a write stopped before the cut leaves it: the stale
+        # tail is part of the digested payload
+        net, params, state = seir_example
+        _, levels = _written_pair(tmp_path, simulate(state, params, net, 8))
+        longer = levels.read_bytes()
+
+        def untrimmed(path, pieces):
+            with open(path, "r+b") as f:
+                f.writelines(pieces)
+
+        with monkeypatch.context() as m:
+            m.setattr(graph, "_write_file", untrimmed)
+            path, _ = _written_pair(tmp_path, simulate(state, params, net, 4))
+        assert len(levels.read_bytes()) == len(longer) and levels.read_bytes() != longer
+        with caplog.at_level(logging.DEBUG, logger="netepi"):
+            got, parses = _reads(monkeypatch, path)
+        assert parses == 1
+        _same_bits(got, _parsed(path))
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+        assert "trajectory.csv.levels not used: its digest" in caplog.records[0].getMessage()
+
     def test_write_logs_one_debug_line(self, tmp_path, caplog):
         # 1e-30, 12.5 and the exact tie 2**-25 go through '%.17g'; 0.5, 0
         # and -0 are written from their digits
@@ -1063,19 +1100,20 @@ class TestEdgesFile:
 
     def test_unwritable_directory_is_a_logged_miss(self, tmp_path, monkeypatch, caplog, capsys):
         # a directory that refuses new files: root ignores a chmod, so the
-        # refusal is made by failing every write opened in it
+        # refusal is made by failing every os.open for writing in it, the
+        # call under every file netepi writes
         d = tmp_path / "ro"
         d.mkdir()
         (d / "net.csv").write_text("".join(f"{i},{(i + 1) % 4},1.0\n" for i in range(4)))
         sc = _edges_scenario(d, 4, 0)
-        builtin_open = open
+        os_open = os.open
 
-        def refusing(file, mode="r", *args, **kwargs):
-            if "w" in mode and Path(file).parent == d:
+        def refusing(file, flags, *args, **kwargs):
+            if flags & (os.O_WRONLY | os.O_RDWR) and Path(file).parent == d:
                 raise PermissionError(13, "Permission denied", str(file))
-            return builtin_open(file, mode, *args, **kwargs)
+            return os_open(file, flags, *args, **kwargs)
 
-        monkeypatch.setattr(graph, "open", refusing, raising=False)
+        monkeypatch.setattr(os, "open", refusing)
         out = tmp_path / "out"
         with caplog.at_level(logging.DEBUG, logger="netepi"):
             for command in ("simulate", "diagnose"):

@@ -1,3 +1,5 @@
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -314,3 +316,58 @@ class TestFloatExtremes:
         a[[0, 0, 1, 1, 2], [1, 2, 0, 2, 0]] = self.VALUES
         again = load_network(save_network(Network(a)), 3).adjacency
         assert again.tobytes() == a.tobytes()
+
+
+class TestWriteFile:
+    """graph._write_file, under every file netepi writes: the old file is
+    overwritten in place and cut to the new length."""
+
+    def test_shorter_bytes_leave_exactly_them(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"x" * 10_000)
+        inode = path.stat().st_ino
+        graph._write_file(path, [b"ab", np.frombuffer(b"cd", np.uint8), memoryview(b"e")])
+        assert path.read_bytes() == b"abcde" and path.stat().st_ino == inode
+        graph._write_file(path, [])
+        assert path.read_bytes() == b""
+
+    def test_longer_bytes_over_a_shorter_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old")
+        graph._write_file(path, [b"new ", b"bytes"])
+        assert path.read_bytes() == b"new bytes"
+
+    def test_hard_link_keeps_its_inode(self, tmp_path):
+        path, other = tmp_path / "out.csv", tmp_path / "link.csv"
+        path.write_bytes(b"a longer old text\n")
+        os.link(path, other)
+        inode = path.stat().st_ino
+        graph._write_file(path, [b"new\n"])
+        assert path.stat().st_ino == other.stat().st_ino == inode
+        assert path.read_bytes() == other.read_bytes() == b"new\n"
+        assert path.stat().st_nlink == 2
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "out.csv"
+        target.write_bytes(b"a longer old text\n")
+        link.symlink_to(target)
+        graph._write_file(link, [b"new\n"])
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == b"new\n"
+
+    def test_device_is_written_without_a_cut(self):
+        # /dev/null cannot be truncated: open(path, "wb") ignores O_TRUNC on
+        # it, and the writer leaves out the cut
+        graph._write_file("/dev/null", [b"discarded"])
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002, 0o000])
+    def test_new_file_mode_is_that_of_open(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            graph._write_file(tmp_path / "written", [b"x"])
+            with open(tmp_path / "opened", "wb") as f:
+                f.write(b"x")
+        finally:
+            os.umask(old)
+        modes = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("written", "opened")]
+        assert modes[0] == modes[1] == 0o666 & ~umask
