@@ -127,7 +127,6 @@ Most of a hit is the SHA-256 of the CSV's bytes and of the payload: about
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -749,7 +748,7 @@ def _write_trajectory(path: Path, traj: Trajectory) -> None:
     data = trajectory_to_csv(traj).encode()
     _write_file(path, [data])
     levels = np.stack(_compartments(traj))
-    _write_sidecar(_levels_path(path), hashlib.sha256(data), levels)
+    _write_sidecar(_levels_path(path), data, levels)
     if log.isEnabledFor(logging.DEBUG):
         # counted again, n levels at a time, so that only a debugging run pays
         literals = sum(np.count_nonzero(~_from_digits(row)[0])
@@ -765,7 +764,7 @@ def _read_trajectory(path: Path, h: float) -> Trajectory:
     trajectory_from_csv of the CSV as UTF-8. The levels are checked as the
     parsed ones are: all finite."""
     data = path.read_bytes()
-    levels = _read_sidecar(_levels_path(path), hashlib.sha256(data), np.float64, 3, _levels)
+    levels = _read_sidecar(_levels_path(path), data, np.float64, 3, _levels)
     if levels is None:
         return trajectory_from_csv(data.decode(), h)
     if not np.isfinite(levels).all():

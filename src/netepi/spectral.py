@@ -266,7 +266,8 @@ def _spreading_stack(pr, op: tuple, s: np.ndarray) -> np.ndarray:
     blocks = [[full(0.0)] * k for _ in range(k)]
     for c, rate in enumerate(pr.stages):
         blocks[0][c] = h * (s[..., :, None] * _pressure_jacobian(op, c))
-        blocks[c][c] = full(eye + blocks[c][c] - h * np.diag(rate))
+        # 1 - h*rate first, as the left action forms it (_trajectory_roots)
+        blocks[c][c] = full(eye - h * np.diag(rate) + blocks[c][c])
         if c + 1 < k:
             blocks[c + 1][c] = full(h * np.diag(rate))
     return np.block(blocks)

@@ -195,10 +195,11 @@ def spreading_matrix_oracle(state, params, net):
     pr, op = _prepare(params, state, net)
     eye = np.eye(net.n)
     if isinstance(pr, SirParams):
-        return eye + pr.h * (state.s[:, None] * _pressure_jacobian(op, 0)) - pr.h * np.diag(pr.gamma)
+        return (eye - pr.h * np.diag(pr.gamma)
+                + pr.h * (state.s[:, None] * _pressure_jacobian(op, 0)))
     sba_e = state.s[:, None] * _pressure_jacobian(op, 0)
     sba_p = state.s[:, None] * _pressure_jacobian(op, 1)
-    top = np.hstack([eye + pr.h * sba_e - pr.h * np.diag(pr.sigma), pr.h * sba_p])
+    top = np.hstack([eye - pr.h * np.diag(pr.sigma) + pr.h * sba_e, pr.h * sba_p])
     bot = np.hstack([pr.h * np.diag(pr.sigma), eye - pr.h * np.diag(pr.gamma)])
     return np.vstack([top, bot])
 

@@ -204,7 +204,7 @@ class TestGoldenBytes:
         ("sir", "trajectory.csv"):
             "22e63bdfaf66862a0e93fc1d575ac6258f77cf0c3a805d001f825b98633b2613",
         ("sir", "lambda.csv"):
-            "3b34fa2f31a88a3184f92b96e5e5d5fa3730500fb767ab52467f6c0fa81aa85c",
+            "3bab95ba6290bd497a9803e0e752e4727640cbab96c7a4a6e0da7c7f1c2c8b01",
         ("sir", "convergence.json"):
             "4e45c82b1c43cca16fc489b6f7f0b8a1e4ddafbb4e7ae27f11778343c3799ae1",
         ("sir", "estimate.json"):
@@ -214,7 +214,7 @@ class TestGoldenBytes:
         ("seir", "measured.csv"):
             "f496e69aca7a5bbf6a9c6e745ffbe9bae985bf572b3997a35cd30f7658758061",
         ("seir", "lambda.csv"):
-            "13426c1e1a2cd97d1cefec6e9fdc6fdcac5825978e1f3295e37164dc13aac244",
+            "ebf5874fb99c44259ccd1f684f08a155320d99792a1c1420a0797211d61b72b5",
         ("seir", "convergence.json"):
             "d696847dcf6d196e7eaafc661533cf864fade0b0a6ecd2b586297d03287c64e7",
         ("seir", "estimate.json"):

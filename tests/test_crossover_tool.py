@@ -25,11 +25,13 @@ def test_rounds_alternate_the_tree_that_runs_first(monkeypatch):
 
     def run(argv, **kwargs):
         order.append(argv[argv.index("--src") + 1])
+        assert argv[2:] == ["--worker", "--src", order[-1], "--nodes", "5", "--rings", "4",
+                            "--steps", "80", "--density", "0.2"]
         stdout = '{"sir": {"5": 1.0}, "seir": {"5": 2.0}}'
         return type("Done", (), {"returncode": 0, "stdout": stdout, "stderr": ""})
 
-    monkeypatch.setattr(crossover.subprocess, "run", run)
+    monkeypatch.setattr(crossover.rounds.subprocess, "run", run)
     args = crossover.parse_args(["--src", "a", "b", "--nodes", "5", "--rounds", "3"])
-    rounds = crossover.run_rounds(args)
+    rounds = crossover.rounds.run(args, crossover.__file__)
     assert order == ["a", "b", "b", "a", "a", "b"]
     assert crossover.table(rounds, [5])[1].split() == ["sir", "5", "1.00", "1.00", "1.000"]

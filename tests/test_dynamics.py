@@ -1090,7 +1090,7 @@ class TestEdgesFile:
         else:
             rec = np.stack([rec["i"], rec["j"], rec["w"]]).astype(float)
         (tmp_path / "net.csv.edges").unlink()
-        graph._write_sidecar(tmp_path / "net.csv.edges", hashlib.sha256(path.read_bytes()), rec)
+        graph._write_sidecar(tmp_path / "net.csv.edges", path.read_bytes(), rec)
         parses = []
         parse = graph.load_network
         with mock.patch.object(graph, "load_network",

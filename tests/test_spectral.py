@@ -816,16 +816,18 @@ class TestDenseSolve:
             lam = _checked_dense_roots(monkeypatch, traj, params, net)
             assert _eigvals_gap(traj, params, net, lam) <= 5e-14
 
-    @pytest.mark.parametrize("case", ["seir_low", "sir_near_zero"])
+    @pytest.mark.parametrize("case", ["seir_low", "sir_near_zero", "sir_self_loops"])
     def test_tiny_roots(self, monkeypatch, case):
         # the 32nd power of M + SHIFT*I falls far below SHIFT (lambda = 0.5
         # gives 2e-10, lambda = 2e-6 gives 1e-186), where power iteration on
         # it only moves with the SHIFT it adds and returns its uniform start;
-        # the squarings rescale it. No self-loops: the built diagonal
-        # 1 + h*s*beta*a_ii - h*gamma would lose digits against 1 - h*gamma
+        # the squarings rescale it. With the ring's 4 self-loops, the built
+        # diagonal (1 - h*gamma) + h*s*beta*a_ii must form 1 - h*gamma = 1e-6
+        # first, as the left action does, or it loses digits against it
         rng = np.random.default_rng(104)
         a = random_irreducible_network(rng, 12).adjacency.copy()
-        np.fill_diagonal(a, 0.0)
+        if case != "sir_self_loops":
+            np.fill_diagonal(a, 0.0)
         net = Network(a)
         rowmax = a.sum(axis=1).max()
         if case == "seir_low":

@@ -25,12 +25,14 @@ def test_rounds_alternate_the_tree_that_runs_first(monkeypatch):
 
     def run(argv, **kwargs):
         order.append(argv[argv.index("--src") + 1])
+        assert argv[2:] == ["--worker", "--src", order[-1], "--workload", "w", "--passes", "3",
+                            "--seed", "1"]
         stdout = '{"mb": [1.5, 2.5, 0.5], "s": [0.25, 0.5, 0.125], "failed": 0}\n'
         return type("Done", (), {"returncode": 0, "stdout": stdout, "stderr": ""})
 
-    monkeypatch.setattr(writeback.subprocess, "run", run)
+    monkeypatch.setattr(writeback.rounds.subprocess, "run", run)
     args = writeback.parse_args(["--src", "a", "b", "--workload", "w", "--rounds", "3"])
-    rounds = writeback.run_rounds(args)
+    rounds = writeback.rounds.run(args, writeback.__file__)
     assert order == ["a", "b", "b", "a", "a", "b"]
     assert writeback.table(rounds)[1].split() == ["1", "1.50", "0.250", "0"]
 

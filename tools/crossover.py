@@ -11,46 +11,37 @@ are ``--rings`` networks, SIR with sweep-small's SIR rates and SEIR with its
 SEIR rates (``workloads._grid`` of the ring's index), seeded at two nodes and
 simulated for ``--steps`` steps by the tree's own ``simulate``.
 
-Each round runs every tree once, each in a fresh subprocess with one BLAS
-thread; the tree that runs first alternates from round to round, so that a
-drift of the host's speed does not favour one tree. A round times one call
-per network, after one untimed call, and reports the mean over the rings in
-ms per call. The table gives the median over the rounds, and the ratio of
-the second tree to the first. Standard library plus numpy.
+Each round runs every tree once, in the alternating order of
+tools/rounds.py. A round times one call per network, after one untimed call,
+and reports the mean over the rings in ms per call. The table gives the
+median over the rounds, and the ratio of the second tree to the first.
+Standard library plus numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import rounds  # noqa: E402
+
 MODELS = ("sir", "seir")
 
 
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--src", nargs="+", type=Path, required=True, help="one or two trees")
     p.add_argument("--nodes", nargs="+", type=int, required=True)
-    p.add_argument("--rounds", type=int, default=5)
     p.add_argument("--rings", type=int, default=4)
     p.add_argument("--steps", type=int, default=80)
     p.add_argument("--density", type=float, default=0.2)
-    p.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    args = p.parse_args(argv)
-    if len(args.src) > 2:
-        p.error("--src takes one or two trees")
-    return args
+    return rounds.parse_args(p, argv, rounds=5)
 
 
 def worker(args) -> dict:
     """ms per call for each model and node count, on the tree ``args.src[0]``."""
-    sys.path[:0] = [str(args.src[0].resolve() / "src"), str(ROOT / "bench")]
     import time
 
     import numpy as np
@@ -84,38 +75,16 @@ def worker(args) -> dict:
     return times
 
 
-def run_rounds(args) -> list[list[dict]]:
-    """Each round's timings, one dict per tree in the order of ``--src``."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    rounds = []
-    for idx in range(args.rounds):
-        order = list(range(len(args.src)))
-        if idx % 2:
-            order.reverse()
-        got = {}
-        for tree in order:
-            argv = [sys.executable, __file__, "--worker", "--src", str(args.src[tree]),
-                    "--nodes", *map(str, args.nodes), "--rings", str(args.rings),
-                    "--steps", str(args.steps), "--density", str(args.density)]
-            done = subprocess.run(argv, env=env, capture_output=True, text=True)
-            if done.returncode != 0:
-                raise SystemExit(f"error: {args.src[tree]} exited {done.returncode}:\n"
-                                 f"{done.stderr}")
-            got[tree] = json.loads(done.stdout)
-        rounds.append([got[tree] for tree in range(len(args.src))])
-        print(f"round {idx + 1} of {args.rounds} done", file=sys.stderr, flush=True)
-    return rounds
-
-
-def table(rounds: list[list[dict]], nodes: list[int]) -> list[str]:
+def table(results: list[list[dict]], nodes: list[int]) -> list[str]:
     """Median ms per call over the rounds, per model, node count and tree."""
-    trees = len(rounds[0])
+    trees = len(results[0])
     head = f"{'model':6s} {'n':>5s}" + "".join(f" {'tree ' + str(t + 1) + ' ms':>12s}"
                                              for t in range(trees))
     lines = [head + (f" {'2/1':>6s}" if trees == 2 else "")]
     for model in MODELS:
         for n in nodes:
-            med = [statistics.median(r[t][model][str(n)] for r in rounds) for t in range(trees)]
+            med = [statistics.median(r[t][model][str(n)] for r in results)
+                   for t in range(trees)]
             line = f"{model:6s} {n:5d}" + "".join(f" {m:12.2f}" for m in med)
             lines.append(line + (f" {med[1] / med[0]:6.3f}" if trees == 2 else ""))
     return lines
@@ -123,13 +92,7 @@ def table(rounds: list[list[dict]], nodes: list[int]) -> list[str]:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if args.worker:
-        print(json.dumps(worker(args)))
-        return 0
-    for t, src in enumerate(args.src):
-        print(f"tree {t + 1}: {src}")
-    print("\n".join(table(run_rounds(args), args.nodes)))
-    return 0
+    return rounds.main(args, __file__, worker, lambda got: table(got, args.nodes))
 
 
 if __name__ == "__main__":

@@ -4,13 +4,12 @@
         [--rounds 3] [--passes 3] [--seed 1] [--jobs K]
 
 A tree is a repository root (this checkout, or a ``git archive`` of another
-commit); its ``src`` is what runs. Each round runs every tree once, each in a
-fresh subprocess with one BLAS thread; the tree that runs first alternates
-from round to round. The subprocess sets the workload up with ``bench/`` of
-this checkout (imported, not changed) in a temporary directory under this
-checkout's ``.benchwork``, where the bench writes, runs one untimed pass
-over its jobs, so that every later pass overwrites each output as the
-bench's passes after the first do, and then ``--passes`` measured passes:
+commit); its ``src`` is what runs. Each round runs every tree once, in the
+alternating order of tools/rounds.py. The worker sets the workload up with
+``bench/`` of this checkout (imported, not changed) in a temporary directory
+under this checkout's ``.benchwork``, where the bench writes, runs one
+untimed pass over its jobs, so that every later pass overwrites each output
+as the bench's passes after the first do, and then ``--passes`` measured passes:
 every job's CLI calls through ``netepi.cli.main`` in-process, in job order,
 each checked by the bench's check (``--jobs K`` keeps the first K jobs).
 For each tree it prints the median over all measured passes of the MB a
@@ -30,31 +29,25 @@ Standard library plus the tree's own dependencies.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import statistics
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import rounds  # noqa: E402
+
 VMSTAT = Path("/proc/vmstat")
 
 
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--src", nargs="+", type=Path, required=True, help="one or two trees")
     p.add_argument("--workload", required=True)
-    p.add_argument("--rounds", type=int, default=3)
     p.add_argument("--passes", type=int, default=3, help="measured passes a round")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--jobs", type=int, default=None, help="keep the first JOBS jobs")
-    p.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    args = p.parse_args(argv)
-    if len(args.src) > 2:
-        p.error("--src takes one or two trees")
-    return args
+    return rounds.parse_args(p, argv, rounds=3)
 
 
 def nr_written(vmstat: Path = VMSTAT) -> int:
@@ -69,14 +62,13 @@ def nr_written(vmstat: Path = VMSTAT) -> int:
 def worker(args) -> dict:
     """MB written back and seconds of each measured pass on ``args.src[0]``,
     and the checks that failed over all passes."""
-    sys.path[:0] = [str(args.src[0].resolve() / "src"), str(ROOT / "bench")]
     from time import perf_counter
 
     import run
     import workloads
     from netepi import cli
 
-    work = ROOT / ".benchwork"
+    work = rounds.ROOT / ".benchwork"
     work.mkdir(exist_ok=True)
     passes = {"mb": [], "s": []}
     with tempfile.TemporaryDirectory(dir=work) as tmp:
@@ -92,51 +84,19 @@ def worker(args) -> dict:
     return {**passes, "failed": len(ledger.failures)}
 
 
-def run_rounds(args) -> list[list[dict]]:
-    """Each round's passes, one dict per tree in the order of ``--src``."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    rounds = []
-    for idx in range(args.rounds):
-        order = list(range(len(args.src)))
-        if idx % 2:
-            order.reverse()
-        got = {}
-        for tree in order:
-            argv = [sys.executable, __file__, "--worker", "--src", str(args.src[tree]),
-                    "--workload", args.workload, "--seed", str(args.seed),
-                    "--passes", str(args.passes)]
-            if args.jobs is not None:
-                argv += ["--jobs", str(args.jobs)]
-            done = subprocess.run(argv, env=env, capture_output=True, text=True)
-            if done.returncode != 0:
-                raise SystemExit(f"error: {args.src[tree]} exited {done.returncode}:\n"
-                                 f"{done.stderr}")
-            got[tree] = json.loads(done.stdout.splitlines()[-1])
-        rounds.append([got[tree] for tree in range(len(args.src))])
-        print(f"round {idx + 1} of {args.rounds} done", file=sys.stderr, flush=True)
-    return rounds
-
-
-def table(rounds: list[list[dict]]) -> list[str]:
+def table(results: list[list[dict]]) -> list[str]:
     """Per tree, the median MB written back and seconds a pass over every
     measured pass of the rounds, and the checks that failed in all of them."""
     lines = [f"{'tree':6s} {'MB/pass':>10s} {'s/pass':>10s} {'failed':>7s}"]
-    for t in range(len(rounds[0])):
-        mb = statistics.median(x for r in rounds for x in r[t]["mb"])
-        s = statistics.median(x for r in rounds for x in r[t]["s"])
-        lines.append(f"{t + 1:<6d} {mb:10.2f} {s:10.3f} {sum(r[t]['failed'] for r in rounds):7d}")
+    for t in range(len(results[0])):
+        mb = statistics.median(x for r in results for x in r[t]["mb"])
+        s = statistics.median(x for r in results for x in r[t]["s"])
+        lines.append(f"{t + 1:<6d} {mb:10.2f} {s:10.3f} {sum(r[t]['failed'] for r in results):7d}")
     return lines
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
-    if args.worker:
-        print(json.dumps(worker(args)))
-        return 0
-    for t, src in enumerate(args.src):
-        print(f"tree {t + 1}: {src}")
-    print("\n".join(table(run_rounds(args))))
-    return 0
+    return rounds.main(parse_args(argv), __file__, worker, table)
 
 
 if __name__ == "__main__":
