@@ -205,12 +205,12 @@ def cmd_simulate(args) -> int:
     sc = load_scenario(args.scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    check = dynamics.check_assumption(sc["params"], sc["net"])
-    if not check.ok:
-        for v in check.violations:
+    try:
+        traj = dynamics.simulate(sc["initial"], sc["params"], sc["net"], steps=sc["steps"])
+    except dynamics.AssumptionError as exc:
+        for v in exc.report.violations:
             print(f"assumption violation: {v}", file=sys.stderr)
         return EXIT_ERROR
-    traj = dynamics.simulate(sc["initial"], sc["params"], sc["net"], steps=sc["steps"])
     dynamics._write_trajectory(out / "trajectory.csv", traj)
     summary = {
         "model": sc["model"],

@@ -17,8 +17,8 @@ from functools import cache
 
 import numpy as np
 
-from .dynamics import (SUM_TOL, SeirParams, SirParams, Trajectory, _operator,
-                       _pressure, simulate)
+from .dynamics import (SUM_TOL, EpidemicState, SeirParams, SirParams, Trajectory,
+                       _operator, _pressure, simulate)
 from .graph import Network
 
 __all__ = [
@@ -331,7 +331,9 @@ def estimate_pipeline(measured: Trajectory, net: Network,
         return report
     # the estimates come in the order of the parameter fields
     params = (SirParams if measured.kind == "sir" else SeirParams)(*report.estimates, h=measured.h)
-    resim = simulate(measured.states[0], params, net, steps=measured.transitions, strict=False)
+    first = EpidemicState(s=measured.s[0], p=measured.p[0], r=measured.r[0],
+                          e=None if measured.e is None else measured.e[0])
+    resim = simulate(first, params, net, steps=measured.transitions, strict=False)
     return replace(report, trajectory_errors=_trajectory_errors(measured, resim, _nodes(net, node)))
 
 

@@ -1,11 +1,12 @@
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from netepi import EpidemicState, Network, SeirParams, SirParams, Trajectory
-from netepi.dynamics import _prepare, _pressure_jacobian
+from netepi.dynamics import _edge_product, _prepare, _pressure_jacobian, _use_edges
 from netepi.estimation import NONZERO_TOL, RegressionSystem, _nodes, _transitions
 from netepi.graph import NetworkError
 
@@ -187,6 +188,39 @@ def seir_step_oracle(state, params, net):
         p2[i] = p[i] + h * (pr.sigma[i] * e[i] - pr.gamma[i] * p[i])
         r2[i] = r[i] + h * pr.gamma[i] * p[i]
     return EpidemicState(s=s2, e=e2, p=p2, r=r2)
+
+
+def simulate_reference(initial, params, net, steps):
+    """The levels (s, p, r, e) of ``simulate(initial, params, net, steps,
+    strict=False)``, each a (T+1, n) array (e None for SIR), as the step loop
+    before the in-place one formed them: a list of per-step tuples, each from
+    the one before by the update equations as written, stacked at the end.
+    The pressure sums rate * (A @ x) over the layers and compartments with
+    reduce, each product over A's edge table where dynamics._use_edges takes
+    it for one row, else a @ x."""
+    pr, op = _prepare(params, initial, net)
+
+    def product(a, edges, x):
+        return _edge_product(x, edges) if _use_edges(a, edges, 1) else a @ x
+
+    def pressure(xs):
+        return reduce(np.add, (rate * product(a, edges, x)
+                               for a, edges, rates in op for rate, x in zip(rates, xs)))
+
+    def kernel(s, p, r, e):
+        h = pr.h
+        if e is None:
+            force = pressure((p,))
+            return (s - h * s * force, p + h * (s * force - pr.gamma * p),
+                    r + h * pr.gamma * p, None)
+        iota = pressure((e, p))
+        return (s - h * s * iota, p + h * (pr.sigma * e - pr.gamma * p),
+                r + h * pr.gamma * p, e + h * s * iota - h * pr.sigma * e)
+
+    rows = [(initial.s, initial.p, initial.r, initial.e)]
+    for _ in range(steps):
+        rows.append(kernel(*rows[-1]))
+    return tuple(None if comp[0] is None else np.stack(comp) for comp in zip(*rows))
 
 
 def spreading_matrix_oracle(state, params, net):

@@ -92,6 +92,28 @@ class TestSimulate:
         assert not (tmp_path / "out" / "trajectory.csv").exists()
         assert not (tmp_path / "out" / "trajectory.csv.levels").exists()
 
+    @pytest.mark.parametrize("gamma", [0.3, 1.5], ids=["ok", "violated"])
+    def test_assumption_checked_once(self, tmp_path, capsys, monkeypatch, gamma):
+        # the command's check is simulate's own: one call per run, and a
+        # violation prints one line per entry of its report
+        sc = write_scenario(tmp_path)
+        data = json.loads(sc.read_text())
+        data["params"]["gamma"] = gamma
+        sc.write_text(json.dumps(data))
+        reports, check = [], dynamics.check_assumption
+        monkeypatch.setattr(dynamics, "check_assumption",
+                            lambda *args: reports.append(check(*args)) or reports[-1])
+        rc = run("simulate", "--scenario", sc, "--out", tmp_path / "out")
+        assert len(reports) == 1
+        err = capsys.readouterr().err.splitlines()
+        if gamma < 1:
+            assert rc == 0 and err == []
+            return
+        assert rc == 1
+        assert err == [f"assumption violation: {v}" for v in reports[0].violations]
+        assert len(err) == 20
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_nan_level_rejected(self, tmp_path, capsys):
         sc = write_scenario(tmp_path)
         data = json.loads(sc.read_text())

@@ -23,7 +23,8 @@ from netepi.dynamics import AssumptionError, StateInvariantError, Trajectory
 
 from conftest import (random_irreducible_network, random_layered_seir, random_seir_params,
                       random_simplex_state, random_sir_params, seeded_state,
-                      seir_step_oracle, sir_step_oracle, trajectory_from_csv_oracle,
+                      seir_step_oracle, simulate_reference, sir_step_oracle,
+                      trajectory_from_csv_oracle,
                       trajectory_to_csv_oracle, mutated_text, read_int_fields_through_float)
 
 
@@ -104,6 +105,16 @@ class TestSirStep:
         net, _, state = sir_example
         with pytest.raises(AssumptionError):
             step(state, SirParams(beta=0.5, gamma=0.0, h=0.1), net)
+
+    def test_error_carries_its_report(self, sir_example):
+        net, _, state = sir_example
+        params = SirParams(beta=0.5, gamma=0.0, h=0.1)
+        report = check_assumption(params, net)
+        with pytest.raises(AssumptionError) as info:
+            simulate(state, params, net, 3)
+        assert info.value.report == report and len(report.violations) == 2
+        assert str(info.value) == ("well-posedness violated: "
+                                   + "; ".join(str(v) for v in report.violations))
 
     def test_off_simplex_rejected_when_strict(self, sir_example):
         net, params, _ = sir_example
@@ -388,6 +399,63 @@ class TestEdgeOperator:
         for b in (1, 20, 21, 72):
             spectral._left_product(rng.random((b, n)), net.adjacency, edges)
         assert rows == [1, 20]
+
+
+REFERENCE_CASES = ["sir", "seir", "layered", "sir-h", "seir-h", "vector", "ring", "noisy"]
+
+
+def _reference_case(case):
+    """(initial, params, net, steps, strict) of one case of TestInPlaceStepLoop."""
+    rng = np.random.default_rng(REFERENCE_CASES.index(case) + 97)
+    if case == "ring":
+        net = Network(sparse_ring(rng, 2000, 24_000))
+        params = random_seir_params(rng, net)
+        return seeded_state(2000, "seir", e_seeds=[(0, 0.05), (7, 0.02)]), params, net, 35, True
+    n = 13
+    net = random_irreducible_network(rng, n)
+    h = 0.3 if case.endswith("-h") else 1.0
+    if case == "layered":
+        net, params = random_layered_seir(rng, n)
+    elif case == "vector":
+        # per-node rates, as a scenario's rate files give them
+        rowmax = net.adjacency.sum(axis=1).max()
+        params = SeirParams(beta_e=rng.uniform(0.05, 0.3, n) / rowmax,
+                            beta=rng.uniform(0.05, 0.5, n) / rowmax,
+                            sigma=rng.uniform(0.1, 1.0, n), gamma=rng.uniform(0.1, 0.9, n), h=1.0)
+    else:
+        params = (random_sir_params if case.startswith("sir") else random_seir_params)(rng, net, h)
+    kind = "sir" if case.startswith("sir") else "seir"
+    initial = seeded_state(n, kind, e_seeds=[] if kind == "sir" else [(1, 0.04)],
+                           p_seeds=[(5, 0.02)])
+    if case != "noisy":
+        return initial, params, net, 80, True
+    # a state of independently measured levels: off the simplex, run with strict off
+    later = simulate(initial, params, net, 20).states[-1]
+    noisy = EpidemicState(**{c: np.clip(getattr(later, c) + rng.normal(0, 0.02, n), 0, 1)
+                             for c in ("s", "e", "p", "r")})
+    assert np.abs(noisy.s + noisy.e + noisy.p + noisy.r - 1).max() > dynamics.SUM_TOL
+    return noisy, params, net, 60, False
+
+
+class TestInPlaceStepLoop:
+    """simulate steps in place in one (c, T+1, n) block; its levels are
+    those of the per-step tuples and final stack of the loop it replaced
+    (conftest.simulate_reference), byte for byte."""
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_bytes_match_reference(self, case):
+        initial, params, net, steps, strict = _reference_case(case)
+        if case == "ring":
+            assert all(dynamics._use_edges(a, edges, 1)
+                       for a, edges, _ in dynamics._operator(net, params.rates))
+        traj = simulate(initial, params, net, steps, strict=strict)
+        ref = simulate_reference(initial, params, net, steps)
+        for comp, want in zip(("s", "p", "r", "e"), ref, strict=True):
+            got = getattr(traj, comp)
+            assert (got is None) == (want is None) == (comp == "e" and case.startswith("sir"))
+            if got is not None:
+                assert got.shape == (steps + 1, net.n)
+                assert got.tobytes() == want.tobytes(), comp
 
 
 class TestSimulate:

@@ -436,6 +436,27 @@ class TestEstimatePipeline:
             system = build_regression(traj, net)
             assert np.array_equal(rep.estimates, solve_least_squares(system).estimates)
 
+    def test_resimulation_starts_from_the_first_state_alone(self, monkeypatch, seir_traj,
+                                                             sir_traj):
+        # the re-simulation builds its one initial state, not every per-step
+        # state of the measurements, and starts from that state's levels
+        starts, run = [], estimation.simulate
+
+        def recorded(initial, *args, **kwargs):
+            starts.append(initial)
+            return run(initial, *args, **kwargs)
+
+        monkeypatch.setattr(estimation, "simulate", recorded)
+        for net, _, traj in (seir_traj, sir_traj):
+            traj = Trajectory(s=traj.s, e=traj.e, p=traj.p, r=traj.r, h=traj.h)
+            rep = estimate_pipeline(traj, net)
+            assert "states" not in vars(traj) and rep.trajectory_errors is not None
+            for comp in ("s", "e", "p", "r"):
+                level = getattr(starts[-1], comp)
+                assert (level is None) == (getattr(traj, comp) is None)
+                if level is not None:
+                    assert level.tobytes() == getattr(traj, comp)[0].tobytes()
+
     def test_not_identifiable_no_resimulation(self, two_node_net):
         traj = fabricated_seir(
             e=[np.zeros(2)] * 3,
