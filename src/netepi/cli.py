@@ -163,9 +163,9 @@ def load_scenario(path: str | Path) -> dict:
     sc = _document(path)
     model, n = sc["model"], sc["n"]
     nets = [graph._read_network(base / f, n) for f in [sc["network"], *sc.get("layers", [])]]
-    # one network over the loaded matrices, keeping the edge tables sorted
-    # from their records
-    net = graph._loaded(tuple(x.adjacency for x in nets), tuple(x.edges[0] for x in nets))
+    # one network over the edge tables sorted from the records, which builds
+    # a matrix only where a product reads it
+    net = graph._loaded(n, tuple(x.edges[0] for x in nets))
     rates = {k: tuple(_rate(x, base, k, n) for x in v) if k.startswith("layer_")
              else _rate(v, base, k, n) for k, v in sc["params"].items() if k != "h"}
     params = (dynamics.SirParams if model == "sir" else dynamics.SeirParams)(**rates, h=sc["h"])

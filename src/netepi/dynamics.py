@@ -17,7 +17,13 @@ matrix and Perron solve, and estimation's regression columns g = s * (A x)
 all go through it. A product with a matrix A of order n runs over A's edge
 table (graph.Network.edges, its nonzero entries in row-major order) where
 EDGE_FACTOR * nnz(A) * rows < n*n (``_use_edges``), and reads the dense A
-otherwise. The edge product gathers x at the edges' columns, weights it
+otherwise. The rule reads n and the edge count, never A, and ``_operator``
+asks it once per call, for the most rows its caller's products take: it
+hands A over only where the rule sends a product dense, and None in its
+place otherwise, so the step loop reads a plain array or None and looks
+nothing up. A network loaded from records (graph._loaded) builds A from its
+edge table at the first dense product, and a sparse one never does (graph
+module docstring). The edge product gathers x at the edges' columns, weights it
 and sums each row's run in column order (np.take, then np.add.reduceat),
 so its cost grows with nnz(A) times the rows, and its bytes do not depend
 on the order of the edge-list records. It takes a stack EDGE_BLOCK = 16
@@ -383,38 +389,45 @@ EDGE_FACTOR = 8  # see _use_edges
 EDGE_BLOCK = 16  # rows per pass of _edge_product
 
 
-def _operator(net: Network, rates: tuple) -> tuple:
+def _operator(net: Network, rates: tuple, rows: int | None) -> tuple:
     """Triples (A_l, A_l's edge table, rates_l) over the base network (l = 0)
     and each transport layer, defining the infection pressure on the nodes
 
         pressure(x) = sum_l sum_c rates_l[c] * (A_l @ x_c)
 
-    for compartment levels x = (x_c). ``rates`` must cover every layer, so a
-    model without layer rates is refused on a layered network."""
-    mats = (net.adjacency,) + net.layers
-    if len(rates) != len(mats):
+    for compartment levels x = (x_c). A_l is None where a product of up to
+    ``rows`` rows with it runs over its edge table (``_use_edges``), so that
+    a network loaded from records builds only the matrices a product reads;
+    ``rows`` None gives every A_l, for the callers that form matrices from
+    them. ``rates`` must cover every layer, so a model without layer rates
+    is refused on a layered network."""
+    tables = net.edges
+    if len(rates) != len(tables):
         raise ValueError(f"rates are given for {len(rates) - 1} transport layers, "
-                         f"the network has {len(mats) - 1}")
-    return tuple(zip(mats, net.edges, rates))
+                         f"the network has {len(tables) - 1}")
+    return tuple((None if rows is not None and _use_edges(net.n, edges, rows)
+                  else net.layers[l - 1] if l else net.adjacency, edges, rate)
+                 for l, (edges, rate) in enumerate(zip(tables, rates)))
 
 
-def _use_edges(a: np.ndarray, edges: tuple, rows: int) -> bool:
-    """Whether a product of ``rows`` rows with ``a``, of order n, runs over its
-    edge table ``edges``: EDGE_FACTOR * nnz(a) * rows < n*n (module docstring)."""
-    return EDGE_FACTOR * len(edges[0]) * rows < len(a) ** 2
+def _use_edges(n: int, edges: tuple, rows: int) -> bool:
+    """Whether a product of ``rows`` rows with a matrix of order ``n`` runs
+    over its edge table ``edges``: EDGE_FACTOR * nnz * rows < n*n (module
+    docstring). It reads n, not the matrix, so asking it builds none."""
+    return EDGE_FACTOR * len(edges[0]) * rows < n * n
 
 
 def _pressure(op: tuple, xs: tuple) -> np.ndarray:
     """pressure(x) for the operator ``op``. Each x_c is a length-n vector, or
     a (T, n) stack of them when the rates are scalars. A @ x_c runs over A's
-    edge table where ``_use_edges`` takes it for one row, else as one dense
-    matrix-vector product per vector. The rates multiply after the product,
-    and the terms are summed in place in layer-then-compartment order."""
+    edge table where the operator leaves A out (``_use_edges`` took it for
+    one row), else as one dense matrix-vector product per vector. The rates
+    multiply after the product, and the terms are summed in place in
+    layer-then-compartment order."""
     total = None
     for a, edges, rates in op:
-        edged = _use_edges(a, edges, 1)
         for rate, x in zip(rates, xs):
-            term = (_edge_product(x, edges) if edged else a.dot(x) if x.ndim == 1
+            term = (_edge_product(x, edges) if a is None else a.dot(x) if x.ndim == 1
                     else (a @ x[:, :, None])[:, :, 0])
             term *= rate
             total = term if total is None else np.add(total, term, out=total)
@@ -443,7 +456,8 @@ def _edge_pass(x: np.ndarray, edges: tuple) -> np.ndarray:
 
 
 def _pressure_jacobian(op: tuple, c: int) -> np.ndarray:
-    """d pressure / d x_c = sum_l diag(rates_l[c]) A_l."""
+    """d pressure / d x_c = sum_l diag(rates_l[c]) A_l, for an operator that
+    holds every A_l (``_operator`` with ``rows`` None)."""
     return reduce(np.add, (rates[c][:, None] * a for a, _, rates in op))
 
 
@@ -463,7 +477,7 @@ def check_assumption(params, net: Network) -> AssumptionReport:
     hg = pr.h * pr.gamma
     gamma = ("h*gamma", hg, (0 < hg) & (hg < 1), "not in (0, 1)")
     # the row sums: the pressure of all-ones levels in every compartment
-    hb = pr.h * _pressure(_operator(net, pr.rates), (np.ones(net.n),) * len(pr.rates[0]))
+    hb = pr.h * _pressure(_operator(net, pr.rates, 1), (np.ones(net.n),) * len(pr.rates[0]))
     if isinstance(pr, SirParams):
         return _report([gamma, ("h*beta*row_sum", hb, hb < 1, "not < 1"),
                         ("beta", pr.beta, ~(pr.beta < 0), "negative")])
@@ -474,9 +488,10 @@ def check_assumption(params, net: Network) -> AssumptionReport:
                     ("h*(beta_e+beta)*row_sum", hb, (0 <= hb) & (hb < 1), "not in [0, 1)")])
 
 
-def _prepare(params, state, net: Network) -> tuple:
+def _prepare(params, state, net: Network, rows: int | None) -> tuple:
     """Check ``params`` against ``state`` (an EpidemicState or a Trajectory)
-    and ``net``; resolve them and build their operator."""
+    and ``net``; resolve them and build their operator for products of up
+    to ``rows`` rows (``_operator``)."""
     if not isinstance(params, (SirParams, SeirParams)):
         raise TypeError("params must be SirParams or SeirParams")
     kind = "sir" if isinstance(params, SirParams) else "seir"
@@ -485,7 +500,7 @@ def _prepare(params, state, net: Network) -> tuple:
     if state.n != net.n:
         raise ValueError("state/network dimension mismatch")
     pr = params.resolved(net.n)
-    return pr, _operator(net, pr.rates)
+    return pr, _operator(net, pr.rates, rows)
 
 
 def _kernel(pr, op: tuple, hstages: tuple, levels: np.ndarray, k: int) -> None:
@@ -535,7 +550,7 @@ def simulate(initial: EpidemicState, params, net: Network, steps: int,
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    pr, op = _prepare(params, initial, net)
+    pr, op = _prepare(params, initial, net, 1)
     if strict:
         check_assumption(pr, net).raise_if_violated()
         initial.validate()

@@ -8,7 +8,19 @@ Each matrix of a Network also has an edge table, its nonzero entries in
 row-major order (``Network.edges``), which the products with a sparse
 matrix run over (``dynamics._operator``). It is kept on the Network:
 scanned from the matrix on first use, or, for a loaded network, sorted from
-the parsed records.
+the parsed records. A loaded network holds only n and its edge tables, and
+builds a matrix from its table (zeros, then the weights scattered in) at
+its first read, which is the first product the rule sends dense; on a
+sparse network no command reads one. Peak RSS of one command in a fresh
+process on metro-large's network (n = 2000, 24 203 edges, seed 7; VmHWM,
+three runs each within 0.2 MB; importing numpy alone reads 26.9 MB), with
+every matrix built at load and with this lazy build (MB):
+
+    command                       built at load   lazy
+    simulate                      83.2            52.7
+    estimate                      95.3            67.1
+    diagnose (2-state excerpt)    74.7            44.2
+    perturb (loads no network)    59.6            59.6
 
 A sidecar is a file netepi writes beside one it reads, holding what parsing
 that file gave (``_write_sidecar``, ``_read_sidecar``): the SHA-256 of the
@@ -28,16 +40,18 @@ as load_network checks parsed ones, for the scenario's n (indices in range,
 weights positive and finite, keys i*n + j strictly increasing), and a
 record that fails is a miss. So one sidecar serves scenarios of any n, and
 a hit gives the parse's network bit for bit. A sidecar that cannot be
-written is logged and left out. Per load of a ring network as the bench
-builds them (metro-large's at seed 7, and a sweep-small one), with 1 BLAS
-thread on 2 vCPUs, best of 15 (ms):
+written is logged and left out. A sidecar that is not there is a miss
+before any hashing. Per load of a ring network as the bench builds them
+(metro-large's at seed 7, and a sweep-small one), with 1 BLAS thread on
+2 vCPUs, the least over six alternating processes of the best of 15 (ms),
+with the dense adjacency built at load and without (a miss parses and
+writes the sidecar):
 
-    network                  edge list   sidecar   parse   hit     miss: parse + write
-    n = 2000, 24 203 edges   677 kB      581 kB    11.3    2.86    12.2
-    n = 20, 101 edges        2.4 kB      2.6 kB    0.090   0.063   0.191
+    network                  edge list   sidecar   parse            hit              miss
+    n = 2000, 24 203 edges   677 kB      581 kB    12.7 -> 8.9      5.07 -> 1.47     15.6 -> 11.3
+    n = 20, 86 edges         2.1 kB      2.2 kB    0.080 -> 0.079   0.066 -> 0.063   0.469 -> 0.487
 
-Of a hit at n = 2000, the SHA-256 of the two files takes about 1 ms and
-the dense n x n adjacency (zeroed, then the weights scattered in) 1.5 ms.
+Of a hit at n = 2000, the SHA-256 of the two files takes about 1 ms.
 
 Every file netepi writes, the CLI's outputs and both sidecars, goes through
 one writer (``_write_file``): it opens the file without truncating it,
@@ -75,7 +89,7 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -109,28 +123,39 @@ def _check_matrix(m: np.ndarray, n: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Network:
-    """Immutable spreading network: base adjacency plus optional extra layers."""
+    """Immutable spreading network: base adjacency plus optional extra layers.
+
+    ``Network(adjacency, layers)`` checks and copies the matrices it is
+    given. A network loaded from records (``_loaded``) holds only n and its
+    edge tables; it builds ``adjacency`` or ``layers`` from those on first
+    read (zeros, then the weights scattered in) and keeps them, so a network
+    whose products all run over its edges never allocates n x n floats."""
 
     adjacency: np.ndarray
-    layers: tuple[np.ndarray, ...] = ()
+    # a factory, not a default, so that the class has no attribute
+    # ``layers`` and a loaded network's first read reaches __getattr__
+    layers: tuple[np.ndarray, ...] = field(default_factory=tuple)
+    n: int = field(init=False, repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.adjacency, dtype=float)
         n = a.shape[0]
-        a = _check_matrix(a, n, "adjacency")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "adjacency", a)
-        checked = []
-        for idx, layer in enumerate(self.layers):
-            m = _check_matrix(layer, n, f"layer {idx}").copy()
+        mats = [_check_matrix(m, n, f"layer {k - 1}" if k else "adjacency").copy()
+                for k, m in enumerate((a, *self.layers))]
+        for m in mats:
             m.setflags(write=False)
-            checked.append(m)
-        object.__setattr__(self, "layers", tuple(checked))
+        vars(self).update(n=n, adjacency=mats[0], layers=tuple(mats[1:]))
 
-    @property
-    def n(self) -> int:
-        return self.adjacency.shape[0]
+    def __getattr__(self, name: str):
+        """The adjacency or the layers of a loaded network, built from their
+        edge tables on first read and kept; called only for a name the
+        network does not hold."""
+        if name not in ("adjacency", "layers"):
+            raise AttributeError(f"'Network' object has no attribute {name!r}")
+        value = (_dense(self.n, self.edges[0]) if name == "adjacency"
+                 else tuple(_dense(self.n, table) for table in self.edges[1:]))
+        vars(self)[name] = value
+        return value
 
     @cached_property
     def edges(self) -> tuple:
@@ -150,15 +175,21 @@ def _edge_table(i: np.ndarray, j: np.ndarray, w: np.ndarray) -> tuple:
     return i, j, w, np.flatnonzero(np.diff(i, prepend=-1))
 
 
-def _loaded(mats: tuple, tables: tuple) -> Network:
-    """A Network over ``mats``, its adjacency and then its transport layers:
-    float n x n arrays already checked and owned by the caller, with their
-    edge tables ``tables``, filled in directly. The arrays are only set
-    read-only, not copied and checked again as ``Network(...)`` would."""
-    for m in mats:
-        m.setflags(write=False)
+def _dense(n: int, table: tuple) -> np.ndarray:
+    """The read-only n x n matrix of the edge table ``table``."""
+    i, j, w, _ = table
+    a = np.zeros((n, n))
+    a[i, j] = w
+    a.setflags(write=False)
+    return a
+
+
+def _loaded(n: int, tables: tuple) -> Network:
+    """The Network of ``n`` nodes whose adjacency and transport layers have
+    the edge tables ``tables``, already checked: it holds only n and the
+    tables, and builds a matrix from its table on first read."""
     net = object.__new__(Network)
-    net.__dict__.update(adjacency=mats[0], layers=tuple(mats[1:]), edges=tuple(tables))
+    vars(net).update(n=n, edges=tuple(tables))
     return net
 
 
@@ -188,22 +219,24 @@ def load_network(source: Iterable[str] | str, n: int) -> Network:
             raise _edge_error(lines, n) from None
     try:
         return _from_records(rec["i"], rec["j"], rec["w"], n, ordered=False)
-    except NetworkError:
-        raise _edge_error(lines, n) from None
+    except NetworkError as exc:
+        # no record at fault: the error is the network's own (its n)
+        raise _edge_error(lines, n) or exc from None
 
 
 def _from_records(i: np.ndarray, j: np.ndarray, w: np.ndarray, n: int,
                   ordered: bool) -> Network:
-    """The network of ``n`` nodes with the weights w at (i, j), and its edge
-    table; a NetworkError where an index is out of range, a weight is not
-    positive and finite, or an (i, j) repeats. Records not ``ordered`` are
-    sorted row-major first; ``ordered`` ones (a sidecar's) must already have
+    """The network of ``n`` nodes with the weights w at (i, j), held as its
+    edge table alone (``_loaded``); a NetworkError where n*n overflows the
+    int64 keys i*n + j, an index is out of range, a weight is not positive
+    and finite, or an (i, j) repeats. Records not ``ordered`` are sorted
+    row-major first; ``ordered`` ones (a sidecar's) must already have
     strictly increasing keys i*n + j."""
+    if n * n >= 2**63:
+        raise NetworkError(f"n={n} is too large: n*n must be below 2**63")
     if not np.all((0 <= i) & (i < n) & (0 <= j) & (j < n) & (w > 0) & (w < np.inf)):
         raise NetworkError(f"an index is out of range for n={n} or a weight is not "
                            "positive and finite")
-    # allocated first: an n for which it succeeds has n*n within int64
-    a = np.zeros((n, n))
     key = i * n + j
     if not ordered:
         # the stable sort (timsort) takes one pass over records already in
@@ -213,8 +246,7 @@ def _from_records(i: np.ndarray, j: np.ndarray, w: np.ndarray, n: int,
     # sorted, a repeated (i, j) is a run of equal keys
     if np.any(np.diff(key) <= 0):
         raise NetworkError("an edge repeats or is out of row-major order")
-    a[i, j] = w
-    return _loaded((a,), (_edge_table(i, j, w),))
+    return _loaded(n, (_edge_table(i, j, w),))
 
 
 def _read_network(path: Path, n: int) -> Network:
@@ -280,7 +312,8 @@ def _edge_error(lines: list[str], n: int) -> NetworkError:
     """The error of the first bad record, naming its line; each record is
     parsed on its own, as load_network parses them all. load_network calls
     it when its parse or its checks of all the records fail, and each of
-    those has a check on one record here, so a bad record is always found."""
+    those but the check of n alone has a check on one record here, so a bad
+    record is found unless n is at fault; then it returns None."""
     seen = set()
     for lineno, line in _records(lines, "#"):
         if line.partition("#")[0].count(",") != 2:
@@ -314,6 +347,9 @@ def _write_file(path: Path, pieces: Iterable) -> None:
         f.writelines(pieces)
         if os.fstat(f.fileno()).st_size > f.tell():
             f.truncate()
+
+
+DIGEST_BYTES = 32  # a SHA-256 digest, at the head of every sidecar
 
 
 @cache
@@ -353,11 +389,13 @@ def _read_sidecar(path: Path, source: bytes, dtype: np.dtype, ndim: int, load: C
     ValueError of ``load``. Only a header of that one form is read, so no
     pickle and no other header is ever parsed, and no shape is allocated
     that the file does not hold."""
-    dtype, key = np.dtype(dtype), hashlib.sha256(source)
+    dtype = np.dtype(dtype)
     try:
         with open(path, "rb") as f:
-            digest = f.read(key.digest_size)
+            digest = f.read(DIGEST_BYTES)
             payload = f.read()
+        # hashed only once the sidecar is open: a missing one costs no hash
+        key = hashlib.sha256(source)
         key.update(payload)
         if key.digest() != digest:
             raise ValueError("its digest is not that of the source and its payload")

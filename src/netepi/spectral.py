@@ -116,7 +116,12 @@ adjacency A: over A's edges in column order, the edge table of A's
 transpose sorted once per call from the one ``dynamics._operator`` gives,
 where EDGE_FACTOR * nnz(A) * rows < n*n (``dynamics._use_edges``), else
 with the dense A (see the dynamics module docstring for the rule and its
-measurements). The edges also give the block labelling.
+measurements). The operator is asked for the matrices at the most rows a
+product takes, c*(T+1), and for all of them where the states' matrices are
+formed (n <= DENSE_NODES); so on a sparse network loaded from records no
+n x n matrix is built. The edges also give the block labelling and the
+diagonal of M, whose infection part is h*s_i*rates_l[0][i]*A_l[i, i]: the
+self-loop weights, read from the edges where i == j (``_diagonal``).
 """
 
 from __future__ import annotations
@@ -253,7 +258,7 @@ def build_spreading_matrix(state: EpidemicState | Trajectory, params,
     infection pressure the step uses, transport layers included; each stage
     keeps 1 - h*rate of its compartment and passes h*rate on to the next.
     For a Trajectory, the ``(T+1, N, N)`` stack of its states' maps."""
-    pr, op = _prepare(params, state, net)
+    pr, op = _prepare(params, state, net, None)
     return SpreadingMatrix(m=_spreading_stack(pr, op, state.s))
 
 
@@ -354,13 +359,17 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> tuple:
     them and dense otherwise. A state's root is the largest over the strongly
     connected blocks of its own pattern; nodes with s = 0 contribute no
     infection edges. A singleton block's root is its diagonal entry."""
-    pr, op = _prepare(params, traj, net)
+    # the matrices a product reads: all of them where the states' matrices
+    # are formed, else those the rule sends dense at the most rows, c*(T+1)
+    dense = net.n <= DENSE_NODES
+    most = (2 if traj.kind == "seir" else 1) * len(traj)
+    pr, op = _prepare(params, traj, net, None if dense else most)
     n, h = net.n, pr.h
     hs = h * traj.s
     comps = len(pr.stages)
     size = comps * n
-    # (A_l, rates as (comps, n), A_l's edges in column order), the edges
-    # taken once for both the products and the block labelling
+    # (A_l or None, rates as (comps, n), A_l's edges in column order), the
+    # edges taken once for the products, the diagonal and the block labelling
     layers = [(a, np.stack(r), _column_edges(edges)) for a, edges, r in op]
     rho = np.ravel(pr.stages)
     keep = 1 - h * rho
@@ -381,7 +390,7 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> tuple:
         return out
 
     diag = np.tile(keep, (len(hs), 1))
-    diag[:, :n] += hs * sum(r[0] * np.diagonal(a) for a, r, _ in layers)
+    diag[:, :n] += hs * sum(r[0] * _diagonal(n, edges) for _, r, edges in layers)
     # M >= 0 follows from these (each written so that NaN fails too)
     if not (np.all(hs >= 0) and all(np.all(r >= 0) for _, r, _ in layers)
             and np.all(diag >= 0) and np.all(h_pass >= 0)):
@@ -401,9 +410,8 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> tuple:
     for k, zero in enumerate(hs == 0):
         groups.setdefault(zero.tobytes(), []).append(k)
     roots = np.empty(len(hs))
-    regime = "squaring" if n <= DENSE_NODES else "power" if n <= KRYLOV_NODES else "krylov"
+    regime = "squaring" if dense else "power" if n <= KRYLOV_NODES else "krylov"
     actions, residual = 0, 0.0
-    dense = regime == "squaring"
     chunk = max(1, CHUNK_ENTRIES // size**2) if dense else len(hs)
     for ks in map(np.array, groups.values()):
         live = hs[ks[0]] != 0
@@ -430,10 +438,21 @@ def _column_edges(edges: tuple) -> tuple:
     return _edge_table(cols[order], rows[order], weights[order])
 
 
-def _left_product(x: np.ndarray, a: np.ndarray, edges: tuple) -> np.ndarray:
+def _diagonal(n: int, edges: tuple) -> np.ndarray:
+    """The diagonal of a matrix of order ``n``, from its edge table in either
+    order: the weights of its self-loops."""
+    rows, cols, weights, _ = edges
+    loop = rows == cols
+    d = np.zeros(n)
+    d[rows[loop]] = weights[loop]
+    return d
+
+
+def _left_product(x: np.ndarray, a: np.ndarray | None, edges: tuple) -> np.ndarray:
     """x @ a for x (rows, n), given a's ``_column_edges``: over the edges
-    where ``_use_edges`` takes them for len(x) rows, dense otherwise."""
-    if _use_edges(a, edges, len(x)):
+    where the operator left a out or ``_use_edges`` takes them for len(x)
+    rows, dense otherwise."""
+    if a is None or _use_edges(x.shape[1], edges, len(x)):
         return _edge_product(x, edges)
     return x @ a
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from netepi import EpidemicState, Network, SeirParams, SirParams, Trajectory
-from netepi.dynamics import _edge_product, _prepare, _pressure_jacobian, _use_edges
+from netepi.dynamics import _edge_product, _prepare, _pressure_jacobian
 from netepi.estimation import NONZERO_TOL, RegressionSystem, _nodes, _transitions
 from netepi.graph import NetworkError
 
@@ -196,12 +196,12 @@ def simulate_reference(initial, params, net, steps):
     before the in-place one formed them: a list of per-step tuples, each from
     the one before by the update equations as written, stacked at the end.
     The pressure sums rate * (A @ x) over the layers and compartments with
-    reduce, each product over A's edge table where dynamics._use_edges takes
-    it for one row, else a @ x."""
-    pr, op = _prepare(params, initial, net)
+    reduce, each product over A's edge table where dynamics._operator leaves
+    A out (dynamics._use_edges takes the edges for one row), else a @ x."""
+    pr, op = _prepare(params, initial, net, 1)
 
     def product(a, edges, x):
-        return _edge_product(x, edges) if _use_edges(a, edges, 1) else a @ x
+        return _edge_product(x, edges) if a is None else a @ x
 
     def pressure(xs):
         return reduce(np.add, (rate * product(a, edges, x)
@@ -226,7 +226,7 @@ def simulate_reference(initial, params, net, steps):
 def spreading_matrix_oracle(state, params, net):
     """The per-model spreading matrix that the chain build replaced: SIR's
     n x n matrix, SEIR's 2n x 2n one from its four blocks."""
-    pr, op = _prepare(params, state, net)
+    pr, op = _prepare(params, state, net, None)
     eye = np.eye(net.n)
     if isinstance(pr, SirParams):
         return (eye - pr.h * np.diag(pr.gamma)

@@ -351,8 +351,8 @@ class TestEdgeOperator:
         dense = simulate(initial, params, net, 40)
         g_dense = [estimation._g(dense.s, x, base) for x in (dense.p, dense.e) if x is not None]
         shapes = _edge_shapes(monkeypatch)
-        assert not any(dynamics._use_edges(a, edges, 1)
-                       for a, edges, _ in dynamics._operator(net, params.rates))
+        assert not any(dynamics._use_edges(net.n, edges, 1)
+                       for _, edges, _ in dynamics._operator(net, params.rates, 1))
         monkeypatch.setattr(dynamics, "EDGE_FACTOR", 0)
         edged = simulate(initial, params, net, 40)
         g_edged = [estimation._g(edged.s, x, base) for x in (edged.p, edged.e) if x is not None]
@@ -375,8 +375,8 @@ class TestEdgeOperator:
             nets.append(Network(a.reshape(n, n), layers=(a.reshape(n, n),)))
         for net in nets:
             rates = ((1.0, 1.0),) * (1 + len(net.layers))
-            assert not any(dynamics._use_edges(a, edges, 1)
-                           for a, edges, _ in dynamics._operator(net, rates))
+            assert not any(dynamics._use_edges(net.n, edges, 1)
+                           for _, edges, _ in dynamics._operator(net, rates, 1))
 
     def test_rule_picks_edges_for_a_sparse_2000_node_ring(self, monkeypatch):
         rng = np.random.default_rng(96)
@@ -399,6 +399,50 @@ class TestEdgeOperator:
         for b in (1, 20, 21, 72):
             spectral._left_product(rng.random((b, n)), net.adjacency, edges)
         assert rows == [1, 20]
+
+
+class TestNoDenseMatrixOnSparseNetworks:
+    """On a sparse network loaded from its file, every product runs over the
+    edge table, so no command builds the n x n adjacency."""
+
+    def test_commands_build_no_dense_matrix(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(104)
+        n = 2000
+        a = sparse_ring(rng, n, 24_000)
+        i, j = np.nonzero(a)
+        (tmp_path / "net.csv").write_text("".join(
+            f"{r},{c},{w!r}\n" for r, c, w in zip(i.tolist(), j.tolist(), a[i, j].tolist())))
+        rowmax = a.sum(axis=1).max()
+        sc = tmp_path / "scenario.json"
+        sc.write_text(json.dumps({
+            "model": "seir", "n": n, "network": "net.csv", "steps": 10,
+            "params": {"beta_e": 0.3 / rowmax, "beta": 0.5 / rowmax, "sigma": 0.4, "gamma": 0.2},
+            "initial": {"seeds": {"e": {"0": 0.05, "7": 0.02}}}, "noise": {"start_k": 2}}))
+        built = []
+        dense = graph._dense
+        monkeypatch.setattr(graph, "_dense", lambda *args: built.append(args) or dense(*args))
+        out = tmp_path / "out"
+        excerpt = tmp_path / "excerpt.csv"
+        commands = [("simulate", None), ("perturb", out / "trajectory.csv"),
+                    ("estimate", out / "measured.csv"), ("diagnose", excerpt)]
+        for command, trajectory in commands:
+            argv = [command, "--scenario", str(sc), "--out", str(out)]
+            if trajectory is not None:
+                argv += ["--trajectory", str(trajectory)]
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) in (0, 2), command  # 2: not identifiable
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert built == [], command
+            assert peak < n * n * 8, f"{command}: peak {peak / 2**20:.1f} MB"
+            if command == "simulate":
+                # the first two states, as the bench's diagnose excerpt
+                lines = (out / "trajectory.csv").read_text().splitlines(keepends=True)
+                excerpt.write_text("".join(lines[:1 + 2 * n]))
+        assert (tmp_path / "net.csv.edges").is_file()
+        assert (out / "lambda.csv").is_file() and (out / "estimate.json").is_file()
 
 
 REFERENCE_CASES = ["sir", "seir", "layered", "sir-h", "seir-h", "vector", "ring", "noisy"]
@@ -446,8 +490,8 @@ class TestInPlaceStepLoop:
     def test_bytes_match_reference(self, case):
         initial, params, net, steps, strict = _reference_case(case)
         if case == "ring":
-            assert all(dynamics._use_edges(a, edges, 1)
-                       for a, edges, _ in dynamics._operator(net, params.rates))
+            assert all(dynamics._use_edges(net.n, edges, 1)
+                       for _, edges, _ in dynamics._operator(net, params.rates, 1))
         traj = simulate(initial, params, net, steps, strict=strict)
         ref = simulate_reference(initial, params, net, steps)
         for comp, want in zip(("s", "p", "r", "e"), ref, strict=True):
@@ -1049,6 +1093,25 @@ class TestLevelsFile:
         with pytest.raises(ValueError, match="^trajectory values must be finite$"):
             trajectory_from_csv("k,node,s,e,p,r\n0,0,nan,0,0,1\n")
 
+    def test_missing_levels_file_costs_no_hash(self, tmp_path, monkeypatch, caplog,
+                                               sir_example):
+        # a miss on a sidecar that does not exist hashes nothing, and logs
+        # the same DEBUG line as before
+        net, params, state = sir_example
+        traj = simulate(state, params, net, 4)
+        path = tmp_path / "trajectory.csv"
+        path.write_text(trajectory_to_csv(traj))
+        calls = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda *args: calls.append(1) or sha256(*args))
+        with caplog.at_level(logging.DEBUG, logger="netepi"):
+            got, parses = _reads(monkeypatch, path)
+        assert calls == [] and parses == 1
+        _same_bits(got, traj)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"sidecar {path}.levels not used: [Errno 2] No such file or directory: "
+            f"'{path}.levels'"]
+
     def test_unwritable_levels_file_left_out(self, tmp_path, monkeypatch, sir_example):
         # a directory in its place: the CSV is written, the levels file is
         # not, and the CSV is parsed
@@ -1113,8 +1176,7 @@ class TestEdgesFile:
                 cached = cli.load_scenario(sc)["net"]
         _same_network(cached, parsed)
         want = [load_network(text, n) for text in texts]
-        _same_network(parsed, graph._loaded(tuple(x.adjacency for x in want),
-                                            tuple(x.edges[0] for x in want)))
+        _same_network(parsed, graph._loaded(n, tuple(x.edges[0] for x in want)))
 
     def test_file_written_under_a_larger_n_refused_as_parsed(self, tmp_path, caplog):
         path = tmp_path / "net.csv"

@@ -90,6 +90,12 @@ class TestLoadNetwork:
                     for x, y in zip(mine, theirs, strict=True):
                         assert x.dtype == y.dtype and np.array_equal(x, y)
 
+    def test_too_many_nodes_for_int64_keys_refused(self):
+        # the keys i*n + j of the records must fit in int64: refused before
+        # any work of order n
+        with pytest.raises(NetworkError, match=r"^n=4294967296 is too large"):
+            load_network("0,1,1.0\n", 2**32)
+
     def test_edge_table_of_layers(self):
         a, layer = np.array([[0.0, 2.0], [3.0, 0.0]]), np.array([[0.0, 0.0], [0.5, 4.0]])
         (rows, cols, w, starts), (lrows, lcols, lw, lstarts) = Network(a, layers=(layer,)).edges
@@ -97,6 +103,60 @@ class TestLoadNetwork:
         assert starts.tolist() == [0, 1]
         assert lrows.tolist() == [1, 1] and lcols.tolist() == [0, 1] and lw.tolist() == [0.5, 4.0]
         assert lstarts.tolist() == [0]
+
+
+class TestLoadedMatrices:
+    """A loaded network holds its edge tables alone and builds each matrix
+    from its table on first read."""
+
+    @staticmethod
+    def _loaded(rng, n, count):
+        """A network of ``n`` nodes and its edge tables' eager scatters."""
+        tables, eager = [], []
+        for _ in range(count):
+            a = np.where(rng.random((n, n)) < 0.3, rng.random((n, n)), 0.0)
+            a[n // 2] = 0.0  # an empty row
+            i, j = np.nonzero(a)
+            tables.append(graph._edge_table(i, j, a[i, j]))
+            scattered = np.zeros((n, n))
+            scattered[i, j] = a[i, j]
+            eager.append(scattered)
+        return graph._loaded(n, tuple(tables)), eager
+
+    @pytest.mark.parametrize("layers", [0, 1, 2])
+    def test_built_once_as_the_eager_scatter(self, monkeypatch, layers):
+        rng = np.random.default_rng(12 + layers)
+        net, eager = self._loaded(rng, 9, 1 + layers)
+        assert net.n == 9 and not {"adjacency", "layers"} & set(vars(net))
+        built, dense = [], graph._dense
+        monkeypatch.setattr(graph, "_dense", lambda *args: built.append(1) or dense(*args))
+        for _ in range(2):
+            mats = (net.adjacency, *net.layers)
+            assert len(built) == 1 + layers
+        for got, want in zip(mats, eager, strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0, 0] = 1.0
+        assert net.adjacency is mats[0] and net.layers == tuple(mats[1:])
+
+    def test_matrices_built_one_read_at_a_time(self, monkeypatch):
+        net, eager = self._loaded(np.random.default_rng(15), 6, 2)
+        built, dense = [], graph._dense
+        monkeypatch.setattr(graph, "_dense", lambda *args: built.append(1) or dense(*args))
+        assert net.layers[0].tobytes() == eager[1].tobytes() and built == [1]
+        assert "adjacency" not in vars(net)
+        assert net.adjacency.tobytes() == eager[0].tobytes() and built == [1, 1]
+
+    def test_immutable(self):
+        net = load_network("0,1,1.0\n", 2)
+        with pytest.raises(AttributeError):
+            net.adjacency = np.zeros((2, 2))
+        with pytest.raises(AttributeError):
+            del net.n
+        with pytest.raises(AttributeError):
+            net.other  # noqa: B018
 
 
 class TestNetworkType:

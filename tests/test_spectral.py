@@ -977,6 +977,11 @@ def _edges_only(x, a, edges):
 
 
 def _dense_only(x, a, edges):
+    # the matrix the operator leaves out of a sparse network's products,
+    # built here from its edges in column order (j, i, a[i, j])
+    if a is None:
+        a = np.zeros((x.shape[1],) * 2)
+        a[edges[1], edges[0]] = edges[2]
     return x @ a
 
 
@@ -999,6 +1004,23 @@ class TestEdgeProduct:
                 x = rng.random((rows, len(a)))
                 assert np.abs(dynamics._edge_product(x, edges) - x @ a).max(
                     initial=0.0) <= 1e-12
+
+    def test_diagonal_from_edges_is_np_diagonal(self):
+        # the Perron solve takes each layer's self-loop weights from its
+        # edges, in row or column order, for the base network and a layer
+        rng = np.random.default_rng(90)
+        for n in (1, 2, 7, 30):
+            mats = []
+            for _ in range(2):
+                a = np.where(rng.random((n, n)) < 0.4, rng.random((n, n)), 0.0)
+                a[np.diag_indices(n)] = np.where(rng.random(n) < 0.5, rng.random(n), 0.0)
+                mats.append(a)
+            net = Network(mats[0], layers=(mats[1],))
+            for m, edges in zip((net.adjacency, *net.layers), net.edges, strict=True):
+                want = np.diagonal(m)
+                for table in (edges, spectral._column_edges(edges)):
+                    got = spectral._diagonal(n, table)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["sir", "seir", "layered", "empty_columns",
                                       "edgeless_layer", "zero_sets"])
