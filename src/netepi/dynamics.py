@@ -50,10 +50,12 @@ n <= 20 with density >= 0.2 dense, on the products ``a @ x`` per vector,
 bit for bit; at n = 300 and 1% the left product takes the edges below 10
 rows, where they cost up to 1.7x the dense product's 10-60 us.
 
-simulate steps in place. It allocates one (c, T+1, n) float64 block of
-levels, in the levels file's order (s, e, p, r; SIR has no e), copies the
-initial state into step 0, and _kernel writes step k + 1 from step k with
-ufuncs that write into the block (out=). h*gamma and h*sigma are formed once
+A Trajectory is one read-only (c, T+1, n) float64 block of levels, in the
+levels file's order (s, e, p, r; SIR has no e), and an EpidemicState one
+(c, n) block; their s, e, p and r are views of it. simulate steps in place.
+It allocates the block, copies the initial state into step 0, and _kernel
+writes step k + 1 from step k with ufuncs that write into the block (out=);
+the Trajectory takes the block as it is. h*gamma and h*sigma are formed once
 per run, and (h*s)*pressure once per step, for both s and e. Every level is
 formed in the order of operations of the equations as written, so its bytes
 are those of the loop this one replaced, which built a tuple of new arrays
@@ -101,9 +103,15 @@ FAST_LEAST <= |x| < 1e16, numpy finds the decimal exponent X and the
   from the error above.
 
 The writer builds the bytes of BLOCK = 2048 rows at a time in numpy arrays,
-with a NUL byte wherever there is no text. A row is 'k,' and 'node,', each
-from a per-step or per-node table and padded to the longest, and then, from
-the next multiple of 8 bytes, eight 4-byte words per level:
+with a NUL byte wherever there is no text. It reads the trajectory's block
+as (T+1)*n rows of c levels, a strided view, and copies each BLOCK of rows
+whole before it fills them in. At n = 2000, T = 35 (SEIR), with 1 BLAS
+thread on 2 vCPUs, in three runs of the best of 7 rounds of the three
+interleaved, a whole call took 38.7-39.3 ms that way, 38.7-39.1 ms filling
+from the strided view, and 39.9-40.8 ms stacking the compartments into a new
+(rows, c) array first, as the writer did before. A row is 'k,' and 'node,',
+each from a per-step or per-node table and padded to the longest, and then,
+from the next multiple of 8 bytes, eight 4-byte words per level:
 
     words 0-1   the head, by (X, sign, first digit, more digits or not):
                 '-', then 'd', 'd.', '0.d' to '0.000d' (X = -1 to -4) or,
@@ -159,7 +167,7 @@ Most of a hit is the SHA-256 of the CSV's bytes and of the payload: about
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from pathlib import Path
 from typing import Iterable
@@ -263,80 +271,97 @@ class SeirParams:
         return (self.sigma, self.gamma)
 
 
-def _validate(parts) -> None:
-    """Simplex check, to SUM_TOL, on the compartments ``parts``: arrays of
-    any one shape, s, e, p and r in that order (SIR has no e)."""
-    for v in parts:
-        # written so that NaN fails too
-        if not np.all((v >= -SUM_TOL) & (v <= 1 + SUM_TOL)):
-            raise StateInvariantError("compartment level outside [0, 1] or NaN")
-    if np.any(np.abs(sum(parts) - 1.0) > SUM_TOL):
+def _validate(levels: np.ndarray) -> None:
+    """Simplex check, to SUM_TOL, on ``levels``: a block of s, e, p and r on
+    axis 0 (SIR has no e)."""
+    # written so that NaN fails too
+    if not np.all((levels >= -SUM_TOL) & (levels <= 1 + SUM_TOL)):
+        raise StateInvariantError("compartment level outside [0, 1] or NaN")
+    if np.any(np.abs(sum(levels) - 1.0) > SUM_TOL):
         raise StateInvariantError("per-node compartments do not sum to 1")
 
 
-@dataclass(frozen=True)
-class EpidemicState:
-    """Per-node compartment levels; ``e`` is None for SIR states."""
+def _stacked(parts, ndim: int, error: str) -> np.ndarray:
+    """The compartments ``parts`` (s, e, p and r; e None for SIR) stacked
+    into one new float block; ``error`` unless they are ``ndim``-d arrays of
+    one shape."""
+    parts = [np.asarray(v, dtype=float) for v in parts if v is not None]
+    if len({v.shape for v in parts}) > 1 or parts[0].ndim != ndim:
+        raise ValueError(error)
+    return np.stack(parts)
 
-    s: np.ndarray
-    p: np.ndarray
-    r: np.ndarray
-    e: np.ndarray | None = None
 
-    def __post_init__(self):
-        for name in ("s", "p", "r", "e"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, np.asarray(v, dtype=float))
-        if any(v is not None and v.shape != (self.n,) for v in (self.p, self.r, self.e)):
-            raise ValueError("compartment vectors must share one length")
+def _hold(obj, levels: np.ndarray, **rest):
+    """``obj``, an EpidemicState or a Trajectory, filled in as the block
+    ``levels`` (axis 0 is s, e, p and r; SIR has no e) and ``rest``: its
+    s, e, p and r are views of the block."""
+    s, *e, p, r = levels
+    obj.__dict__.update(levels=levels, s=s, e=e[0] if e else None, p=p, r=r, **rest)
+    return obj
+
+
+class _Block:
+    """What an EpidemicState and a Trajectory read off their block."""
 
     @property
     def n(self) -> int:
-        return self.s.shape[0]
+        return self.levels.shape[-1]
 
     @property
     def kind(self) -> str:
         return "sir" if self.e is None else "seir"
 
+
+@dataclass(frozen=True)
+class EpidemicState(_Block):
+    """Per-node compartment levels: one (c, n) block ``levels`` of s, e, p
+    and r (SIR has no e), with ``s``, ``e``, ``p`` and ``r`` as its rows;
+    ``e`` is None for SIR states. The keyword constructor stacks its
+    vectors into a new, writable block."""
+
+    s: np.ndarray
+    p: np.ndarray
+    r: np.ndarray
+    e: np.ndarray | None = None
+    levels: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        _hold(self, _stacked((self.s, self.e, self.p, self.r), 1,
+                             "compartment vectors must share one length"))
+
     def validate(self) -> None:
-        _validate(_compartments(self))
+        _validate(self.levels)
+
+
+def _state(levels: np.ndarray) -> EpidemicState:
+    """The EpidemicState of the (c, n) block ``levels``, taken as it is."""
+    return _hold(object.__new__(EpidemicState), levels)
 
 
 @dataclass(frozen=True, kw_only=True)
-class Trajectory:
-    """Compartment levels over steps 0..T, one read-only (T+1, n) array per
-    compartment (row k is step k); ``e`` is None for SIR."""
+class Trajectory(_Block):
+    """Compartment levels over steps 0..T: one read-only (c, T+1, n) block
+    ``levels`` of s, e, p and r (SIR has no e), with ``s``, ``e``, ``p`` and
+    ``r`` as its (T+1, n) views (row k is step k); ``e`` is None for SIR.
+    The keyword constructor stacks its arrays into a new block."""
 
     s: np.ndarray
     p: np.ndarray
     r: np.ndarray
     e: np.ndarray | None = None
     h: float
+    levels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if np.ndim(self.s) != 2 or len(self.s) == 0:
             raise ValueError("trajectory must contain at least one state")
-        for name in ("s", "p", "r", "e"):
-            v = getattr(self, name)
-            if v is not None:
-                v = np.array(v, dtype=float)
-                v.setflags(write=False)
-                object.__setattr__(self, name, v)
-        if any(v is not None and v.shape != self.s.shape for v in (self.p, self.r, self.e)):
-            raise ValueError("compartment arrays must share one (T+1, n) shape")
-        object.__setattr__(self, "h", float(self.h))
+        levels = _stacked((self.s, self.e, self.p, self.r), 2,
+                          "compartment arrays must share one (T+1, n) shape")
+        levels.setflags(write=False)
+        _hold(self, levels, h=float(self.h))
 
     def __len__(self) -> int:
-        return self.s.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.s.shape[1]
-
-    @property
-    def kind(self) -> str:
-        return "sir" if self.e is None else "seir"
+        return self.levels.shape[1]
 
     @property
     def transitions(self) -> int:
@@ -344,16 +369,15 @@ class Trajectory:
 
     @cached_property
     def states(self) -> tuple[EpidemicState, ...]:
-        """Per-step states whose vectors are row views of the arrays. The rows
-        are already float, read-only and of one length, so the states are
-        filled in directly, without EpidemicState's conversions and checks."""
-        states = []
-        for s, p, r, e in zip(self.s, self.p, self.r,
-                              [None] * len(self) if self.e is None else self.e):
-            state = object.__new__(EpidemicState)
-            state.__dict__.update(s=s, p=p, r=r, e=e)
-            states.append(state)
-        return tuple(states)
+        """Per-step states, each over the (c, n) view of its step."""
+        return tuple(map(_state, self.levels.swapaxes(0, 1)))
+
+
+def _trajectory(levels: np.ndarray, h: float) -> Trajectory:
+    """The Trajectory of the (c, T+1, n) block ``levels``, taken as it is
+    and made read-only."""
+    levels.setflags(write=False)
+    return _hold(object.__new__(Trajectory), levels, h=float(h))
 
 
 @dataclass(frozen=True)
@@ -555,14 +579,13 @@ def simulate(initial: EpidemicState, params, net: Network, steps: int,
         check_assumption(pr, net).raise_if_violated()
         initial.validate()
     levels = np.empty((2 + len(pr.stages), steps + 1, net.n))
-    levels[:, 0] = _compartments(initial)
+    levels[:, 0] = initial.levels
     hstages = tuple(pr.h * rate for rate in pr.stages)
     for k in range(steps):
         _kernel(pr, op, hstages, levels, k)
     if strict:
         _validate(levels)
-    return Trajectory(s=levels[0], p=levels[-2], r=levels[-1],
-                      e=levels[1] if len(levels) == 4 else None, h=pr.h)
+    return _trajectory(levels, pr.h)
 
 
 # ---------------------------------------------------------------------------
@@ -694,19 +717,15 @@ def _fill(words: np.ndarray, v: np.ndarray) -> None:
         words[~digits, :7] = _words(["%.17g" % x for x in v[~digits].tolist()], 28).reshape(-1, 7)
 
 
-def _compartments(traj) -> list[np.ndarray]:
-    """The levels of s, e, p and r of a Trajectory or an EpidemicState, in
-    that order; SIR has no e."""
-    return [traj.s, traj.p, traj.r] if traj.e is None else [traj.s, traj.e, traj.p, traj.r]
-
-
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV "k,node,s,e,p,r"; e left blank for SIR; each level as '%.17g'
     formats it, from its digits (module docstring)."""
-    v = np.stack([c.ravel() for c in _compartments(traj)], axis=-1)
+    # (T+1)*n rows of c levels, a strided view of the block; each BLOCK of
+    # rows is copied whole before _fill reads it (module docstring)
+    v = traj.levels.reshape(len(traj.levels), -1).T
     # a row: 'k,' and 'node,' NUL-padded to the longest of each, then from
     # the next multiple of 8 bytes, 8 words per level
-    ids = [np.array([f"{i}," for i in range(count)], dtype="S") for count in traj.s.shape]
+    ids = [np.array([f"{i}," for i in range(count)], dtype="S") for count in (len(traj), traj.n)]
     start = -(-(ids[0].itemsize + ids[1].itemsize) // 8) * 8
     rows = np.zeros(min(BLOCK, len(v)), dtype={
         "names": ["k", "node", "levels"], "offsets": [0, ids[0].itemsize, start],
@@ -717,7 +736,7 @@ def trajectory_to_csv(traj: Trajectory) -> str:
         block = rows[:len(v) - first]
         step, node = np.divmod(np.arange(first, first + len(block)), traj.n)
         block["k"], block["node"] = ids[0][step], ids[1][node]
-        _fill(block["levels"], v[first:first + len(block)])
+        _fill(block["levels"], v[first:first + len(block)].copy())
         pieces.append(block.tobytes().translate(None, b"\0").decode())
     return "".join(pieces)
 
@@ -767,15 +786,13 @@ def trajectory_from_csv(text: str | Iterable[str], h: float = 1.0) -> Trajectory
     if len(table) != seen.size:
         raise ValueError("trajectory has duplicate (k, node) rows")
 
-    def grid(name: str) -> np.ndarray:
-        out = np.empty(shape)
+    names = "spr" if sir else "sepr"
+    levels = np.empty((len(names),) + shape)
+    for out, name in zip(levels, names):
         out[k, node] = table[name]
-        if not np.isfinite(out).all():
-            raise ValueError(NOT_FINITE)
-        return out
-
-    return Trajectory(s=grid("s"), p=grid("p"), r=grid("r"),
-                      e=None if sir else grid("e"), h=h)
+    if not np.isfinite(levels).all():
+        raise ValueError(NOT_FINITE)
+    return _trajectory(levels, h)
 
 
 def _row_error(lines: list[str], exc: ValueError) -> ValueError:
@@ -800,20 +817,19 @@ def _levels_path(path: Path) -> Path:
 
 def _write_trajectory(path: Path, traj: Trajectory) -> None:
     """Write ``traj`` to ``path`` as trajectory_to_csv's text, then its
-    levels file: a sidecar (graph._write_sidecar) of the (c, T+1, n) levels
-    (_compartments). The CSV goes first, so that a write stopped between the
+    levels file: a sidecar (graph._write_sidecar) of its (c, T+1, n) block
+    ``levels``. The CSV goes first, so that a write stopped between the
     two leaves a digest that does not match. Logs one DEBUG line: the path,
     the CSV's bytes, the levels and how many of them went through '%.17g'."""
     data = trajectory_to_csv(traj).encode()
     _write_file(path, [data])
-    levels = np.stack(_compartments(traj))
-    _write_sidecar(_levels_path(path), data, levels)
+    _write_sidecar(_levels_path(path), data, traj.levels)
     if log.isEnabledFor(logging.DEBUG):
         # counted again, n levels at a time, so that only a debugging run pays
         literals = sum(np.count_nonzero(~_from_digits(row)[0])
-                       for row in levels.reshape(-1, traj.n))
+                       for row in traj.levels.reshape(-1, traj.n))
         log.debug("trajectory %s: %d bytes, %d levels, %d written by '%%.17g'",
-                  path, len(data), levels.size, literals)
+                  path, len(data), traj.levels.size, literals)
 
 
 def _read_trajectory(path: Path, h: float) -> Trajectory:
@@ -828,8 +844,7 @@ def _read_trajectory(path: Path, h: float) -> Trajectory:
         return trajectory_from_csv(data.decode(), h)
     if not np.isfinite(levels).all():
         raise ValueError(NOT_FINITE)
-    return Trajectory(s=levels[0], p=levels[-2], r=levels[-1],
-                      e=levels[1] if len(levels) == 4 else None, h=h)
+    return _trajectory(levels, h)
 
 
 def _levels(levels: np.ndarray) -> np.ndarray:

@@ -17,8 +17,8 @@ from functools import cache
 
 import numpy as np
 
-from .dynamics import (SUM_TOL, EpidemicState, SeirParams, SirParams, Trajectory,
-                       _operator, _pressure, simulate)
+from .dynamics import (SUM_TOL, SeirParams, SirParams, Trajectory, _operator, _pressure,
+                       _state, _trajectory, simulate)
 from .graph import Network
 
 __all__ = [
@@ -276,12 +276,13 @@ def solve_least_squares(sys: RegressionSystem) -> EstimateReport:
                           non_unique=rank < q.shape[1])
 
 
-def _check_levels(e: np.ndarray | None, p: np.ndarray, r: np.ndarray) -> None:
-    """Refuse e, p or r levels that are NaN or outside [0, 1] beyond SUM_TOL;
-    e is None for SIR. s is not checked, nor are the row sums."""
-    for name, x in zip("epr", (e, p, r)):
+def _check_levels(levels: np.ndarray) -> None:
+    """Refuse e, p or r levels of ``levels``, a trajectory's block or steps
+    of it, that are NaN or outside [0, 1] beyond SUM_TOL; SIR has no e. s is
+    not checked, nor are the row sums."""
+    for name, x in zip("epr"[4 - len(levels):], levels[1:]):
         # written so that NaN fails too
-        if x is not None and not np.all((x >= -SUM_TOL) & (x <= 1 + SUM_TOL)):
+        if not np.all((x >= -SUM_TOL) & (x <= 1 + SUM_TOL)):
             raise ValueError(f"trajectory {name!r} level outside [0, 1] or NaN")
 
 
@@ -301,14 +302,17 @@ def apply_noise(traj: Trajectory, model: NoiseModel) -> Trajectory:
         second = slope * np.clip(x, 0.0, 1.0) + floor
         return second if model.param_is_std else np.sqrt(second)
 
-    e, p, r = (x[model.start_k:] for x in (traj.e, traj.p, traj.r))
-    _check_levels(e, p, r)
+    _, e0, p0, r0 = kept = traj.levels[:, model.start_k:]
+    _check_levels(kept)
     # one draw per step for e, then p, then r: the order of the random stream
-    z = rng.normal(0.0, 1.0, size=(len(e), 3, traj.n))
-    e = np.clip(e + z[:, 0] * scale(e, model.e_slope, model.e_floor), 0.0, 1.0)
-    p = np.clip(p + z[:, 1] * scale(p, model.x_slope, model.x_floor), 0.0, 1.0)
-    r = np.clip(r + z[:, 2] * scale(r, model.x_slope, model.x_floor), 0.0, 1.0)
-    return Trajectory(s=1.0 - e - p - r, e=e, p=p, r=r, h=traj.h)
+    z = rng.normal(0.0, 1.0, size=(kept.shape[1], 3, traj.n))
+    s, e, p, r = levels = np.empty(kept.shape)
+    np.clip(e0 + z[:, 0] * scale(e0, model.e_slope, model.e_floor), 0.0, 1.0, out=e)
+    np.clip(p0 + z[:, 1] * scale(p0, model.x_slope, model.x_floor), 0.0, 1.0, out=p)
+    np.clip(r0 + z[:, 2] * scale(r0, model.x_slope, model.x_floor), 0.0, 1.0, out=r)
+    # s = 1.0 - e - p - r, in that order
+    np.subtract(1.0 - e - p, r, out=s)
+    return _trajectory(levels, traj.h)
 
 
 def _trajectory_errors(measured: Trajectory, resim: Trajectory, nodes: np.ndarray) -> dict:
@@ -325,7 +329,7 @@ def estimate_pipeline(measured: Trajectory, net: Network,
     model of ``measured``; when the data are identifiable, a re-simulation
     from the first measured state scores the fit, over the columns of the
     nodes estimated. The e, p and r levels must lie in [0, 1] up to SUM_TOL."""
-    _check_levels(measured.e, measured.p, measured.r)
+    _check_levels(measured.levels)
     g = _window_g(measured, net)
     verdict = _CHECKS[measured.kind](measured, net, node, g)
     system = _regression(measured, net, node, g)
@@ -334,9 +338,8 @@ def estimate_pipeline(measured: Trajectory, net: Network,
         return report
     # the estimates come in the order of the parameter fields
     params = (SirParams if measured.kind == "sir" else SeirParams)(*report.estimates, h=measured.h)
-    first = EpidemicState(s=measured.s[0], p=measured.p[0], r=measured.r[0],
-                          e=None if measured.e is None else measured.e[0])
-    resim = simulate(first, params, net, steps=measured.transitions, strict=False)
+    resim = simulate(_state(measured.levels[:, 0]), params, net, steps=measured.transitions,
+                     strict=False)
     return replace(report, trajectory_errors=_trajectory_errors(measured, resim, _nodes(net, node)))
 
 

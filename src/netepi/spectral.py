@@ -668,9 +668,8 @@ def convergence_diagnostics(traj: Trajectory, params, net: Network) -> Convergen
     monotone = bool(np.all(np.diff(lambdas) <= MONOTONE_TOL))
     # row-wise dot products: the same BLAS dot np.linalg.norm takes per vector
     p_norms = np.sqrt((traj.p[:, None, :] @ traj.p[:, :, None]).ravel())
-    peak = traj.p.max(axis=1)
-    if traj.e is not None:
-        peak = np.maximum(peak, traj.e.max(axis=1))
+    # the chain of infected compartments: e and p for SEIR, p for SIR
+    peak = traj.levels[1:-1].max(axis=(0, 2))
     quiet = np.flatnonzero(peak < EXTINCTION_THRESHOLD)
     extinction_step = int(quiet[0]) if quiet.size else None
     rate = None

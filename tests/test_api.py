@@ -2,13 +2,15 @@
 added back, or a new option, fails here."""
 
 import ast
+import dataclasses
+import inspect
 import types
 from pathlib import Path
 
 import pytest
 
 import netepi
-from netepi import dynamics, estimation, graph, spectral
+from netepi import cli, dynamics, estimation, graph, spectral
 
 ALL = {
     graph: {"Network", "NetworkError", "load_network", "is_irreducible"},
@@ -44,6 +46,22 @@ OPTIONS = {
     "estimation.estimate_pipeline(node)",
 }
 
+# every dataclass field with a default that the constructor takes: the
+# options of the data types (a field(init=False) is not one)
+FIELDS = {
+    "dynamics.EpidemicState.e", "dynamics.Trajectory.e",
+    "dynamics.SeirParams.layer_beta_e", "dynamics.SeirParams.layer_beta",
+    "dynamics.AssumptionReport.violations",
+    "estimation.NoiseModel.seed", "estimation.NoiseModel.start_k",
+    "estimation.NoiseModel.e_slope", "estimation.NoiseModel.e_floor",
+    "estimation.NoiseModel.x_slope", "estimation.NoiseModel.x_floor",
+    "estimation.NoiseModel.param_is_std",
+    "estimation.RegressionSystem.node", "estimation.IdentifiabilityVerdict.witnesses",
+    "estimation.IdentifiabilityVerdict.failed_conditions",
+    "estimation.EstimateReport.trajectory_errors",
+    "graph.Network.layers",
+}
+
 
 @pytest.mark.parametrize("module", list(ALL), ids=lambda m: m.__name__)
 def test_module_all(module):
@@ -73,3 +91,14 @@ def test_no_new_options():
                 named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
                 found |= {f"{path.stem}.{node.name}({a.arg})" for a in named}
     assert found == OPTIONS
+    # and every dataclass field with a default that a constructor takes
+    found = set()
+    for module in (cli, dynamics, estimation, graph, spectral):
+        for name, cls in vars(module).items():
+            if (inspect.isclass(cls) and cls.__module__ == module.__name__
+                    and dataclasses.is_dataclass(cls)):
+                found |= {f"{module.__name__.split('.')[-1]}.{name}.{f.name}"
+                          for f in dataclasses.fields(cls)
+                          if f.init and (f.default is not dataclasses.MISSING
+                                         or f.default_factory is not dataclasses.MISSING)}
+    assert found == FIELDS and len(FIELDS) == 17

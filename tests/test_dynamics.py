@@ -749,6 +749,12 @@ class TestWriterAgainstTemplateWriter:
         _same_rows(trajectory_to_csv(traj), trajectory_to_csv_oracle(traj))
 
 
+def _in_place(view: np.ndarray, part: np.ndarray) -> bool:
+    """Whether ``view`` is the array ``part``: the same memory, shape,
+    strides, dtype and write flag."""
+    return view.__array_interface__ == part.__array_interface__
+
+
 class TestTrajectoryArrays:
     def test_states_are_read_only_row_views(self, seir_example):
         net, params, state = seir_example
@@ -775,6 +781,57 @@ class TestTrajectoryArrays:
                     assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
             assert view.kind == traj.kind and view.n == traj.n
             view.validate()
+
+    @pytest.mark.parametrize("example,source", [
+        ("sir_example", "simulate"), ("seir_example", "simulate"),
+        ("sir_example", "csv"), ("seir_example", "csv"),
+        ("sir_example", "levels_file"), ("seir_example", "levels_file"),
+        ("seir_example", "noise")])
+    def test_compartments_are_views_of_one_read_only_block(self, request, tmp_path, monkeypatch,
+                                                          example, source):
+        net, params, state = request.getfixturevalue(example)
+        traj = simulate(state, params, net, 4)
+        if source == "csv":
+            traj = trajectory_from_csv(trajectory_to_csv(traj))
+        elif source == "levels_file":
+            path, _ = _written_pair(tmp_path, traj)
+            traj, parses = _reads(monkeypatch, path)
+            assert parses == 0
+        elif source == "noise":
+            traj = estimation.apply_noise(traj, estimation.NoiseModel(seed=3, start_k=1))
+        names = "spr" if traj.e is None else "sepr"
+        assert traj.levels.shape == (len(names), len(traj), traj.n)
+        assert not traj.levels.flags.writeable
+        for k, name in enumerate(names):
+            assert _in_place(getattr(traj, name), traj.levels[k])
+
+    @pytest.mark.parametrize("example", ["sir_example", "seir_example"])
+    def test_states_are_views_of_the_block(self, request, example):
+        net, params, state = request.getfixturevalue(example)
+        traj = simulate(state, params, net, 3)
+        for k, view in enumerate(traj.states):
+            assert _in_place(view.levels, traj.levels[:, k])
+            for row, name in zip(view.levels, "sepr" if view.e is not None else "spr"):
+                assert _in_place(getattr(view, name), row)
+        later = step(traj.states[3], params, net)
+        assert not later.levels.flags.writeable and _in_place(later.s, later.levels[0])
+        assert later.levels.tobytes() == simulate(state, params, net, 4).levels[:, 4].tobytes()
+
+    def test_levels_file_payload_is_the_block(self, tmp_path, seir_example):
+        net, params, state = seir_example
+        traj = simulate(state, params, net, 4)
+        _, levels = _written_pair(tmp_path, traj)
+        payload = np.load(io.BytesIO(levels.read_bytes()[graph.DIGEST_BYTES:]))
+        assert payload.shape == traj.levels.shape
+        assert payload.tobytes() == traj.levels.tobytes()
+
+    def test_keyword_state_is_one_writable_block(self):
+        state = EpidemicState(s=[0.9, 1.0], e=[0.05, 0.0], p=[0.05, 0.0], r=[0.0, 0.0])
+        assert state.levels.shape == (4, 2) and state.levels.flags.writeable
+        for row, name in zip(state.levels, "sepr"):
+            assert _in_place(getattr(state, name), row)
+        state.s[0] = 0.5
+        assert state.levels[0, 0] == 0.5
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
@@ -1009,7 +1066,7 @@ class TestLevelsFile:
                                               shape, save):
         net, params, state = seir_example
         path, levels = _written_pair(tmp_path, simulate(state, params, net, 4))
-        payload = np.stack(dynamics._compartments(_parsed(path))).ravel()
+        payload = _parsed(path).levels.ravel()
         payload = np.resize(payload, shape).astype(save.get("dtype", np.float64))
         if save.get("order") == "F":
             payload = np.asfortranarray(payload)
@@ -1084,7 +1141,7 @@ class TestLevelsFile:
     def test_matching_digest_with_nan_refused(self, tmp_path, seir_example):
         net, params, state = seir_example
         path, levels = _written_pair(tmp_path, simulate(state, params, net, 4))
-        payload = np.stack(dynamics._compartments(_parsed(path)))
+        payload = _parsed(path).levels.copy()
         payload[2, 3, 1] = math.nan
         levels.write_bytes(_levels_file(path.read_bytes(), payload))
         with pytest.raises(ValueError, match="^trajectory values must be finite$"):
