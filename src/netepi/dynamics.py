@@ -312,12 +312,13 @@ class _Block:
         return "sir" if self.e is None else "seir"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpidemicState(_Block):
     """Per-node compartment levels: one (c, n) block ``levels`` of s, e, p
     and r (SIR has no e), with ``s``, ``e``, ``p`` and ``r`` as its rows;
     ``e`` is None for SIR states. The keyword constructor stacks its
-    vectors into a new, writable block."""
+    vectors into a new, writable block. States compare and hash by
+    identity."""
 
     s: np.ndarray
     p: np.ndarray
@@ -338,12 +339,13 @@ def _state(levels: np.ndarray) -> EpidemicState:
     return _hold(object.__new__(EpidemicState), levels)
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, eq=False)
 class Trajectory(_Block):
     """Compartment levels over steps 0..T: one read-only (c, T+1, n) block
     ``levels`` of s, e, p and r (SIR has no e), with ``s``, ``e``, ``p`` and
     ``r`` as its (T+1, n) views (row k is step k); ``e`` is None for SIR.
-    The keyword constructor stacks its arrays into a new block."""
+    The keyword constructor stacks its arrays into a new block.
+    Trajectories compare and hash by identity."""
 
     s: np.ndarray
     p: np.ndarray
@@ -512,10 +514,10 @@ def check_assumption(params, net: Network) -> AssumptionReport:
                     ("h*(beta_e+beta)*row_sum", hb, (0 <= hb) & (hb < 1), "not in [0, 1)")])
 
 
-def _prepare(params, state, net: Network, rows: int | None) -> tuple:
+def _prepare(params, state, net: Network) -> SirParams | SeirParams:
     """Check ``params`` against ``state`` (an EpidemicState or a Trajectory)
-    and ``net``; resolve them and build their operator for products of up
-    to ``rows`` rows (``_operator``)."""
+    and ``net``, and resolve them; ``_operator(net, pr.rates, rows)`` is
+    their operator."""
     if not isinstance(params, (SirParams, SeirParams)):
         raise TypeError("params must be SirParams or SeirParams")
     kind = "sir" if isinstance(params, SirParams) else "seir"
@@ -523,8 +525,7 @@ def _prepare(params, state, net: Network, rows: int | None) -> tuple:
         raise ValueError(f"{type(params).__name__} require an {kind.upper()} state")
     if state.n != net.n:
         raise ValueError("state/network dimension mismatch")
-    pr = params.resolved(net.n)
-    return pr, _operator(net, pr.rates, rows)
+    return params.resolved(net.n)
 
 
 def _kernel(pr, op: tuple, hstages: tuple, levels: np.ndarray, k: int) -> None:
@@ -574,7 +575,8 @@ def simulate(initial: EpidemicState, params, net: Network, steps: int,
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    pr, op = _prepare(params, initial, net, 1)
+    pr = _prepare(params, initial, net)
+    op = _operator(net, pr.rates, 1)
     if strict:
         check_assumption(pr, net).raise_if_violated()
         initial.validate()

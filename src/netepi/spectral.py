@@ -22,8 +22,9 @@ connected block of its off-diagonal pattern; its Perron root is the largest
 of the blocks' roots. ``dominant_eigenvalue`` iterates on M itself from the
 uniform vector: it is the independent check the trajectory solve is tested
 against. The solve has three regimes, split by the node count n (the
-crossovers below), and logs each call's regime, states, left actions and
-worst relative residual at DEBUG:
+crossovers below), and logs each call's regime, states, left actions,
+product rows (the rows its left products took, summed) and worst relative
+residual at DEBUG:
 
 - n <= DENSE_NODES, repeated squaring: numpy's per-call overhead dominates
   at these sizes, so the solve spends flops to save calls. It forms the
@@ -73,13 +74,22 @@ both per state, while power iteration's left action shares the adjacency
 over all the states. So it wins where the left action is dear: on dense
 networks from a few hundred nodes, for SEIR before SIR, and on sparse ones
 once a chunk of states is few enough rows for ``dynamics._use_edges`` to
-take the edges (about 2000 nodes at 11 extra edges a node). With the split
-at 1900 nodes no size measured below runs slower. Milliseconds per
+take the edges (about 2000 nodes at 11 extra edges a node). A one-pass
+orthogonalisation, DCGS2 (Bielich et al., "Low-synch Gram-Schmidt with
+delayed reorthogonalization for Krylov solvers", Parallel Computing 2022),
+reads the basis twice for the same flops: in process it took the whole
+metro run 8-12 % less time, where a chunk's basis of 10 states outgrows
+the cache, but not the bench's 2-state excerpt, where it does not (1.05x
+and 0.99x in two runs of 8 and 10 alternating rounds), so CGS2 stays.
+With the split at 1900 nodes no size measured below runs slower.
+Milliseconds per
 ``convergence_diagnostics`` call, shifted power iteration -> Krylov
 (``tools/crossover.py``: ring networks, 2 per size, T = 80, sweep-small's
 rates; median of 3 alternating rounds, of 5 from n = 1500; 1 BLAS thread,
 2 vCPUs); "sparse" networks have 11 extra edges a node on average, the
-others 20 % of all pairs:
+others 20 % of all pairs. The n = 2000 row was re-measured with one
+product row a state, at density 0.0055 (5 rounds); the SEIR cells of the
+rows above predate it:
 
     n      edges    SIR               SEIR
     100    20 %     7.0 -> 21.6       26.6 -> 49.8
@@ -92,7 +102,7 @@ others 20 % of all pairs:
     1600   sparse   441.7 -> 467.6    1370.2 -> 1367.8
     1800   sparse   546.3 -> 558.8    1784.8 -> 1724.5
     1950   sparse   645.3 -> 594.1    2598.3 -> 1130.1
-    2000   sparse   621.7 -> 358.4    2524.1 -> 1060.4
+    2000   sparse   718.7 -> 349.9    1844.0 -> 803.7
 
 Milliseconds per call, matrix-free (shifted power iteration) -> dense
 (repeated squaring), on the same rings (4 per size, median of 12
@@ -112,12 +122,25 @@ The squarings cost O((c*n)^3) per state, so the dense regime loses past
 n = 24 for SEIR and n = 28 for SIR.
 
 Each left action multiplies the rows still iterating by each layer's
-adjacency A: over A's edges in column order, the edge table of A's
-transpose sorted once per call from the one ``dynamics._operator`` gives,
-where EDGE_FACTOR * nnz(A) * rows < n*n (``dynamics._use_edges``), else
-with the dense A (see the dynamics module docstring for the rule and its
-measurements). The operator is asked for the matrices at the most rows a
-product takes, c*(T+1), and for all of them where the states' matrices are
+adjacency A. Where the layer's rates are uniform over the nodes and there
+is more than one infected compartment (SEIR's beta_e and beta, as in every
+bench scenario), the compartments' rows (x*rate_c) A are rate_c*(x A), so
+the product takes one row a state and the rates multiply after it; other
+rates (SIR, or per-node rates) keep one row a compartment, the product as
+written, bit for bit (``_factored``). That halves the product rows of
+SEIR's Krylov solve on metro-large's network (1296 against 2592 over a
+whole T = 35 run), and took a call from 453 to 323-339 ms there
+(``tools/crossover.py --nodes 2000 --density 0.0055 --steps 35``: 4 rings,
+medians of 5 and of 9 alternating rounds); the roots moved by at most
+6.2e-16 (relative) on one such ring and 3.7e-15 on the bench's seed-1
+run, where the moved roots lie closer to ``np.linalg.eigvals``. The
+product runs over A's edges in column order, the
+edge table of A's transpose sorted once per call from the one
+``dynamics._operator`` gives, where EDGE_FACTOR * nnz(A) * rows < n*n
+(``dynamics._use_edges``), else with the dense A (see the dynamics module
+docstring for the rule and its measurements). The operator is asked for
+the matrices at the most rows a product takes, (T+1) times the widest
+layer's rows a state, and for all of them where the states' matrices are
 formed (n <= DENSE_NODES); so on a sparse network loaded from records no
 n x n matrix is built. The edges also give the block labelling and the
 diagonal of M, whose infection part is h*s_i*rates_l[0][i]*A_l[i, i]: the
@@ -133,8 +156,8 @@ from functools import partial
 
 import numpy as np
 
-from .dynamics import (SUM_TOL, EpidemicState, Trajectory, _edge_product, _prepare,
-                       _pressure_jacobian, _use_edges)
+from .dynamics import (SUM_TOL, EpidemicState, Trajectory, _edge_product, _operator,
+                       _prepare, _pressure_jacobian, _use_edges)
 from .graph import Network, _components, _edge_table
 
 log = logging.getLogger(__name__)
@@ -258,8 +281,8 @@ def build_spreading_matrix(state: EpidemicState | Trajectory, params,
     infection pressure the step uses, transport layers included; each stage
     keeps 1 - h*rate of its compartment and passes h*rate on to the next.
     For a Trajectory, the ``(T+1, N, N)`` stack of its states' maps."""
-    pr, op = _prepare(params, state, net, None)
-    return SpreadingMatrix(m=_spreading_stack(pr, op, state.s))
+    pr = _prepare(params, state, net)
+    return SpreadingMatrix(m=_spreading_stack(pr, _operator(net, pr.rates, None), state.s))
 
 
 def _spreading_stack(pr, op: tuple, s: np.ndarray) -> np.ndarray:
@@ -343,10 +366,10 @@ def _power_iteration(apply, data: tuple, w: np.ndarray) -> tuple:
 
 def _trajectory_roots(traj: Trajectory, params, net: Network) -> tuple:
     """Perron root of M(s_k) for every step k, the solve's regime (module
-    docstring), its left actions of the states' blocks, summed, and its
-    worst relative residual (``_block_roots``); M is formed only for
-    networks of at most DENSE_NODES nodes, to start the iteration
-    (``_squared_start``).
+    docstring), its left actions of the states' blocks and the rows its left
+    products took, each summed, and its worst relative residual
+    (``_block_roots``); M is formed only for networks of at most DENSE_NODES
+    nodes, to start the iteration (``_squared_start``).
 
     For iterates w = [w_0, ..., w_{c-1}] over the chain's c compartments at
     rates rho_c = params.stages[c], stacked as (T+1, c*n), and x = h*w_0*s_k,
@@ -354,23 +377,32 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> tuple:
 
         (w M)_c = w_c*(1 - h*rho_c) + h*rho_c*w_{c+1} + sum_l (x*rates_l[c]) A_l
 
-    (no w_{c+1} for the last c), one (c*b, n) @ (n, n) product per layer for
-    the b unconverged rows, over the layer's edges where ``_use_edges`` takes
-    them and dense otherwise. A state's root is the largest over the strongly
-    connected blocks of its own pattern; nodes with s = 0 contribute no
-    infection edges. A singleton block's root is its diagonal entry."""
-    # the matrices a product reads: all of them where the states' matrices
-    # are formed, else those the rule sends dense at the most rows, c*(T+1)
-    dense = net.n <= DENSE_NODES
-    most = (2 if traj.kind == "seir" else 1) * len(traj)
-    pr, op = _prepare(params, traj, net, None if dense else most)
+    (no w_{c+1} for the last c). Each layer's term is ((x*u_l) A_l) * v_l[c]
+    for its factors (u_l, v_l) (``_factored``): one (len(u_l)*b, n) @ (n, n)
+    product for the b unconverged rows, b rows where the layer's rates are
+    uniform over the nodes and c*b otherwise, over the layer's edges where
+    ``_use_edges`` takes them and dense otherwise. A state's root is the
+    largest over the strongly connected blocks of its own pattern; nodes with
+    s = 0 contribute no infection edges. A singleton block's root is its
+    diagonal entry."""
+    pr = _prepare(params, traj, net)
     n, h = net.n, pr.h
+    rates = [np.stack(r) for r in pr.rates]
+    factors = [_factored(r) for r in rates]
+    # the matrices a product reads: all of them where the states' matrices
+    # are formed, else those the rule sends dense at the most rows a layer's
+    # product takes, len(u)*(T+1) for the widest u
+    dense = n <= DENSE_NODES
+    most = max(len(u) for u, _ in factors) * len(traj)
+    op = _operator(net, pr.rates, None if dense else most)
     hs = h * traj.s
     comps = len(pr.stages)
     size = comps * n
-    # (A_l or None, rates as (comps, n), A_l's edges in column order), the
-    # edges taken once for the products, the diagonal and the block labelling
-    layers = [(a, np.stack(r), _column_edges(edges)) for a, edges, r in op]
+    # (A_l or None, rates as (comps, n), their factors (u, v), A_l's edges in
+    # column order), the edges taken once for the products, the diagonal and
+    # the block labelling
+    layers = [(a, r, u, v, _column_edges(n, edges))
+              for (a, edges, _), r, (u, v) in zip(op, rates, factors)]
     rho = np.ravel(pr.stages)
     keep = 1 - h * rho
     keep_shifted = keep + SHIFT
@@ -381,8 +413,8 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> tuple:
         # the left action of M - alpha*I, alpha one value per state
         x = (w[:, :n] * hs_rows)[:, None, :]
         out = None
-        for a, r, edges in layers:
-            y = _left_product((x * r).reshape(-1, n), a, edges)
+        for a, _, u, v, edges in layers:
+            y = _left_product((x * u).reshape(-1, n), a, edges).reshape(len(w), len(u), n) * v
             out = y if out is None else out + y
         out = out.reshape(len(w), size)
         out += w * (keep_shifted - alpha[:, None])
@@ -390,9 +422,9 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> tuple:
         return out
 
     diag = np.tile(keep, (len(hs), 1))
-    diag[:, :n] += hs * sum(r[0] * _diagonal(n, edges) for _, r, edges in layers)
+    diag[:, :n] += hs * sum(r[0] * _diagonal(n, edges) for _, r, _, _, edges in layers)
     # M >= 0 follows from these (each written so that NaN fails too)
-    if not (np.all(hs >= 0) and all(np.all(r >= 0) for _, r, _ in layers)
+    if not (np.all(hs >= 0) and all(np.all(r >= 0) for r in rates)
             and np.all(diag >= 0) and np.all(h_pass >= 0)):
         raise ValueError("spreading matrix must be nonnegative (h*s, the rates, "
                          "h*sigma and its diagonal must be >= 0)")
@@ -404,7 +436,7 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> tuple:
     # are grouped by their nodes with s = 0 (hashing, not sorting, the rows),
     # and each group's blocks are labelled once.
     infection = [(src, c * n + dst, r[c][src] != 0)
-                 for _, r, (dst, src, _, _) in layers for c in range(comps)]
+                 for _, r, _, _, (dst, src, _, _) in layers for c in range(comps)]
     link = np.flatnonzero(rho[:size - n] != 0)
     groups: dict[bytes, list[int]] = {}
     for k, zero in enumerate(hs == 0):
@@ -427,14 +459,30 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> tuple:
                                             regime == "krylov")
             roots[rows] = block.max(axis=1)
             actions, residual = actions + acts, max(residual, res)
-    return roots, regime, actions, residual
+    # each left action of a state takes len(u) product rows a layer
+    return roots, regime, actions, actions * sum(len(u) for u, _ in factors), residual
 
 
-def _column_edges(edges: tuple) -> tuple:
+def _factored(r: np.ndarray) -> tuple:
+    """Weights u, taken before a layer's product, and scalars v, taken after
+    it, for the layer's rates r (comps, n): (x * r) @ A = ((x * u) @ A) * v
+    for x (b, 1, n), and the product takes len(u) rows a state. Where r has
+    more than one row and each is uniform over the nodes, u is one row of
+    ones and v = r[:, :1]; otherwise u = r and v = 1, the product as
+    written."""
+    if len(r) > 1 and np.all(r == r[:, :1]):
+        return np.ones((1, 1)), r[:, :1]
+    return r, 1.0
+
+
+def _column_edges(n: int, edges: tuple) -> tuple:
     """A matrix's edges in column order (j ascending, then i), from its edge
-    table: the edge table of its transpose."""
+    table: the edge table of its transpose. The stable sort runs on the
+    columns in the smallest integer type that holds n - 1, where numpy's
+    radix sort takes the types of at most 16 bits (1.57 -> 0.14 ms on
+    24 203 edges at n = 2000, best of 5); the order is the same."""
     rows, cols, weights, _ = edges
-    order = np.argsort(cols, kind="stable")
+    order = np.argsort(cols.astype(np.min_scalar_type(n - 1)), kind="stable")
     return _edge_table(cols[order], rows[order], weights[order])
 
 
@@ -660,9 +708,9 @@ def convergence_diagnostics(traj: Trajectory, params, net: Network) -> Convergen
     # written so that NaN fails too
     if not np.all(traj.s <= 1 + SUM_TOL):
         raise ValueError("trajectory 's' level above 1 or NaN")
-    lambdas, regime, actions, residual = _trajectory_roots(traj, params, net)
-    log.debug("perron solve: %s regime, %d states, %d left actions, worst relative "
-              "residual %.3g", regime, len(lambdas), actions, residual)
+    lambdas, regime, actions, rows, residual = _trajectory_roots(traj, params, net)
+    log.debug("perron solve: %s regime, %d states, %d left actions, %d product rows, "
+              "worst relative residual %.3g", regime, len(lambdas), actions, rows, residual)
     below = np.flatnonzero(lambdas < 1.0)
     k_bar = int(below[0]) if below.size else None
     monotone = bool(np.all(np.diff(lambdas) <= MONOTONE_TOL))

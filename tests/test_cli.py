@@ -236,7 +236,7 @@ class TestGoldenBytes:
         ("seir", "measured.csv"):
             "f496e69aca7a5bbf6a9c6e745ffbe9bae985bf572b3997a35cd30f7658758061",
         ("seir", "lambda.csv"):
-            "ebf5874fb99c44259ccd1f684f08a155320d99792a1c1420a0797211d61b72b5",
+            "ee39b09575ab625b3d0ed347c9f92e1aa936234bceebd4b0ca1700540a39ef3e",
         ("seir", "convergence.json"):
             "d696847dcf6d196e7eaafc661533cf864fade0b0a6ecd2b586297d03287c64e7",
         ("seir", "estimate.json"):

@@ -392,7 +392,7 @@ class TestEdgeOperator:
         assert shapes == [(35, n)]
         # the Perron solve's left product takes the edges below
         # n*n / (8 * 24 000) = 20.8 rows
-        edges = spectral._column_edges(net.edges[0])
+        edges = spectral._column_edges(net.n, net.edges[0])
         rows = []
         monkeypatch.setattr(spectral, "_edge_product",
                             lambda x, edges: rows.append(len(x)) or x @ net.adjacency)
@@ -765,6 +765,19 @@ class TestTrajectoryArrays:
         assert np.shares_memory(st.e, traj.e) and np.array_equal(st.p, traj.p[3])
         with pytest.raises(ValueError):
             st.s[0] = 0.5
+
+    @pytest.mark.parametrize("example", ["sir_example", "seir_example"])
+    def test_equality_and_hash_are_identity(self, request, example):
+        # the generated __eq__ compared tuples of arrays, which raised
+        # ValueError; equal levels in two objects are still two objects
+        net, params, state = request.getfixturevalue(example)
+        traj = simulate(state, params, net, 3)
+        twin = Trajectory(s=traj.s, e=traj.e, p=traj.p, r=traj.r, h=traj.h)
+        for one, other in ((state, traj.states[0]), (traj, twin)):
+            assert one == one and not one != one
+            assert one != other and not one == other
+            assert hash(one) == hash(one) and len({one, other, one}) == 2
+        assert {traj.states[2]: 2}[traj.states[2]] == 2
 
     @pytest.mark.parametrize("example", ["sir_example", "seir_example"])
     def test_states_match_constructed_states(self, request, example):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from netepi import (EpidemicState, Network, SeirParams, SirParams,
                     build_spreading_matrix, convergence_diagnostics,
-                    dominant_eigenvalue, dynamics, simulate, spectral, step)
+                    dominant_eigenvalue, dynamics, graph, simulate, spectral, step)
 from netepi.dynamics import Trajectory
 from netepi.spectral import PowerIterationError, report_to_csv, report_to_json
 
@@ -760,10 +760,14 @@ class TestSolveLog:
         (record,) = [r for r in caplog.records if r.name == "netepi.spectral"]
         assert record.levelno == logging.DEBUG
         match = re.fullmatch(r"perron solve: (\w+) regime, (\d+) states, (\d+) left actions, "
-                             r"worst relative residual (\S+)", record.getMessage())
+                             r"(\d+) product rows, worst relative residual (\S+)",
+                             record.getMessage())
         assert match and match[1] == regime and int(match[2]) == len(traj)
         tol = spectral.POWER_RTOL if regime == "squaring" else spectral.KRYLOV_RTOL
-        assert int(match[3]) >= len(traj) and 0 <= float(match[4]) <= tol
+        assert int(match[3]) >= len(traj) and 0 <= float(match[5]) <= tol
+        # uniform SEIR rates on one network: one product row a left action,
+        # where the unfactored product takes one for each of e and p
+        assert int(match[4]) == int(match[3])
 
 
 def _roots_and_stacks(monkeypatch, traj, params, net):
@@ -999,7 +1003,7 @@ class TestEdgeProduct:
             n = int(rng.integers(1, 30))
             mats.append((rng.random((n, n)) < rng.uniform(0.0, 0.3)) * rng.random((n, n)))
         for a in mats:
-            edges = spectral._column_edges(Network(a).edges[0])
+            edges = spectral._column_edges(len(a), Network(a).edges[0])
             for rows in (1, 3, 16):
                 x = rng.random((rows, len(a)))
                 assert np.abs(dynamics._edge_product(x, edges) - x @ a).max(
@@ -1018,7 +1022,7 @@ class TestEdgeProduct:
             net = Network(mats[0], layers=(mats[1],))
             for m, edges in zip((net.adjacency, *net.layers), net.edges, strict=True):
                 want = np.diagonal(m)
-                for table in (edges, spectral._column_edges(edges)):
+                for table in (edges, spectral._column_edges(n, edges)):
                     got = spectral._diagonal(n, table)
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -1061,7 +1065,7 @@ class TestEdgeProduct:
             traj = simulate(initial, params, net, 1)
             rows = self._edge_rows(monkeypatch)
             lam = convergence_diagnostics(traj, params, net).lambda_seq
-            assert rows and rows[0] == len(traj) * (1 if kind == "sir" else 2)
+            assert rows and rows[0] == len(traj)
             dense = _forced_roots(monkeypatch, _dense_only, net, params, traj)
             assert np.abs(lam - dense).max() <= 1e-12
             for state, val in zip(traj.states, lam):
@@ -1086,7 +1090,110 @@ class TestEdgeProduct:
         traj = simulate(seeded_state(2000, "seir", e_seeds=[(0, 0.05)]), params, net, 1)
         rows = self._edge_rows(monkeypatch)
         convergence_diagnostics(traj, params, net)
-        assert rows[0] == 4 and set(rows) <= {2, 4}
+        assert rows[0] == 2 and set(rows) <= {1, 2}
+
+    @pytest.mark.parametrize("n", [1, 300, 2**16, 2**16 + 1, 100_000])
+    def test_column_sort_is_the_int64_stable_argsort(self, n):
+        # the columns are sorted in the smallest type that holds n - 1:
+        # uint16 up to n = 2**16, where numpy sorts by radix, wider above
+        rng = np.random.default_rng(91)
+        flat = np.unique(rng.integers(0, n * n, 5000))
+        rows, cols = np.divmod(flat, n)
+        cols[-1] = n - 1
+        table = graph._edge_table(rows, cols, rng.random(len(rows)))
+        order = np.argsort(cols, kind="stable")
+        got = spectral._column_edges(n, table)
+        want = graph._edge_table(cols[order], rows[order], table[2][order])
+        for mine, theirs in zip(got, want, strict=True):
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+
+
+def _regime(monkeypatch, regime):
+    """Send networks of more than DENSE_NODES nodes to ``regime``."""
+    if regime == "power":
+        monkeypatch.setattr(spectral, "DENSE_NODES", 0)
+    elif regime == "krylov":
+        _krylov(monkeypatch)
+
+
+def _logged_roots(monkeypatch, caplog, traj, params, net):
+    """convergence_diagnostics' roots, its left actions and product rows as
+    its DEBUG line gives them, and the rows of each ``_left_product`` call
+    grouped by layer, in layer order."""
+    calls = _spy(monkeypatch, "_left_product")
+    with caplog.at_level(logging.DEBUG, logger="netepi"):
+        lam = convergence_diagnostics(traj, params, net).lambda_seq
+    actions, rows = map(int, re.search(r"(\d+) left actions, (\d+) product rows",
+                                       caplog.text).groups())
+    layers: dict[int, list[int]] = {}
+    for x, _, edges in calls:
+        layers.setdefault(id(edges), []).append(len(x))
+    return lam, actions, rows, list(layers.values())
+
+
+class TestFactoredProduct:
+    """A layer whose rates are uniform over the nodes takes one product row
+    a state, x @ A_l, scaled after the product by each compartment's rate;
+    per-node rates keep the product as written, one row a compartment."""
+
+    @pytest.mark.parametrize("regime", ["squaring", "power", "krylov"])
+    @pytest.mark.parametrize("layered", [False, True])
+    def test_uniform_rates_take_one_row_a_state(self, monkeypatch, caplog, regime, layered):
+        rng = np.random.default_rng(130 + layered)
+        n = 12 if regime == "squaring" else 30
+        if layered:
+            net, params = random_layered_seir(rng, n)
+        else:
+            net = random_irreducible_network(rng, n, extra_prob=0.1)
+            params = random_seir_params(rng, net)
+        traj = simulate(seeded_state(n, "seir", e_seeds=[(0, 0.05)]), params, net, 30)
+        _regime(monkeypatch, regime)
+        lam, actions, rows, layers = _logged_roots(monkeypatch, caplog, traj, params, net)
+        assert f"{regime} regime" in caplog.text
+        # one row a state and layer for every left action
+        assert len(layers) == 1 + len(net.layers)
+        assert rows == actions * len(layers) and all(sum(r) == actions for r in layers)
+        dense = _forced_roots(monkeypatch, _dense_only, net, params, traj)
+        assert np.abs(lam - dense).max() <= 1e-12
+        assert _eigvals_gap(traj, params, net, lam) <= 1e-10
+
+    @pytest.mark.parametrize("regime", ["squaring", "power", "krylov"])
+    @pytest.mark.parametrize("case", ["seir", "layered", "mixed"])
+    def test_per_node_rates_keep_the_product_as_written(self, monkeypatch, caplog, regime,
+                                                        case):
+        # per-node rates on the one network (seir), on the base network and
+        # the transport layer (layered), or on the layer alone (mixed),
+        # whose base network keeps uniform rates
+        rng = np.random.default_rng({"seir": 132, "layered": 133, "mixed": 134}[case])
+        n = 12 if regime == "squaring" else 30
+        if case == "seir":
+            net = random_irreducible_network(rng, n, extra_prob=0.1)
+            pr = random_seir_params(rng, net)
+        else:
+            net, pr = random_layered_seir(rng, n)
+        spread = rng.uniform(0.5, 1.0, n)
+        params = SeirParams(beta_e=pr.beta_e * (1.0 if case == "mixed" else spread),
+                            beta=pr.beta, sigma=pr.sigma, gamma=pr.gamma, h=pr.h,
+                            layer_beta_e=tuple(r * spread for r in pr.layer_beta_e),
+                            layer_beta=pr.layer_beta)
+        traj = simulate(seeded_state(n, "seir", e_seeds=[(0, 0.05)]), params, net, 30)
+        _regime(monkeypatch, regime)
+        lam, actions, rows, layers = _logged_roots(monkeypatch, caplog, traj, params, net)
+        assert rows == sum(map(sum, layers))
+        if case == "mixed":
+            # one row a state on the base network, two on the layer
+            assert sum(layers[0]) == actions and layers[1] == [2 * r for r in layers[0]]
+        else:
+            assert all(sum(r) == 2 * actions for r in layers)
+        # the product as written, (x * rates_l[c]) @ A_l for each c, on every layer
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_factored", lambda r: (r, 1.0))
+            written = convergence_diagnostics(traj, params, net).lambda_seq
+        if case == "mixed":
+            assert np.abs(lam - written).max() <= 1e-12
+        else:
+            assert lam.tobytes() == written.tobytes()
+        assert _eigvals_gap(traj, params, net, lam) <= 1e-10
 
 
 class TestConvergenceDiagnostics:
