@@ -14,6 +14,53 @@ transport layers; for SIR it is the n x n matrix I + h*diag(s)*B*A - h*gamma
 acting on p alone. Its dominant eigenvalue drops below 1 once enough
 susceptibles are depleted, after which the infection decays geometrically.
 
+SEIR's root is that of an n x n one-stage problem wherever the network has
+no transport layers and sigma, gamma, beta_e and beta are uniform over the
+nodes (so in every diagnose of the bench). With k = beta_e + beta,
+f = beta_e / k, D = diag(s), K = k*A, d1 = 1 - h*sigma and
+d2 = 1 - h*gamma an eigenpair of M reads
+
+    lambda*e = d1*e + h*f*D*K*e + h*(1 - f)*D*K*p,
+    lambda*p = h*sigma*e + d2*p.
+
+Eliminating p, det(lambda*I - M) is the product over the eigenvalues nu of
+D*K of q(lambda, nu) = (lambda - d1)(lambda - d2) - h*nu*(f*(lambda - d2) +
+(1 - f)*h*sigma): the discrete-time next-generation reduction (Diekmann,
+Heesterbeek and Metz, J. Math. Biol. 1990; van den Driessche and Watmough,
+Math. Biosci. 2002); the e-part of M's Perron vector is D*K's. The larger
+root of q,
+
+    lambda_+(nu) = ((d1 + d2 + h*f*nu) + sqrt((d1 - d2 + h*f*nu)^2
+                                              + 4*h^2*sigma*(1 - f)*nu)) / 2,
+
+grows with nu, and M >= 0, so rho(M) = lambda_+(rho(D*K)), and a reducible
+state's maximum over its blocks carries over. So ``convergence_diagnostics``
+solves the one-stage chain c*I + h*D*K, c = max(d1, d2), through the SIR
+path with every regime below unchanged (``_one_stage``), and lifts each
+root lambda~ by lambda_+ at nu = (lambda~ - c)/h (``_lifted``); c keeps the
+one-stage diagonal nonnegative wherever M's is, and a state whose nu is 0
+gets c exactly. The nonnegativity check runs on SEIR's own rates first, so
+beta_e = -0.1 with beta = 0.2 is refused as before. Transport layers,
+per-node rates and a zero combined rate keep the two-stage chain. (The
+same reduction holds on layers whose rate pairs share one beta_e:beta
+ratio, but no workload diagnoses a layered network, so it is not taken
+there.) Against the two-stage solve (1 BLAS thread, 2 vCPUs; medians of
+alternating rounds):
+
+    input                                       two-stage   one-stage
+    metro's whole T = 35 run, ms a call         443         176
+      (tools/crossover.py --nodes 2000 --density 0.0055 --steps 35
+       --rings 2, 4 rounds; left actions a state, Krylov: 40 -> 24)
+    bench metro-large diagnose_s, s, the        0.0319      0.0207
+      2-state excerpt (10 of 10 pairs won)
+    bench sweep-small diagnose_s, s, 112        0.4535      0.3151
+      calls a pass (10 of 10 pairs won)
+
+The lifted roots of one sweep-small pass (seed 1) moved from the two-stage
+ones by at most 4.9e-15 (relative), and lie as close to
+``np.linalg.eigvals`` (at most 9.0e-15 on both sides); on metro's excerpt
+they lie 4.6e-15 and 8.3e-16 from it, against 7.1e-15 and 1.7e-15.
+
 ``build_spreading_matrix`` forms the matrix for one state, or the stack of
 a trajectory's matrices. ``convergence_diagnostics`` solves all the states
 of a trajectory at once, through the matrices' left action computed from s,
@@ -22,9 +69,9 @@ connected block of its off-diagonal pattern; its Perron root is the largest
 of the blocks' roots. ``dominant_eigenvalue`` iterates on M itself from the
 uniform vector: it is the independent check the trajectory solve is tested
 against. The solve has three regimes, split by the node count n (the
-crossovers below), and logs each call's regime, states, left actions,
-product rows (the rows its left products took, summed) and worst relative
-residual at DEBUG:
+crossovers below), and logs each call's chain (its stages), regime, states,
+left actions, product rows (the rows its left products took, summed) and
+worst relative residual at DEBUG:
 
 - n <= DENSE_NODES, repeated squaring: numpy's per-call overhead dominates
   at these sizes, so the solve spends flops to save calls. It forms the
@@ -40,9 +87,10 @@ residual at DEBUG:
   ``np.linalg.eigvals`` (median 1.2e-15), against 5.5e-13 (median 6.4e-14)
   for the shifted power iteration.
 - DENSE_NODES < n <= KRYLOV_NODES, shifted power iteration: no matrix is
-  formed, so the memory is the (T+1) x 2n iterates (SEIR; (T+1) x n for
-  SIR) besides the adjacency. Each block iterates from the uniform vector
-  on M - alpha*I and alpha is added back to the root. alpha is at most a
+  formed, so the memory is the (T+1) x 2n iterates (SEIR's two-stage
+  chain; (T+1) x n for a one-stage one) besides the adjacency. Each block
+  iterates from the uniform vector on M - alpha*I and alpha is added back
+  to the root. alpha is at most a
   share DIAGONAL_SHIFT < 1 of the block's smallest diagonal entry, and at
   most what a lower bound on the real parts of the block's eigenvalues
   allows, so that a block with eigenvalues far left of its diagonal (a
@@ -62,11 +110,12 @@ residual at DEBUG:
   invariant and the Ritz value exact. Cycles restart from the Ritz vector
   after KRYLOV_STEPS steps and grow where a cycle barely cuts the residual;
   chunks of states keep a basis within CHUNK_ENTRIES entries. On the whole
-  T = 35 run of metro-large's network (n = 2000, seed 1) each state took 40
-  left actions against 96 (87 iterations and 9 probe actions) for the
-  shifted power iteration, and the 2-state excerpt the bench diagnoses 40
-  against 80; the roots moved by at most 1.3e-14 (relative), against
-  8.5e-15 between power iteration and a Krylov solve to 2e-14.
+  T = 35 run of metro-large's network (n = 2000, seed 1) each state of the
+  two-stage chain took 40 left actions against 96 (87 iterations and 9
+  probe actions) for the shifted power iteration, and the 2-state excerpt
+  the bench diagnoses 40 against 80; the roots moved by at most 1.3e-14
+  (relative), against 8.5e-15 between power iteration and a Krylov solve
+  to 2e-14. On the one-stage chain each state of either took 24.
 
 The Krylov solve pays for each step with the orthogonalisation, which
 reads the state's basis four times, and with an eigenvalue solve per check,
@@ -81,66 +130,57 @@ reads the basis twice for the same flops: in process it took the whole
 metro run 8-12 % less time, where a chunk's basis of 10 states outgrows
 the cache, but not the bench's 2-state excerpt, where it does not (1.05x
 and 0.99x in two runs of 8 and 10 alternating rounds), so CGS2 stays.
-With the split at 1900 nodes no size measured below runs slower.
-Milliseconds per
+With the split at 1900 nodes no SIR or uniform-rate SEIR size measured
+runs slower; SEIR with per-node rates, which keeps the two-stage chain,
+would gain from Krylov from about 600 nodes. Milliseconds per
 ``convergence_diagnostics`` call, shifted power iteration -> Krylov
 (``tools/crossover.py``: ring networks, 2 per size, T = 80, sweep-small's
 rates; median of 3 alternating rounds, of 5 from n = 1500; 1 BLAS thread,
-2 vCPUs); "sparse" networks have 11 extra edges a node on average, the
-others 20 % of all pairs. The n = 2000 row was re-measured with one
-product row a state, at density 0.0055 (5 rounds); the SEIR cells of the
-rows above predate it:
+2 vCPUs); "sparse" networks have 11 extra edges a node on average (density
+0.0055 at n = 2000), the others 20 % of all pairs. The SIR column predates
+the one-stage SEIR solve; the SEIR columns were measured with it, on
+sweep-small's uniform SEIR rates (the one-stage chain) and on those rates
+scaled per node (``seir-node``: the two-stage chain):
 
-    n      edges    SIR               SEIR
-    100    20 %     7.0 -> 21.6       26.6 -> 49.8
-    200    20 %     15.0 -> 17.2      66.7 -> 67.0
-    400    20 %     51.0 -> 38.1      132.0 -> 112.9
-    600    20 %     97.7 -> 56.4      225.8 -> 169.6
-    800    sparse   137.1 -> 183.0    540.5 -> 466.9
-    1000   sparse   190.3 -> 213.4    782.0 -> 561.6
-    1500   sparse   413.4 -> 422.8    1599.9 -> 1213.4
-    1600   sparse   441.7 -> 467.6    1370.2 -> 1367.8
-    1800   sparse   546.3 -> 558.8    1784.8 -> 1724.5
-    1950   sparse   645.3 -> 594.1    2598.3 -> 1130.1
-    2000   sparse   718.7 -> 349.9    1844.0 -> 803.7
+    n      edges    SIR               SEIR              SEIR per node
+    100    20 %     7.0 -> 21.6       6.5 -> 28.2       29.2 -> 59.0
+    200    20 %     15.0 -> 17.2      15.4 -> 30.5      70.4 -> 82.4
+    400    20 %     51.0 -> 38.1      39.9 -> 48.0      143.4 -> 160.5
+    600    20 %     97.7 -> 56.4      84.8 -> 68.8      297.1 -> 264.6
+    800    sparse   137.1 -> 183.0    164.6 -> 203.9    761.9 -> 652.3
+    1000   sparse   190.3 -> 213.4    235.7 -> 281.8    1092.1 -> 826.3
+    1500   sparse   413.4 -> 422.8    445.8 -> 498.0    2162.0 -> 1534.6
+    1600   sparse   441.7 -> 467.6    536.6 -> 576.9    2717.6 -> 1802.3
+    1800   sparse   546.3 -> 558.8    614.9 -> 668.4    3331.1 -> 2405.5
+    1950   sparse   645.3 -> 594.1    788.3 -> 858.3    3954.2 -> 1858.3
+    2000   sparse   718.7 -> 349.9    758.5 -> 525.1    3854.0 -> 1690.7
 
 Milliseconds per call, matrix-free (shifted power iteration) -> dense
 (repeated squaring), on the same rings (4 per size, median of 12
-alternating rounds):
+alternating rounds; the SEIR columns as above):
 
-    n     SIR           SEIR
-    8     3.6 -> 1.6    4.8 -> 1.4
-    12    3.9 -> 1.8    4.9 -> 2.2
-    16    4.3 -> 2.3    6.0 -> 3.4
-    20    4.1 -> 3.0    6.3 -> 5.1
-    24    4.4 -> 3.7    7.1 -> 7.0
-    28    4.5 -> 4.5    7.6 -> 9.1
-    32    4.5 -> 5.0    7.7 -> 12.0
-    40    3.1 -> 5.3    13.3 -> 29.6
+    n     SIR           SEIR          SEIR per node
+    8     3.6 -> 1.6    2.6 -> 1.0    5.3 -> 1.5
+    12    3.9 -> 1.8    3.0 -> 1.2    7.9 -> 2.6
+    16    4.3 -> 2.3    2.6 -> 1.3    7.3 -> 3.7
+    20    4.1 -> 3.0    3.3 -> 1.6    8.7 -> 5.6
+    24    4.4 -> 3.7    3.1 -> 1.8    7.8 -> 8.3
+    28    4.5 -> 4.5    3.3 -> 2.7    9.2 -> 13.3
+    32    4.5 -> 5.0    3.4 -> 3.1    9.1 -> 15.8
+    40    3.1 -> 5.3    3.4 -> 4.3    11.4 -> 25.2
 
 The squarings cost O((c*n)^3) per state, so the dense regime loses past
-n = 24 for SEIR and n = 28 for SIR.
+n = 24 for the two-stage chain and past n = 28 to 32 for one-stage ones
+(SIR, and SEIR with uniform rates).
 
-Each left action multiplies the rows still iterating by each layer's
-adjacency A. Where the layer's rates are uniform over the nodes and there
-is more than one infected compartment (SEIR's beta_e and beta, as in every
-bench scenario), the compartments' rows (x*rate_c) A are rate_c*(x A), so
-the product takes one row a state and the rates multiply after it; other
-rates (SIR, or per-node rates) keep one row a compartment, the product as
-written, bit for bit (``_factored``). That halves the product rows of
-SEIR's Krylov solve on metro-large's network (1296 against 2592 over a
-whole T = 35 run), and took a call from 453 to 323-339 ms there
-(``tools/crossover.py --nodes 2000 --density 0.0055 --steps 35``: 4 rings,
-medians of 5 and of 9 alternating rounds); the roots moved by at most
-6.2e-16 (relative) on one such ring and 3.7e-15 on the bench's seed-1
-run, where the moved roots lie closer to ``np.linalg.eigvals``. The
-product runs over A's edges in column order, the
-edge table of A's transpose sorted once per call from the one
+Each left action multiplies the rows still iterating, one a compartment,
+by each layer's adjacency A. The product runs over A's edges in column
+order, the edge table of A's transpose sorted once per call from the one
 ``dynamics._operator`` gives, where EDGE_FACTOR * nnz(A) * rows < n*n
 (``dynamics._use_edges``), else with the dense A (see the dynamics module
 docstring for the rule and its measurements). The operator is asked for
-the matrices at the most rows a product takes, (T+1) times the widest
-layer's rows a state, and for all of them where the states' matrices are
+the matrices at the most rows a product takes, (T+1) times the chain's
+compartments, and for all of them where the states' matrices are
 formed (n <= DENSE_NODES); so on a sparse network loaded from records no
 n x n matrix is built. The edges also give the block labelling and the
 diagonal of M, whose infection part is h*s_i*rates_l[0][i]*A_l[i, i]: the
@@ -287,18 +327,22 @@ def build_spreading_matrix(state: EpidemicState | Trajectory, params,
 
 def _spreading_stack(pr, op: tuple, s: np.ndarray) -> np.ndarray:
     """``build_spreading_matrix`` on resolved parameters and their operator,
-    for the s levels of one state (n,) or of a stack of states (B, n)."""
+    for the s levels of one state (n,) or of a stack of states (B, n),
+    filled into one zeroed stack block by block, each block in the order
+    of operations of the per-block build (``spreading_matrix_oracle`` of
+    the tests)."""
     h, n, k = pr.h, s.shape[-1], len(pr.stages)
-    full = partial(np.broadcast_to, shape=s.shape + (n,))
-    eye = np.eye(n)
-    blocks = [[full(0.0)] * k for _ in range(k)]
+    m = np.zeros(s.shape[:-1] + (k * n, k * n))
     for c, rate in enumerate(pr.stages):
-        blocks[0][c] = h * (s[..., :, None] * _pressure_jacobian(op, c))
+        cols = slice(c * n, (c + 1) * n)
+        top = m[..., :n, cols]
+        np.multiply(s[..., :, None], _pressure_jacobian(op, c), out=top)
+        top *= h
         # 1 - h*rate first, as the left action forms it (_trajectory_roots)
-        blocks[c][c] = full(eye - h * np.diag(rate) + blocks[c][c])
+        m[..., cols, cols] += np.eye(n) - h * np.diag(rate)
         if c + 1 < k:
-            blocks[c + 1][c] = full(h * np.diag(rate))
-    return np.block(blocks)
+            m[..., cols.stop:cols.stop + n, cols] = h * np.diag(rate)
+    return m
 
 
 def dominant_eigenvalue(m: np.ndarray) -> tuple:
@@ -365,47 +409,51 @@ def _power_iteration(apply, data: tuple, w: np.ndarray) -> tuple:
 
 
 def _trajectory_roots(traj: Trajectory, params, net: Network) -> tuple:
-    """Perron root of M(s_k) for every step k, the solve's regime (module
-    docstring), its left actions of the states' blocks and the rows its left
-    products took, each summed, and its worst relative residual
-    (``_block_roots``); M is formed only for networks of at most DENSE_NODES
-    nodes, to start the iteration (``_squared_start``).
+    """Perron root of M(s_k) for every step k, the stages of the chain the
+    solve ran on (``_one_stage``), its regime (module docstring), its left
+    actions of the states' blocks and the rows its left products took, each
+    summed, and its worst relative residual (``_block_roots``); M is formed
+    only for networks of at most DENSE_NODES nodes, to start the iteration
+    (``_squared_start``).
 
     For iterates w = [w_0, ..., w_{c-1}] over the chain's c compartments at
-    rates rho_c = params.stages[c], stacked as (T+1, c*n), and x = h*w_0*s_k,
+    rates rho_c = chain.stages[c], stacked as (T+1, c*n), and x = h*w_0*s_k,
     the left action of all T+1 matrices at once is
 
         (w M)_c = w_c*(1 - h*rho_c) + h*rho_c*w_{c+1} + sum_l (x*rates_l[c]) A_l
 
-    (no w_{c+1} for the last c). Each layer's term is ((x*u_l) A_l) * v_l[c]
-    for its factors (u_l, v_l) (``_factored``): one (len(u_l)*b, n) @ (n, n)
-    product for the b unconverged rows, b rows where the layer's rates are
-    uniform over the nodes and c*b otherwise, over the layer's edges where
-    ``_use_edges`` takes them and dense otherwise. A state's root is the
+    (no w_{c+1} for the last c), one (c*b, n) @ (n, n) product per layer for
+    the b unconverged rows, over the layer's edges where ``_use_edges`` takes
+    them and dense otherwise. A state's root is the
     largest over the strongly connected blocks of its own pattern; nodes with
     s = 0 contribute no infection edges. A singleton block's root is its
     diagonal entry."""
     pr = _prepare(params, traj, net)
+    chain = _one_stage(pr) or pr
     n, h = net.n, pr.h
-    rates = [np.stack(r) for r in pr.rates]
-    factors = [_factored(r) for r in rates]
-    # the matrices a product reads: all of them where the states' matrices
-    # are formed, else those the rule sends dense at the most rows a layer's
-    # product takes, len(u)*(T+1) for the widest u
-    dense = n <= DENSE_NODES
-    most = max(len(u) for u, _ in factors) * len(traj)
-    op = _operator(net, pr.rates, None if dense else most)
-    hs = h * traj.s
-    comps = len(pr.stages)
+    comps = len(chain.stages)
     size = comps * n
-    # (A_l or None, rates as (comps, n), their factors (u, v), A_l's edges in
-    # column order), the edges taken once for the products, the diagonal and
-    # the block labelling
-    layers = [(a, r, u, v, _column_edges(n, edges))
-              for (a, edges, _), r, (u, v) in zip(op, rates, factors)]
-    rho = np.ravel(pr.stages)
-    keep = 1 - h * rho
-    keep_shifted = keep + SHIFT
+    # the matrices a product reads: all of them where the states' matrices
+    # are formed, else those the rule sends dense at the most rows, c*(T+1)
+    dense = n <= DENSE_NODES
+    op = _operator(net, chain.rates, None if dense else comps * len(traj))
+    hs = h * traj.s
+    # (A_l or None, rates as (comps, n), A_l's edges in column order), the
+    # edges taken once for the products, the diagonal and the block labelling
+    layers = [(a, np.stack(r), _column_edges(n, edges))
+              for (a, edges, _), r in zip(op, chain.rates)]
+    loops = [_diagonal(n, edges) for *_, edges in layers]
+    # M >= 0 follows from these (each written so that NaN fails too), checked
+    # on the model's own rates; the one-stage chain's matrix is then >= 0 too
+    diag = _chain_diagonal(pr, hs, loops)
+    if not (np.all(hs >= 0) and all(np.all(np.stack(r) >= 0) for r in pr.rates)
+            and np.all(diag >= 0) and np.all(h * np.ravel(pr.stages)[:-n] >= 0)):
+        raise ValueError("spreading matrix must be nonnegative (h*s, the rates, "
+                         "h*sigma and its diagonal must be >= 0)")
+    if chain is not pr:
+        diag = _chain_diagonal(chain, hs, loops)
+    rho = np.ravel(chain.stages)
+    keep_shifted = 1 - h * rho + SHIFT
     # each compartment but the last passes h*rho_c of it on to the next
     h_pass = h * rho[:size - n]
 
@@ -413,21 +461,13 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> tuple:
         # the left action of M - alpha*I, alpha one value per state
         x = (w[:, :n] * hs_rows)[:, None, :]
         out = None
-        for a, _, u, v, edges in layers:
-            y = _left_product((x * u).reshape(-1, n), a, edges).reshape(len(w), len(u), n) * v
+        for a, r, edges in layers:
+            y = _left_product((x * r).reshape(-1, n), a, edges)
             out = y if out is None else out + y
         out = out.reshape(len(w), size)
         out += w * (keep_shifted - alpha[:, None])
         out[:, :size - n] += h_pass * w[:, n:]
         return out
-
-    diag = np.tile(keep, (len(hs), 1))
-    diag[:, :n] += hs * sum(r[0] * _diagonal(n, edges) for _, r, _, _, edges in layers)
-    # M >= 0 follows from these (each written so that NaN fails too)
-    if not (np.all(hs >= 0) and all(np.all(r >= 0) for r in rates)
-            and np.all(diag >= 0) and np.all(h_pass >= 0)):
-        raise ValueError("spreading matrix must be nonnegative (h*s, the rates, "
-                         "h*sigma and its diagonal must be >= 0)")
 
     # a state's pattern is the digraph on the nodes (c, i) = c*n + i,
     # compartment c of node i: infection edges (0, i) -> (c, j) where
@@ -436,7 +476,7 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> tuple:
     # are grouped by their nodes with s = 0 (hashing, not sorting, the rows),
     # and each group's blocks are labelled once.
     infection = [(src, c * n + dst, r[c][src] != 0)
-                 for _, r, _, _, (dst, src, _, _) in layers for c in range(comps)]
+                 for _, r, (dst, src, _, _) in layers for c in range(comps)]
     link = np.flatnonzero(rho[:size - n] != 0)
     groups: dict[bytes, list[int]] = {}
     for k, zero in enumerate(hs == 0):
@@ -454,25 +494,72 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> tuple:
             dst.append(j[on])
         labels = _components(size, np.concatenate(src), np.concatenate(dst))
         for rows in np.split(ks, range(chunk, len(ks), chunk)):
-            ms = _spreading_stack(pr, op, traj.s[rows]) if dense else None
+            ms = _spreading_stack(chain, op, traj.s[rows]) if dense else None
             block, acts, res = _block_roots(apply, labels, diag[rows], hs[rows], ms,
                                             regime == "krylov")
             roots[rows] = block.max(axis=1)
             actions, residual = actions + acts, max(residual, res)
-    # each left action of a state takes len(u) product rows a layer
-    return roots, regime, actions, actions * sum(len(u) for u, _ in factors), residual
+    if chain is not pr:
+        roots = _lifted(pr, roots)
+    # each left action of a state takes one product row a compartment and layer
+    return roots, comps, regime, actions, actions * comps * len(layers), residual
 
 
-def _factored(r: np.ndarray) -> tuple:
-    """Weights u, taken before a layer's product, and scalars v, taken after
-    it, for the layer's rates r (comps, n): (x * r) @ A = ((x * u) @ A) * v
-    for x (b, 1, n), and the product takes len(u) rows a state. Where r has
-    more than one row and each is uniform over the nodes, u is one row of
-    ones and v = r[:, :1]; otherwise u = r and v = 1, the product as
-    written."""
-    if len(r) > 1 and np.all(r == r[:, :1]):
-        return np.ones((1, 1)), r[:, :1]
-    return r, 1.0
+@dataclass(frozen=True)
+class _Chain:
+    """What the Perron solve reads of a model: the step h, the infection
+    rates per layer and compartment (``SeirParams.rates``) and the
+    progression rates down the chain of infected compartments (``stages``)."""
+    h: float
+    rates: tuple
+    stages: tuple
+
+
+def _one_stage(pr) -> _Chain | None:
+    """SEIR's one-stage chain (module docstring): the rate beta_e + beta and
+    the stage rate of max(1 - h*sigma, 1 - h*gamma), whose Perron roots give
+    SEIR's (``_lifted``). None for a one-stage model, a network with
+    transport layers, rates that vary over the nodes, or a combined rate
+    that is not positive and finite."""
+    if len(pr.stages) < 2 or len(pr.rates) != 1:
+        return None
+    sigma, gamma = pr.stages
+    (beta_e, beta), = pr.rates
+    if not all(np.all(v == v[:1]) for v in (sigma, gamma, beta_e, beta)):
+        return None
+    k = beta_e[0] + beta[0]
+    if not 0 < k < np.inf:
+        return None
+    # the stage whose 1 - h*rate is the larger, so that it is max(d1, d2) exactly
+    keep = sigma if 1 - pr.h * sigma[0] >= 1 - pr.h * gamma[0] else gamma
+    return _Chain(pr.h, ((np.full(len(keep), k),),), (keep,))
+
+
+def _lifted(pr, roots: np.ndarray) -> np.ndarray:
+    """SEIR's Perron roots from those of its one-stage chain, c + h*nu for
+    nu = rho(diag(s) * (beta_e + beta) A): the larger root of
+    (lambda - d1)(lambda - d2) = h*mu*(beta_e*(lambda - d2) + h*sigma*beta)
+    for d1 = 1 - h*sigma, d2 = 1 - h*gamma, c = max(d1, d2) and
+    mu = nu / (beta_e + beta) (module docstring)."""
+    h, sigma, be, b = pr.h, pr.sigma[0], pr.beta_e[0], pr.beta[0]
+    d1, d2 = 1 - h * sigma, 1 - h * pr.gamma[0]
+    c = max(d1, d2)
+    # h*mu; a root is c or above, and the clip keeps a rounding below it out
+    # of the square root. Where it is c (nu = 0), so is SEIR's, exactly.
+    hmu = np.maximum(roots - c, 0.0) / (be + b)
+    lifted = 0.5 * ((d1 + d2 + be * hmu) + np.sqrt((d1 - d2 + be * hmu) ** 2
+                                                   + 4 * h * sigma * b * hmu))
+    return np.where(hmu > 0, lifted, c)
+
+
+def _chain_diagonal(chain, hs: np.ndarray, loops: list) -> np.ndarray:
+    """The diagonal of M(s) of ``chain`` (a model's resolved parameters, or a
+    ``_Chain``) for each state's h*s (states, n), given each layer's
+    self-loop weights ``loops``: 1 - h*rho_c, and h*s_i*rates_l[0][i]*A_l[i, i]
+    added on the first compartment."""
+    diag = np.tile(1 - chain.h * np.ravel(chain.stages), (len(hs), 1))
+    diag[:, :hs.shape[1]] += hs * sum(r[0] * loop for r, loop in zip(chain.rates, loops))
+    return diag
 
 
 def _column_edges(n: int, edges: tuple) -> tuple:
@@ -708,9 +795,10 @@ def convergence_diagnostics(traj: Trajectory, params, net: Network) -> Convergen
     # written so that NaN fails too
     if not np.all(traj.s <= 1 + SUM_TOL):
         raise ValueError("trajectory 's' level above 1 or NaN")
-    lambdas, regime, actions, rows, residual = _trajectory_roots(traj, params, net)
-    log.debug("perron solve: %s regime, %d states, %d left actions, %d product rows, "
-              "worst relative residual %.3g", regime, len(lambdas), actions, rows, residual)
+    lambdas, stages, regime, actions, rows, residual = _trajectory_roots(traj, params, net)
+    log.debug("perron solve: %d-stage chain, %s regime, %d states, %d left actions, "
+              "%d product rows, worst relative residual %.3g", stages, regime, len(lambdas),
+              actions, rows, residual)
     below = np.flatnonzero(lambdas < 1.0)
     k_bar = int(below[0]) if below.size else None
     monotone = bool(np.all(np.diff(lambdas) <= MONOTONE_TOL))

@@ -236,7 +236,7 @@ class TestGoldenBytes:
         ("seir", "measured.csv"):
             "f496e69aca7a5bbf6a9c6e745ffbe9bae985bf572b3997a35cd30f7658758061",
         ("seir", "lambda.csv"):
-            "ee39b09575ab625b3d0ed347c9f92e1aa936234bceebd4b0ca1700540a39ef3e",
+            "ac929ccce84a94d2a83b82828cb3fa509fbfaf30a15c6fcea530a61ac37e9151",
         ("seir", "convergence.json"):
             "d696847dcf6d196e7eaafc661533cf864fade0b0a6ecd2b586297d03287c64e7",
         ("seir", "estimate.json"):

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import re
 import time
@@ -691,12 +692,14 @@ class TestKrylovSolve:
             convergence_diagnostics(traj, params, net)
         assert 0 < exc.value.residual < 1e-3
 
-    @pytest.mark.parametrize("kind", ["sir", "seir"])
+    @pytest.mark.parametrize("kind", ["sir", "seir", "seir_one_stage"])
     def test_reducible_network_matches_eigvals(self, monkeypatch, kind):
         # TestMatrixFreeSolve's two rings joined one way, above DENSE_NODES:
-        # each block is solved through the restricted left action
+        # each block is solved through the restricted left action. SEIR with
+        # per-node sigma keeps the two-stage chain, blocks of order 2n; with
+        # uniform rates it solves the one-stage chain, blocks of order n
         _krylov(monkeypatch)
-        rng = np.random.default_rng({"sir": 116, "seir": 117}[kind])
+        rng = np.random.default_rng({"sir": 116, "seir": 117, "seir_one_stage": 117}[kind])
         n = 14
         a = np.zeros((2 * n, 2 * n))
         a[:n, :n] = random_irreducible_network(rng, n).adjacency
@@ -704,10 +707,14 @@ class TestKrylovSolve:
         a[n:, :n] = (rng.random((n, n)) < 0.1) * rng.random((n, n))
         net = Network(a)
         params = (random_sir_params if kind == "sir" else random_seir_params)(rng, net)
-        traj = simulate(seeded_state(2 * n, kind, p_seeds=[(n + 1, 0.05)]), params, net, 30)
+        if kind == "seir":
+            params = _per_node_sigma(rng, params, 2 * n)
+        model = "sir" if kind == "sir" else "seir"
+        traj = simulate(seeded_state(2 * n, model, p_seeds=[(n + 1, 0.05)]), params, net, 30)
         blocks = _spy(monkeypatch, "_krylov_roots")
         _checked_against_eigvals(traj, params, net, 1e-12)
-        assert len(blocks) == 2 and {args[2] for args in blocks} == {n * (kind == "sir" or 2)}
+        order = 2 * n if kind == "seir" else n
+        assert len(blocks) == 2 and {args[2] for args in blocks} == {order}
 
     @pytest.mark.parametrize("tie", [False, True])
     def test_zero_susceptibles_match_eigvals(self, monkeypatch, tie):
@@ -753,21 +760,30 @@ class TestSolveLog:
             _krylov(monkeypatch)
         rng = np.random.default_rng(120)
         net = random_irreducible_network(rng, n)
-        params = random_seir_params(rng, net)
-        traj = simulate(seeded_state(n, "seir", e_seeds=[(0, 0.05)]), params, net, 20)
-        with caplog.at_level(logging.DEBUG, logger="netepi"):
-            convergence_diagnostics(traj, params, net)
-        (record,) = [r for r in caplog.records if r.name == "netepi.spectral"]
-        assert record.levelno == logging.DEBUG
-        match = re.fullmatch(r"perron solve: (\w+) regime, (\d+) states, (\d+) left actions, "
-                             r"(\d+) product rows, worst relative residual (\S+)",
-                             record.getMessage())
-        assert match and match[1] == regime and int(match[2]) == len(traj)
-        tol = spectral.POWER_RTOL if regime == "squaring" else spectral.KRYLOV_RTOL
-        assert int(match[3]) >= len(traj) and 0 <= float(match[5]) <= tol
-        # uniform SEIR rates on one network: one product row a left action,
-        # where the unfactored product takes one for each of e and p
-        assert int(match[4]) == int(match[3])
+        uniform = random_seir_params(rng, net)
+        # uniform rates solve the one-stage chain, per-node sigma the two-stage one
+        for stages, params in ((1, uniform), (2, _per_node_sigma(rng, uniform, n))):
+            traj = simulate(seeded_state(n, "seir", e_seeds=[(0, 0.05)]), params, net, 20)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="netepi"):
+                convergence_diagnostics(traj, params, net)
+            (record,) = [r for r in caplog.records if r.name == "netepi.spectral"]
+            assert record.levelno == logging.DEBUG
+            match = re.fullmatch(r"perron solve: (\d+)-stage chain, (\w+) regime, (\d+) states, "
+                                 r"(\d+) left actions, (\d+) product rows, "
+                                 r"worst relative residual (\S+)", record.getMessage())
+            assert match and int(match[1]) == stages and match[2] == regime
+            assert int(match[3]) == len(traj)
+            tol = spectral.POWER_RTOL if regime == "squaring" else spectral.KRYLOV_RTOL
+            assert int(match[4]) >= len(traj) and 0 <= float(match[6]) <= tol
+            # one product row a left action and compartment
+            assert int(match[5]) == stages * int(match[4])
+
+
+def _per_node_sigma(rng, params, n):
+    """``params`` with sigma spread over the ``n`` nodes, within (0.5, 1] of
+    itself, which keeps SEIR's Perron solve on the two-stage chain."""
+    return dataclasses.replace(params, sigma=params.sigma * rng.uniform(0.5, 1.0, n))
 
 
 def _roots_and_stacks(monkeypatch, traj, params, net):
@@ -1131,69 +1147,182 @@ def _logged_roots(monkeypatch, caplog, traj, params, net):
     return lam, actions, rows, list(layers.values())
 
 
-class TestFactoredProduct:
-    """A layer whose rates are uniform over the nodes takes one product row
-    a state, x @ A_l, scaled after the product by each compartment's rate;
-    per-node rates keep the product as written, one row a compartment."""
+class TestProductRows:
+    """Each left action takes one product row a state, compartment and
+    layer: two for SEIR's two-stage chain, one for the one-stage chain."""
 
     @pytest.mark.parametrize("regime", ["squaring", "power", "krylov"])
     @pytest.mark.parametrize("layered", [False, True])
-    def test_uniform_rates_take_one_row_a_state(self, monkeypatch, caplog, regime, layered):
+    def test_one_row_a_compartment(self, monkeypatch, caplog, regime, layered):
+        # uniform rates on one network solve the one-stage chain; per-node
+        # rates, and any transport layer, keep the two-stage one
         rng = np.random.default_rng(130 + layered)
         n = 12 if regime == "squaring" else 30
         if layered:
-            net, params = random_layered_seir(rng, n)
+            net, uniform = random_layered_seir(rng, n)
+            spread = rng.uniform(0.5, 1.0, n)
+            cases = ((2, uniform), (2, dataclasses.replace(
+                uniform, layer_beta_e=tuple(r * spread for r in uniform.layer_beta_e))))
         else:
             net = random_irreducible_network(rng, n, extra_prob=0.1)
-            params = random_seir_params(rng, net)
-        traj = simulate(seeded_state(n, "seir", e_seeds=[(0, 0.05)]), params, net, 30)
+            uniform = random_seir_params(rng, net)
+            cases = ((1, uniform), (2, _per_node_sigma(rng, uniform, n)),
+                     (2, dataclasses.replace(uniform,
+                                             beta_e=uniform.beta_e * rng.uniform(0.5, 1.0, n))))
         _regime(monkeypatch, regime)
-        lam, actions, rows, layers = _logged_roots(monkeypatch, caplog, traj, params, net)
-        assert f"{regime} regime" in caplog.text
-        # one row a state and layer for every left action
-        assert len(layers) == 1 + len(net.layers)
-        assert rows == actions * len(layers) and all(sum(r) == actions for r in layers)
-        dense = _forced_roots(monkeypatch, _dense_only, net, params, traj)
-        assert np.abs(lam - dense).max() <= 1e-12
-        assert _eigvals_gap(traj, params, net, lam) <= 1e-10
+        for stages, params in cases:
+            traj = simulate(seeded_state(n, "seir", e_seeds=[(0, 0.05)]), params, net, 30)
+            caplog.clear()
+            lam, actions, rows, layers = _logged_roots(monkeypatch, caplog, traj, params, net)
+            assert f"{stages}-stage chain, {regime} regime" in caplog.text
+            assert len(layers) == 1 + len(net.layers)
+            assert rows == stages * actions * len(layers)
+            assert all(sum(r) == stages * actions for r in layers)
+            dense = _forced_roots(monkeypatch, _dense_only, net, params, traj)
+            assert np.abs(lam - dense).max() <= 1e-12
+            assert _eigvals_gap(traj, params, net, lam) <= 1e-10
+
+
+def _chain_roots(caplog, traj, params, net):
+    """convergence_diagnostics' roots and the stages of the chain that its
+    DEBUG line names."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="netepi"):
+        lam = convergence_diagnostics(traj, params, net).lambda_seq
+    return lam, int(re.search(r"perron solve: (\d+)-stage chain", caplog.text)[1])
+
+
+def _stage_cases(n):
+    """(label, params, network, stages of the chain solved) on ``n`` nodes:
+    SEIR with uniform rates on one network, and the rates and the layered
+    network that keep the two-stage chain."""
+    rng = np.random.default_rng(150)
+    one = random_irreducible_network(rng, n)
+    layered = Network(one.adjacency, layers=(random_irreducible_network(rng, n).adjacency,))
+    base = SeirParams(beta_e=0.02, beta=0.03, sigma=0.4, gamma=0.3, h=1.0)
+    spread = rng.uniform(0.5, 1.0, n)
+    return [
+        ("uniform", base, one, 1),
+        ("uniform vectors", dataclasses.replace(base, beta_e=np.full(n, 0.02),
+                                                sigma=np.full(n, 0.4)), one, 1),
+        ("beta_e zero", dataclasses.replace(base, beta_e=0.0), one, 1),
+        ("h*sigma one", dataclasses.replace(base, sigma=1.0), one, 1),
+        ("sigma per node", dataclasses.replace(base, sigma=0.4 * spread), one, 2),
+        ("gamma per node", dataclasses.replace(base, gamma=0.3 * spread), one, 2),
+        ("beta_e per node", dataclasses.replace(base, beta_e=0.02 * spread), one, 2),
+        ("beta per node", dataclasses.replace(base, beta=0.03 * spread), one, 2),
+        ("zero rates", dataclasses.replace(base, beta_e=0.0, beta=0.0), one, 2),
+        # proportional to the base network's rates, and still two stages
+        ("layered", dataclasses.replace(base, layer_beta_e=(0.01,), layer_beta=(0.015,)),
+         layered, 2),
+    ]
+
+
+class TestOneStageRoots:
+    """SEIR on a network without transport layers whose rates are uniform
+    over the nodes is solved on the one-stage chain
+    c*I + h*diag(s)*(beta_e + beta)*A, c = max(1 - h*sigma, 1 - h*gamma);
+    M's root is the larger root of a quadratic in lambda whose
+    coefficients hold the one-stage root."""
 
     @pytest.mark.parametrize("regime", ["squaring", "power", "krylov"])
-    @pytest.mark.parametrize("case", ["seir", "layered", "mixed"])
-    def test_per_node_rates_keep_the_product_as_written(self, monkeypatch, caplog, regime,
-                                                        case):
-        # per-node rates on the one network (seir), on the base network and
-        # the transport layer (layered), or on the layer alone (mixed),
-        # whose base network keeps uniform rates
-        rng = np.random.default_rng({"seir": 132, "layered": 133, "mixed": 134}[case])
-        n = 12 if regime == "squaring" else 30
-        if case == "seir":
-            net = random_irreducible_network(rng, n, extra_prob=0.1)
-            pr = random_seir_params(rng, net)
-        else:
-            net, pr = random_layered_seir(rng, n)
-        spread = rng.uniform(0.5, 1.0, n)
-        params = SeirParams(beta_e=pr.beta_e * (1.0 if case == "mixed" else spread),
-                            beta=pr.beta, sigma=pr.sigma, gamma=pr.gamma, h=pr.h,
-                            layer_beta_e=tuple(r * spread for r in pr.layer_beta_e),
-                            layer_beta=pr.layer_beta)
-        traj = simulate(seeded_state(n, "seir", e_seeds=[(0, 0.05)]), params, net, 30)
+    def test_random_states_match_eigvals(self, monkeypatch, caplog, regime):
+        # random networks with self-loops or without, undirected stars and
+        # two rings joined one way, zeros in s, h*sigma = 1 and beta_e = 0
+        # among the cases
         _regime(monkeypatch, regime)
-        lam, actions, rows, layers = _logged_roots(monkeypatch, caplog, traj, params, net)
-        assert rows == sum(map(sum, layers))
-        if case == "mixed":
-            # one row a state on the base network, two on the layer
-            assert sum(layers[0]) == actions and layers[1] == [2 * r for r in layers[0]]
-        else:
-            assert all(sum(r) == 2 * actions for r in layers)
-        # the product as written, (x * rates_l[c]) @ A_l for each c, on every layer
-        with monkeypatch.context() as patch:
-            patch.setattr(spectral, "_factored", lambda r: (r, 1.0))
-            written = convergence_diagnostics(traj, params, net).lambda_seq
-        if case == "mixed":
-            assert np.abs(lam - written).max() <= 1e-12
-        else:
-            assert lam.tobytes() == written.tobytes()
-        assert _eigvals_gap(traj, params, net, lam) <= 1e-10
+        rng = np.random.default_rng({"squaring": 140, "power": 141, "krylov": 142}[regime])
+        low = spectral.DENSE_NODES + 1 if regime == "krylov" else 1
+        for case in range(24):
+            n = int(rng.integers(max(low, 3), low + 8))
+            shape = case % 4
+            if shape == 2:
+                a = np.zeros((n, n))
+                a[0, 1:] = a[1:, 0] = 1.0
+            elif shape == 3:
+                half = n // 2
+                a = np.zeros((n, n))
+                a[:half, :half] = random_irreducible_network(rng, half).adjacency
+                a[half:, half:] = random_irreducible_network(rng, n - half).adjacency
+                cross = rng.random((n - half, half))
+                a[half:, :half] = (cross < 0.3) * rng.random((n - half, half))
+            else:
+                a = (rng.random((n, n)) < 0.5) * rng.uniform(0.2, 1.0, (n, n))
+                if shape == 1:
+                    np.fill_diagonal(a, 0.0)
+            net = Network(a)
+            total = rng.uniform(0.05, 0.9) / max(a.sum(axis=1).max(), 1.0)
+            split = 0.0 if case % 5 == 0 else rng.uniform(0.1, 0.9)
+            params = SeirParams(beta_e=total * split, beta=total * (1 - split),
+                                sigma=1.0 if case % 6 == 1 else rng.uniform(0.1, 1.0),
+                                gamma=rng.uniform(0.1, 0.9), h=1.0)
+            s = rng.uniform(0.0, 1.0, (5, n))
+            s[1:][rng.random((4, n)) < 0.3] = 0.0
+            s[-1] = 0.0
+            zero = np.zeros_like(s)
+            traj = fabricated_seir(zero, zero, 1 - s)
+            lam, stages = _chain_roots(caplog, traj, params, net)
+            assert stages == 1 and f"{regime} regime" in caplog.text
+            assert _eigvals_gap(traj, params, net, lam) <= 1e-10
+            # s = 0 everywhere: the root is c, exactly
+            assert lam[-1] == max(1 - params.sigma, 1 - params.gamma)
+
+    def test_one_stage_exactly_where_the_rates_allow(self, caplog):
+        n = 8
+        for label, params, net, want in _stage_cases(n):
+            traj = simulate(seeded_state(n, "seir", e_seeds=[(0, 0.05)]), params, net, 15)
+            lam, stages = _chain_roots(caplog, traj, params, net)
+            assert stages == want, label
+            assert _eigvals_gap(traj, params, net, lam) <= 5e-14, label
+        # SIR is the one-stage chain itself
+        sir = SirParams(beta=0.05, gamma=0.3, h=1.0)
+        net = random_irreducible_network(np.random.default_rng(151), n)
+        traj = simulate(seeded_state(n, "sir", p_seeds=[(0, 0.05)]), sir, net, 15)
+        assert _chain_roots(caplog, traj, sir, net)[1] == 1
+
+    @pytest.mark.parametrize("regime", ["squaring", "power", "krylov"])
+    def test_two_stage_rates_keep_their_roots_bit_for_bit(self, monkeypatch, regime):
+        # per-node rates and transport layers are solved as with the
+        # one-stage chain turned off; the one-stage roots lie within 1e-12
+        n = spectral.DENSE_NODES + 6 if regime == "krylov" else 8
+        _regime(monkeypatch, regime)
+        for label, params, net, stages in _stage_cases(n):
+            traj = simulate(seeded_state(n, "seir", e_seeds=[(0, 0.05)]), params, net, 15)
+            lam = convergence_diagnostics(traj, params, net).lambda_seq
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral, "_one_stage", lambda pr: None)
+                two = convergence_diagnostics(traj, params, net).lambda_seq
+            if stages == 2:
+                assert lam.tobytes() == two.tobytes(), label
+            else:
+                assert np.abs(lam - two).max() <= 1e-12, label
+
+    @pytest.mark.parametrize("rates", [dict(beta_e=-0.1, beta=0.2, sigma=0.4, gamma=0.3),
+                                       dict(beta_e=0.1, beta=0.2, sigma=1.5, gamma=0.3),
+                                       dict(beta_e=0.1, beta=0.2, sigma=0.4, gamma=1.5)])
+    def test_negative_entries_hidden_from_the_one_stage_chain_are_refused(self, rates):
+        # M has negative entries that the one-stage chain does not: beta_e < 0
+        # masked by beta_e + beta = 0.1 > 0, or h*sigma or h*gamma above 1
+        # where c = max(1 - h*sigma, 1 - h*gamma) stays >= 0. Refused before
+        # the chain is reduced
+        n = 4
+        net = random_irreducible_network(np.random.default_rng(152), n)
+        params = SeirParams(h=1.0, **rates)
+        traj = fabricated_seir(np.zeros((3, n)), np.full((3, n), 0.1), np.zeros((3, n)))
+        message = ("spreading matrix must be nonnegative (h*s, the rates, h*sigma and its "
+                   "diagonal must be >= 0)")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            convergence_diagnostics(traj, params, net)
+
+    @pytest.mark.parametrize("sigma, gamma", [(0.4, 0.3), (0.3, 0.4), (0.3, 0.3)])
+    def test_zero_infection_rates_give_the_larger_stage(self, sigma, gamma):
+        n = 6
+        net = random_irreducible_network(np.random.default_rng(153), n)
+        params = SeirParams(beta_e=0.0, beta=0.0, sigma=sigma, gamma=gamma, h=1.0)
+        s = np.random.default_rng(154).uniform(0.0, 1.0, (4, n))
+        zero = np.zeros_like(s)
+        lam = convergence_diagnostics(fabricated_seir(zero, zero, 1 - s), params, net).lambda_seq
+        assert np.all(lam == max(1 - sigma, 1 - gamma))
 
 
 class TestConvergenceDiagnostics:

@@ -9,12 +9,17 @@ commit); its ``src`` is what gets timed. Each network is built by
 directed ring plus random edges at ``--density``. For each node count there
 are ``--rings`` networks, SIR with sweep-small's SIR rates and SEIR with its
 SEIR rates (``workloads._grid`` of the ring's index), seeded at two nodes and
-simulated for ``--steps`` steps by the tree's own ``simulate``.
+simulated for ``--steps`` steps by the tree's own ``simulate``. The
+``seir-node`` row runs the same SEIR rates, each scaled per node by a factor
+drawn from [0.5, 1), so that its Perron solve keeps the two-stage chain,
+where uniform SEIR rates solve the one-stage chain.
 
 Each round runs every tree once, in the alternating order of
 tools/rounds.py. A round times one call per network, after one untimed call,
-and reports the mean over the rings in ms per call. The table gives the
-median over the rounds, and the ratio of the second tree to the first.
+and reports the mean over the rings in ms per call. The table gives, for
+each tree, the median over the rounds and beside it the spread (min-max);
+with two trees, the ratio of the medians, second tree to first, and the
+rounds the second tree won (took less time in).
 Standard library plus numpy.
 """
 
@@ -28,7 +33,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import rounds  # noqa: E402
 
-MODELS = ("sir", "seir")
+MODELS = ("sir", "seir", "seir-node")
 
 
 def parse_args(argv=None):
@@ -60,12 +65,17 @@ def worker(args) -> dict:
             start = np.zeros(n)
             start[seeds] = 0.02
             sir = SirParams(beta=(0.5 + 0.4 * u[0]) / rowmax, gamma=0.15 + 0.2 * u[3], h=1.0)
-            seir = SeirParams(**workloads._seir_params(u, rowmax))
+            rates = workloads._seir_params(u, rowmax)
+            spread = np.random.default_rng([n, ring, 1]).uniform(0.5, 1.0, n)
+            seir = {"seir": SeirParams(**rates),
+                    "seir-node": SeirParams(**{k: v if k == "h" else v * spread
+                                               for k, v in rates.items()})}
             zero = np.zeros(n)
             cases["sir"].append((simulate(EpidemicState(s=1 - start, p=start, r=zero), sir, net,
                                           args.steps), sir, net))
-            cases["seir"].append((simulate(EpidemicState(s=1 - start, e=start, p=zero, r=zero),
-                                           seir, net, args.steps), seir, net))
+            for model, params in seir.items():
+                cases[model].append((simulate(EpidemicState(s=1 - start, e=start, p=zero, r=zero),
+                                              params, net, args.steps), params, net))
         for model in MODELS:
             spectral.convergence_diagnostics(*cases[model][0])
             begin = time.perf_counter()
@@ -76,17 +86,23 @@ def worker(args) -> dict:
 
 
 def table(results: list[list[dict]], nodes: list[int]) -> list[str]:
-    """Median ms per call over the rounds, per model, node count and tree."""
+    """Median ms per call over the rounds and its spread (min-max), per
+    model, node count and tree; with two trees, the ratio of the medians and
+    the rounds the second tree won."""
     trees = len(results[0])
-    head = f"{'model':6s} {'n':>5s}" + "".join(f" {'tree ' + str(t + 1) + ' ms':>12s}"
-                                             for t in range(trees))
-    lines = [head + (f" {'2/1':>6s}" if trees == 2 else "")]
+    head = f"{'model':9s} {'n':>5s}" + "".join(
+        f" {'tree ' + str(t + 1) + ' ms':>12s} {'min-max':>15s}" for t in range(trees))
+    lines = [head + (f" {'2/1':>6s} {'won':>5s}" if trees == 2 else "")]
     for model in MODELS:
         for n in nodes:
-            med = [statistics.median(r[t][model][str(n)] for r in results)
-                   for t in range(trees)]
-            line = f"{model:6s} {n:5d}" + "".join(f" {m:12.2f}" for m in med)
-            lines.append(line + (f" {med[1] / med[0]:6.3f}" if trees == 2 else ""))
+            got = [[r[t][model][str(n)] for r in results] for t in range(trees)]
+            med = [statistics.median(g) for g in got]
+            line = f"{model:9s} {n:5d}" + "".join(
+                f" {m:12.2f} {f'{min(g):.2f}-{max(g):.2f}':>15s}" for m, g in zip(med, got))
+            if trees == 2:
+                won = sum(b < a for a, b in zip(*got))
+                line += f" {med[1] / med[0]:6.3f} {f'{won}/{len(results)}':>5s}"
+            lines.append(line)
     return lines
 
 
