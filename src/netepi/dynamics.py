@@ -488,10 +488,14 @@ def _pressure_jacobian(op: tuple, c: int) -> np.ndarray:
 
 
 def _report(checks: list) -> AssumptionReport:
-    """Violations node by node, in the order of ``checks``: (label, values, ok mask, bound)."""
-    return AssumptionReport(tuple(
-        AssumptionViolation(i, label, values[i], bound)
-        for i in range(len(checks[0][1])) for label, values, ok, bound in checks if not ok[i]))
+    """Violations node by node, in the order of ``checks``: (label, values, ok mask, bound).
+    One scan of the (nodes, checks) fail mask visits the violations alone."""
+    fails = np.flatnonzero(~np.column_stack([ok for _, _, ok, _ in checks]))
+    violations = []
+    for i, c in zip(*np.divmod(fails, len(checks))):
+        label, values, _, bound = checks[c]
+        violations.append(AssumptionViolation(int(i), label, values[i], bound))
+    return AssumptionReport(tuple(violations))
 
 
 def check_assumption(params, net: Network) -> AssumptionReport:

@@ -7,6 +7,40 @@ of Q, which in turn reduces to simple nonzero / non-proportionality
 conditions on the observed states; those are checked explicitly so a
 degenerate window is reported rather than silently producing one of many
 consistent solutions.
+
+The regression is held as its row blocks, one per compartment of the chain
+(p, r) or (e, p, r), each with only its nonzero columns of Q and its rows of
+delta (``_blocks``); half of SEIR's dense Q is structural zeros. The solve is
+the R-SVD (Chan, "An improved algorithm for computing the singular value
+decomposition", ACM TOMS 8, 1982) with one QR per row block, as in
+tall-skinny QR (Demmel, Grigori, Hoemmen and Langou, "Communication-optimal
+parallel and sequential QR and LU factorizations", SIAM J. Sci. Comput. 34,
+2012): each block's [Q_b | delta_b] is reduced to its triangle, the
+triangles are stacked at their columns and factored once more, and the
+stack's triangle is [[R, z], [0, rho]] with R of 2k x 2k for k infected
+compartments. Then [Q | delta] = W [[R, z], [0, rho]] for a W with
+orthonormal columns, so Q = W R has R's singular values, Q's column norms
+are the stack's (each block's triangle keeps its columns' norms), z = W^T
+delta, and |Q theta - delta|^2 = |R theta - z|^2 + rho^2 for every theta.
+The rank rule and the minimum-norm theta are thus the dense SVD's, with
+neither Q nor the SVD's tall U formed. The QR work, the sum over the blocks
+of rows x width^2, is 29/75 of a QR of the dense [Q | delta] for SEIR and
+13/18 for SIR.
+
+``estimate_pipeline`` network-wide on SEIR ring networks (``tools/solve.py``:
+sweep-small's rates, about 11 extra edges a node, the bench's noise; median
+ms per call over 5 alternating rounds, 2 rings each, 1 BLAS thread, 2-core
+x86-64 host), the dense SVD solve against the block solve (which also scans
+each window array once for the nonzero conditions); the block solve took
+less time in every round but one (n = 20, T = 200):
+
+       n      T    dense   blocks   ratio
+      20     35     1.58     0.94    0.59
+      20    200     5.32     3.12    0.59
+     200     35     5.35     3.50    0.65
+     200    200    32.64    18.10    0.55
+    2000     35    40.79    19.98    0.49
+    2000    200   319.83   144.44    0.45
 """
 
 from __future__ import annotations
@@ -45,6 +79,12 @@ class RegressionSystem:
     kind: str  # "sir-homog" | "sir-hetero" | "seir-homog" | "seir-hetero"
     t: int
     node: int | None = None
+    # the row blocks that build_regression assembled q and delta from (see
+    # _blocks). A system built by hand has none, and is solved as one block
+    # of its own q and delta; so is a copy by dataclasses.replace, which
+    # drops them because it may give the copy another q or delta. Such a
+    # solve can differ from the blocks' in the last bits.
+    blocks: tuple = field(init=False, default=(), repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -121,27 +161,30 @@ def _transitions(traj: Trajectory) -> int:
     return traj.transitions
 
 
-def _nodes(net: Network, node: int | None) -> np.ndarray:
-    """Columns of the network-wide system a check or regression covers."""
+def _nodes(net: Network, node: int | None) -> slice:
+    """Columns of the network-wide system a check or regression covers, as a
+    slice, so that the columns read are a view of the window's arrays."""
     if node is None:
-        return np.arange(net.n)
+        return slice(None)
     if not (0 <= node < net.n):
         raise ValueError(f"node {node} out of range for n={net.n}")
-    return np.array([node])
+    return slice(node, node + 1)
 
 
-def _nonzero_conditions(conditions, nodes: np.ndarray) -> tuple[dict, list]:
+def _nonzero_conditions(conditions, nodes: slice) -> tuple[dict, list]:
     """For each (name, x) of ``conditions``, "x[k, i] != 0 for some step k and
     i in ``nodes``": a witness, the first hit with steps in order and nodes
     within a step, or a failure."""
     witnesses = {}
     failed = []
     for name, x in conditions:
-        hits = np.argwhere(np.abs(x[:, nodes]) > NONZERO_TOL)
-        if not len(hits):
+        hits = np.abs(x[:, nodes]) > NONZERO_TOL
+        first = int(hits.argmax())
+        if not hits.flat[first]:
             failed.append(name)
             continue
-        k, i = int(hits[0, 0]), int(nodes[hits[0, 1]])
+        k, j = divmod(first, hits.shape[1])
+        i = range(x.shape[1])[nodes][j]
         witnesses[name] = {"i": i, "k": k, "value": float(x[k, i])}
     return witnesses, failed
 
@@ -161,14 +204,16 @@ def _check_sir(traj: Trajectory, net: Network, node: int | None, g) -> Identifia
                                   failed_conditions=tuple(failed))
 
 
-def _nonproportional_witness(ge: np.ndarray, gp: np.ndarray, nodes: np.ndarray) -> dict | None:
+def _nonproportional_witness(ge: np.ndarray, gp: np.ndarray, nodes) -> dict | None:
     """A pair of (g(e), g(p)) points over ``nodes`` that are not proportional,
     or None. Points are taken node-major, then in step order. The pivot c is
     the first point of largest norm and the witness pairs it with the first
     point j not parallel to it: a pair (a, b) has
     |a x b| = |a||b||sin(a, b)| <= |a||b|(|sin(a, c)| + |sin(b, c)|)
     <= |a x c| + |b x c| since |c| is largest, so when no point's cross
-    product with c exceeds the tolerance, no pair's exceeds two of them."""
+    product with c exceeds the tolerance, no pair's exceeds two of them.
+    ``nodes`` is a slice or an index array."""
+    ids = np.arange(ge.shape[1])[nodes]
     e = ge[:, nodes].T.ravel()
     p = gp[:, nodes].T.ravel()
     c = int(np.argmax(e * e + p * p))
@@ -180,7 +225,7 @@ def _nonproportional_witness(ge: np.ndarray, gp: np.ndarray, nodes: np.ndarray) 
         return None
     j = int(off[0])
     t = len(ge)
-    return {"i3": int(nodes[c // t]), "k3": c % t, "i4": int(nodes[j // t]), "k4": j % t,
+    return {"i3": int(ids[c // t]), "k3": c % t, "i4": int(ids[j // t]), "k4": j % t,
             "lhs": float(lhs[j]), "rhs": float(rhs[j])}
 
 
@@ -220,26 +265,30 @@ def check_identifiability(traj: Trajectory, net: Network,
     return _CHECKS[traj.kind](traj, net, node, _window_g(traj, net))
 
 
-def _regression(traj: Trajectory, net: Network, node: int | None, g) -> RegressionSystem:
-    """Q theta = delta over ``traj``'s chain, a block of rows per compartment:
-    block 0 has a column h*g(x) per infected x, and each x passes h*x on to
-    the next, -h*x in its own block and +h*x in the next one."""
+def _blocks(traj: Trajectory, net: Network, node: int | None, g) -> tuple:
+    """The rows of Q theta = delta over ``traj``'s chain, a block per
+    compartment, each as (its first column, [its nonzero columns of Q | its
+    rows of delta]) in column order: block 0 holds h*g(x) for each infected x
+    and -h*x_0, and block c holds +h*x_{c-1} and, but in the last block,
+    -h*x_c."""
     t = _transitions(traj)
     nodes = _nodes(net, node)
     chain = ("p", "r") if traj.kind == "sir" else ("e", "p", "r")
     k = len(chain) - 1
-    rows = t * len(nodes)
-    q = np.zeros((len(chain) * rows, 2 * k))
-    for c, x in enumerate(chain[:-1]):
-        q[:rows, c] = traj.h * g(x)[:, nodes].ravel()
-        passed = traj.h * getattr(traj, x)[:t, nodes].ravel()
-        q[c * rows:(c + 1) * rows, k + c] = -passed
-        q[(c + 1) * rows:(c + 2) * rows, k + c] = passed
-    delta = np.concatenate([np.diff(getattr(traj, x), axis=0)[:, nodes].ravel()
-                            for x in chain])
-    return RegressionSystem(q=q, delta=delta,
-                            kind=traj.kind + ("-homog" if node is None else "-hetero"),
-                            t=t, node=node)
+    passed = [traj.h * getattr(traj, x)[:t, nodes].ravel() for x in chain[:-1]]
+    blocks = []
+    for c, x in enumerate(chain):
+        cols = [traj.h * g(y)[:, nodes].ravel() for y in chain[:-1]] if c == 0 else [passed[c - 1]]
+        if c < k:
+            cols.append(-passed[c])
+        cols.append(np.diff(getattr(traj, x), axis=0)[:, nodes].ravel())
+        # one row per column, so that the block's columns are contiguous
+        blocks.append((k + c - 1 if c else 0, np.array(cols).T))
+    return tuple(blocks)
+
+
+def _kind(traj: Trajectory, node: int | None) -> str:
+    return traj.kind + ("-homog" if node is None else "-hetero")
 
 
 def build_regression(traj: Trajectory, net: Network,
@@ -247,8 +296,57 @@ def build_regression(traj: Trajectory, net: Network,
     """Stack the one-step updates over the nodes (all, or ``node`` alone) and
     the steps of ``traj`` into Q theta = delta; the model follows
     ``traj.kind``. SIR stacks the p- and r-updates, unknowns (beta, gamma);
-    SEIR stacks the e-, p- and r-updates, unknowns (beta_e, beta, sigma, gamma)."""
-    return _regression(traj, net, node, _window_g(traj, net))
+    SEIR stacks the e-, p- and r-updates, unknowns (beta_e, beta, sigma, gamma).
+    Q and delta are assembled from the row blocks of ``_blocks``, which the
+    system keeps for its solve; all three are read-only, so that they cannot
+    drift apart."""
+    blocks = _blocks(traj, net, node, _window_g(traj, net))
+    rows = len(blocks[0][1])
+    q = np.zeros((len(blocks) * rows, _columns(blocks)))
+    for b, (col, block) in enumerate(blocks):
+        q[b * rows:(b + 1) * rows, col:col + block.shape[1] - 1] = block[:, :-1]
+    delta = np.concatenate([block[:, -1] for _, block in blocks])
+    for a in (q, delta, *(block for _, block in blocks)):
+        a.setflags(write=False)
+    system = RegressionSystem(q=q, delta=delta, kind=_kind(traj, node), t=traj.transitions,
+                              node=node)
+    object.__setattr__(system, "blocks", blocks)
+    return system
+
+
+def _columns(blocks: tuple) -> int:
+    """Q's column count: the last block ends at Q's last column."""
+    col, block = blocks[-1]
+    return col + block.shape[1] - 1
+
+
+def _solve(blocks: tuple, kind: str) -> EstimateReport:
+    """Minimum-norm least-squares solve of Q theta = delta, given as its row
+    blocks (``_blocks``), with explicit numerical rank (module docstring).
+    Each block's [Q_b | delta_b] is reduced to its triangle, the triangles
+    are stacked at their columns in at least cols + 1 rows, and the stack's
+    own triangle [[R, z], [0, rho]] is what the SVD solves."""
+    cols = _columns(blocks)
+    stack = np.zeros((max(sum(min(block.shape) for _, block in blocks), cols + 1), cols + 1))
+    at = 0
+    for col, block in blocks:
+        tri = np.linalg.qr(block, mode="r")
+        stack[at:at + len(tri), col:col + block.shape[1] - 1] = tri[:, :-1]
+        stack[at:at + len(tri), cols] = tri[:, -1]
+        at += len(tri)
+    # each block's triangle keeps the norms of its columns, so the stack's
+    # column norms are Q's
+    col_norms = np.sqrt(np.einsum("ij,ij->j", stack[:, :cols], stack[:, :cols]))
+    tol = RANK_TOL_FACTOR * max(float(col_norms.max()), np.finfo(float).tiny)
+    top = np.linalg.qr(stack, mode="r")
+    r, z, rho = top[:cols, :cols], top[:cols, cols], top[cols, cols]
+    u, s, vt = np.linalg.svd(r)
+    rank = int(np.sum(s > tol))
+    s_inv = np.where(s > tol, 1.0 / np.where(s > tol, s, 1.0), 0.0)
+    theta = vt.T @ (s_inv * (u.T @ z))
+    residual = float(np.hypot(np.linalg.norm(r @ theta - z), rho))
+    return EstimateReport(kind=kind, estimates=theta, residual_norm=residual,
+                          rank=rank, verdict=None, non_unique=rank < cols)
 
 
 def solve_least_squares(sys: RegressionSystem) -> EstimateReport:
@@ -256,24 +354,14 @@ def solve_least_squares(sys: RegressionSystem) -> EstimateReport:
 
     Singular values below RANK_TOL_FACTOR times the largest column norm are
     treated as zero; rank below the column count sets the non-uniqueness flag.
-    The report carries no identifiability verdict.
+    The report carries no identifiability verdict. A system from
+    ``build_regression`` is solved on its row blocks, one built by hand as
+    one block of all its columns.
     """
-    q, delta = sys.q, sys.delta
-    if q.size == 0:
+    if sys.q.size == 0:
         raise ValueError("empty regression system")
-    # one pass over the rows: np.linalg.norm(q, axis=0) squares the C-ordered
-    # q column by column, strided, 4x slower at 180 000 rows; the norms only
-    # set the tolerance, and q goes to the SVD as it is
-    col_norms = np.sqrt(np.einsum("ij,ij->j", q, q))
-    tol = RANK_TOL_FACTOR * max(float(col_norms.max()), np.finfo(float).tiny)
-    u, s, vt = np.linalg.svd(q, full_matrices=False)
-    rank = int(np.sum(s > tol))
-    s_inv = np.where(s > tol, 1.0 / np.where(s > tol, s, 1.0), 0.0)
-    theta = vt.T @ (s_inv * (u.T @ delta))
-    residual = float(np.linalg.norm(q @ theta - delta))
-    return EstimateReport(kind=sys.kind, estimates=theta, residual_norm=residual,
-                          rank=rank, verdict=None,
-                          non_unique=rank < q.shape[1])
+    blocks = sys.blocks or ((0, np.column_stack([sys.q, sys.delta])),)
+    return _solve(blocks, sys.kind)
 
 
 def _check_levels(levels: np.ndarray) -> None:
@@ -315,7 +403,7 @@ def apply_noise(traj: Trajectory, model: NoiseModel) -> Trajectory:
     return _trajectory(levels, traj.h)
 
 
-def _trajectory_errors(measured: Trajectory, resim: Trajectory, nodes: np.ndarray) -> dict:
+def _trajectory_errors(measured: Trajectory, resim: Trajectory, nodes: slice) -> dict:
     """Mean absolute error per compartment over the columns ``nodes``."""
     comps = ["s", "p", "r"] + (["e"] if measured.kind == "seir" else [])
     return {comp: float(np.mean(np.abs(getattr(measured, comp) - getattr(resim, comp))[:, nodes]
@@ -325,15 +413,16 @@ def _trajectory_errors(measured: Trajectory, resim: Trajectory, nodes: np.ndarra
 
 def estimate_pipeline(measured: Trajectory, net: Network,
                       node: int | None = None) -> EstimateReport:
-    """Identifiability check, system assembly and pseudoinverse solve for the
-    model of ``measured``; when the data are identifiable, a re-simulation
-    from the first measured state scores the fit, over the columns of the
-    nodes estimated. The e, p and r levels must lie in [0, 1] up to SUM_TOL."""
+    """Identifiability check and the regression's block solve (``_solve``)
+    for the model of ``measured``, with no dense system formed; when the
+    data are identifiable, a re-simulation from the first measured state
+    scores the fit, over the columns of the nodes estimated. The e, p and r
+    levels must lie in [0, 1] up to SUM_TOL."""
     _check_levels(measured.levels)
     g = _window_g(measured, net)
     verdict = _CHECKS[measured.kind](measured, net, node, g)
-    system = _regression(measured, net, node, g)
-    report = replace(solve_least_squares(system), verdict=verdict)
+    blocks = _blocks(measured, net, node, g)
+    report = replace(_solve(blocks, _kind(measured, node)), verdict=verdict)
     if not verdict.identifiable:
         return report
     # the estimates come in the order of the parameter fields

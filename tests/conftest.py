@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from netepi import EpidemicState, Network, SeirParams, SirParams, Trajectory
 from netepi.dynamics import _edge_product, _operator, _prepare, _pressure_jacobian
-from netepi.estimation import NONZERO_TOL, RegressionSystem, _nodes, _transitions
+from netepi.estimation import (NONZERO_TOL, RANK_TOL_FACTOR, RegressionSystem, _nodes,
+                               _transitions)
 from netepi.graph import NetworkError
 
 
@@ -278,6 +279,20 @@ def regression_seir_oracle(traj, net, node, g):
     return RegressionSystem(q=q, delta=delta,
                             kind="seir-homog" if node is None else "seir-hetero",
                             t=t, node=node)
+
+
+def least_squares_oracle(sys):
+    """The dense solve that the block solve replaced: Q's column norms by
+    einsum, the SVD of Q itself, the same rank tolerance and the minimum-norm
+    theta. Returns (theta, rank, non_unique, residual norm, singular values)."""
+    q, delta = sys.q, sys.delta
+    col_norms = np.sqrt(np.einsum("ij,ij->j", q, q))
+    tol = RANK_TOL_FACTOR * max(float(col_norms.max()), np.finfo(float).tiny)
+    u, s, vt = np.linalg.svd(q, full_matrices=False)
+    rank = int(np.sum(s > tol))
+    s_inv = np.where(s > tol, 1.0 / np.where(s > tol, s, 1.0), 0.0)
+    theta = vt.T @ (s_inv * (u.T @ delta))
+    return theta, rank, rank < q.shape[1], float(np.linalg.norm(q @ theta - delta)), s
 
 
 def nonproportional_pair_oracle(ge, gp, nodes):

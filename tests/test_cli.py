@@ -230,7 +230,7 @@ class TestGoldenBytes:
         ("sir", "convergence.json"):
             "4e45c82b1c43cca16fc489b6f7f0b8a1e4ddafbb4e7ae27f11778343c3799ae1",
         ("sir", "estimate.json"):
-            "b7e7ef11860a30a90885a8b15998f13f9030f106bfa30f85634b2da465d9b020",
+            "d344c177b945c4db4fff40431c6485a143ca20a61513a4895a4390f3fdd9019c",
         ("seir", "trajectory.csv"):
             "8631efb41675f4cee4377ae566c8286fc6b6da7d20d6d533329793739714e82d",
         ("seir", "measured.csv"):
@@ -240,7 +240,7 @@ class TestGoldenBytes:
         ("seir", "convergence.json"):
             "d696847dcf6d196e7eaafc661533cf864fade0b0a6ecd2b586297d03287c64e7",
         ("seir", "estimate.json"):
-            "5b2a18d8fe6a89f78323ca111457159e35436b480f4ab25d4511208b1bca5465",
+            "c50da2d9d3ae9d69e541d2e02e5bb059011d0552ac6e059f2763e64bd649562d",
     }
 
     @pytest.mark.parametrize("cached", [True, False], ids=["levels", "parsed"])

@@ -59,6 +59,29 @@ class TestAssumptionChecks:
         report = check_assumption(params, two_node_net)
         assert any(v.label == "h*sigma" and v.value == 1.5 for v in report.violations)
 
+    def test_violations_node_by_node_in_check_order(self):
+        # three nodes of row sum 2, each failing other checks: node 0 h*gamma
+        # and h*sigma, node 1 the row-sum bound alone, node 2 a negative rate
+        # and with it the row-sum bound
+        net = Network(np.ones((3, 3)) - np.eye(3))
+        params = SeirParams(beta_e=[0.1, 0.1, -0.5], beta=[0.1, 0.5, 0.1],
+                            sigma=[1.5, 0.4, 0.4], gamma=[1.0, 0.3, 0.3], h=1.0)
+        report = check_assumption(params, net)
+        assert [(v.node, v.label, v.value, v.bound) for v in report.violations] == [
+            (0, "h*gamma", 1.0, "not in (0, 1)"), (0, "h*sigma", 1.5, "not in (0, 1]"),
+            (1, "h*(beta_e+beta)*row_sum", pytest.approx(1.2), "not in [0, 1)"),
+            (2, "beta_e/beta", -0.5, "negative"),
+            (2, "h*(beta_e+beta)*row_sum", pytest.approx(-0.8), "not in [0, 1)")]
+        assert all(type(v.node) is int for v in report.violations)
+        with pytest.raises(AssumptionError) as info:
+            report.raise_if_violated()
+        assert str(info.value) == (
+            "well-posedness violated: node 0: h*gamma = 1 not in (0, 1); "
+            "node 0: h*sigma = 1.5 not in (0, 1]; "
+            "node 1: h*(beta_e+beta)*row_sum = 1.2 not in [0, 1); "
+            "node 2: beta_e/beta = -0.5 negative; "
+            "node 2: h*(beta_e+beta)*row_sum = -0.8 not in [0, 1)")
+
     def test_multilayer_bound_extends_over_layers(self, two_node_net):
         layered = Network(two_node_net.adjacency, layers=(two_node_net.adjacency,))
         # base rate alone fits under the bound, base + layer does not

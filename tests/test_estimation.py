@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,9 @@ from netepi import (Network, SeirParams, SirParams, Trajectory, estimation,
 from netepi.estimation import (NONZERO_TOL, NoiseModel, _g, _nonproportional_witness,
                                report_to_json)
 
-from conftest import (fabricated_seir, g_value, nonproportional_pair_oracle,
-                      random_irreducible_network, regression_seir_oracle,
-                      regression_sir_oracle, seeded_state)
+from conftest import (fabricated_seir, g_value, least_squares_oracle,
+                      nonproportional_pair_oracle, random_irreducible_network,
+                      regression_seir_oracle, regression_sir_oracle, seeded_state)
 
 
 @pytest.fixture
@@ -324,6 +326,135 @@ class TestSolveLeastSquares:
         with pytest.raises(ValueError):
             solve_least_squares(RegressionSystem(np.empty((0, 2)), np.empty(0),
                                                  "sir-homog", 0))
+
+
+
+class TestBlockSolve:
+    """The solve on the regression's row blocks against the dense solve it
+    replaced (conftest least_squares_oracle): the same rank and non-uniqueness,
+    estimates within the perturbation bound of a least-squares solve, scaled by
+    the condition number of Q on the singular values kept, and the same
+    residual up to 1e-12 * |delta|."""
+
+    @staticmethod
+    def _agree(sys):
+        got = solve_least_squares(sys)
+        theta, rank, non_unique, residual, s = least_squares_oracle(sys)
+        assert (got.rank, got.non_unique) == (rank, non_unique)
+        assert abs(got.residual_norm - residual) <= 1e-12 * np.linalg.norm(sys.delta)
+        if not rank:
+            assert not got.estimates.any()
+            return got
+        # 100 eps kappa (|theta| + kappa |residual| / |Q|): the sensitivity
+        # of least squares (Golub and Van Loan, 5.3.8); the cases here reach
+        # about a twentieth of it
+        kappa = s[0] / s[rank - 1]
+        bound = 100 * np.finfo(float).eps * kappa * (
+            np.linalg.norm(theta) + kappa * residual / s[0])
+        assert np.linalg.norm(got.estimates - theta) <= bound
+        return got
+
+    @staticmethod
+    def _trajectory(rng, kind, n, steps, case):
+        levels = rng.random((4, steps + 1, n))
+        if case == "zeros":
+            levels[rng.random(levels.shape) < 0.3] = 0.0
+        elif case == "e0":
+            levels[1] = 0.0
+        elif case == "proportional":
+            # e = c * p makes the g(e) and g(p) columns proportional
+            levels[1] = rng.uniform(0.1, 3.0) * levels[2]
+        s, e, p, r = levels
+        return Trajectory(s=s, e=None if kind == "sir" else e, p=p, r=r, h=rng.uniform(0.1, 2.0))
+
+    @pytest.mark.parametrize("kind", ["sir", "seir"])
+    @pytest.mark.parametrize("case", ["generic", "zeros", "e0", "proportional"])
+    def test_random_systems(self, kind, case):
+        rng = np.random.default_rng([17, len(kind), len(case)])
+        ranks = {"wide": set(), "node": set()}
+        for _ in range(60):
+            n, steps = int(rng.integers(2, 7)), int(rng.integers(1, 7))
+            net = Network((rng.random((n, n)) < 0.6) * rng.random((n, n)))
+            traj = self._trajectory(rng, kind, n, steps, case)
+            for node in (None, int(rng.integers(n))):
+                got = self._agree(build_regression(traj, net, node))
+                ranks["wide" if node is None else "node"].add(got.rank)
+        full = 2 if kind == "sir" else 4
+        if kind == "seir" and case in ("e0", "proportional"):
+            # the conditions that fail there leave Q short of full rank
+            assert max(ranks["wide"] | ranks["node"]) < full
+        else:
+            assert full in ranks["wide"] and full in ranks["node"]
+
+    @pytest.mark.parametrize("kind,steps", [("sir", 1), ("sir", 2), ("seir", 1), ("seir", 2)])
+    def test_short_windows(self, kind, steps):
+        # a per-node system at T = 1 has fewer rows than columns, so the
+        # stack of its triangles is padded to cols + 1 rows
+        rng = np.random.default_rng([23, steps, len(kind)])
+        ranks = set()
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            net = Network((rng.random((n, n)) < 0.6) * rng.random((n, n)))
+            traj = self._trajectory(rng, kind, n, steps, "generic")
+            for node in (None, *range(n)):
+                sys = build_regression(traj, net, node)
+                got = self._agree(sys)
+                if node is not None:
+                    ranks.add(got.rank)
+                    assert len(sys.q) == (2 if kind == "sir" else 3) * steps
+        # per node the rank reaches, and never passes, the smaller of the row
+        # and column counts: at T = 1, SEIR's three rows
+        assert max(ranks) == min((2 if kind == "sir" else 3) * steps, 2 if kind == "sir" else 4)
+
+    def test_hand_built_systems(self):
+        # a system built by hand is solved as one block of all its columns
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            m, c = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+            q = rng.standard_normal((m, c)) * 10.0 ** rng.uniform(-3, 3)
+            if c > 1 and rng.random() < 0.3:
+                q[:, -1] = rng.uniform(-2, 2) * q[:, 0]
+            if rng.random() < 0.2:
+                q[:, int(rng.integers(c))] = 0.0
+            sys = estimation.RegressionSystem(q, rng.standard_normal(m), "sir-homog", m)
+            assert sys.blocks == ()
+            self._agree(sys)
+
+    def test_hand_built_copy_of_a_built_system(self, seir_traj):
+        net, _, traj = seir_traj
+        built = build_regression(traj, net)
+        copy = estimation.RegressionSystem(built.q, built.delta, built.kind, built.t)
+        assert [col for col, _ in built.blocks] == [0, 2, 3]
+        # the built system's arrays cannot drift from the blocks it solves on
+        for a in (built.q, built.delta, *(block for _, block in built.blocks)):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+        assert solve_least_squares(copy).estimates == pytest.approx(
+            solve_least_squares(built).estimates, rel=1e-12)
+        # a replace() copy may carry another q or delta, so it keeps no blocks
+        assert dataclasses.replace(built).blocks == ()
+        assert np.array_equal(solve_least_squares(dataclasses.replace(built)).estimates,
+                              solve_least_squares(copy).estimates)
+
+    def test_pipeline_builds_no_dense_system(self, monkeypatch):
+        # no RegressionSystem, and every factorisation is of a row block, at
+        # most four columns and delta wide, or of the small triangles
+        rng = np.random.default_rng(31)
+        net = random_irreducible_network(rng, 12)
+        params = SeirParams(beta_e=0.04, beta=0.06, sigma=0.4, gamma=0.3, h=1.0)
+        traj = simulate(seeded_state(12, "seir", e_seeds=[(0, 0.02)], p_seeds=[(3, 0.03)]),
+                        params, net, 20)
+        want = estimate_pipeline(traj, net)
+        shapes = {"qr": [], "svd": []}
+        for name in shapes:
+            def recorded(a, *args, _name=name, _run=getattr(np.linalg, name), **kwargs):
+                shapes[_name].append(a.shape)
+                return _run(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, recorded)
+        monkeypatch.setattr(estimation, "RegressionSystem", None)
+        got = estimate_pipeline(traj, net)
+        assert np.array_equal(got.estimates, want.estimates)
+        assert shapes == {"qr": [(240, 4), (240, 3), (240, 2), (9, 5)], "svd": [(4, 4)]}
 
 
 class TestApplyNoise:

@@ -7,12 +7,13 @@ A tree is a repository root (this checkout, or a ``git archive`` of another
 commit); its ``src`` is what gets timed. Each network is built by
 ``bench/workloads.ring_network`` of this checkout (imported, not changed): a
 directed ring plus random edges at ``--density``. For each node count there
-are ``--rings`` networks, SIR with sweep-small's SIR rates and SEIR with its
-SEIR rates (``workloads._grid`` of the ring's index), seeded at two nodes and
-simulated for ``--steps`` steps by the tree's own ``simulate``. The
-``seir-node`` row runs the same SEIR rates, each scaled per node by a factor
-drawn from [0.5, 1), so that its Perron solve keeps the two-stage chain,
-where uniform SEIR rates solve the one-stage chain.
+are ``--rings`` networks (``rounds.ring_case``), SIR with sweep-small's SIR
+rates and SEIR with its SEIR rates (``workloads._grid`` of the ring's
+index), seeded at two nodes and simulated for ``--steps`` steps by the
+tree's own ``simulate``. The ``seir-node`` row runs the same SEIR rates,
+each scaled per node by a factor drawn from [0.5, 1), so that its Perron
+solve keeps the two-stage chain, where uniform SEIR rates solve the
+one-stage chain.
 
 Each round runs every tree once, in the alternating order of
 tools/rounds.py. A round times one call per network, after one untimed call,
@@ -26,7 +27,6 @@ Standard library plus numpy.
 from __future__ import annotations
 
 import argparse
-import statistics
 import sys
 from pathlib import Path
 
@@ -47,10 +47,7 @@ def parse_args(argv=None):
 
 def worker(args) -> dict:
     """ms per call for each model and node count, on the tree ``args.src[0]``."""
-    import time
-
     import numpy as np
-    import workloads
     from netepi import Network, SeirParams, SirParams, simulate, spectral
     from netepi.dynamics import EpidemicState
 
@@ -58,14 +55,8 @@ def worker(args) -> dict:
     for n in args.nodes:
         cases = {model: [] for model in MODELS}
         for ring in range(args.rings):
-            rng = np.random.default_rng([n, ring])
-            a = workloads.ring_network(rng, n, args.density)
-            net, rowmax, u = Network(a), a.sum(axis=1).max(), workloads._grid(ring)
-            seeds = rng.choice(n, size=2, replace=False)
-            start = np.zeros(n)
-            start[seeds] = 0.02
-            sir = SirParams(beta=(0.5 + 0.4 * u[0]) / rowmax, gamma=0.15 + 0.2 * u[3], h=1.0)
-            rates = workloads._seir_params(u, rowmax)
+            a, start, sir_rates, rates = rounds.ring_case(n, ring, args.density)
+            net, sir = Network(a), SirParams(**sir_rates)
             spread = np.random.default_rng([n, ring, 1]).uniform(0.5, 1.0, n)
             seir = {"seir": SeirParams(**rates),
                     "seir-node": SeirParams(**{k: v if k == "h" else v * spread
@@ -77,33 +68,15 @@ def worker(args) -> dict:
                 cases[model].append((simulate(EpidemicState(s=1 - start, e=start, p=zero, r=zero),
                                               params, net, args.steps), params, net))
         for model in MODELS:
-            spectral.convergence_diagnostics(*cases[model][0])
-            begin = time.perf_counter()
-            for case in cases[model]:
-                spectral.convergence_diagnostics(*case)
-            times[model][n] = (time.perf_counter() - begin) / args.rings * 1e3
+            times[model][n] = rounds.mean_ms(spectral.convergence_diagnostics, cases[model])
     return times
 
 
 def table(results: list[list[dict]], nodes: list[int]) -> list[str]:
-    """Median ms per call over the rounds and its spread (min-max), per
-    model, node count and tree; with two trees, the ratio of the medians and
-    the rounds the second tree won."""
-    trees = len(results[0])
-    head = f"{'model':9s} {'n':>5s}" + "".join(
-        f" {'tree ' + str(t + 1) + ' ms':>12s} {'min-max':>15s}" for t in range(trees))
-    lines = [head + (f" {'2/1':>6s} {'won':>5s}" if trees == 2 else "")]
-    for model in MODELS:
-        for n in nodes:
-            got = [[r[t][model][str(n)] for r in results] for t in range(trees)]
-            med = [statistics.median(g) for g in got]
-            line = f"{model:9s} {n:5d}" + "".join(
-                f" {m:12.2f} {f'{min(g):.2f}-{max(g):.2f}':>15s}" for m, g in zip(med, got))
-            if trees == 2:
-                won = sum(b < a for a, b in zip(*got))
-                line += f" {med[1] / med[0]:6.3f} {f'{won}/{len(results)}':>5s}"
-            lines.append(line)
-    return lines
+    """rounds.spread_table of the ms per call, per model and node count."""
+    return rounds.spread_table(results, f"{'model':9s} {'n':>5s}",
+                               [(f"{model:9s} {n:5d}", (model, str(n)))
+                                for model in MODELS for n in nodes])
 
 
 def main(argv=None) -> int:

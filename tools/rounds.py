@@ -1,5 +1,6 @@
 """Alternating rounds of a worker over one or two source trees: the harness
-of tools/crossover.py and tools/writeback.py.
+of tools/crossover.py, tools/solve.py and tools/writeback.py, with the ring
+cases and the timing that the first two share.
 
 A tree is a repository root (this checkout, or a ``git archive`` of another
 commit); its ``src`` is what the worker imports, ahead of ``bench/`` of this
@@ -7,7 +8,9 @@ checkout. Each round runs the tool's hidden ``--worker`` once per tree, each
 in a fresh subprocess with one BLAS thread, and reads the JSON of the
 worker's last line on stdout; the tree that runs first alternates from round
 to round, so that a drift of the host's speed does not favour one tree. A
-worker that fails stops the run with its stderr. Standard library only.
+worker that fails stops the run with its stderr. Standard library only, but
+for ``ring_case``, which runs in a worker and imports numpy and
+bench/workloads there.
 """
 
 from __future__ import annotations
@@ -15,8 +18,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
+import time
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,6 +65,56 @@ def run(args: argparse.Namespace, script: str) -> list[list[dict]]:
         rounds.append([got[tree] for tree in range(len(args.src))])
         print(f"round {idx + 1} of {args.rounds} done", file=sys.stderr, flush=True)
     return rounds
+
+
+def ring_case(n: int, ring: int, density: float) -> tuple:
+    """Ring network ``ring`` of ``n`` nodes: (the adjacency of
+    ``workloads.ring_network`` at ``density``, a start of 0.02 at two nodes,
+    sweep-small's SIR rates, its SEIR rates), the rates from
+    ``workloads._grid`` of ``ring`` and the adjacency's largest row sum. The
+    network and the two nodes come from one stream, seeded by [n, ring]."""
+    import numpy as np
+    import workloads
+
+    rng = np.random.default_rng([n, ring])
+    a = workloads.ring_network(rng, n, density)
+    rowmax, u = a.sum(axis=1).max(), workloads._grid(ring)
+    start = np.zeros(n)
+    start[rng.choice(n, size=2, replace=False)] = 0.02
+    sir = {"beta": (0.5 + 0.4 * u[0]) / rowmax, "gamma": 0.15 + 0.2 * u[3], "h": 1.0}
+    return a, start, sir, workloads._seir_params(u, rowmax)
+
+
+def mean_ms(call, cases: list[tuple]) -> float:
+    """ms per call of ``call`` over ``cases``, each a tuple of its
+    arguments, after one untimed call on the first."""
+    call(*cases[0])
+    begin = time.perf_counter()
+    for case in cases:
+        call(*case)
+    return (time.perf_counter() - begin) / len(cases) * 1e3
+
+
+def spread_table(results: list[list[dict]], head: str, rows: list[tuple[str, tuple]]) -> list[str]:
+    """Median ms and its spread (min-max) over the rounds, per row and tree;
+    with two trees, the ratio of the medians, second tree to first, and the
+    rounds the second tree won (took less time in). ``rows`` are (label,
+    keys): the row's label, under ``head``, and the keys of its time in a
+    worker's result."""
+    trees = len(results[0])
+    lines = [head + "".join(f" {'tree ' + str(t + 1) + ' ms':>12s} {'min-max':>15s}"
+                            for t in range(trees))
+             + (f" {'2/1':>6s} {'won':>5s}" if trees == 2 else "")]
+    for label, keys in rows:
+        got = [[reduce(getitem, keys, r[t]) for r in results] for t in range(trees)]
+        med = [statistics.median(g) for g in got]
+        line = label + "".join(f" {m:12.2f} {f'{min(g):.2f}-{max(g):.2f}':>15s}"
+                               for m, g in zip(med, got))
+        if trees == 2:
+            won = sum(b < a for a, b in zip(*got))
+            line += f" {med[1] / med[0]:6.3f} {f'{won}/{len(results)}':>5s}"
+        lines.append(line)
+    return lines
 
 
 def main(args: argparse.Namespace, script: str, worker, table) -> int:
