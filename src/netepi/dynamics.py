@@ -11,22 +11,25 @@ over the base network and any transport layers. All compartments stay in
 [0, 1] and sum to 1 per node as long as the well-posedness inequalities hold
 (see check_assumption).
 
-The infection operator (``_operator``) is the one reader of a network's
-matrices and edge tables: stepping, check_assumption, spectral's spreading
-matrix and Perron solve, and estimation's regression columns g = s * (A x)
-all go through it. A product with a matrix A of order n runs over A's edge
-table (graph.Network.edges, its nonzero entries in row-major order) where
+A product with a network's matrix A of order n runs over A's edge table
+(graph.Network.edges, its nonzero entries in row-major order) where
 EDGE_FACTOR * nnz(A) * rows < n*n (``_use_edges``), and reads the dense A
-otherwise. The rule reads n and the edge count, never A, and ``_operator``
-asks it once per call, for the most rows its caller's products take: it
-hands A over only where the rule sends a product dense, and None in its
-place otherwise, so the step loop reads a plain array or None and looks
-nothing up. A network loaded from records (graph._loaded) builds A from its
-edge table at the first dense product, and a sparse one never does (graph
-module docstring). The edge product gathers x at the edges' columns, weights it
-and sums each row's run in column order (np.take, then np.add.reduceat),
-so its cost grows with nnz(A) times the rows, and its bytes do not depend
-on the order of the edge-list records. It takes a stack EDGE_BLOCK = 16
+otherwise. The rule reads n and the edge count, never A, and is asked where
+a product's rows are known. Every right product A x counts one row (below),
+so the infection operator (``_operator``), which stepping, check_assumption
+and estimation's regression columns g = s * (A x) go through, asks it once,
+for one row: it hands A over only where the rule sends a one-row product
+dense, and None in its place otherwise, so the step loop reads a plain
+array or None and looks nothing up. spectral's Perron left action asks it
+for each product, at the rows that product takes, and reads A (``_matrix``)
+only where that product runs dense; the spreading matrices read every A
+(``_pressure_jacobian``). A network loaded from records (graph._loaded)
+builds A from its edge table at its first read, so a sparse one that no
+product sends dense never does (graph module docstring). The edge product
+gathers x at the edges' columns, weights it and sums each row's run in
+column order (np.take, then np.add.reduceat), so its cost grows with
+nnz(A) times the rows, and its bytes do not depend on the order of the
+edge-list records. It takes a stack EDGE_BLOCK = 16
 rows at a time, so that its (rows, nnz) temporaries stay in cache; each
 row's bytes are those of one pass over the whole stack. The right product
 A x of a (B, n) stack is B matrix-vector products, each reading A, so it
@@ -409,31 +412,40 @@ class AssumptionReport:
 
 
 # ---------------------------------------------------------------------------
-# The infection operator: the one place that reads ``net.layers``.
+# The infection operator; ``_matrix`` is the one place that reads ``net.layers``.
 
 EDGE_FACTOR = 8  # see _use_edges
 EDGE_BLOCK = 16  # rows per pass of _edge_product
 
 
-def _operator(net: Network, rates: tuple, rows: int | None) -> tuple:
+def _operator(net: Network, rates: tuple) -> tuple:
     """Triples (A_l, A_l's edge table, rates_l) over the base network (l = 0)
     and each transport layer, defining the infection pressure on the nodes
 
         pressure(x) = sum_l sum_c rates_l[c] * (A_l @ x_c)
 
-    for compartment levels x = (x_c). A_l is None where a product of up to
-    ``rows`` rows with it runs over its edge table (``_use_edges``), so that
-    a network loaded from records builds only the matrices a product reads;
-    ``rows`` None gives every A_l, for the callers that form matrices from
-    them. ``rates`` must cover every layer, so a model without layer rates
-    is refused on a layered network."""
-    tables = net.edges
-    if len(rates) != len(tables):
+    for compartment levels x = (x_c). A_l is None where a one-row product
+    with it runs over its edge table (``_use_edges``), as every right
+    product does (``_pressure``), so that a network loaded from records
+    builds only the matrices a product reads."""
+    return tuple((None if _use_edges(net.n, edges, 1) else _matrix(net, l), edges, rate)
+                 for l, edges, rate in _layers(net, rates))
+
+
+def _layers(net: Network, rates: tuple) -> tuple:
+    """Triples (l, A_l's edge table, rates_l) over the base network (l = 0)
+    and each transport layer of ``net``. ``rates`` must cover every layer, so
+    a model without layer rates is refused on a layered network."""
+    if len(rates) != len(net.edges):
         raise ValueError(f"rates are given for {len(rates) - 1} transport layers, "
-                         f"the network has {len(tables) - 1}")
-    return tuple((None if rows is not None and _use_edges(net.n, edges, rows)
-                  else net.layers[l - 1] if l else net.adjacency, edges, rate)
-                 for l, (edges, rate) in enumerate(zip(tables, rates)))
+                         f"the network has {len(net.edges) - 1}")
+    return tuple(zip(range(len(rates)), net.edges, rates))
+
+
+def _matrix(net: Network, l: int) -> np.ndarray:
+    """A_l: the adjacency (l = 0) or transport layer l - 1, which a network
+    loaded from records builds from its edge table at the first read."""
+    return net.layers[l - 1] if l else net.adjacency
 
 
 def _use_edges(n: int, edges: tuple, rows: int) -> bool:
@@ -481,10 +493,10 @@ def _edge_pass(x: np.ndarray, edges: tuple) -> np.ndarray:
     return out
 
 
-def _pressure_jacobian(op: tuple, c: int) -> np.ndarray:
-    """d pressure / d x_c = sum_l diag(rates_l[c]) A_l, for an operator that
-    holds every A_l (``_operator`` with ``rows`` None)."""
-    return reduce(np.add, (rates[c][:, None] * a for a, _, rates in op))
+def _pressure_jacobian(net: Network, rates: tuple, c: int) -> np.ndarray:
+    """d pressure / d x_c = sum_l diag(rates_l[c]) A_l, which reads every A_l,
+    for ``rates`` that cover the network's layers (``_layers``)."""
+    return reduce(np.add, (r[c][:, None] * _matrix(net, l) for l, _, r in _layers(net, rates)))
 
 
 def _report(checks: list) -> AssumptionReport:
@@ -507,7 +519,7 @@ def check_assumption(params, net: Network) -> AssumptionReport:
     hg = pr.h * pr.gamma
     gamma = ("h*gamma", hg, (0 < hg) & (hg < 1), "not in (0, 1)")
     # the row sums: the pressure of all-ones levels in every compartment
-    hb = pr.h * _pressure(_operator(net, pr.rates, 1), (np.ones(net.n),) * len(pr.rates[0]))
+    hb = pr.h * _pressure(_operator(net, pr.rates), (np.ones(net.n),) * len(pr.rates[0]))
     if isinstance(pr, SirParams):
         return _report([gamma, ("h*beta*row_sum", hb, hb < 1, "not < 1"),
                         ("beta", pr.beta, ~(pr.beta < 0), "negative")])
@@ -520,8 +532,8 @@ def check_assumption(params, net: Network) -> AssumptionReport:
 
 def _prepare(params, state, net: Network) -> SirParams | SeirParams:
     """Check ``params`` against ``state`` (an EpidemicState or a Trajectory)
-    and ``net``, and resolve them; ``_operator(net, pr.rates, rows)`` is
-    their operator."""
+    and ``net``, and resolve them; ``_operator(net, pr.rates)`` is their
+    operator."""
     if not isinstance(params, (SirParams, SeirParams)):
         raise TypeError("params must be SirParams or SeirParams")
     kind = "sir" if isinstance(params, SirParams) else "seir"
@@ -580,11 +592,12 @@ def simulate(initial: EpidemicState, params, net: Network, steps: int,
     if steps < 0:
         raise ValueError("steps must be >= 0")
     pr = _prepare(params, initial, net)
-    op = _operator(net, pr.rates, 1)
+    # first, so that a run too large to hold is refused before any check
+    levels = np.empty((2 + len(pr.stages), steps + 1, net.n))
+    op = _operator(net, pr.rates)
     if strict:
         check_assumption(pr, net).raise_if_violated()
         initial.validate()
-    levels = np.empty((2 + len(pr.stages), steps + 1, net.n))
     levels[:, 0] = initial.levels
     hstages = tuple(pr.h * rate for rate in pr.stages)
     for k in range(steps):
@@ -681,12 +694,23 @@ def _words(strings: list[str], size: int) -> np.ndarray:
     return np.array(strings, dtype=f"S{size}").view(np.uint32)
 
 
+def _chunks() -> np.ndarray:
+    """The words of the chunks '0000' to '9999', then of each without its
+    trailing zeros ('0000' without them is all NUL), from digit arithmetic:
+    in a fresh process, 1.7 ms, where building it from 20 000 strings took
+    12-14 ms, a quarter of the package's import after numpy's."""
+    c, powers = np.arange(10 ** 4)[:, None], 10 ** np.arange(3, -1, -1)
+    digits = (c // powers % 10 + ord("0")).astype(np.uint8)
+    # digit j stays where the chunk's digits from j on are not all 0
+    return np.concatenate([digits, digits * (c % (10 * powers) != 0)]).view(np.uint32).ravel()
+
+
 # by ((slot * 2 + sign) * 10 + first digit) * 2 + more; by the chunk, and by
 # 10**4 + the chunk without its trailing zeros; by slot; the next field's
 # comma, that and SIR's blank e, and the row's end
 _HEAD = _words(["-" * neg + _head(x, lead, more) for x in _SLOTS for neg in (0, 1)
                 for lead in range(10) for more in (0, 1)], 8).view(np.uint64)
-_CHUNK = _words([f"{c:04d}".rstrip("0" * trim) for trim in (0, 1) for c in range(10 ** 4)], 4)
+_CHUNK = _chunks()
 _EXPONENT = _words([f"e{x:+03d}" if x is not None and x < -4 else "" for x in _SLOTS], 4)
 _ENDING = _words([",", ",,", "\n"], 4)
 

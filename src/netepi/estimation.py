@@ -138,7 +138,7 @@ def _g(s: np.ndarray, x: np.ndarray, net: Network) -> np.ndarray:
     compartment x: one product for all steps. The regression models the base
     network only, so transport layers are refused."""
     try:
-        op = _operator(net, ((1.0,),), 1)
+        op = _operator(net, ((1.0,),))
     except ValueError as exc:
         raise ValueError(f"estimation does not model transport layers: {exc}") from exc
     return s * _pressure(op, (x,))

@@ -6,7 +6,7 @@ node i. Edge-list records ``i,j,weight`` populate ``adjacency[i, j]``, i.e.
 
 Each matrix of a Network also has an edge table, its nonzero entries in
 row-major order (``Network.edges``), which the products with a sparse
-matrix run over (``dynamics._operator``). It is kept on the Network:
+matrix run over (``dynamics._use_edges``). It is kept on the Network:
 scanned from the matrix on first use, or, for a loaded network, sorted from
 the parsed records. A loaded network holds only n and its edge tables, and
 builds a matrix from its table (zeros, then the weights scattered in) at
@@ -163,11 +163,7 @@ class Network:
         the nonzero entries a[i, j] in row-major order (i, then j ascending)
         as (rows i, columns j, weights a[i, j], the index of the first entry
         of each nonempty row). Computed on first use and kept."""
-        tables = []
-        for m in (self.adjacency, *self.layers):
-            i, j = np.divmod(np.flatnonzero(m), self.n)
-            tables.append(_edge_table(i, j, m[i, j]))
-        return tuple(tables)
+        return tuple(_edge_table(*np.nonzero(m), m[m != 0]) for m in (self.adjacency, *self.layers))
 
 
 def _edge_table(i: np.ndarray, j: np.ndarray, w: np.ndarray) -> tuple:

@@ -174,17 +174,24 @@ n = 24 for the two-stage chain and past n = 28 to 32 for one-stage ones
 (SIR, and SEIR with uniform rates).
 
 Each left action multiplies the rows still iterating, one a compartment,
-by each layer's adjacency A. The product runs over A's edges in column
-order, the edge table of A's transpose sorted once per call from the one
-``dynamics._operator`` gives, where EDGE_FACTOR * nnz(A) * rows < n*n
-(``dynamics._use_edges``), else with the dense A (see the dynamics module
-docstring for the rule and its measurements). The operator is asked for
-the matrices at the most rows a product takes, (T+1) times the chain's
-compartments, and for all of them where the states' matrices are
-formed (n <= DENSE_NODES); so on a sparse network loaded from records no
-n x n matrix is built. The edges also give the block labelling and the
-diagonal of M, whose infection part is h*s_i*rates_l[0][i]*A_l[i, i]: the
-self-loop weights, read from the edges where i == j (``_diagonal``).
+by each layer's adjacency A. Each product asks the rule for its own rows:
+it runs over A's edges in column order, the edge table of A's transpose
+sorted once per call from the network's, where EDGE_FACTOR * nnz(A) * rows
+< n*n (``dynamics._use_edges``), else with the dense A (see the dynamics
+module docstring for the rule and its measurements). So A is read only by
+a product the rule sends dense, and by the states' matrices, which read
+every layer's where they are formed (n <= DENSE_NODES, and
+``build_spreading_matrix``); a network loaded from records builds A at that
+first read, so on a sparse one a whole run's solve builds no n x n matrix.
+When the matrices were handed over for the most rows a product could take,
+(T+1) times the chain's compartments, diagnose of a whole T = 35 run built
+the adjacency that no product read: peak RSS of the command in a fresh
+process, 1 BLAS thread, 96.7 -> 66.0 MB on metro-large's network (n = 2000,
+seed 1) and 281.5 -> 90.9 MB on an n = 5000 ring with 25 edges a node, in
+the same time (0.48-0.53 and 0.91-0.99 s either way, three runs each).
+The edges also give the block labelling and the diagonal of M, whose
+infection part is h*s_i*rates_l[0][i]*A_l[i, i]: the self-loop weights,
+read from the edges where i == j (``_diagonal``).
 """
 
 from __future__ import annotations
@@ -196,8 +203,8 @@ from functools import partial
 
 import numpy as np
 
-from .dynamics import (SUM_TOL, EpidemicState, Trajectory, _edge_product, _operator,
-                       _prepare, _pressure_jacobian, _use_edges)
+from .dynamics import (SUM_TOL, EpidemicState, Trajectory, _edge_product, _layers,
+                       _matrix, _prepare, _pressure_jacobian, _use_edges)
 from .graph import Network, _components, _edge_table
 
 log = logging.getLogger(__name__)
@@ -322,21 +329,20 @@ def build_spreading_matrix(state: EpidemicState | Trajectory, params,
     keeps 1 - h*rate of its compartment and passes h*rate on to the next.
     For a Trajectory, the ``(T+1, N, N)`` stack of its states' maps."""
     pr = _prepare(params, state, net)
-    return SpreadingMatrix(m=_spreading_stack(pr, _operator(net, pr.rates, None), state.s))
+    return SpreadingMatrix(m=_spreading_stack(pr, net, state.s))
 
 
-def _spreading_stack(pr, op: tuple, s: np.ndarray) -> np.ndarray:
-    """``build_spreading_matrix`` on resolved parameters and their operator,
-    for the s levels of one state (n,) or of a stack of states (B, n),
-    filled into one zeroed stack block by block, each block in the order
-    of operations of the per-block build (``spreading_matrix_oracle`` of
-    the tests)."""
+def _spreading_stack(pr, net: Network, s: np.ndarray) -> np.ndarray:
+    """``build_spreading_matrix`` on resolved parameters, for the s levels
+    of one state (n,) or of a stack of states (B, n), filled into one zeroed
+    stack block by block, each block in the order of operations of the
+    per-block build (``spreading_matrix_oracle`` of the tests)."""
     h, n, k = pr.h, s.shape[-1], len(pr.stages)
     m = np.zeros(s.shape[:-1] + (k * n, k * n))
     for c, rate in enumerate(pr.stages):
         cols = slice(c * n, (c + 1) * n)
         top = m[..., :n, cols]
-        np.multiply(s[..., :, None], _pressure_jacobian(op, c), out=top)
+        np.multiply(s[..., :, None], _pressure_jacobian(net, pr.rates, c), out=top)
         top *= h
         # 1 - h*rate first, as the left action forms it (_trajectory_roots)
         m[..., cols, cols] += np.eye(n) - h * np.diag(rate)
@@ -433,15 +439,12 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> tuple:
     n, h = net.n, pr.h
     comps = len(chain.stages)
     size = comps * n
-    # the matrices a product reads: all of them where the states' matrices
-    # are formed, else those the rule sends dense at the most rows, c*(T+1)
     dense = n <= DENSE_NODES
-    op = _operator(net, chain.rates, None if dense else comps * len(traj))
     hs = h * traj.s
-    # (A_l or None, rates as (comps, n), A_l's edges in column order), the
-    # edges taken once for the products, the diagonal and the block labelling
-    layers = [(a, np.stack(r), _column_edges(n, edges))
-              for (a, edges, _), r in zip(op, chain.rates)]
+    # (l, rates as (comps, n), A_l's edges in column order), the edges taken
+    # once for the products, the diagonal and the block labelling
+    layers = [(l, np.stack(r), _column_edges(n, edges))
+              for l, edges, r in _layers(net, chain.rates)]
     loops = [_diagonal(n, edges) for *_, edges in layers]
     # M >= 0 follows from these (each written so that NaN fails too), checked
     # on the model's own rates; the one-stage chain's matrix is then >= 0 too
@@ -461,8 +464,8 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> tuple:
         # the left action of M - alpha*I, alpha one value per state
         x = (w[:, :n] * hs_rows)[:, None, :]
         out = None
-        for a, r, edges in layers:
-            y = _left_product((x * r).reshape(-1, n), a, edges)
+        for l, r, edges in layers:
+            y = _left_product((x * r).reshape(-1, n), net, l, edges)
             out = y if out is None else out + y
         out = out.reshape(len(w), size)
         out += w * (keep_shifted - alpha[:, None])
@@ -494,7 +497,7 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> tuple:
             dst.append(j[on])
         labels = _components(size, np.concatenate(src), np.concatenate(dst))
         for rows in np.split(ks, range(chunk, len(ks), chunk)):
-            ms = _spreading_stack(chain, op, traj.s[rows]) if dense else None
+            ms = _spreading_stack(chain, net, traj.s[rows]) if dense else None
             block, acts, res = _block_roots(apply, labels, diag[rows], hs[rows], ms,
                                             regime == "krylov")
             roots[rows] = block.max(axis=1)
@@ -583,13 +586,11 @@ def _diagonal(n: int, edges: tuple) -> np.ndarray:
     return d
 
 
-def _left_product(x: np.ndarray, a: np.ndarray | None, edges: tuple) -> np.ndarray:
-    """x @ a for x (rows, n), given a's ``_column_edges``: over the edges
-    where the operator left a out or ``_use_edges`` takes them for len(x)
-    rows, dense otherwise."""
-    if a is None or _use_edges(x.shape[1], edges, len(x)):
-        return _edge_product(x, edges)
-    return x @ a
+def _left_product(x: np.ndarray, net: Network, l: int, edges: tuple) -> np.ndarray:
+    """x @ A_l for x (rows, n), given A_l's ``_column_edges``: over the edges
+    where ``_use_edges`` takes them for len(x) rows, else with A_l, which a
+    network loaded from records builds at the first such product."""
+    return _edge_product(x, edges) if _use_edges(net.n, edges, len(x)) else x @ _matrix(net, l)
 
 
 def _block_roots(apply, labels: np.ndarray, diag: np.ndarray, hs: np.ndarray,

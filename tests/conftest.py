@@ -6,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from netepi import EpidemicState, Network, SeirParams, SirParams, Trajectory
-from netepi.dynamics import _edge_product, _operator, _prepare, _pressure_jacobian
+from netepi.dynamics import _edge_product, _operator, _prepare
 from netepi.estimation import (NONZERO_TOL, RANK_TOL_FACTOR, RegressionSystem, _nodes,
                                _transitions)
 from netepi.graph import NetworkError
@@ -200,7 +200,7 @@ def simulate_reference(initial, params, net, steps):
     reduce, each product over A's edge table where dynamics._operator leaves
     A out (dynamics._use_edges takes the edges for one row), else a @ x."""
     pr = _prepare(params, initial, net)
-    op = _operator(net, pr.rates, 1)
+    op = _operator(net, pr.rates)
 
     def product(a, edges, x):
         return _edge_product(x, edges) if a is None else a @ x
@@ -229,13 +229,18 @@ def spreading_matrix_oracle(state, params, net):
     """The per-model spreading matrix that the chain build replaced: SIR's
     n x n matrix, SEIR's 2n x 2n one from its four blocks."""
     pr = _prepare(params, state, net)
-    op = _operator(net, pr.rates, None)
+
+    def jacobian(c):
+        # sum_l diag(rates_l[c]) A_l, from the network's matrices
+        return reduce(np.add, (r[c][:, None] * a
+                               for a, r in zip((net.adjacency, *net.layers), pr.rates, strict=True)))
+
     eye = np.eye(net.n)
     if isinstance(pr, SirParams):
         return (eye - pr.h * np.diag(pr.gamma)
-                + pr.h * (state.s[:, None] * _pressure_jacobian(op, 0)))
-    sba_e = state.s[:, None] * _pressure_jacobian(op, 0)
-    sba_p = state.s[:, None] * _pressure_jacobian(op, 1)
+                + pr.h * (state.s[:, None] * jacobian(0)))
+    sba_e = state.s[:, None] * jacobian(0)
+    sba_p = state.s[:, None] * jacobian(1)
     top = np.hstack([eye - pr.h * np.diag(pr.sigma) + pr.h * sba_e, pr.h * sba_p])
     bot = np.hstack([pr.h * np.diag(pr.sigma), eye - pr.h * np.diag(pr.gamma)])
     return np.vstack([top, bot])

@@ -779,7 +779,8 @@ class TestScenarioSchema:
             assert not (tmp_path / command).exists()
 
     def test_network_too_large_to_allocate(self, tmp_path, capsys):
-        # a dense 1e8 x 1e8 adjacency: the allocation fails at once
+        # the (3, 31, 1e8) levels block, 69 GiB, cannot be allocated, and
+        # simulate allocates it before the operator and the checks
         sc = write_scenario(tmp_path, model="sir", n=100000000)
         assert run("simulate", "--scenario", sc, "--out", tmp_path / "out") == 1
         assert "Unable to allocate" in error_line(capsys)

@@ -375,7 +375,7 @@ class TestEdgeOperator:
         g_dense = [estimation._g(dense.s, x, base) for x in (dense.p, dense.e) if x is not None]
         shapes = _edge_shapes(monkeypatch)
         assert not any(dynamics._use_edges(net.n, edges, 1)
-                       for _, edges, _ in dynamics._operator(net, params.rates, 1))
+                       for _, edges, _ in dynamics._operator(net, params.rates))
         monkeypatch.setattr(dynamics, "EDGE_FACTOR", 0)
         edged = simulate(initial, params, net, 40)
         g_edged = [estimation._g(edged.s, x, base) for x in (edged.p, edged.e) if x is not None]
@@ -399,7 +399,7 @@ class TestEdgeOperator:
         for net in nets:
             rates = ((1.0, 1.0),) * (1 + len(net.layers))
             assert not any(dynamics._use_edges(net.n, edges, 1)
-                           for _, edges, _ in dynamics._operator(net, rates, 1))
+                           for _, edges, _ in dynamics._operator(net, rates))
 
     def test_rule_picks_edges_for_a_sparse_2000_node_ring(self, monkeypatch):
         rng = np.random.default_rng(96)
@@ -420,7 +420,7 @@ class TestEdgeOperator:
         monkeypatch.setattr(spectral, "_edge_product",
                             lambda x, edges: rows.append(len(x)) or x @ net.adjacency)
         for b in (1, 20, 21, 72):
-            spectral._left_product(rng.random((b, n)), net.adjacency, edges)
+            spectral._left_product(rng.random((b, n)), net, 0, edges)
         assert rows == [1, 20]
 
 
@@ -514,7 +514,7 @@ class TestInPlaceStepLoop:
         initial, params, net, steps, strict = _reference_case(case)
         if case == "ring":
             assert all(dynamics._use_edges(net.n, edges, 1)
-                       for _, edges, _ in dynamics._operator(net, params.rates, 1))
+                       for _, edges, _ in dynamics._operator(net, params.rates))
         traj = simulate(initial, params, net, steps, strict=strict)
         ref = simulate_reference(initial, params, net, steps)
         for comp, want in zip(("s", "p", "r", "e"), ref, strict=True):
@@ -724,6 +724,13 @@ class TestWriterAgainstTemplateWriter:
         assert _written(ties) == ["%.17g" % x for x in ties.tolist()]
         _, _, certain = dynamics._digits(np.array([0.1, 1 - 2 ** -53, 0.3]))
         assert certain.all()
+
+    def test_chunk_table_is_the_string_table(self):
+        # the chunks '0000' to '9999', then each with its trailing zeros
+        # stripped, NUL-padded to 4 bytes, as the table was built from strings
+        strings = [f"{c:04d}".rstrip("0" * trim) for trim in (0, 1) for c in range(10 ** 4)]
+        want = np.array(strings, dtype="S4").view(np.uint32)
+        assert dynamics._CHUNK.dtype == want.dtype and np.array_equal(dynamics._CHUNK, want)
 
     @settings(max_examples=300, deadline=None)
     @given(trajectories())

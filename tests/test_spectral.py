@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import logging
 import re
 import time
@@ -992,16 +993,15 @@ def _forced_roots(monkeypatch, product, net, params, traj):
         return convergence_diagnostics(traj, params, net).lambda_seq
 
 
-def _edges_only(x, a, edges):
+def _edges_only(x, net, l, edges):
     return dynamics._edge_product(x, edges)
 
 
-def _dense_only(x, a, edges):
-    # the matrix the operator leaves out of a sparse network's products,
-    # built here from its edges in column order (j, i, a[i, j])
-    if a is None:
-        a = np.zeros((x.shape[1],) * 2)
-        a[edges[1], edges[0]] = edges[2]
+def _dense_only(x, net, l, edges):
+    # every product dense, with the matrix built here from its edges in
+    # column order (j, i, a[i, j])
+    a = np.zeros((x.shape[1],) * 2)
+    a[edges[1], edges[0]] = edges[2]
     return x @ a
 
 
@@ -1142,7 +1142,7 @@ def _logged_roots(monkeypatch, caplog, traj, params, net):
     actions, rows = map(int, re.search(r"(\d+) left actions, (\d+) product rows",
                                        caplog.text).groups())
     layers: dict[int, list[int]] = {}
-    for x, _, edges in calls:
+    for x, _, _, edges in calls:
         layers.setdefault(id(edges), []).append(len(x))
     return lam, actions, rows, list(layers.values())
 
@@ -1181,6 +1181,54 @@ class TestProductRows:
             dense = _forced_roots(monkeypatch, _dense_only, net, params, traj)
             assert np.abs(lam - dense).max() <= 1e-12
             assert _eigvals_gap(traj, params, net, lam) <= 1e-10
+
+
+def _loaded_ring(n=60, steps=20):
+    """A network loaded from records, as the CLI loads one: a two-way ring
+    of 2n edges, whose left products take the edges up to 3 rows
+    (8 * 120 * rows < 3600), and a uniform-rate SEIR run of ``steps`` steps
+    on it (the one-stage chain: one product row a state)."""
+    net = graph.load_network("".join(
+        f"{i},{j},{w!r}\n" for i in range(n)
+        for j, w in sorted({(i - 1) % n: 0.6, (i + 1) % n: 0.3 + 0.01 * (i % 7)}.items())), n)
+    params = SeirParams(beta_e=0.2, beta=0.5, sigma=0.4, gamma=0.25, h=1.0)
+    e = np.zeros(n)
+    e[[0, 17]] = 0.05, 0.02
+    initial = EpidemicState(s=1 - e, e=e, p=np.zeros(n), r=np.zeros(n))
+    return net, params, simulate(initial, params, net, steps)
+
+
+class TestPerProductBranch:
+    """Each left product asks the edge rule for its own rows and reads the
+    dense matrix only where it runs dense. The roots are pinned as digests
+    of their bytes, taken when the matrices were handed over for the most
+    rows a product could take."""
+
+    def test_krylov_chunks_build_no_matrix(self, monkeypatch):
+        # all 21 states' rows would take the dense branch, but chunks of 3
+        # states take the edges in every product
+        net, params, traj = _loaded_ring()
+        _krylov(monkeypatch)
+        monkeypatch.setattr(spectral, "CHUNK_ENTRIES", 3 * (spectral.KRYLOV_STEPS + 1) * net.n)
+        calls = _spy(monkeypatch, "_left_product")
+        lam = convergence_diagnostics(traj, params, net).lambda_seq
+        assert dynamics._use_edges(net.n, net.edges[0], 3)
+        assert not dynamics._use_edges(net.n, net.edges[0], len(traj))
+        assert calls and max(len(x) for x, *_ in calls) <= 3
+        assert "adjacency" not in vars(net)
+        assert hashlib.sha256(lam.tobytes()).hexdigest() == (
+            "49d83cd6ba2926ff96ff9cc03fdf24404ab6c16438187cde1678d2e6670abcb5")
+
+    def test_power_products_change_branch(self, monkeypatch):
+        # power iteration takes every state's row at first, densely, and the
+        # last unconverged states' over the edges
+        net, params, traj = _loaded_ring()
+        calls = _spy(monkeypatch, "_left_product")
+        lam = convergence_diagnostics(traj, params, net).lambda_seq
+        assert {dynamics._use_edges(net.n, edges, len(x)) for x, *_, edges in calls} == {
+            True, False}
+        assert hashlib.sha256(lam.tobytes()).hexdigest() == (
+            "cd375bab546282960bbbc0c18243dd4988e53920d56d8680953098c5b9fcf0a1")
 
 
 def _chain_roots(caplog, traj, params, net):
