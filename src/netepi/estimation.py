@@ -8,9 +8,11 @@ conditions on the observed states; those are checked explicitly so a
 degenerate window is reported rather than silently producing one of many
 consistent solutions.
 
-The regression is held as its row blocks, one per compartment of the chain
-(p, r) or (e, p, r), each with only its nonzero columns of Q and its rows of
-delta (``_blocks``); half of SEIR's dense Q is structural zeros. The solve is
+The regression (``RegressionSystem``) is held as its row blocks, one per
+compartment of the chain (p, r) or (e, p, r), each with only its nonzero
+columns of Q and its rows of delta (``_blocks``); half of SEIR's dense Q is
+structural zeros, and Q and delta are assembled from the blocks only where
+they are read. The solve (``solve_least_squares``) is
 the R-SVD (Chan, "An improved algorithm for computing the singular value
 decomposition", ACM TOMS 8, 1982) with one QR per row block, as in
 tall-skinny QR (Demmel, Grigori, Hoemmen and Langou, "Communication-optimal
@@ -72,19 +74,32 @@ NONZERO_TOL = 1e-12
 RANK_TOL_FACTOR = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegressionSystem:
-    q: np.ndarray
-    delta: np.ndarray
+    """Q theta = delta, held as its row blocks: pairs of (the block's first
+    column of Q, [its columns of Q from there | its rows of delta]), in row
+    order, the last block ending at Q's last column. ``build_regression``
+    gives one block per compartment of the chain with only its nonzero
+    columns (``_blocks``), read-only; a system built by hand is one block
+    ``((0, [Q | delta]),)``. ``q`` and ``delta`` are assembled from the
+    blocks, as new arrays, on each read; the solve reads the blocks alone."""
+    blocks: tuple
     kind: str  # "sir-homog" | "sir-hetero" | "seir-homog" | "seir-hetero"
     t: int
     node: int | None = None
-    # the row blocks that build_regression assembled q and delta from (see
-    # _blocks). A system built by hand has none, and is solved as one block
-    # of its own q and delta; so is a copy by dataclasses.replace, which
-    # drops them because it may give the copy another q or delta. Such a
-    # solve can differ from the blocks' in the last bits.
-    blocks: tuple = field(init=False, default=(), repr=False, compare=False)
+
+    @property
+    def q(self) -> np.ndarray:
+        q = np.zeros(_shape(self.blocks))
+        at = 0
+        for col, block in self.blocks:
+            q[at:at + len(block), col:col + block.shape[1] - 1] = block[:, :-1]
+            at += len(block)
+        return q
+
+    @property
+    def delta(self) -> np.ndarray:
+        return np.concatenate([block[:, -1] for _, block in self.blocks])
 
 
 @dataclass(frozen=True)
@@ -94,7 +109,7 @@ class IdentifiabilityVerdict:
     failed_conditions: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimateReport:
     kind: str
     estimates: np.ndarray
@@ -283,7 +298,9 @@ def _blocks(traj: Trajectory, net: Network, node: int | None, g) -> tuple:
             cols.append(-passed[c])
         cols.append(np.diff(getattr(traj, x), axis=0)[:, nodes].ravel())
         # one row per column, so that the block's columns are contiguous
-        blocks.append((k + c - 1 if c else 0, np.array(cols).T))
+        block = np.array(cols).T
+        block.setflags(write=False)
+        blocks.append((k + c - 1 if c else 0, block))
     return tuple(blocks)
 
 
@@ -294,39 +311,36 @@ def _kind(traj: Trajectory, node: int | None) -> str:
 def build_regression(traj: Trajectory, net: Network,
                      node: int | None = None) -> RegressionSystem:
     """Stack the one-step updates over the nodes (all, or ``node`` alone) and
-    the steps of ``traj`` into Q theta = delta; the model follows
-    ``traj.kind``. SIR stacks the p- and r-updates, unknowns (beta, gamma);
-    SEIR stacks the e-, p- and r-updates, unknowns (beta_e, beta, sigma, gamma).
-    Q and delta are assembled from the row blocks of ``_blocks``, which the
-    system keeps for its solve; all three are read-only, so that they cannot
-    drift apart."""
-    blocks = _blocks(traj, net, node, _window_g(traj, net))
-    rows = len(blocks[0][1])
-    q = np.zeros((len(blocks) * rows, _columns(blocks)))
-    for b, (col, block) in enumerate(blocks):
-        q[b * rows:(b + 1) * rows, col:col + block.shape[1] - 1] = block[:, :-1]
-    delta = np.concatenate([block[:, -1] for _, block in blocks])
-    for a in (q, delta, *(block for _, block in blocks)):
-        a.setflags(write=False)
-    system = RegressionSystem(q=q, delta=delta, kind=_kind(traj, node), t=traj.transitions,
-                              node=node)
-    object.__setattr__(system, "blocks", blocks)
-    return system
+    the steps of ``traj`` into Q theta = delta, held as its row blocks
+    (``_blocks``); the model follows ``traj.kind``. SIR stacks the p- and
+    r-updates, unknowns (beta, gamma); SEIR stacks the e-, p- and r-updates,
+    unknowns (beta_e, beta, sigma, gamma)."""
+    return RegressionSystem(_blocks(traj, net, node, _window_g(traj, net)), _kind(traj, node),
+                            traj.transitions, node)
 
 
-def _columns(blocks: tuple) -> int:
-    """Q's column count: the last block ends at Q's last column."""
+def _shape(blocks: tuple) -> tuple[int, int]:
+    """Q's shape: the blocks' rows, and the columns up to the last block's
+    last."""
     col, block = blocks[-1]
-    return col + block.shape[1] - 1
+    return sum(len(b) for _, b in blocks), col + block.shape[1] - 1
 
 
-def _solve(blocks: tuple, kind: str) -> EstimateReport:
-    """Minimum-norm least-squares solve of Q theta = delta, given as its row
-    blocks (``_blocks``), with explicit numerical rank (module docstring).
-    Each block's [Q_b | delta_b] is reduced to its triangle, the triangles
-    are stacked at their columns in at least cols + 1 rows, and the stack's
-    own triangle [[R, z], [0, rho]] is what the SVD solves."""
-    cols = _columns(blocks)
+def solve_least_squares(sys: RegressionSystem) -> EstimateReport:
+    """Minimum-norm least-squares solve of Q theta = delta on its row blocks,
+    with explicit numerical rank (module docstring). Each block's
+    [Q_b | delta_b] is reduced to its triangle, the triangles are stacked at
+    their columns in at least cols + 1 rows, and the stack's own triangle
+    [[R, z], [0, rho]] is what the SVD solves.
+
+    Singular values below RANK_TOL_FACTOR times the largest column norm are
+    treated as zero; rank below the column count sets the non-uniqueness flag.
+    The report carries no identifiability verdict.
+    """
+    blocks = sys.blocks
+    rows, cols = _shape(blocks) if blocks else (0, 0)
+    if not rows * cols:
+        raise ValueError("empty regression system")
     stack = np.zeros((max(sum(min(block.shape) for _, block in blocks), cols + 1), cols + 1))
     at = 0
     for col, block in blocks:
@@ -345,23 +359,8 @@ def _solve(blocks: tuple, kind: str) -> EstimateReport:
     s_inv = np.where(s > tol, 1.0 / np.where(s > tol, s, 1.0), 0.0)
     theta = vt.T @ (s_inv * (u.T @ z))
     residual = float(np.hypot(np.linalg.norm(r @ theta - z), rho))
-    return EstimateReport(kind=kind, estimates=theta, residual_norm=residual,
+    return EstimateReport(kind=sys.kind, estimates=theta, residual_norm=residual,
                           rank=rank, verdict=None, non_unique=rank < cols)
-
-
-def solve_least_squares(sys: RegressionSystem) -> EstimateReport:
-    """Minimum-norm least-squares solve with explicit numerical rank.
-
-    Singular values below RANK_TOL_FACTOR times the largest column norm are
-    treated as zero; rank below the column count sets the non-uniqueness flag.
-    The report carries no identifiability verdict. A system from
-    ``build_regression`` is solved on its row blocks, one built by hand as
-    one block of all its columns.
-    """
-    if sys.q.size == 0:
-        raise ValueError("empty regression system")
-    blocks = sys.blocks or ((0, np.column_stack([sys.q, sys.delta])),)
-    return _solve(blocks, sys.kind)
 
 
 def _check_levels(levels: np.ndarray) -> None:
@@ -413,16 +412,18 @@ def _trajectory_errors(measured: Trajectory, resim: Trajectory, nodes: slice) ->
 
 def estimate_pipeline(measured: Trajectory, net: Network,
                       node: int | None = None) -> EstimateReport:
-    """Identifiability check and the regression's block solve (``_solve``)
-    for the model of ``measured``, with no dense system formed; when the
-    data are identifiable, a re-simulation from the first measured state
-    scores the fit, over the columns of the nodes estimated. The e, p and r
-    levels must lie in [0, 1] up to SUM_TOL."""
+    """Identifiability check and ``solve_least_squares`` of the regression
+    for the model of ``measured``, the two sharing the window's g values
+    (``_window_g``), with no dense system formed; when the data are
+    identifiable, a re-simulation from the first measured state scores the
+    fit, over the columns of the nodes estimated. The e, p and r levels must
+    lie in [0, 1] up to SUM_TOL."""
     _check_levels(measured.levels)
     g = _window_g(measured, net)
     verdict = _CHECKS[measured.kind](measured, net, node, g)
-    blocks = _blocks(measured, net, node, g)
-    report = replace(_solve(blocks, _kind(measured, node)), verdict=verdict)
+    system = RegressionSystem(_blocks(measured, net, node, g), _kind(measured, node),
+                              measured.transitions, node)
+    report = replace(solve_least_squares(system), verdict=verdict)
     if not verdict.identifiable:
         return report
     # the estimates come in the order of the parameter fields

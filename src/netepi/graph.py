@@ -76,7 +76,8 @@ the sidecars' were between passes:
 
 On the bench's passes the in-place writes cut what reaches the disk within
 a pass from 21.7 to 0.44 MB on sweep-small and from 12.2 to 0.07 MB on
-metro-large (tools/writeback.py).
+metro-large (CHANGES.md, the entry on in-place writes, says how this was
+measured).
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def _check_matrix(m: np.ndarray, n: int, name: str) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
     """Immutable spreading network: base adjacency plus optional extra layers.
 

@@ -203,7 +203,7 @@ from functools import partial
 
 import numpy as np
 
-from .dynamics import (SUM_TOL, EpidemicState, Trajectory, _edge_product, _layers,
+from .dynamics import (SUM_TOL, EpidemicState, SirParams, Trajectory, _edge_product, _layers,
                        _matrix, _prepare, _pressure_jacobian, _use_edges)
 from .graph import Network, _components, _edge_table
 
@@ -305,12 +305,12 @@ class PowerIterationError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpreadingMatrix:
     m: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvergenceReport:
     lambda_seq: np.ndarray
     k_bar: int | None
@@ -508,20 +508,11 @@ def _trajectory_roots(traj: Trajectory, params, net: Network) -> tuple:
     return roots, comps, regime, actions, actions * comps * len(layers), residual
 
 
-@dataclass(frozen=True)
-class _Chain:
-    """What the Perron solve reads of a model: the step h, the infection
-    rates per layer and compartment (``SeirParams.rates``) and the
-    progression rates down the chain of infected compartments (``stages``)."""
-    h: float
-    rates: tuple
-    stages: tuple
-
-
-def _one_stage(pr) -> _Chain | None:
-    """SEIR's one-stage chain (module docstring): the rate beta_e + beta and
-    the stage rate of max(1 - h*sigma, 1 - h*gamma), whose Perron roots give
-    SEIR's (``_lifted``). None for a one-stage model, a network with
+def _one_stage(pr) -> SirParams | None:
+    """SEIR's one-stage chain (module docstring), an SIR model: the
+    infection rate beta_e + beta, the recovery rate of max(1 - h*sigma,
+    1 - h*gamma) and the same h, whose Perron roots give SEIR's
+    (``_lifted``). None for a one-stage model, a network with
     transport layers, rates that vary over the nodes, or a combined rate
     that is not positive and finite."""
     if len(pr.stages) < 2 or len(pr.rates) != 1:
@@ -535,7 +526,7 @@ def _one_stage(pr) -> _Chain | None:
         return None
     # the stage whose 1 - h*rate is the larger, so that it is max(d1, d2) exactly
     keep = sigma if 1 - pr.h * sigma[0] >= 1 - pr.h * gamma[0] else gamma
-    return _Chain(pr.h, ((np.full(len(keep), k),),), (keep,))
+    return SirParams(np.full(len(keep), k), keep, pr.h)
 
 
 def _lifted(pr, roots: np.ndarray) -> np.ndarray:
@@ -556,8 +547,8 @@ def _lifted(pr, roots: np.ndarray) -> np.ndarray:
 
 
 def _chain_diagonal(chain, hs: np.ndarray, loops: list) -> np.ndarray:
-    """The diagonal of M(s) of ``chain`` (a model's resolved parameters, or a
-    ``_Chain``) for each state's h*s (states, n), given each layer's
+    """The diagonal of M(s) of ``chain`` (a model's resolved parameters, or
+    its one-stage chain) for each state's h*s (states, n), given each layer's
     self-loop weights ``loops``: 1 - h*rho_c, and h*s_i*rates_l[0][i]*A_l[i, i]
     added on the first compartment."""
     diag = np.tile(1 - chain.h * np.ravel(chain.stages), (len(hs), 1))

@@ -247,8 +247,8 @@ def spreading_matrix_oracle(state, params, net):
 
 
 def regression_sir_oracle(traj, net, node, g):
-    """The SIR regression that the chain regression replaced; ``g`` as
-    estimation._window_g gives it."""
+    """The SIR regression that the chain regression replaced, as one block
+    [Q | delta]; ``g`` as estimation._window_g gives it."""
     nodes = _nodes(net, node)
     t = _transitions(traj)
     h = traj.h
@@ -259,14 +259,14 @@ def regression_sir_oracle(traj, net, node, g):
                   [zeros[:, None], b_col[:, None]]])
     dp = np.diff(traj.p, axis=0)[:, nodes].ravel()
     dr = np.diff(traj.r, axis=0)[:, nodes].ravel()
-    return RegressionSystem(q=q, delta=np.concatenate([dp, dr]),
+    return RegressionSystem(((0, np.column_stack([q, np.concatenate([dp, dr])])),),
                             kind="sir-homog" if node is None else "sir-hetero",
                             t=t, node=node)
 
 
 def regression_seir_oracle(traj, net, node, g):
-    """The SEIR regression that the chain regression replaced; ``g`` as
-    estimation._window_g gives it."""
+    """The SEIR regression that the chain regression replaced, as one block
+    [Q | delta]; ``g`` as estimation._window_g gives it."""
     t = _transitions(traj)
     nodes = _nodes(net, node)
     h = traj.h
@@ -281,7 +281,7 @@ def regression_seir_oracle(traj, net, node, g):
     q = np.vstack([phi, sig, gam])
     delta = np.concatenate([np.diff(x, axis=0)[:, nodes].ravel()
                             for x in (traj.e, traj.p, traj.r)])
-    return RegressionSystem(q=q, delta=delta,
+    return RegressionSystem(((0, np.column_stack([q, delta])),),
                             kind="seir-homog" if node is None else "seir-hetero",
                             t=t, node=node)
 

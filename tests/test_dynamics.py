@@ -803,7 +803,14 @@ class TestTrajectoryArrays:
         net, params, state = request.getfixturevalue(example)
         traj = simulate(state, params, net, 3)
         twin = Trajectory(s=traj.s, e=traj.e, p=traj.p, r=traj.r, h=traj.h)
-        for one, other in ((state, traj.states[0]), (traj, twin)):
+        pairs = [(state, traj.states[0]), (traj, twin),
+                 (Network(net.adjacency), Network(net.adjacency))]
+        for make in (lambda: spectral.build_spreading_matrix(state, params, net),
+                     lambda: spectral.convergence_diagnostics(traj, params, net),
+                     lambda: estimation.estimate_pipeline(traj, net),
+                     lambda: estimation.build_regression(traj, net)):
+            pairs.append((make(), make()))
+        for one, other in pairs:
             assert one == one and not one != one
             assert one != other and not one == other
             assert hash(one) == hash(one) and len({one, other, one}) == 2

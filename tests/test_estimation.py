@@ -324,8 +324,7 @@ class TestSolveLeastSquares:
     def test_empty_system_rejected(self):
         from netepi.estimation import RegressionSystem
         with pytest.raises(ValueError):
-            solve_least_squares(RegressionSystem(np.empty((0, 2)), np.empty(0),
-                                                 "sir-homog", 0))
+            solve_least_squares(RegressionSystem(((0, np.empty((0, 3))),), "sir-homog", 0))
 
 
 
@@ -407,7 +406,7 @@ class TestBlockSolve:
         assert max(ranks) == min((2 if kind == "sir" else 3) * steps, 2 if kind == "sir" else 4)
 
     def test_hand_built_systems(self):
-        # a system built by hand is solved as one block of all its columns
+        # a system built by hand is one block of all its columns
         rng = np.random.default_rng(29)
         for _ in range(200):
             m, c = int(rng.integers(1, 9)), int(rng.integers(1, 5))
@@ -416,29 +415,35 @@ class TestBlockSolve:
                 q[:, -1] = rng.uniform(-2, 2) * q[:, 0]
             if rng.random() < 0.2:
                 q[:, int(rng.integers(c))] = 0.0
-            sys = estimation.RegressionSystem(q, rng.standard_normal(m), "sir-homog", m)
-            assert sys.blocks == ()
-            self._agree(sys)
+            block = np.column_stack([q, rng.standard_normal(m)])
+            self._agree(estimation.RegressionSystem(((0, block),), "sir-homog", m))
 
     def test_hand_built_copy_of_a_built_system(self, seir_traj):
         net, _, traj = seir_traj
         built = build_regression(traj, net)
-        copy = estimation.RegressionSystem(built.q, built.delta, built.kind, built.t)
+        want = solve_least_squares(built).estimates
         assert [col for col, _ in built.blocks] == [0, 2, 3]
-        # the built system's arrays cannot drift from the blocks it solves on
-        for a in (built.q, built.delta, *(block for _, block in built.blocks)):
+        for _, block in built.blocks:
             with pytest.raises(ValueError, match="read-only"):
-                a[0] = 1.0
-        assert solve_least_squares(copy).estimates == pytest.approx(
-            solve_least_squares(built).estimates, rel=1e-12)
-        # a replace() copy may carry another q or delta, so it keeps no blocks
-        assert dataclasses.replace(built).blocks == ()
-        assert np.array_equal(solve_least_squares(dataclasses.replace(built)).estimates,
-                              solve_least_squares(copy).estimates)
+                block[0] = 1.0
+        # q and delta are new arrays on each read, so writing into one that
+        # was read leaves the blocks, and the solve, as they were
+        q, delta = built.q, built.delta
+        q[:] = 1.0
+        delta[:] = 1.0
+        assert np.array_equal(solve_least_squares(built).estimates, want)
+        copy = estimation.RegressionSystem(((0, np.column_stack([built.q, built.delta])),),
+                                           built.kind, built.t)
+        assert solve_least_squares(copy).estimates == pytest.approx(want, rel=1e-12)
+        # a replace() copy keeps the blocks
+        again = dataclasses.replace(built)
+        assert again.blocks is built.blocks
+        assert np.array_equal(solve_least_squares(again).estimates, want)
 
     def test_pipeline_builds_no_dense_system(self, monkeypatch):
-        # no RegressionSystem, and every factorisation is of a row block, at
-        # most four columns and delta wide, or of the small triangles
+        # neither q nor delta is read, and every factorisation is of a row
+        # block, at most four columns and delta wide, or of the small
+        # triangles
         rng = np.random.default_rng(31)
         net = random_irreducible_network(rng, 12)
         params = SeirParams(beta_e=0.04, beta=0.06, sigma=0.4, gamma=0.3, h=1.0)
@@ -451,11 +456,34 @@ class TestBlockSolve:
                 shapes[_name].append(a.shape)
                 return _run(a, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, recorded)
-        monkeypatch.setattr(estimation, "RegressionSystem", None)
+
+        def dense(self):
+            raise AssertionError("dense system read")
+        for name in ("q", "delta"):
+            monkeypatch.setattr(estimation.RegressionSystem, name, property(dense))
         got = estimate_pipeline(traj, net)
         assert np.array_equal(got.estimates, want.estimates)
         assert shapes == {"qr": [(240, 4), (240, 3), (240, 2), (9, 5)], "svd": [(4, 4)]}
 
+    @pytest.mark.parametrize("kind,node", [("sir", None), ("seir", None), ("seir", 1)])
+    def test_pipeline_solves_through_solve_least_squares(self, request, monkeypatch, kind,
+                                                         node):
+        # one call of the module's public solve, on the blocks that _blocks
+        # builds for the same window
+        net, params, state = request.getfixturevalue(f"{kind}_example")
+        traj = simulate(state, params, net, 3)
+        solve = estimation.solve_least_squares
+        systems = []
+        monkeypatch.setattr(estimation, "solve_least_squares",
+                            lambda sys: systems.append(sys) or solve(sys))
+        report = estimate_pipeline(traj, net, node)
+        sys, = systems
+        want = estimation._blocks(traj, net, node, estimation._window_g(traj, net))
+        assert [col for col, _ in sys.blocks] == [col for col, _ in want]
+        assert all(np.array_equal(got, block)
+                   for (_, got), (_, block) in zip(sys.blocks, want, strict=True))
+        assert (sys.kind, sys.t, sys.node) == (report.kind, 3, node)
+        assert np.array_equal(report.estimates, solve(build_regression(traj, net, node)).estimates)
 
 class TestApplyNoise:
     def test_zero_noise_passthrough(self, seir_traj):

@@ -1,4 +1,4 @@
-"""tools/rounds.py: the alternating rounds that crossover.py and writeback.py share."""
+"""tools/rounds.py: the alternating rounds that crossover.py and solve.py share."""
 
 import argparse
 import importlib.util

@@ -1,6 +1,6 @@
 """Alternating rounds of a worker over one or two source trees: the harness
-of tools/crossover.py, tools/solve.py and tools/writeback.py, with the ring
-cases and the timing that the first two share.
+of tools/crossover.py and tools/solve.py, with the ring cases and the timing
+that the two share.
 
 A tree is a repository root (this checkout, or a ``git archive`` of another
 commit); its ``src`` is what the worker imports, ahead of ``bench/`` of this
